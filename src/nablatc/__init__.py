@@ -1,6 +1,6 @@
 """Nabla tempered fractional calculus on integer-shifted grids."""
 
-from .errors import NablaError
+from .errors import ConfigError, NablaError
 from .signals import (
     EPS_WEIGHT,
     BadRate,

@@ -8,7 +8,8 @@ Subcommands: ``eval`` (apply an operator to a signal, write CSV),
 reference experiment datasets).
 
 Exit codes: 0 success (and, for ``verify``, every identity passed),
-1 verification failures, 2 configuration errors, 3 numeric errors.
+1 verification failures, 2 configuration errors (bad options or
+NT_TOLERANCE_SCALE, unreadable inputs, unwritable outputs), 3 numeric errors.
 Output files are written atomically; identical configurations and seeds
 produce byte-identical outputs.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NablaError
+from .errors import ConfigError, NablaError
 from .laplace import (
     check_transform_rule_diff,
     check_transform_rule_gl,
@@ -49,7 +50,7 @@ from .signals import (
     read_weight_csv,
     write_signal_csv,
 )
-from .suite import run_suite, reports_to_json_dict
+from .suite import reports_to_json_dict, resolve_tolerance_scale, run_suite
 from .taylor import (
     tempered_op_taylor_current,
     tempered_op_taylor_future,
@@ -67,10 +68,6 @@ EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass
@@ -158,14 +155,15 @@ def cmd_taylor(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    scale = resolve_tolerance_scale()
     reports = run_suite(
         seed=cfg.seed,
         only=cfg.extra.get("only"),
         perturb=cfg.extra.get("perturb"),
+        tolerance_scale=scale,
     )
     if not reports:
         raise ConfigError(f"--only {cfg.extra.get('only')!r} matched no identity group")
-    scale = float(os.environ.get("NT_TOLERANCE_SCALE", "1.0"))
     payload = reports_to_json_dict(reports, cfg.seed, scale, cfg.extra.get("perturb"))
     text = json.dumps(payload, indent=2, sort_keys=True)
     if cfg.out:
@@ -417,7 +415,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return COMMANDS[cfg.command](cfg)
-    except (ConfigError, UnknownPreset) as exc:
+    except (ConfigError, UnknownPreset, OSError) as exc:
+        # an unreadable input or an unwritable output path is configuration
         print(f"nt: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NablaError as exc:

@@ -382,12 +382,17 @@ _ML_MAX_TERMS = 8192
 _ML_BLOCK = 256
 _ML_STOP_REL = 1e-15
 _ML_BLOWUP_REL = 1e12
+#: Largest term the compensated sum may cancel, relative to max(1, |F(k)|).
+#: The sum keeps ~1e-31 of its largest term, so at 1e17 the kernel is still
+#: good to ~1e-14; at (alpha, mu) = (0.9, -0.5) the first point past it is
+#: k = 69.
+_ML_CANCEL_MAX = 1e17
 
 # ---------------------------------------------------------------------------
 # Compensated double-width arithmetic (arrays of value/error pairs).  The
-# kernel series alternates through terms up to ~1e12 while summing to O(1),
-# so a plain binary64 accumulation loses the answer; error-free transforms
-# keep ~1e-31 relative error through products and sums.
+# kernel series alternates through terms many orders of magnitude above its
+# O(1) sum, so a plain binary64 accumulation loses the answer; error-free
+# transforms keep ~1e-31 of the largest term through products and sums.
 # ---------------------------------------------------------------------------
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -473,7 +478,9 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
     Terms are added until one falls below 1e-15 of the partial sum twice in
     a row; a term exceeding 1e12 of the partial sum aborts the evaluation.
     The summation runs in compensated double-width arithmetic because the
-    series alternates violently for negative mu at moderate horizons.
+    series alternates violently for negative mu at moderate horizons; a
+    point whose largest term exceeds 1e17 * max(1, |F(k)|) has cancelled
+    past what that arithmetic holds, and raises :class:`SeriesDiverged`.
     """
     if horizon < 1:
         raise SeriesDiverged("kernel horizon must be >= 1")
@@ -491,6 +498,7 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
     sum_h = np.zeros(horizon)
     sum_l = np.zeros(horizon)
     streak = np.zeros(horizon, dtype=int)
+    peak = np.zeros(horizon)
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, _ML_MAX_TERMS, _ML_BLOCK):
             th, tl = _ml_term_block(i0, _ML_BLOCK, al, be, mu, horizon)
@@ -499,15 +507,17 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
                 if not live.any():
                     break
                 idx = np.nonzero(live)[0]
-                for m in idx:
-                    sum_h[m], sum_l[m] = _dd_add(sum_h[m], sum_l[m], th[t, m], tl[t, m])
-                mag = np.abs(th[t, live])
+                sum_h[idx], sum_l[idx] = _dd_add(
+                    sum_h[idx], sum_l[idx], th[t, idx], tl[t, idx]
+                )
+                mag = np.abs(th[t, idx])
                 ref = np.maximum(np.abs(sum_h[live]), _TINY)
                 if np.any(mag > _ML_BLOWUP_REL * ref) or not np.all(np.isfinite(mag)):
                     worst = int(np.argmax(np.where(np.isfinite(mag), mag, np.inf) / ref))
                     raise SeriesDiverged(
                         f"kernel series diverging at lattice offset {idx[worst] + 1}"
                     )
+                peak[idx] = np.maximum(peak[idx], mag)
                 small = mag <= _ML_STOP_REL * ref
                 streak[idx[small]] += 1
                 streak[idx[~small]] = 0
@@ -517,6 +527,13 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
         else:
             raise SeriesDiverged("kernel series did not settle within the term budget")
     vals[1:] = sum_h + sum_l
+    lost = peak > _ML_CANCEL_MAX * np.maximum(1.0, np.abs(vals[1:]))
+    if lost.any():
+        m = int(np.argmax(lost))
+        raise SeriesDiverged(
+            f"kernel series cancels terms up to {peak[m]:.3g} at lattice offset "
+            f"{m + 1}, beyond the {_ML_CANCEL_MAX:.0e} the compensated sum holds"
+        )
     return Signal(Grid(params.a, 0, horizon), vals)
 
 
@@ -544,8 +561,10 @@ def fde_solve(
     z[0] = w.at(0) * x_a
     for m in range(1, N + 1):
         acc = 0.0
-        for i in range(1, m):
-            acc += c[i] * (z[m - i] - z[0])
+        if m > 1:
+            # cumsum adds strictly left to right over i = 1..m-1, so its last
+            # entry is the ascending-lag sequential sum
+            acc += np.cumsum(c[1:m] * (z[m - 1 : 0 : -1] - z[0]))[-1]
         z[m] = (z[0] - acc) / (1.0 - mu)
     x_vals = z / w.window(0, N)
     return Signal(Grid(w.grid.a, 0, N), x_vals)

@@ -226,13 +226,14 @@ def make_weight(
         if rate == 1.0:
             raise BadRate("exponential weight rate 1 is excluded")
         base = 1.0 - float(rate)
-        vals = np.empty(grid.npoints, dtype=np.float64)
+        vals = np.full(grid.npoints, base)
         pos0 = grid.position(0)
         vals[pos0] = 1.0
-        for p in range(pos0 + 1, grid.npoints):
-            vals[p] = vals[p - 1] * base
-        for p in range(pos0 - 1, -1, -1):
-            vals[p] = vals[p + 1] / base
+        # the accumulations run strictly outward from the base point, one
+        # multiplication (division below it) per step
+        np.multiply.accumulate(vals[pos0:], out=vals[pos0:])
+        below = vals[pos0::-1]
+        np.divide.accumulate(below, out=below)
         return Weight(grid, vals, kind="exponential", rate=float(rate))
     if fn is not None:
         vals = np.array([float(fn(grid.a + m)) for m in grid.offsets()], dtype=np.float64)
@@ -262,7 +263,11 @@ _STEP_TOL = 1e-9
 def _atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file and rename, so no partial file survives an error."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        # name the requested file, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)

@@ -175,6 +175,8 @@ def gl_coefficients(order: float, length: int) -> GLCoefficientSeq:
     c = np.empty(length, dtype=np.float64)
     if length:
         c[0] = 1.0
-    for i in range(1, length):
-        c[i] = c[i - 1] * ((i - 1 - order) / i)
+        i = np.arange(1.0, length)
+        c[1:] = (i - 1.0 - order) / i
+        # multiply.accumulate runs strictly left to right: c_i = c_{i-1} * ratio_i
+        np.multiply.accumulate(c, out=c)
     return GLCoefficientSeq(order=float(order), coeffs=c)

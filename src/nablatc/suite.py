@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
 from .identities import (
     IdentityReport,
     TOL_EXACT,
@@ -67,6 +68,7 @@ from .taylor import (
 __all__ = [
     "CORE_GROUPS",
     "GROUPS",
+    "resolve_tolerance_scale",
     "run_suite",
     "reports_to_json_dict",
 ]
@@ -621,6 +623,25 @@ GROUPS: tuple[tuple[str, Callable], ...] = (
 )
 
 
+def resolve_tolerance_scale(scale: float | None = None) -> float:
+    """The suite's tolerance multiplier: ``scale``, else NT_TOLERANCE_SCALE, else 1.
+
+    Raises:
+        ConfigError: unless the value is a finite number > 0.
+    """
+    source = "tolerance scale"
+    if scale is None:
+        source = "NT_TOLERANCE_SCALE"
+        raw = os.environ.get(source, "1.0")
+        try:
+            scale = float(raw)
+        except ValueError:
+            raise ConfigError(f"{source} must be a number, got {raw!r}") from None
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ConfigError(f"{source} must be finite and > 0, got {scale!r}")
+    return scale
+
+
 def run_suite(
     seed: int = 0,
     only: str | None = None,
@@ -634,10 +655,10 @@ def run_suite(
     filter string.  ``perturb`` injects an additive fault into the
     single-sum operator for the duration of the run, to demonstrate that
     the suite notices.  The tolerance scale defaults to the
-    NT_TOLERANCE_SCALE environment variable.
+    NT_TOLERANCE_SCALE environment variable (see
+    :func:`resolve_tolerance_scale`).
     """
-    if tolerance_scale is None:
-        tolerance_scale = float(os.environ.get("NT_TOLERANCE_SCALE", "1.0"))
+    tolerance_scale = resolve_tolerance_scale(tolerance_scale)
     selected = []
     for index, (name, runner) in enumerate(GROUPS):
         if groups is not None and name not in groups:

@@ -1,0 +1,123 @@
+"""Scalar-loop references for the library's ordered accumulations.
+
+The library evaluates its recurrences and inner sums with numpy
+accumulations that keep a strict left-to-right order, and promises results
+identical to sequential evaluation.  The functions here are that sequential
+evaluation, written as plain scalar loops, so the tests can demand byte
+equality.  They reuse the library's public types (and, for the
+Mittag-Leffler kernel, its term blocks and double-width primitives):
+only the accumulation order is under test here.  The independent,
+high-precision references live in ``_oracles.py``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from nablatc.laplace import (
+    _ML_BLOCK,
+    _ML_BLOWUP_REL,
+    _ML_MAX_TERMS,
+    _ML_STOP_REL,
+    _TINY,
+    MLParams,
+    SeriesDiverged,
+    SingularStep,
+    _dd_add,
+    _ml_term_block,
+)
+from nablatc.signals import BadRate, Grid, GridMismatch, Signal, Weight
+from nablatc.special import DomainError, GLCoefficientSeq, rising_over_gamma
+
+
+def gl_coefficients_seq(order: float, length: int) -> GLCoefficientSeq:
+    if length < 0:
+        raise DomainError(f"coefficient sequence length must be >= 0, got {length}")
+    c = np.empty(length, dtype=np.float64)
+    if length:
+        c[0] = 1.0
+    for i in range(1, length):
+        c[i] = c[i - 1] * ((i - 1 - order) / i)
+    return GLCoefficientSeq(order=float(order), coeffs=c)
+
+
+def exp_weight_seq(grid: Grid, rate: float) -> Weight:
+    if rate == 1.0:
+        raise BadRate("exponential weight rate 1 is excluded")
+    base = 1.0 - float(rate)
+    vals = np.empty(grid.npoints, dtype=np.float64)
+    pos0 = grid.position(0)
+    vals[pos0] = 1.0
+    for p in range(pos0 + 1, grid.npoints):
+        vals[p] = vals[p - 1] * base
+    for p in range(pos0 - 1, -1, -1):
+        vals[p] = vals[p + 1] / base
+    return Weight(grid, vals, kind="exponential", rate=float(rate))
+
+
+def ml_values_seq(params: MLParams, horizon: int) -> np.ndarray:
+    """Kernel values with the per-point scalar accumulation (no range guard)."""
+    if horizon < 1:
+        raise SeriesDiverged("kernel horizon must be >= 1")
+    al, be, mu = params.alpha, params.beta, params.mu
+    vals = np.zeros(horizon + 1)
+
+    total = 0.0
+    for i in range(64):
+        term = rising_over_gamma(0, i * al + be - 1.0, i * al + be)
+        total += mu**i * term
+    vals[0] = total
+
+    done = np.zeros(horizon, dtype=bool)
+    sum_h = np.zeros(horizon)
+    sum_l = np.zeros(horizon)
+    streak = np.zeros(horizon, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, _ML_MAX_TERMS, _ML_BLOCK):
+            th, tl = _ml_term_block(i0, _ML_BLOCK, al, be, mu, horizon)
+            for t in range(_ML_BLOCK):
+                live = ~done
+                if not live.any():
+                    break
+                idx = np.nonzero(live)[0]
+                for m in idx:
+                    sum_h[m], sum_l[m] = _dd_add(sum_h[m], sum_l[m], th[t, m], tl[t, m])
+                mag = np.abs(th[t, live])
+                ref = np.maximum(np.abs(sum_h[live]), _TINY)
+                if np.any(mag > _ML_BLOWUP_REL * ref) or not np.all(np.isfinite(mag)):
+                    worst = int(np.argmax(np.where(np.isfinite(mag), mag, np.inf) / ref))
+                    raise SeriesDiverged(
+                        f"kernel series diverging at lattice offset {idx[worst] + 1}"
+                    )
+                small = mag <= _ML_STOP_REL * ref
+                streak[idx[small]] += 1
+                streak[idx[~small]] = 0
+                done[idx[streak[idx] >= 2]] = True
+            if done.all():
+                break
+        else:
+            raise SeriesDiverged("kernel series did not settle within the term budget")
+    vals[1:] = sum_h + sum_l
+    return vals
+
+
+def fde_values_seq(
+    alpha: float, mu: float, w: Weight, x_a: float, N: int
+) -> Signal:
+    """Solver with the scalar ascending-lag inner loop."""
+    if not (0.0 < alpha < 1.0):
+        raise SeriesDiverged(f"solver order must lie in (0, 1), got {alpha}")
+    if abs(1.0 - mu) < 1e-12:
+        raise SingularStep(f"per-step coefficient 1 - mu vanishes (mu = {mu})")
+    if w.grid.horizon < N:
+        raise GridMismatch(f"weight horizon {w.grid.horizon} < requested {N}")
+    c = gl_coefficients_seq(alpha, N).coeffs
+    z = np.empty(N + 1)
+    z[0] = w.at(0) * x_a
+    for m in range(1, N + 1):
+        acc = 0.0
+        for i in range(1, m):
+            acc += c[i] * (z[m - i] - z[0])
+        z[m] = (z[0] - acc) / (1.0 - mu)
+    x_vals = z / w.window(0, N)
+    return Signal(Grid(w.grid.a, 0, N), x_vals)

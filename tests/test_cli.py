@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from nablatc.cli import main
+from nablatc.errors import ConfigError
 from nablatc.signals import read_signal_csv
+from nablatc.suite import run_suite
 
 
 def run(argv):
@@ -237,3 +239,41 @@ def test_tolerance_scale_env(tmp_path, monkeypatch):
     assert run(["verify", "--only", "gl-rl-agree", "--out", out]) == 1
     monkeypatch.setenv("NT_TOLERANCE_SCALE", "1.0")
     assert run(["verify", "--only", "gl-rl-agree", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("raw", ["abc", "nan", "inf", "0", "-1"])
+def test_tolerance_scale_rejected_is_config_error(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("NT_TOLERANCE_SCALE", raw)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--only", "convolution", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nt: configuration error:") and err.count("\n") == 1
+    assert "NT_TOLERANCE_SCALE" in err
+    assert not out.exists()
+
+
+def test_run_suite_rejects_bad_tolerance_scale(monkeypatch):
+    monkeypatch.setenv("NT_TOLERANCE_SCALE", "nan")
+    with pytest.raises(ConfigError):
+        run_suite(groups=("convolution",))
+    with pytest.raises(ConfigError):
+        run_suite(groups=("convolution",), tolerance_scale=-1.0)
+
+
+def test_missing_signal_csv_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run(["eval", "--kind", "gl", "--order", "0.5", "--signal",
+                str(tmp_path / "missing.csv"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nt: configuration error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_in_missing_directory_is_config_error(tmp_path, capsys):
+    out = tmp_path / "nodir" / "out.csv"
+    assert run(["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nt: configuration error:") and err.count("\n") == 1
+    assert str(out) in err
+    assert not out.parent.exists()

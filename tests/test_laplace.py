@@ -272,6 +272,23 @@ def test_ml_divergence_guard():
         ml_function(MLParams(0.5, 1.0, 1.2), 40)
 
 
+def test_ml_cancellation_guard():
+    # the largest term at k = 150 is ~1e38, past the compensated sum's range
+    with pytest.raises(SeriesDiverged, match="lattice offset 69"):
+        ml_function(MLParams(0.9, 1.0, -0.5), 150)
+
+
+def test_ml_evaluates_across_relaxation_box():
+    # the guard stays quiet at N = 64 over alpha in [0.3, 0.9], mu in [-0.5, 0.5]
+    # (the largest term, at (0.9, -0.5), is 7.5e15)
+    g = Grid(0.0, 0, 64)
+    for alpha in np.linspace(0.3, 0.9, 5):
+        for mu in np.linspace(-0.5, 0.5, 5):
+            F = ml_function(MLParams(float(alpha), 1.0, float(mu)), 64)
+            sol = fde_solve(float(alpha), float(mu), preset_weight("one", g), 1.0, 64)
+            np.testing.assert_allclose(F.values, sol.values, rtol=1e-10, atol=1e-10)
+
+
 def test_ml_params_validation():
     with pytest.raises(SeriesDiverged):
         MLParams(2.5, 1.0, 0.1)

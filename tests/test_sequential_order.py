@@ -1,0 +1,137 @@
+"""Byte equality of the accumulating kernels with sequential evaluation.
+
+``gl_coefficients``, the exponential ``make_weight``, ``ml_function`` and
+``fde_solve`` run their recurrences and inner sums as numpy accumulations;
+the README promises results identical to the scalar loops in
+``_sequential.py``.  Error cases must raise the same exception with the
+same message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nablatc.errors import NablaError
+from nablatc.laplace import MLParams, SeriesDiverged, fde_solve, ml_function
+from nablatc.presets import preset_weight
+from nablatc.signals import Grid, NonFiniteSample, ZeroWeight, make_weight
+from nablatc.special import gl_coefficients
+
+from _sequential import (
+    exp_weight_seq,
+    fde_values_seq,
+    gl_coefficients_seq,
+    ml_values_seq,
+)
+
+
+def _outcome(thunk):
+    """Output bytes of one evaluation, or the type and message it raised.
+
+    Overflow warnings are silenced: the overflow paths end in an exception,
+    which is compared.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return thunk().tobytes()
+    except NablaError as exc:
+        return type(exc), str(exc)
+
+
+orders = st.one_of(
+    st.floats(min_value=-6.0, max_value=6.0),
+    st.integers(min_value=-6, max_value=6),
+)
+
+
+@settings(max_examples=300)
+@given(orders, st.integers(min_value=-2, max_value=2000))
+@example(0.5, 0)
+@example(0.5, 1)
+@example(2, 10)
+def test_gl_coefficients_sequential(order, length):
+    got = _outcome(lambda: gl_coefficients(order, length).coeffs)
+    assert got == _outcome(lambda: gl_coefficients_seq(order, length).coeffs)
+
+
+rates = st.floats(min_value=-3.0, max_value=3.0).filter(lambda r: r != 1.0)
+
+
+@settings(max_examples=300)
+@given(
+    rates,
+    st.integers(min_value=0, max_value=1200),
+    st.integers(min_value=1, max_value=1200),
+)
+@example(1.0, 2, 10)
+@example(-1.0, 0, 1100)  # 2^1100 overflows: NonFiniteSample
+@example(-1.0, 1100, 1)  # 2^-1100 underflows: ZeroWeight
+@example(0.5, 3, 5)
+def test_exponential_weight_sequential(rate, history, horizon):
+    grid = Grid(0.25, history, horizon)
+    got = _outcome(lambda: make_weight(grid, rate=rate).values)
+    assert got == _outcome(lambda: exp_weight_seq(grid, rate).values)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_exponential_weight_overflow_raises():
+    grid = Grid(0.0, 0, 1100)
+    with pytest.raises(NonFiniteSample):
+        make_weight(grid, rate=-1.0)
+    with pytest.raises(NonFiniteSample):
+        exp_weight_seq(grid, -1.0)
+    with pytest.raises(ZeroWeight):
+        make_weight(grid, rate=0.5)
+
+
+WEIGHTS = ("one", "case1", "case3", "case4", "exp:0.01", "exp:-0.02")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.01, max_value=0.99),
+    st.floats(min_value=-0.9, max_value=0.9),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.integers(min_value=1, max_value=300),
+    st.sampled_from(WEIGHTS),
+)
+@example(0.5, 0.0, -0.0, 5, "one")  # every inner term is -0.0; their sum must be +0.0
+@example(0.999, 0.95, 1.0, 300, "one")  # grows past binary64: NonFiniteSample
+def test_fde_solve_sequential(alpha, mu, x_a, N, weight):
+    w = preset_weight(weight, Grid(0.0, 0, N))
+    got = _outcome(lambda: fde_solve(alpha, mu, w, x_a, N).values)
+    assert got == _outcome(lambda: fde_values_seq(alpha, mu, w, x_a, N).values)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1.2, 0.1, 1.0, 10), (0.5, 1.0 + 1e-13, 1.0, 10), (0.5, 0.1, 1.0, 20)],
+)
+def test_fde_solve_errors_match(args):
+    w = preset_weight("one", Grid(0.0, 0, 10))
+    alpha, mu, x_a, N = args
+    got = _outcome(lambda: fde_solve(alpha, mu, w, x_a, N).values)
+    assert isinstance(got, tuple)
+    assert got == _outcome(lambda: fde_values_seq(alpha, mu, w, x_a, N).values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(min_value=0.3, max_value=1.9),
+    st.floats(min_value=0.5, max_value=2.5),
+    st.floats(min_value=-0.9, max_value=0.9),
+    st.integers(min_value=1, max_value=72),
+)
+@example(0.9, 1.0, -0.5, 64)
+@example(0.9, 1.0, -0.5, 72)  # past the cancellation guard
+@example(1.0, 1.0, -0.3, 20)
+def test_ml_function_sequential(alpha, beta, mu, N):
+    params = MLParams(alpha, beta, mu)
+    ref = _outcome(lambda: ml_values_seq(params, N))
+    got = _outcome(lambda: ml_function(params, N).values)
+    if got != ref:
+        # the only permitted difference: the range guard refuses a sum the
+        # unguarded accumulation completed
+        assert isinstance(ref, bytes)
+        assert got[0] is SeriesDiverged and "cancels" in got[1]
