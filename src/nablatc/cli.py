@@ -33,10 +33,12 @@ from .laplace import (
     nlt,
 )
 from .operators import (
+    IntegerOrder,
     OperatorKind,
     OperatorSpec,
     apply_operator,
     caputo_tempered,
+    check_order,
     gl_tempered,
     rl_tempered,
 )
@@ -63,6 +65,8 @@ KINDS = {
     "caputo": OperatorKind.CAPUTO,
     "nabla": OperatorKind.INTEGER_NABLA,
 }
+#: ``laplace --rule`` name -> the operator kind whose order rule applies
+RULE_KINDS = {**KINDS, "int": OperatorKind.INTEGER_NABLA}
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -114,22 +118,8 @@ def _load_weight(cfg: RunConfig, grid: Grid) -> Weight:
     return preset_weight(cfg.weight, grid)
 
 
-def _validate_order(cfg: RunConfig) -> None:
-    if cfg.kind in (OperatorKind.RL, OperatorKind.CAPUTO):
-        if cfg.order <= 0 or cfg.order == math.floor(cfg.order):
-            raise ConfigError(
-                f"--kind {cfg.kind.value} needs a positive non-integer --order, "
-                f"got {cfg.order}"
-            )
-    if cfg.kind is OperatorKind.INTEGER_NABLA:
-        if cfg.order < 1 or cfg.order != math.floor(cfg.order):
-            raise ConfigError(
-                f"--kind nabla needs a positive integer --order, got {cfg.order}"
-            )
-
-
 def cmd_eval(cfg: RunConfig) -> int:
-    _validate_order(cfg)
+    check_order(cfg.kind, cfg.order)
     x = _load_signal(cfg)
     w = _load_weight(cfg, x.grid)
     spec = OperatorSpec(cfg.kind, cfg.order, w)
@@ -139,7 +129,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_taylor(cfg: RunConfig) -> int:
-    _validate_order(cfg)
+    check_order(cfg.kind, cfg.order)
     x = _load_signal(cfg)
     w = _load_weight(cfg, x.grid)
     spec = OperatorSpec(cfg.kind, cfg.order, w)
@@ -194,17 +184,11 @@ def cmd_laplace(cfg: RunConfig) -> int:
     s = complex(cfg.extra["s_re"], cfg.extra["s_im"])
     rule = cfg.extra.get("rule")
     lam = cfg.extra.get("lam") or 0.0
-    if rule == "int" and cfg.order != math.floor(cfg.order):
-        raise ConfigError(f"--rule int needs an integer --order, got {cfg.order}")
-    if rule in ("rl", "caputo") and (
-        cfg.order <= 0 or cfg.order == math.floor(cfg.order)
-    ):
-        raise ConfigError(
-            f"--rule {rule} needs a positive non-integer --order, got {cfg.order}"
-        )
-    if rule is not None and cfg.history is None:
-        # rules with initial-condition terms need history at the base
-        cfg.history = max(int(math.ceil(cfg.order)), 0)
+    if rule is not None:
+        check_order(RULE_KINDS[rule], cfg.order)
+        if cfg.history is None:
+            # rules with initial-condition terms need history at the base
+            cfg.history = max(int(math.ceil(cfg.order)), 0)
     x = _load_signal(cfg)
     if rule is None:
         ev = nlt(x, s)
@@ -222,7 +206,7 @@ def cmd_laplace(cfg: RunConfig) -> int:
             order = cfg.order if rule != "int" else int(cfg.order)
             rep = check_transform_rule_diff(x, rule, order, lam, s)
         payload = rep.to_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -415,8 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return COMMANDS[cfg.command](cfg)
-    except (ConfigError, UnknownPreset, OSError) as exc:
-        # an unreadable input or an unwritable output path is configuration
+    except (ConfigError, UnknownPreset, IntegerOrder, OSError) as exc:
+        # a bad order (checked before any work), an unreadable input or an
+        # unwritable output path is configuration
         print(f"nt: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NablaError as exc:

@@ -19,8 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import (
+    InsufficientLags,
     OperatorKind,
     OperatorSpec,
+    causal_sum,
     caputo_tempered,
     gl_integer_vs_nabla_defect,
     gl_tempered,
@@ -29,11 +31,16 @@ from .operators import (
     nabla_n_tempered_at,
     rl_tempered,
     rl_tempered_at_base,
+    tempered_diff_rows,
     with_zero_history,
 )
-from .errors import NablaError
 from .signals import Grid, GridMismatch, Signal, Weight, make_weight
-from .special import gl_coefficients, rising_over_gamma
+from .special import (
+    binomial_coefficients,
+    gl_coefficients,
+    rising_over_factorial_row,
+    rising_over_gamma_row,
+)
 
 __all__ = [
     "TOL_EXACT",
@@ -62,10 +69,6 @@ TOL_LIMIT = 1e-5
 
 DEFAULT_EPS_SUM = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 DEFAULT_EPS_DIFF = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-
-
-class InsufficientLags(NablaError):
-    """A product-rule expansion needs lags the stored grid does not hold."""
 
 
 @dataclass(frozen=True)
@@ -167,10 +170,9 @@ def check_rl_caputo_correction(
     cap = caputo_tempered(x, alpha, w).body
     ratio = _w_ratio_from_base(w, N)
     corr = np.zeros(N)
-    m = np.arange(1, N + 1)
     for i in range(n):
         iv = nabla_n_tempered_at(x, i, w, 0)
-        basis = np.array([rising_over_gamma(mm, i - alpha, i - alpha + 1) for mm in m])
+        basis = rising_over_gamma_row(i - alpha, i - alpha + 1, N)
         corr += basis * ratio * iv
     devs = np.abs(rl - (cap + corr))
     return _report_from_devs(
@@ -222,22 +224,19 @@ def check_sum_of_difference(
     n = _stage(alpha)
     N = x.grid.horizon
     ratio = _w_ratio_from_base(w, N)
-    m = np.arange(1, N + 1)
     if kind == "rl":
         v = rl_tempered(x, alpha, w)
         corr = np.zeros(N)
         for i in range(n):
             iv = rl_tempered_at_base(x, alpha - i - 1, w)
-            basis = np.array(
-                [rising_over_gamma(mm, alpha - i - 1, alpha - i) for mm in m]
-            )
+            basis = rising_over_gamma_row(alpha - i - 1, alpha - i, N)
             corr += basis * ratio * iv
     elif kind == "caputo":
         v = caputo_tempered(x, alpha, w)
         corr = np.zeros(N)
         for i in range(n):
             iv = nabla_n_tempered_at(x, i, w, 0)
-            basis = np.array([float(math.comb(mm + i - 1, i)) for mm in m])
+            basis = rising_over_factorial_row(i, N)
             corr += basis * ratio * iv
     else:
         raise ValueError(f"kind must be 'rl' or 'caputo', got {kind!r}")
@@ -307,36 +306,22 @@ def check_taylor_remainder_forms(
         raise ValueError(f"shift m must satisfy 0 <= m < alpha, got {m}")
     N = x.grid.horizon
     ratio = _w_ratio_from_base(w, N)
-    mm = np.arange(1, N + 1)
 
     series = np.zeros(N)
     for i in range(m, n):
         iv = nabla_n_tempered_at(x, i, w, 0)
-        basis = np.array([float(math.comb(off + (i - m) - 1, i - m)) for off in mm])
-        series += basis * ratio * iv
+        series += rising_over_factorial_row(i - m, N) * ratio * iv
 
     cap = caputo_tempered(x, alpha, w)
-    wz = w.window(1, N) * cap.body
-    coef = np.array(
-        [rising_over_gamma(d, alpha - m - 1, alpha - m) for d in range(1, N + 1)]
-    )
-    acc = np.zeros(N)
-    for i in range(N):
-        acc[i:] += coef[i] * wz[: N - i]
-    sumpart = acc / w.window(1, N)
+    coef = rising_over_gamma_row(alpha - m - 1, alpha - m, N)
+    sumpart = causal_sum(coef, w.window(1, N) * cap.body) / w.window(1, N)
 
     lhs = x.body if m == 0 else nabla_n_tempered(x, m, w).body
     devs = np.abs(lhs - (series + sumpart))
 
     if m == 0:
         vn = nabla_n_tempered(x, n, w)
-        wzn = w.window(1, N) * vn.body
-        coef_int = np.array(
-            [float(math.comb(d + n - 2, n - 1)) for d in range(1, N + 1)]
-        )
-        acc2 = np.zeros(N)
-        for i in range(N):
-            acc2[i:] += coef_int[i] * wzn[: N - i]
+        acc2 = causal_sum(rising_over_factorial_row(n - 1, N), w.window(1, N) * vn.body)
         devs = np.maximum(devs, np.abs(x.body - (series + acc2 / w.window(1, N))))
 
     ident = "taylor-remainder-base" if m == 0 else "taylor-remainder-shifted"
@@ -526,26 +511,6 @@ def check_uniform_convergence_exchange(
 # ---------------------------------------------------------------------------
 
 
-def _tempered_diff_table(f: Signal, w: Weight, max_order: int) -> dict[int, np.ndarray]:
-    """Raw repeated differences of w*f; row i is valid from offset
-    (i - history) upward.  Values are in the weighted domain."""
-    z = w.window(-f.grid.history, f.grid.horizon) * f.window(
-        -f.grid.history, f.grid.horizon
-    )
-    table = {0: z}
-    for i in range(1, max_order + 1):
-        prev = table[i - 1]
-        table[i] = prev[1:] - prev[:-1]
-    return table
-
-
-def _tempered_diff_at(
-    table: dict[int, np.ndarray], history: int, i: int, offset: int
-) -> float:
-    # row i starts at offset (i - history)
-    return float(table[i][offset + history - i])
-
-
 def check_leibniz(
     f: Signal, g: Signal, spec: OperatorSpec, tol: float = 1e-10
 ) -> IdentityReport:
@@ -573,12 +538,12 @@ def check_leibniz(
     if kind is OperatorKind.INTEGER_NABLA:
         nn = int(spec.order)
         lhs = nabla_n_tempered(fg, nn, w).body
-        ftab = _tempered_diff_table(f, w, nn)
+        frows = tempered_diff_rows(f, w, nn)
         rhs = np.zeros(N)
         for m in range(1, N + 1):
             acc = 0.0
             for i in range(nn + 1):
-                df = _tempered_diff_at(ftab, h, i, m) / w.at(m)
+                df = frows[i, m - 1] / w.at(m)
                 dg = nabla_at(g, nn - i, m - i)
                 acc += math.comb(nn, i) * df * dg
             rhs[m - 1] = acc
@@ -598,39 +563,31 @@ def check_leibniz(
         lhs = caputo_tempered(fg, alpha, w).body
         ident = "leibniz-caputo"
 
-    binom = gl_coefficients(alpha, N).coeffs * np.array(
-        [(-1.0) ** i for i in range(N)]
-    )
-    ftab = _tempered_diff_table(f, w, N - 1 + 0)
-    # inner family: plain single-sum differences of g at shifted orders
-    g_body = g.body
-    inner = {}
-    for i in range(N):
-        coeffs = gl_coefficients(alpha - i, N - i).coeffs
-        vals = np.zeros(N - i)
-        for j in range(N - i):
-            vals[j:] += coeffs[j] * g_body[: N - i - j]
-        inner[i] = vals  # value at offset (m) for m = 1..N-i
+    binom = binomial_coefficients(alpha, N)
+    frows = tempered_diff_rows(f, w, N - 1)
+    # inner family: plain single-sum differences of g at shifted orders,
+    # inner[i][m-1] at offset m for m = 1..N-i
+    inner = [
+        causal_sum(gl_coefficients(alpha - i, N - i).coeffs, g.body[: N - i])
+        for i in range(N)
+    ]
 
     rhs = np.zeros(N)
     for m in range(1, N + 1):
         acc = 0.0
         for i in range(m):
-            df = _tempered_diff_at(ftab, h, i, m) / w.at(m)
+            df = frows[i, m - 1] / w.at(m)
             acc += binom[i] * df * inner[i][m - i - 1]
         rhs[m - 1] = acc
 
     if kind is OperatorKind.CAPUTO:
         ratio = _w_ratio_from_base(w, N)
-        mm = np.arange(1, N + 1)
         r_term = np.zeros(N)
         for j in range(n):
             for i in range(j, n):
                 df = nabla_n_tempered_at(f, j, w, 0)
                 dg = nabla_at(g, i - j, -j)
-                basis = np.array(
-                    [rising_over_gamma(o, i - alpha, i - alpha + 1) for o in mm]
-                )
+                basis = rising_over_gamma_row(i - alpha, i - alpha + 1, N)
                 r_term += math.comb(i, j) * basis * ratio * (df * dg)
         rhs = rhs - r_term
 

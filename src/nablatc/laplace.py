@@ -19,6 +19,7 @@ from .errors import NablaError
 from .identities import IdentityReport
 from .operators import (
     caputo_tempered,
+    causal_sum,
     gl_tempered,
     nabla_n_tempered,
     nabla_n_tempered_at,
@@ -92,7 +93,13 @@ def nlt(
     *,
     require_convergence: bool = False,
 ) -> LaplaceEval:
-    """Partial sum ``sum_{j=1}^J (1-s)^(j-1) x(a+j)`` with early stopping."""
+    """Partial sum ``sum_{j=1}^J (1-s)^(j-1) x(a+j)`` with early stopping.
+
+    Raises:
+        SeriesDiverged: when the partial sum overflows or turns NaN (far
+            outside the disk ``|1-s| < 1``).  A finite unconverged value is
+            returned, flagged by ``converged``.
+    """
     N = x.grid.horizon
     J = N if max_terms is None else min(int(max_terms), N)
     if J < 1:
@@ -122,6 +129,11 @@ def nlt(
             criterion = True
             break
         p *= q
+    # a non-finite partial sum stays non-finite, so one check covers every term
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise SeriesDiverged(
+            f"transform partial sum is {total} after {used} terms (|1-s| = {qa:.3g})"
+        )
     tail_zero = bool(np.all(body[used:] == 0.0))
     converged = criterion and (qa < 1.0 or tail_zero)
     if require_convergence and not converged:
@@ -265,12 +277,9 @@ def convolve(x: Signal, y: Signal) -> Signal:
     """Lattice convolution ``(x*y)(k) = sum_{j=a+1}^k x(k+a+1-j) y(j)``."""
     if x.grid.a != y.grid.a or x.grid.horizon != y.grid.horizon:
         raise GridMismatch("convolution needs matching base points and horizons")
-    N = x.grid.horizon
-    xb, yb = x.body, y.body
-    out = np.zeros(N)
-    for m in range(1, N + 1):
-        out[m - 1] = float(np.dot(xb[:m][::-1], yb[:m]))
-    return Signal(Grid(x.grid.a, 0, N), np.concatenate([[0.0], out]))
+    # lag i = k - j pairs x(a+1+i) with y(k-i): a causal sum with kernel x
+    out = causal_sum(x.body, y.body)
+    return Signal(Grid(x.grid.a, 0, x.grid.horizon), np.concatenate([[0.0], out]))
 
 
 def check_convolution_commutation(

@@ -7,12 +7,14 @@ produced.  Where a composed operator needs values of an intermediate result
 at or below the base point, those values are the empty partial sums of its
 defining formula, which is zero (the zero-extension convention).
 
-Every inner sum is accumulated in ascending lag order, so results are
-identical run to run and equal to sequential evaluation.
+Every lagged inner sum goes through :func:`causal_sum`, which accumulates
+in ascending lag order, so results are identical run to run and equal to
+sequential evaluation.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
 from dataclasses import dataclass
@@ -27,7 +29,11 @@ __all__ = [
     "OperatorKind",
     "OperatorSpec",
     "InsufficientHistory",
+    "InsufficientLags",
     "IntegerOrder",
+    "causal_sum",
+    "check_order",
+    "tempered_diff_rows",
     "nabla_n",
     "nabla_n_tempered",
     "nabla_n_tempered_at",
@@ -47,8 +53,12 @@ class InsufficientHistory(NablaError):
     """The signal (or weight) grid lacks the history the operator needs."""
 
 
+class InsufficientLags(NablaError):
+    """An expansion needs lags beyond the stored grid."""
+
+
 class IntegerOrder(NablaError):
-    """Integer order passed where only a fractional order is defined."""
+    """Order outside the set the operator kind is defined for."""
 
 
 class OperatorKind(enum.Enum):
@@ -58,38 +68,36 @@ class OperatorKind(enum.Enum):
     CAPUTO = "caputo"
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Operator kind + order + tempering weight.
+def check_order(kind: OperatorKind, order: float) -> None:
+    """Raise :class:`IntegerOrder` unless ``order`` is admissible for ``kind``.
 
     RL and Caputo require a non-integer order in (n-1, n) with n >= 1;
     the integer kind requires a positive integer; the single-sum kind
-    accepts any real order (positive = difference, negative = sum,
+    accepts any finite real order (positive = difference, negative = sum,
     zero = identity).
     """
+    a = float(order)
+    if not math.isfinite(a):
+        raise IntegerOrder(f"order must be finite, got {a}")
+    if kind in (OperatorKind.RL, OperatorKind.CAPUTO):
+        if a == math.floor(a) or a < 0:
+            raise IntegerOrder(f"{kind.value} needs a positive non-integer order, got {a}")
+    elif kind is OperatorKind.INTEGER_NABLA:
+        if a != math.floor(a) or a < 1:
+            raise IntegerOrder(f"{kind.value} needs a positive integer order, got {a}")
+
+
+@dataclass(frozen=True)
+class OperatorSpec:
+    """Operator kind + order + tempering weight; the order is checked by
+    :func:`check_order`."""
 
     kind: OperatorKind
     order: float
     weight: Weight
 
     def __post_init__(self) -> None:
-        a = float(self.order)
-        if not math.isfinite(a):
-            raise IntegerOrder(f"order must be finite, got {a}")
-        if self.kind in (OperatorKind.RL, OperatorKind.CAPUTO):
-            if a == math.floor(a):
-                raise IntegerOrder(
-                    f"{self.kind.value} is defined for non-integer orders only; "
-                    f"got {a} (use the integer kind instead)"
-                )
-            if a < 0:
-                raise IntegerOrder(
-                    f"{self.kind.value} needs a positive order, got {a} "
-                    "(negative orders are single-sum tempered sums)"
-                )
-        elif self.kind is OperatorKind.INTEGER_NABLA:
-            if a != math.floor(a) or a < 1:
-                raise IntegerOrder(f"integer kind needs a positive integer order, got {a}")
+        check_order(self.kind, self.order)
 
     @property
     def n(self) -> int:
@@ -98,19 +106,62 @@ class OperatorSpec:
 
 
 # Diagnostic hook: additive output perturbation of the single-sum operator,
-# used by the verification CLI to demonstrate suite sensitivity.
-_FAULT_EPS = 0.0
+# used by the verification CLI to demonstrate suite sensitivity.  Scoped to
+# the current context (thread or task), so a fault set in one thread never
+# reaches another.
+_fault_eps: contextvars.ContextVar[float] = contextvars.ContextVar(
+    "nablatc_fault_eps", default=0.0
+)
+
+
+def __getattr__(name: str):
+    # read-only view of the current context's fault under its former
+    # module-global name
+    if name == "_FAULT_EPS":
+        return _fault_eps.get()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def set_fault_injection(eps: float) -> float:
-    """Set the additive perturbation applied to single-sum outputs.
+    """Set the additive perturbation applied to single-sum outputs in the
+    current context.
 
     Returns the previous value so callers can restore it.
     """
-    global _FAULT_EPS
-    previous = _FAULT_EPS
-    _FAULT_EPS = float(eps)
+    previous = _fault_eps.get()
+    _fault_eps.set(float(eps))
     return previous
+
+
+def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz sum ``out[k] = sum_{i=0}^{k} c[i] z[k-i]``.
+
+    Each output adds its terms in ascending lag order ``i``, starting from
+    0.0, so it equals the sequential scalar loop bit for bit.  ``c`` needs
+    at least ``len(z)`` entries.
+    """
+    N = len(z)
+    out = np.zeros(N)
+    for i in range(N):
+        out[i:] += c[i] * z[: N - i]
+    return out
+
+
+def tempered_diff_rows(x: Signal, w: Weight, max_order: int) -> np.ndarray:
+    """Repeated backward differences of ``z = w*x`` on the evaluation window.
+
+    ``rows[i, m-1]`` is ``nabla^i z`` at offset m, for i in 0..max_order and
+    m in 1..N; entries that would read below the stored history are NaN.
+    Values are in the weighted domain (not divided by ``w``).
+    """
+    h, N = x.grid.history, x.grid.horizon
+    cur = w.window(-h, N) * x.window(-h, N)  # row i starts at offset i - h
+    rows = np.full((max_order + 1, N), np.nan)
+    for i in range(max_order + 1):
+        lo = max(0, i - h - 1)  # first window index whose lags are stored
+        rows[i, lo:] = cur[lo + 1 + h - i :]
+        cur = cur[1:] - cur[:-1]
+    return rows
 
 
 def _require_weight_covers(w: Weight, grid: Grid, lowest_offset: int) -> None:
@@ -136,8 +187,7 @@ def _output(grid_a: float, horizon: int, body: np.ndarray, out_history: int = 0)
 
 def nabla_n(x: Signal, n: int) -> Signal:
     """n-th backward difference ``sum_i (-1)^i C(n,i) x(k-i)`` on the window."""
-    if n < 1 or n != int(n):
-        raise IntegerOrder(f"difference order must be a positive integer, got {n}")
+    check_order(OperatorKind.INTEGER_NABLA, n)
     if x.grid.history < n:
         raise InsufficientHistory(f"order {n} difference needs history >= {n}")
     coef = _signed_binomials(int(n))
@@ -150,8 +200,7 @@ def nabla_n(x: Signal, n: int) -> Signal:
 
 def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
     """Tempered integer difference ``w^-1(k) nabla^n [w x](k)``."""
-    if n < 1 or n != int(n):
-        raise IntegerOrder(f"difference order must be a positive integer, got {n}")
+    check_order(OperatorKind.INTEGER_NABLA, n)
     if x.grid.history < n:
         raise InsufficientHistory(f"order {n} tempered difference needs history >= {n}")
     _require_weight_covers(w, x.grid, 1 - n)
@@ -210,20 +259,17 @@ def gl_tempered(x: Signal, alpha: float, w: Weight, *, out_history: int = 0) -> 
     _require_weight_covers(w, x.grid, 1)
     N = x.grid.horizon
     c = gl_coefficients(alpha, N).coeffs
-    z = w.window(1, N) * x.window(1, N)
-    out = np.zeros(N)
-    for i in range(N):
-        out[i:] += c[i] * z[: N - i]
-    body = out / w.window(1, N)
-    if _FAULT_EPS:
-        body = body + _FAULT_EPS
+    body = causal_sum(c, w.window(1, N) * x.window(1, N)) / w.window(1, N)
+    fault = _fault_eps.get()
+    if fault:
+        body = body + fault
     return _output(x.grid.a, N, body, out_history=out_history)
 
 
 def rl_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     """Difference-of-sum form: integer tempered difference of the order
     ``alpha - n`` tempered sum, with ``n = ceil(alpha)``."""
-    n = _fractional_stage(alpha, x, "difference-of-sum operator")
+    n = _fractional_stage(OperatorKind.RL, alpha, x)
     inner = gl_tempered(x, alpha - n, w, out_history=n)
     return nabla_n_tempered(inner, n, w)
 
@@ -231,22 +277,16 @@ def rl_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
 def caputo_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     """Sum-of-difference form: order ``alpha - n`` tempered sum of the n-th
     tempered difference.  Annihilates tempered constants."""
-    n = _fractional_stage(alpha, x, "sum-of-difference operator")
+    n = _fractional_stage(OperatorKind.CAPUTO, alpha, x)
     inner = nabla_n_tempered(x, n, w)
     return gl_tempered(inner, alpha - n, w)
 
 
-def _fractional_stage(alpha: float, x: Signal, what: str) -> int:
-    a = float(alpha)
-    if a == math.floor(a):
-        raise IntegerOrder(
-            f"{what} is defined for non-integer orders only, got {a}"
-        )
-    if a < 0:
-        raise IntegerOrder(f"{what} needs a positive order, got {a}")
-    n = int(math.ceil(a))
+def _fractional_stage(kind: OperatorKind, alpha: float, x: Signal) -> int:
+    check_order(kind, alpha)
+    n = int(math.ceil(alpha))
     if x.grid.history < n:
-        raise InsufficientHistory(f"order {a} needs history >= {n}")
+        raise InsufficientHistory(f"order {float(alpha)} needs history >= {n}")
     return n
 
 

@@ -24,7 +24,10 @@ __all__ = [
     "GLCoefficientSeq",
     "rising",
     "rising_over_gamma",
+    "rising_over_gamma_row",
+    "rising_over_factorial_row",
     "gl_coefficients",
+    "binomial_coefficients",
 ]
 
 
@@ -144,6 +147,18 @@ def rising_over_gamma(p: int, q: float, denom: float) -> float:
     return _gamma_ratio3(int(p) + q, float(int(p)), denom)
 
 
+def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
+    """``[rising_over_gamma(m, q, d) for m = 1..N]``, one Gamma-ratio
+    evaluation per point."""
+    return np.array([rising_over_gamma(m, q, d) for m in range(1, N + 1)])
+
+
+def rising_over_factorial_row(i: int, N: int) -> np.ndarray:
+    """``m^(i)/i! = C(m+i-1, i)`` for m = 1..N (integer i >= 0), exact
+    integer binomials rounded once to binary64."""
+    return np.array([float(math.comb(m + i - 1, i)) for m in range(1, N + 1)])
+
+
 @dataclass(frozen=True)
 class GLCoefficientSeq:
     """Coefficient sequence ``c_i = (-1)^i binom(order, i)`` of fractional differencing.
@@ -180,3 +195,10 @@ def gl_coefficients(order: float, length: int) -> GLCoefficientSeq:
         # multiply.accumulate runs strictly left to right: c_i = c_{i-1} * ratio_i
         np.multiply.accumulate(c, out=c)
     return GLCoefficientSeq(order=float(order), coeffs=c)
+
+
+def binomial_coefficients(order: float, length: int) -> np.ndarray:
+    """Plain binomials ``binom(order, i)``, i = 0..length-1: the differencing
+    weights with their ``(-1)^i`` sign removed (an exact sign flip)."""
+    signs = np.where(np.arange(length) % 2, -1.0, 1.0)
+    return gl_coefficients(order, length).coeffs * signs

@@ -18,15 +18,23 @@ import numpy as np
 from .errors import NablaError
 from .operators import (
     InsufficientHistory,
+    InsufficientLags,
     OperatorKind,
     OperatorSpec,
     apply_operator,
+    causal_sum,
     nabla_at,
     nabla_n_tempered,
     nabla_n_tempered_at,
+    tempered_diff_rows,
 )
 from .signals import Grid, Signal, Weight
-from .special import gl_coefficients, rising_over_gamma
+from .special import (
+    binomial_coefficients,
+    rising_over_factorial_row,
+    rising_over_gamma,
+    rising_over_gamma_row,
+)
 
 __all__ = [
     "DegreeTooLow",
@@ -45,10 +53,6 @@ __all__ = [
 
 class DegreeTooLow(NablaError):
     """The expansion degree does not dominate the operator's integer stage."""
-
-
-class InsufficientLags(NablaError):
-    """The evaluation-point expansion needs lags beyond the stored grid."""
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,6 @@ class SeriesSweep:
         return self.deviations[-1]
 
 
-def _int_rising_over_factorial(m: int, i: int) -> float:
-    # m^(i)/i! for integer m >= 1, i >= 0: binomial, exact in binary64.
-    return float(math.comb(m + i - 1, i))
-
-
 def taylor_initial(x: Signal, K: int) -> TaylorExpansion:
     """Backward differences of the signal at the base point, degrees 0..K."""
     if K < 0:
@@ -111,18 +110,11 @@ def reconstruct_initial(x: Signal, K: int) -> Signal:
     N = x.grid.horizon
     out = np.zeros(N + 1)  # offsets 0..N
     out[0] = exp.coefficients[0]  # only the i=0 basis survives at the anchor
-    for m in range(1, N + 1):
-        out[m] = sum(
-            _int_rising_over_factorial(m, i) * exp.coefficients[i]
-            for i in range(K + 1)
-        )
+    for i in range(K + 1):
+        out[1:] += rising_over_factorial_row(i, N) * exp.coefficients[i]
     # remainder: sum_{j=1}^{m} ((m-j+1)^(K)/K!) * nabla^{K+1} x(j)
     dKp1 = np.array([nabla_at(x, K + 1, m) for m in range(1, N + 1)])
-    coef = np.array([_int_rising_over_factorial(d, K) for d in range(1, N + 1)])
-    acc = np.zeros(N)
-    for i in range(N):
-        acc[i:] += coef[i] * dKp1[: N - i]
-    out[1:] += acc
+    out[1:] += causal_sum(rising_over_factorial_row(K, N), dKp1)
     return Signal(Grid(x.grid.a, 0, N), out)
 
 
@@ -153,13 +145,9 @@ def _series_term_table(
     for i in range(i_lo, K + 1):
         d_i = nabla_n_tempered_at(x, i, w, 0)
         if kind is OperatorKind.INTEGER_NABLA:
-            basis = np.array(
-                [_int_rising_over_factorial(m, i - n) for m in range(1, N + 1)]
-            )
+            basis = rising_over_factorial_row(i - n, N)
         else:
-            basis = np.array(
-                [rising_over_gamma(m, i - order, i - order + 1) for m in range(1, N + 1)]
-            )
+            basis = rising_over_gamma_row(i - order, i - order + 1, N)
         out += basis * ratio * d_i
     return out
 
@@ -182,18 +170,11 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     # remainder coefficient: (k-j+1)^(K-order)/Gamma(K-order+1), with the
     # integer kind using (K-n)! in place of the Gamma
     if kind is OperatorKind.INTEGER_NABLA:
-        coef = np.array(
-            [_int_rising_over_factorial(d, K - int(spec.order)) for d in range(1, N + 1)]
-        )
+        coef = rising_over_factorial_row(K - int(spec.order), N)
     else:
-        coef = np.array(
-            [rising_over_gamma(d, K - order, K - order + 1) for d in range(1, N + 1)]
-        )
+        coef = rising_over_gamma_row(K - order, K - order + 1, N)
     u = nabla_n_tempered(x, K + 1, w)
-    wu = w.window(1, N) * u.body
-    acc = np.zeros(N)
-    for i in range(N):
-        acc[i:] += coef[i] * wu[: N - i]
+    acc = causal_sum(coef, w.window(1, N) * u.body)
     body = series + acc / w.window(1, N)
     return Signal(Grid(x.grid.a, 0, N), np.concatenate([[0.0], body]))
 
@@ -231,52 +212,23 @@ def tempered_op_taylor_current(x: Signal, spec: OperatorSpec) -> Signal:
     For the sum-of-difference kind the lag range extends n points deeper,
     which is why that form needs history n.
     """
-    kind, order, w = spec.kind, spec.order, spec.weight
+    order, w = float(spec.order), spec.weight
     N = x.grid.horizon
-    h = x.grid.history
-    if kind is OperatorKind.CAPUTO and h < spec.n:
-        raise InsufficientLags(f"sum-of-difference form needs history >= {spec.n}")
-    # raw differences of z = w*x; row i valid from offset i - history
-    z = w.window(-h, N) * x.window(-h, N)
-    rows = {0: z}
-    max_i = (N - 1) + (spec.n if kind is OperatorKind.CAPUTO else 0)
-    for i in range(1, max_i + 1):
-        prev = rows[i - 1]
-        rows[i] = prev[1:] - prev[:-1]
-
-    def dz(i: int, m: int) -> float:
-        return float(rows[i][m + h - i])
-
+    shift = spec.n if spec.kind is OperatorKind.CAPUTO else 0
+    if x.grid.history < shift:
+        raise InsufficientLags(f"sum-of-difference form needs history >= {shift}")
+    rows = tempered_diff_rows(x, w, N - 1 + shift)
+    binom = binomial_coefficients(order - shift, N)
     body = np.zeros(N)
-    if kind is OperatorKind.CAPUTO:
-        n = spec.n
-        binom = gl_coefficients(order - n, N).coeffs * np.array(
-            [(-1.0) ** i for i in range(N)]
-        )
-        for m in range(1, N + 1):
-            acc = 0.0
-            for i in range(n, m + n):
-                acc += (
-                    binom[i - n]
-                    * rising_over_gamma(m - i + n, i - order, i - order + 1)
-                    * dz(i, m)
-                )
-            body[m - 1] = acc / w.at(m)
-    else:
-        if kind is OperatorKind.INTEGER_NABLA:
-            order = float(spec.order)
-        binom = gl_coefficients(order, N).coeffs * np.array(
-            [(-1.0) ** i for i in range(N)]
-        )
-        for m in range(1, N + 1):
-            acc = 0.0
-            for i in range(m):
-                acc += (
-                    binom[i]
-                    * rising_over_gamma(m - i, i - order, i - order + 1)
-                    * dz(i, m)
-                )
-            body[m - 1] = acc / w.at(m)
+    for m in range(1, N + 1):
+        acc = 0.0
+        for i in range(shift, m + shift):
+            acc += (
+                binom[i - shift]
+                * rising_over_gamma(m - i + shift, i - order, i - order + 1)
+                * rows[i, m - 1]
+            )
+        body[m - 1] = acc / w.at(m)
     return Signal(Grid(x.grid.a, 0, N), np.concatenate([[0.0], body]))
 
 
@@ -295,50 +247,22 @@ def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     if K < 0 or x.grid.history < K + 1:
         raise InsufficientHistory(f"degree {K} needs history >= {K + 1}")
     N = x.grid.horizon
-    h = x.grid.history
-
-    z = w.window(-h, N) * x.window(-h, N)
-    rows = {0: z}
-    for i in range(1, K + 1):
-        prev = rows[i - 1]
-        rows[i] = prev[1:] - prev[:-1]
-
-    def dz(i: int, m: int) -> float:
-        return float(rows[i][m + h - i])
-
+    shift = spec.n if kind is OperatorKind.CAPUTO else 0
+    rows = tempered_diff_rows(x, w, K)
+    binom = binomial_coefficients(order - shift, K - shift + 1)
     body = np.zeros(N)
-    if kind is OperatorKind.CAPUTO:
-        nn = spec.n
-        binom = gl_coefficients(order - nn, K - nn + 1).coeffs * np.array(
-            [(-1.0) ** i for i in range(K - nn + 1)]
-        )
-        for m in range(1, N + 1):
-            acc = 0.0
-            for i in range(nn, K + 1):
-                acc += (
-                    binom[i - nn]
-                    * rising_over_gamma(m - i + nn, i - order, i - order + 1)
-                    * dz(i, m)
-                )
-            body[m - 1] = acc / w.at(m)
-        kern_q, kern_d = nn - order - 1.0, nn - order
-        kdeg = K - nn
-    else:
-        binom = gl_coefficients(order, K + 1).coeffs * np.array(
-            [(-1.0) ** i for i in range(K + 1)]
-        )
-        for m in range(1, N + 1):
-            acc = 0.0
-            # terms with i >= m carry a vanished basis (denominator pole)
-            for i in range(K + 1):
-                acc += (
-                    binom[i]
-                    * rising_over_gamma(m - i, i - order, i - order + 1)
-                    * dz(i, m)
-                )
-            body[m - 1] = acc / w.at(m)
-        kern_q, kern_d = -order - 1.0, -order
-        kdeg = K
+    for m in range(1, N + 1):
+        acc = 0.0
+        # terms with i >= m + shift carry a vanished basis (denominator pole)
+        for i in range(shift, K + 1):
+            acc += (
+                binom[i - shift]
+                * rising_over_gamma(m - i + shift, i - order, i - order + 1)
+                * rows[i, m - 1]
+            )
+        body[m - 1] = acc / w.at(m)
+    kern_q, kern_d = shift - order - 1.0, shift - order
+    kdeg = K - shift
 
     # residual: sum over inner offsets of the (K+1)-th tempered difference
     # against the lag-window kernel

@@ -121,3 +121,15 @@ def fde_values_seq(
         z[m] = (z[0] - acc) / (1.0 - mu)
     x_vals = z / w.window(0, N)
     return Signal(Grid(w.grid.a, 0, N), x_vals)
+
+
+def causal_sum_seq(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``out[k] = sum_{i<=k} c[i] z[k-i]``, one scalar accumulator per point,
+    ascending lag."""
+    out = np.empty(len(z))
+    for k in range(len(z)):
+        acc = 0.0
+        for i in range(k + 1):
+            acc += c[i] * z[k - i]
+        out[k] = acc
+    return out

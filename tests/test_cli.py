@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nablatc.cli import main
 from nablatc.errors import ConfigError
@@ -277,3 +280,61 @@ def test_out_in_missing_directory_is_config_error(tmp_path, capsys):
     assert err.startswith("nt: configuration error:") and err.count("\n") == 1
     assert str(out) in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "rl", "--order", "nan"],
+        ["eval", "--kind", "nabla", "--order", "inf"],
+        ["eval", "--kind", "gl", "--order", "nan"],
+        ["taylor", "--kind", "caputo", "--order", "nan"],
+        ["laplace", "--rule", "gl", "--order", "nan", "--lambda", "0", "--s-re", "0.9"],
+        ["laplace", "--rule", "int", "--order", "0", "--lambda", "0", "--s-re", "0.9"],
+    ],
+)
+def test_bad_order_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    if argv[0] != "laplace":
+        argv = [*argv, "--out", str(out)]
+    assert run([*argv, "--signal", "sin10k", "--N", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nt: configuration error:") and err.count("\n") == 1
+    assert "order" in err
+    assert not out.exists()
+
+
+def test_laplace_nonfinite_transform_is_numeric_error(capsys):
+    # |1-s| = 4: the partial sum overflows long before the horizon ends
+    assert run(["laplace", "--signal", "sin10k", "--s-re", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nt: numeric error:")
+    assert captured.err.count("\n") == 1
+
+
+orders = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(min_value=-8.0, max_value=8.0),
+    st.integers(min_value=-8, max_value=8).map(float),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["eval", "taylor", "laplace"]),
+    st.sampled_from(["gl", "rl", "caputo", "nabla", "int"]),
+    orders,
+)
+def test_any_order_exits_cleanly(command, kind, order):
+    # runs in-process: a traceback would surface here as an uncaught exception
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "laplace":
+            rule = "gl" if kind == "nabla" else kind
+            argv = ["laplace", "--signal", "sin10k", "--N", "64", "--s-re", "0.9",
+                    "--rule", rule, "--lambda", "0"]
+        else:
+            kind = "nabla" if kind == "int" else kind
+            argv = [command, "--kind", kind, "--signal", "sin10k", "--N", "8",
+                    "--out", os.path.join(tmp, "out.csv")]
+        assert run([*argv, f"--order={order!r}"]) in (0, 2, 3)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nablatc.operators import (
     nabla_n_tempered,
     nabla_n_tempered_at,
     rl_tempered,
+    set_fault_injection,
 )
 from nablatc.signals import Grid, Signal, make_signal_from_fn, make_weight, scale_weight
 from nablatc.special import rising_over_gamma
@@ -308,3 +310,24 @@ def test_operator_spec_validation():
     with pytest.raises(IntegerOrder):
         OperatorSpec(OperatorKind.INTEGER_NABLA, 1.5, w)
     assert OperatorSpec(OperatorKind.CAPUTO, 1.5, w).n == 2
+
+
+def test_fault_injection_stays_in_its_thread():
+    x = grid_and_signal(lambda k: math.sin(10 * k), history=0)
+    w = ones_weight(x.grid)
+    clean = gl_tempered(x, 0.5, w).body
+    seen = []
+
+    def worker():
+        set_fault_injection(1e-3)  # set and deliberately left set
+        seen.append(gl_tempered(x, 0.5, w).body)
+
+    t = threading.Thread(target=worker)
+    t.start()
+    t.join(timeout=30)
+    assert not t.is_alive()
+    try:
+        np.testing.assert_array_equal(seen[0], clean + 1e-3)
+        assert gl_tempered(x, 0.5, w).body.tobytes() == clean.tobytes()
+    finally:
+        set_fault_injection(0.0)

@@ -1,7 +1,8 @@
 """Byte equality of the accumulating kernels with sequential evaluation.
 
-``gl_coefficients``, the exponential ``make_weight``, ``ml_function`` and
-``fde_solve`` run their recurrences and inner sums as numpy accumulations;
+``gl_coefficients``, the exponential ``make_weight``, ``ml_function``,
+``fde_solve``, the lagged-sum kernel ``causal_sum`` and ``convolve`` run
+their recurrences and inner sums as numpy accumulations;
 the README promises results identical to the scalar loops in
 ``_sequential.py``.  Error cases must raise the same exception with the
 same message.
@@ -13,12 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nablatc.errors import NablaError
-from nablatc.laplace import MLParams, SeriesDiverged, fde_solve, ml_function
+from nablatc.laplace import MLParams, SeriesDiverged, convolve, fde_solve, ml_function
+from nablatc.operators import causal_sum
 from nablatc.presets import preset_weight
-from nablatc.signals import Grid, NonFiniteSample, ZeroWeight, make_weight
+from nablatc.signals import Grid, NonFiniteSample, Signal, ZeroWeight, make_weight
 from nablatc.special import gl_coefficients
 
 from _sequential import (
+    causal_sum_seq,
     exp_weight_seq,
     fde_values_seq,
     gl_coefficients_seq,
@@ -135,3 +138,30 @@ def test_ml_function_sequential(alpha, beta, mu, N):
         # unguarded accumulation completed
         assert isinstance(ref, bytes)
         assert got[0] is SeriesDiverged and "cancels" in got[1]
+
+
+finite = st.floats(min_value=-1e100, max_value=1e100)
+pairs = st.lists(st.tuples(finite, finite), min_size=1, max_size=96)
+# 64 standard-normal pairs: a pairwise or blocked dot product rounds
+# differently from the sequential loop on these
+_NORMAL_PAIRS = [tuple(p) for p in np.random.default_rng(7).standard_normal((64, 2)).tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs)
+@example(_NORMAL_PAIRS)
+def test_causal_sum_sequential(cz):
+    c, z = np.array(cz).T
+    assert causal_sum(c, z).tobytes() == causal_sum_seq(c, z).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs, st.floats(min_value=-5.0, max_value=5.0))
+@example(_NORMAL_PAIRS, 0.0)
+def test_convolve_sequential(xy, a):
+    xb, yb = np.array(xy).T
+    g = Grid(a, 0, len(xb))
+    x = Signal(g, np.concatenate([[1.0], xb]))
+    y = Signal(g, np.concatenate([[-1.0], yb]))
+    expected = np.concatenate([[0.0], causal_sum_seq(xb, yb)])
+    assert convolve(x, y).values.tobytes() == expected.tobytes()

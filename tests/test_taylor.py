@@ -251,3 +251,12 @@ def test_current_roundtrip_rejects_forward_target():
     s = preset_signal("sin10k", g)
     with pytest.raises(InsufficientLags):
         reconstruct_from_current(s, 2, 3)
+
+
+def test_insufficient_lags_is_one_class():
+    import nablatc.identities as identities
+    import nablatc.operators as operators
+    import nablatc.taylor as taylor
+
+    assert taylor.InsufficientLags is identities.InsufficientLags
+    assert taylor.InsufficientLags is operators.InsufficientLags
