@@ -8,8 +8,10 @@ at or below the base point, those values are the empty partial sums of its
 defining formula, which is zero (the zero-extension convention).
 
 Every lagged inner sum goes through :func:`causal_sum`, which accumulates
-in ascending lag order, so results are identical run to run and equal to
-sequential evaluation.
+each output in ascending lag order with two roundings per term (one numpy
+einsum per tile of outputs, or a per-lag loop where einsum would round
+differently), so results are identical run to run and equal to sequential
+evaluation.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NablaError
 from .signals import Grid, GridMismatch, Signal, Weight
@@ -133,18 +136,69 @@ def set_fault_injection(eps: float) -> float:
     return previous
 
 
-def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Lower-triangular Toeplitz sum ``out[k] = sum_{i=0}^{k} c[i] z[k-i]``.
+#: Outputs per einsum call in :func:`causal_sum`.
+_TILE = 256
 
-    Each output adds its terms in ascending lag order ``i``, starting from
-    0.0, so it equals the sequential scalar loop bit for bit.  ``c`` needs
-    at least ``len(z)`` entries.
-    """
+
+def _causal_sum_by_lag(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     N = len(z)
     out = np.zeros(N)
     for i in range(N):
         out[i:] += c[i] * z[: N - i]
     return out
+
+
+def _causal_sum_tiled(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    N = len(z)
+    out = np.empty(N)
+    pad = max(min(N, _TILE) - 1, 0)
+    zp = np.concatenate([np.zeros(pad), z])  # zp[pad + j] = z[j]
+    for k0 in range(0, N, _TILE):
+        L = min(_TILE, N - k0)
+        nl = k0 + L
+        # V[i, t] = z[k0 + t - i] for lags i < nl; zero where k0 + t < i
+        V = sliding_window_view(zp[pad + k0 - nl + 1 : pad + k0 + L], L)[::-1]
+        # order="F": outputs t innermost, lags i outermost and ascending
+        np.einsum("i,ik->k", c[:nl], V, out=out[k0 : k0 + L], order="F")
+    return out
+
+
+def _einsum_fuses() -> bool:
+    """Whether the tiled einsum rounds ``acc + c*z`` once (fused
+    multiply-add) instead of twice.
+
+    Probed on ``-1 + a*a`` with ``a = 1 + 2^-30``: two roundings give
+    2^-29, a fused multiply-add 2^-29 + 2^-60.  37 outputs reach both the
+    vector body and the scalar tail of einsum's inner loop.
+    """
+    a = 1.0 + 2.0**-30
+    z = np.tile([a, -1.0], 19)[:37]
+    c = np.zeros(37)
+    c[:2] = 1.0, a
+    return not np.array_equal(_causal_sum_tiled(c, z), _causal_sum_by_lag(c, z))
+
+
+_EINSUM_FUSES = _einsum_fuses()
+
+
+def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz sum ``out[k] = sum_{i=0}^{k} c[i] z[k-i]``.
+
+    Each output adds its terms in ascending lag order ``i``, starting from
+    0.0, with one rounding for each product and one for each addition, so
+    it equals the sequential scalar loop bit for bit.  ``c`` needs at least
+    ``len(z)`` entries.
+
+    One einsum per tile of ``_TILE`` outputs: for each lag in ascending
+    order it adds ``c[i] * z[k-i]`` to every output of the tile.  Lags past
+    an output read zero padding, and adding ``c[i] * 0`` leaves a sum that
+    starts from +0.0 unchanged.  The per-lag loop is used instead where
+    that fails: when ``c[:len(z)]`` holds a non-finite entry (``inf * 0``
+    is NaN), and on a numpy build whose einsum fuses multiply-add.
+    """
+    if _EINSUM_FUSES or not np.isfinite(c[: len(z)]).all():
+        return _causal_sum_by_lag(c, z)
+    return _causal_sum_tiled(c, z)
 
 
 def tempered_diff_rows(x: Signal, w: Weight, max_order: int) -> np.ndarray:
@@ -188,9 +242,10 @@ def _output(grid_a: float, horizon: int, body: np.ndarray, out_history: int = 0)
 def nabla_n(x: Signal, n: int) -> Signal:
     """n-th backward difference ``sum_i (-1)^i C(n,i) x(k-i)`` on the window."""
     check_order(OperatorKind.INTEGER_NABLA, n)
+    n = int(n)
     if x.grid.history < n:
         raise InsufficientHistory(f"order {n} difference needs history >= {n}")
-    coef = _signed_binomials(int(n))
+    coef = _signed_binomials(n)
     N = x.grid.horizon
     out = np.zeros(N)
     for i in range(n + 1):
@@ -201,15 +256,22 @@ def nabla_n(x: Signal, n: int) -> Signal:
 def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
     """Tempered integer difference ``w^-1(k) nabla^n [w x](k)``."""
     check_order(OperatorKind.INTEGER_NABLA, n)
+    n = int(n)
     if x.grid.history < n:
         raise InsufficientHistory(f"order {n} tempered difference needs history >= {n}")
     _require_weight_covers(w, x.grid, 1 - n)
-    coef = _signed_binomials(int(n))
+    coef = _signed_binomials(n)
     N = x.grid.horizon
     out = np.zeros(N)
     for i in range(n + 1):
         out += coef[i] * (w.window(1 - i, N - i) * x.window(1 - i, N - i))
     return _output(x.grid.a, N, out / w.window(1, N))
+
+
+def _pointwise_order(n: float) -> int:
+    if not (float(n).is_integer() and n >= 0):
+        raise IntegerOrder(f"difference order must be a nonnegative integer, got {n}")
+    return int(n)
 
 
 def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
@@ -218,14 +280,13 @@ def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
     Order 0 is the identity; this is how initial values like the n-th
     tempered difference at the base point are extracted.
     """
-    if n < 0 or n != int(n):
-        raise IntegerOrder(f"difference order must be a nonnegative integer, got {n}")
+    n = _pointwise_order(n)
     if offset - n < -x.grid.history:
         raise InsufficientHistory(
             f"offset {offset} order {n} needs history down to {offset - n}"
         )
     _require_weight_covers(w, x.grid, offset - n)
-    coef = _signed_binomials(int(n))
+    coef = _signed_binomials(n)
     acc = 0.0
     for i in range(n + 1):
         acc += coef[i] * w.at(offset - i) * x.at(offset - i)
@@ -234,13 +295,12 @@ def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
 
 def nabla_at(x: Signal, n: int, offset: int = 0) -> float:
     """Pointwise untempered n-th backward difference at a lattice offset."""
-    if n < 0 or n != int(n):
-        raise IntegerOrder(f"difference order must be a nonnegative integer, got {n}")
+    n = _pointwise_order(n)
     if offset - n < -x.grid.history:
         raise InsufficientHistory(
             f"offset {offset} order {n} needs history down to {offset - n}"
         )
-    coef = _signed_binomials(int(n))
+    coef = _signed_binomials(n)
     acc = 0.0
     for i in range(n + 1):
         acc += coef[i] * x.at(offset - i)

@@ -14,6 +14,7 @@ group, so filtering never changes the instances a group sees.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from typing import Callable
@@ -143,9 +144,9 @@ def _horizon_cap(alpha: float, above_one: int = 32) -> int:
 
 
 def _tag(reports: list[IdentityReport], **extra) -> list[IdentityReport]:
-    for r in reports:
-        r.params.update(extra)
-    return reports
+    """Copies of ``reports`` whose params also hold ``extra`` (a new key goes
+    last, an existing one keeps its place)."""
+    return [dataclasses.replace(r, params={**r.params, **extra}) for r in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +672,10 @@ def run_suite(
     try:
         for index, name, runner in selected:
             rng = np.random.default_rng([seed, index])
-            group_reports = runner(rng, tolerance_scale)
-            for r in group_reports:
-                r.params.setdefault("group", name)
-            reports.extend(group_reports)
+            for r in runner(rng, tolerance_scale):
+                if "group" not in r.params:
+                    r = dataclasses.replace(r, params={**r.params, "group": name})
+                reports.append(r)
     finally:
         set_fault_injection(previous)
     return reports

@@ -12,6 +12,7 @@ from nablatc.operators import (
     caputo_tempered,
     gl_integer_vs_nabla_defect,
     gl_tempered,
+    nabla_at,
     nabla_n,
     nabla_n_tempered,
     nabla_n_tempered_at,
@@ -60,6 +61,25 @@ def test_nabla_requires_history():
     x = grid_and_signal(lambda k: k, history=1)
     with pytest.raises(InsufficientHistory):
         nabla_n(x, 2)
+
+
+def test_integral_float_order_is_the_integer_order():
+    x = grid_and_signal(lambda k: math.sin(3 * k) + k * k)
+    w = make_weight(x.grid, fn=lambda k: 1.1**k)
+    assert nabla_n(x, 2.0).values.tobytes() == nabla_n(x, 2).values.tobytes()
+    got = nabla_n_tempered(x, 2.0, w).values.tobytes()
+    assert got == nabla_n_tempered(x, 2, w).values.tobytes()
+    assert nabla_n_tempered_at(x, 2.0, w, 3) == nabla_n_tempered_at(x, 2, w, 3)
+    assert nabla_at(x, 2.0, 3) == nabla_at(x, 2, 3)
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf, -1, 1.5])
+def test_pointwise_difference_rejects_bad_order(order):
+    x = grid_and_signal(lambda k: k)
+    with pytest.raises(IntegerOrder):
+        nabla_at(x, order, 3)
+    with pytest.raises(IntegerOrder):
+        nabla_n_tempered_at(x, order, ones_weight(x.grid), 3)
 
 
 def test_tempered_reduces_to_plain_for_unit_weight():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nablatc import operators
 from nablatc.errors import NablaError
 from nablatc.laplace import MLParams, SeriesDiverged, convolve, fde_solve, ml_function
 from nablatc.operators import causal_sum
@@ -153,6 +154,76 @@ _NORMAL_PAIRS = [tuple(p) for p in np.random.default_rng(7).standard_normal((64,
 def test_causal_sum_sequential(cz):
     c, z = np.array(cz).T
     assert causal_sum(c, z).tobytes() == causal_sum_seq(c, z).tobytes()
+
+
+def _canonical_nan_bytes(a):
+    """Bytes of ``a`` with every NaN made the same NaN.
+
+    IEEE 754 leaves the sign and payload of a NaN result unspecified, and
+    numpy's array and scalar adds pick different operands' NaN; only the
+    NaN positions are part of the contract.
+    """
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+_SPECIALS = st.sampled_from([np.inf, -np.inf, np.nan, -np.nan, -0.0, 1e308, -1e308, 5e-324])
+_marks = st.lists(st.tuples(st.integers(min_value=0, max_value=4096), _SPECIALS), max_size=3)
+# 1e160 squared overflows; a -0.0 or 0.0 scale gives signed-zero terms
+_scales = st.sampled_from([1.0, 1e-160, 1e160, 0.0, -0.0])
+
+
+def _marked(values, marks):
+    for pos, v in marks:
+        if len(values):
+            values[pos % len(values)] = v
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=1100),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    _scales,
+    _scales,
+    _marks,
+    _marks,
+)
+@example(255, 0, 0, 1.0, 1.0, [], [])
+@example(256, 0, 1, 1.0, 1.0, [], [])
+@example(257, 5, 2, 1e160, -1e160, [], [])  # products overflow to +-inf
+@example(512, 0, 3, -0.0, 1.0, [], [(7, np.inf)])
+@example(513, 30, 4, 1.0, 1.0, [(1, np.nan)], [(512, -np.inf), (3, np.nan)])
+@example(513, 30, 5, 1.0, 1.0, [(540, np.inf)], [])  # non-finite c past len(z)
+def test_causal_sum_tiles_sequential(n, extra, seed, c_scale, z_scale, c_marks, z_marks):
+    """Both kernels (one einsum per tile, and the per-lag loop taken on a
+    numpy whose einsum fuses multiply-add) against the scalar loop, across
+    tile edges, with ``c`` longer than ``z`` and non-finite, signed-zero and
+    overflowing terms."""
+    rng = np.random.default_rng(seed)
+    c = _marked(rng.standard_normal(n + extra) * c_scale, c_marks)
+    z = _marked(rng.standard_normal(n) * z_scale, z_marks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _canonical_nan_bytes(causal_sum_seq(c, z))
+        for fuses in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(operators, "_EINSUM_FUSES", fuses)
+                assert _canonical_nan_bytes(causal_sum(c, z)) == expected
+
+
+@pytest.mark.parametrize("n", [2, 37, 301])
+def test_einsum_probe(n):
+    fuses = operators._einsum_fuses()
+    assert isinstance(fuses, bool)
+    assert fuses == operators._EINSUM_FUSES
+    a = 1.0 + 2.0**-30
+    two_roundings = -1.0 + a * a  # a fused multiply-add gives 2^-29 + 2^-60
+    assert two_roundings == 2.0**-29
+    c = np.zeros(n)
+    c[:2] = 1.0, a
+    odd = operators._causal_sum_tiled(c, np.tile([a, -1.0], n)[:n])[1::2]
+    if not fuses:
+        assert (odd == two_roundings).all()
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
-from nablatc.suite import CORE_GROUPS, GROUPS, reports_to_json_dict, run_suite
+from nablatc.identities import IdentityReport
+from nablatc.suite import CORE_GROUPS, GROUPS, _tag, reports_to_json_dict, run_suite
 
 
 def test_group_registry_covers_core():
@@ -53,3 +54,11 @@ def test_perturbation_breaks_core_groups():
 def test_tolerance_scale_argument():
     strict = run_suite(seed=0, groups=("gl-rl-agree",), tolerance_scale=1e-12)
     assert any(not r.passed for r in strict)
+
+
+def test_tag_leaves_input_report_unchanged():
+    report = IdentityReport.from_measurement("x", 0.0, 1.0, 1.0, {"alpha": 0.5, "instance": 0})
+    (tagged,) = _tag([report], instance=3, n=2)
+    assert report.params == {"alpha": 0.5, "instance": 0}
+    assert list(tagged.params.items()) == [("alpha", 0.5), ("instance", 3), ("n", 2)]
+    assert tagged.params is not report.params
