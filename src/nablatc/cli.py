@@ -173,6 +173,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     mu = cfg.extra["mu"]
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"--alpha must lie in (0, 1), got {alpha}")
+    for name in ("mu", "x0"):
+        if not math.isfinite(cfg.extra[name]):
+            raise ConfigError(f"--{name} must be finite, got {cfg.extra[name]}")
     grid = Grid(a=cfg.a, history=0, horizon=cfg.horizon)
     w = _load_weight(cfg, grid)
     x = fde_solve(alpha, mu, w, cfg.extra["x0"], cfg.horizon)

@@ -26,7 +26,7 @@ from .operators import (
     rl_tempered,
     rl_tempered_at_base,
 )
-from .signals import Grid, GridMismatch, Signal, Weight, make_weight
+from .signals import Grid, GridMismatch, NonFiniteSample, Signal, Weight, make_weight
 from .special import gl_coefficients, rising_over_gamma
 
 __all__ = [
@@ -389,6 +389,8 @@ class MLParams:
 
 _ML_MAX_TERMS = 8192
 _ML_BLOCK = 256
+#: Terms added to every point's running sum between two stop/guard checks.
+_ML_CHUNK = 32
 _ML_STOP_REL = 1e-15
 _ML_BLOWUP_REL = 1e12
 #: Largest term the compensated sum may cancel, relative to max(1, |F(k)|).
@@ -449,36 +451,36 @@ def _ml_term_block(
     The factor product is the Gamma-ratio term of the kernel series with an
     integer lattice base, which also realizes its pole cancellations: a
     vanishing factor is exactly the zero the normalized ratio prescribes.
+    Every factor is tabulated in one 2-D pass; only the cumulative product
+    over m runs as a loop, one vectorised step per lattice offset.
     """
     # past the divergence guard the raw terms may overflow; infinities
     # propagate to the guard, which raises before the values are used
     with np.errstate(over="ignore", invalid="ignore"):
         ivec = np.arange(i0, i0 + count, dtype=np.float64)
-        zh, zl = _two_prod(ivec, np.full(count, al))
-        zh, zl = _dd_add(zh, zl, np.full(count, be - 1.0), np.zeros(count))
-        ph, pl = np.ones(count), np.zeros(count)
-        # mu^i seeded once per block, then advanced by cumulative product
-        muh = np.empty(count)
-        mul = np.zeros(count)
-        muh[0], mul[0] = 1.0, 0.0
-        for t in range(1, count):
-            muh[t], mul[t] = _dd_mul(muh[t - 1], mul[t - 1], mu, 0.0)
+        zh, zl = _two_prod(ivec, al)
+        zh, zl = _dd_add(zh, zl, be - 1.0, 0.0)
+        # mu^t for t < count, then mu^i0, by one chain of scalar products
+        # from 1; block i0 scales the first by the second
+        pw_h, pw_l = [1.0], [0.0]
+        h, l = 1.0, 0.0
+        for _ in range(max(i0, count - 1)):
+            h, l = _dd_mul(h, l, mu, 0.0)
+            pw_h.append(h)
+            pw_l.append(l)
+        muh, mul = np.array(pw_h[:count]), np.array(pw_l[:count])
         if i0:
-            base_h, base_l = 1.0, 0.0
-            for _ in range(i0):
-                base_h, base_l = _dd_mul(base_h, base_l, mu, 0.0)
-            muh, mul = _dd_mul(muh, mul, np.full(count, base_h), np.full(count, base_l))
-        th = np.empty((count, horizon))
-        tl = np.empty((count, horizon))
-        h, l = _dd_mul(ph, pl, muh, mul)
-        th[:, 0], tl[:, 0] = h, l
-        for m in range(2, horizon + 1):
-            fh, fl = _dd_add(zh, zl, np.full(count, float(m - 1)), np.zeros(count))
-            fh, fl = _dd_div_scalar(fh, fl, float(m - 1))
-            ph, pl = _dd_mul(ph, pl, fh, fl)
-            h, l = _dd_mul(ph, pl, muh, mul)
-            th[:, m - 1], tl[:, m - 1] = h, l
-    return th, tl
+            muh, mul = _dd_mul(muh, mul, pw_h[i0], pw_l[i0])
+        # row m - 1 of the factor table is (i al + be - 1 + (m - 1)) / (m - 1)
+        d = np.arange(1.0, horizon)[:, None]
+        fh, fl = _dd_div_scalar(*_dd_add(zh, zl, d, 0.0), d)
+        ph = np.empty((horizon, count))
+        pl = np.empty((horizon, count))
+        ph[0], pl[0] = 1.0, 0.0
+        for m in range(1, horizon):
+            ph[m], pl[m] = _dd_mul(ph[m - 1], pl[m - 1], fh[m - 1], fl[m - 1])
+        th, tl = _dd_mul(ph, pl, muh, mul)
+    return np.ascontiguousarray(th.T), np.ascontiguousarray(tl.T)
 
 
 def ml_function(params: MLParams, horizon: int) -> Signal:
@@ -504,38 +506,55 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
     vals[0] = total
 
     done = np.zeros(horizon, dtype=bool)
-    sum_h = np.zeros(horizon)
-    sum_l = np.zeros(horizon)
-    streak = np.zeros(horizon, dtype=int)
+    # each point's sum at its stop term, and whether its last term was small
+    fin_h = np.zeros(horizon)
+    fin_l = np.zeros(horizon)
+    was_small = np.zeros((1, horizon), dtype=bool)
     peak = np.zeros(horizon)
+    # every point's running sum after each term of the current chunk; the
+    # last row carries the sums into the next chunk
+    run_h = np.zeros((_ML_CHUNK, horizon))
+    run_l = np.zeros((_ML_CHUNK, horizon))
+    rows = np.arange(_ML_CHUNK)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, _ML_MAX_TERMS, _ML_BLOCK):
-            th, tl = _ml_term_block(i0, _ML_BLOCK, al, be, mu, horizon)
-            for t in range(_ML_BLOCK):
-                live = ~done
-                if not live.any():
-                    break
-                idx = np.nonzero(live)[0]
-                sum_h[idx], sum_l[idx] = _dd_add(
-                    sum_h[idx], sum_l[idx], th[t, idx], tl[t, idx]
+        for i in range(0, _ML_MAX_TERMS, _ML_CHUNK):
+            if i % _ML_BLOCK == 0:
+                th, tl = _ml_term_block(i, _ML_BLOCK, al, be, mu, horizon)
+            t0 = i % _ML_BLOCK
+            ch, cl = th[t0 : t0 + _ML_CHUNK], tl[t0 : t0 + _ML_CHUNK]
+            for t in range(_ML_CHUNK):
+                # row t - 1 is row -1, the carried sums, at t = 0
+                run_h[t], run_l[t] = _dd_add(run_h[t - 1], run_l[t - 1], ch[t], cl[t])
+            mag = np.abs(ch)
+            ref = np.maximum(np.abs(run_h), _TINY)
+            small = mag <= _ML_STOP_REL * ref
+            # a point stops at its second small term in a row; its sums
+            # past that term are discarded
+            stops = small & np.concatenate([was_small, small[:-1]])
+            was_small = small[-1:]
+            stopping = stops.any(axis=0) & ~done
+            last = np.where(stopping, stops.argmax(axis=0), _ML_CHUNK - 1)
+            live = (rows <= last) & ~done
+            bad = live & ((mag > _ML_BLOWUP_REL * ref) | ~np.isfinite(mag))
+            if bad.any():
+                # the first failing term, judged over the points live there
+                t = int(bad.any(axis=1).argmax())
+                idx = np.nonzero(live[t])[0]
+                m_t, r_t = mag[t, idx], ref[t, idx]
+                worst = int(np.argmax(np.where(np.isfinite(m_t), m_t, np.inf) / r_t))
+                raise SeriesDiverged(
+                    f"kernel series diverging at lattice offset {idx[worst] + 1}"
                 )
-                mag = np.abs(th[t, idx])
-                ref = np.maximum(np.abs(sum_h[live]), _TINY)
-                if np.any(mag > _ML_BLOWUP_REL * ref) or not np.all(np.isfinite(mag)):
-                    worst = int(np.argmax(np.where(np.isfinite(mag), mag, np.inf) / ref))
-                    raise SeriesDiverged(
-                        f"kernel series diverging at lattice offset {idx[worst] + 1}"
-                    )
-                peak[idx] = np.maximum(peak[idx], mag)
-                small = mag <= _ML_STOP_REL * ref
-                streak[idx[small]] += 1
-                streak[idx[~small]] = 0
-                done[idx[streak[idx] >= 2]] = True
+            peak = np.maximum(peak, np.where(live, mag, 0.0).max(axis=0))
+            at = last[stopping]
+            fin_h[stopping] = run_h[at, stopping]
+            fin_l[stopping] = run_l[at, stopping]
+            done |= stopping
             if done.all():
                 break
         else:
             raise SeriesDiverged("kernel series did not settle within the term budget")
-    vals[1:] = sum_h + sum_l
+    vals[1:] = fin_h + fin_l
     lost = peak > _ML_CANCEL_MAX * np.maximum(1.0, np.abs(vals[1:]))
     if lost.any():
         m = int(np.argmax(lost))
@@ -561,6 +580,8 @@ def fde_solve(
     """
     if not (0.0 < alpha < 1.0):
         raise SeriesDiverged(f"solver order must lie in (0, 1), got {alpha}")
+    if not (math.isfinite(mu) and math.isfinite(x_a)):
+        raise NonFiniteSample(f"solver needs a finite mu and x(a), got mu = {mu}, x(a) = {x_a}")
     if abs(1.0 - mu) < 1e-12:
         raise SingularStep(f"per-step coefficient 1 - mu vanishes (mu = {mu})")
     if w.grid.horizon < N:
@@ -568,12 +589,23 @@ def fde_solve(
     c = gl_coefficients(alpha, N).coeffs
     z = np.empty(N + 1)
     z[0] = w.at(0) * x_a
-    for m in range(1, N + 1):
-        acc = 0.0
-        if m > 1:
-            # cumsum adds strictly left to right over i = 1..m-1, so its last
-            # entry is the ascending-lag sequential sum
-            acc += np.cumsum(c[1:m] * (z[m - 1 : 0 : -1] - z[0]))[-1]
-        z[m] = (z[0] - acc) / (1.0 - mu)
-    x_vals = z / w.window(0, N)
+    z0 = z[0]
+    # lag[N - j] = z(j) - z(a), so step m's lags i = 1..m-1 are the
+    # contiguous slice lag[N-m+1:], ascending in i
+    lag = np.empty(N)
+    prod = np.empty(N)
+    part = np.empty(N)
+    # an overflowing step makes a non-finite sample, which Signal rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, N + 1):
+            acc = 0.0
+            if m > 1:
+                # add.accumulate adds strictly left to right over i = 1..m-1,
+                # so its last entry is the ascending-lag sequential sum
+                k = m - 1
+                np.multiply(c[1:m], lag[N - k :], out=prod[:k])
+                acc += np.add.accumulate(prod[:k], out=part[:k])[-1]
+            z[m] = (z0 - acc) / (1.0 - mu)
+            lag[N - m] = z[m] - z0
+        x_vals = z / w.window(0, N)
     return Signal(Grid(w.grid.a, 0, N), x_vals)

@@ -174,12 +174,34 @@ class Weight:
             raise GridMismatch(
                 f"weight has {len(self.values)} samples, grid holds {self.grid.npoints} points"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteSample("weight contains non-finite samples")
-        if np.any(np.abs(self.values) < EPS_WEIGHT):
-            raise ZeroWeight(f"weight magnitude below {EPS_WEIGHT}")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            raise NonFiniteSample(
+                "weight contains non-finite samples" + self._first_bad(~finite)
+            )
+        tiny = np.abs(self.values) < EPS_WEIGHT
+        if tiny.any():
+            raise ZeroWeight(f"weight magnitude below {EPS_WEIGHT}" + self._first_bad(tiny))
         if self.kind not in ("general", "exponential"):
             raise GridMismatch(f"unknown weight kind {self.kind!r}")
+
+    def _first_bad(self, bad: np.ndarray) -> str:
+        """Where the first rejected sample lies, and the horizon cap it sets.
+
+        A weight fails from some offset above its base point when it
+        over- or underflows on a long horizon; every horizon short of that
+        offset is admissible from the same base point.
+        """
+        offsets = self.grid.offsets()[bad]
+        first = offsets[0]
+        if first <= 0:
+            # no horizon helps: name the failing offset nearest the base
+            nearest = offsets[offsets <= 0][-1]
+            return f" at lattice offset {nearest}, at or below the base point"
+        return (
+            f" from lattice offset {first}: this weight admits a horizon of at "
+            f"most {first - 1} from its base point"
+        )
 
     def at(self, offset: int) -> float:
         return float(self.values[self.grid.position(offset)])
@@ -194,9 +216,16 @@ class Weight:
         return self.window(1, self.grid.horizon)
 
 
+def _sample(grid: Grid, f: Callable[[float], float]) -> np.ndarray:
+    """``f`` at every lattice point.  Both callers reject a non-finite
+    sample right afterwards, so numpy stays silent about an overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([float(f(grid.a + m)) for m in grid.offsets()], dtype=np.float64)
+
+
 def make_signal_from_fn(grid: Grid, f: Callable[[float], float]) -> Signal:
     """Sample ``f`` pointwise at every lattice point of the grid."""
-    vals = np.array([float(f(grid.a + m)) for m in grid.offsets()], dtype=np.float64)
+    vals = _sample(grid, f)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteSample("sampled function returned a non-finite value")
     return Signal(grid, vals)
@@ -230,13 +259,15 @@ def make_weight(
         pos0 = grid.position(0)
         vals[pos0] = 1.0
         # the accumulations run strictly outward from the base point, one
-        # multiplication (division below it) per step
-        np.multiply.accumulate(vals[pos0:], out=vals[pos0:])
-        below = vals[pos0::-1]
-        np.divide.accumulate(below, out=below)
+        # multiplication (division below it) per step; Weight rejects an
+        # over- or underflowed sample, so numpy stays silent about it
+        with np.errstate(over="ignore"):
+            np.multiply.accumulate(vals[pos0:], out=vals[pos0:])
+            below = vals[pos0::-1]
+            np.divide.accumulate(below, out=below)
         return Weight(grid, vals, kind="exponential", rate=float(rate))
     if fn is not None:
-        vals = np.array([float(fn(grid.a + m)) for m in grid.offsets()], dtype=np.float64)
+        vals = _sample(grid, fn)
     else:
         vals = np.asarray(values, dtype=np.float64)
     return Weight(grid, vals, kind="general")
@@ -250,7 +281,10 @@ def scale_weight(w: Weight, lam_scale: float) -> Weight:
     if lam == 1.0:
         return w
     # Any other constant breaks w(a) = 1, so the exponential form is lost.
-    return Weight(w.grid, w.values * lam, kind="general", rate=None)
+    # Weight rejects an overflowed product, so numpy stays silent about it.
+    with np.errstate(over="ignore"):
+        vals = w.values * lam
+    return Weight(w.grid, vals, kind="general", rate=None)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ accumulations that keep a strict left-to-right order, and promises results
 identical to sequential evaluation.  The functions here are that sequential
 evaluation, written as plain scalar loops, so the tests can demand byte
 equality.  They reuse the library's public types (and, for the
-Mittag-Leffler kernel, its term blocks and double-width primitives):
-only the accumulation order is under test here.  The independent,
-high-precision references live in ``_oracles.py``.
+Mittag-Leffler kernel, its elementwise double-width primitives): only the
+accumulation order is under test here.  The kernel's term block is a
+frozen copy of the column-by-column construction, so the library's
+tabulated block is checked against it rather than against itself.  The
+independent, high-precision references live in ``_oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from nablatc.laplace import (
     SeriesDiverged,
     SingularStep,
     _dd_add,
-    _ml_term_block,
+    _dd_div_scalar,
+    _dd_mul,
+    _two_prod,
 )
 from nablatc.signals import BadRate, Grid, GridMismatch, Signal, Weight
 from nablatc.special import DomainError, GLCoefficientSeq, rising_over_gamma
@@ -55,6 +59,46 @@ def exp_weight_seq(grid: Grid, rate: float) -> Weight:
     return Weight(grid, vals, kind="exponential", rate=float(rate))
 
 
+def ml_term_block_seq(
+    i0: int, count: int, al: float, be: float, mu: float, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Double-width term matrix T[i - i0, m - 1] = mu^i * prod_{j=1}^{m-1} (i al + be - 1 + j)/j.
+
+    The factor product is the Gamma-ratio term of the kernel series with an
+    integer lattice base, which also realizes its pole cancellations: a
+    vanishing factor is exactly the zero the normalized ratio prescribes.
+    """
+    # past the divergence guard the raw terms may overflow; infinities
+    # propagate to the guard, which raises before the values are used
+    with np.errstate(over="ignore", invalid="ignore"):
+        ivec = np.arange(i0, i0 + count, dtype=np.float64)
+        zh, zl = _two_prod(ivec, np.full(count, al))
+        zh, zl = _dd_add(zh, zl, np.full(count, be - 1.0), np.zeros(count))
+        ph, pl = np.ones(count), np.zeros(count)
+        # mu^i seeded once per block, then advanced by cumulative product
+        muh = np.empty(count)
+        mul = np.zeros(count)
+        muh[0], mul[0] = 1.0, 0.0
+        for t in range(1, count):
+            muh[t], mul[t] = _dd_mul(muh[t - 1], mul[t - 1], mu, 0.0)
+        if i0:
+            base_h, base_l = 1.0, 0.0
+            for _ in range(i0):
+                base_h, base_l = _dd_mul(base_h, base_l, mu, 0.0)
+            muh, mul = _dd_mul(muh, mul, np.full(count, base_h), np.full(count, base_l))
+        th = np.empty((count, horizon))
+        tl = np.empty((count, horizon))
+        h, l = _dd_mul(ph, pl, muh, mul)
+        th[:, 0], tl[:, 0] = h, l
+        for m in range(2, horizon + 1):
+            fh, fl = _dd_add(zh, zl, np.full(count, float(m - 1)), np.zeros(count))
+            fh, fl = _dd_div_scalar(fh, fl, float(m - 1))
+            ph, pl = _dd_mul(ph, pl, fh, fl)
+            h, l = _dd_mul(ph, pl, muh, mul)
+            th[:, m - 1], tl[:, m - 1] = h, l
+    return th, tl
+
+
 def ml_values_seq(params: MLParams, horizon: int) -> np.ndarray:
     """Kernel values with the per-point scalar accumulation (no range guard)."""
     if horizon < 1:
@@ -74,7 +118,7 @@ def ml_values_seq(params: MLParams, horizon: int) -> np.ndarray:
     streak = np.zeros(horizon, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, _ML_MAX_TERMS, _ML_BLOCK):
-            th, tl = _ml_term_block(i0, _ML_BLOCK, al, be, mu, horizon)
+            th, tl = ml_term_block_seq(i0, _ML_BLOCK, al, be, mu, horizon)
             for t in range(_ML_BLOCK):
                 live = ~done
                 if not live.any():

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nablatc
 from nablatc.cli import main
 from nablatc.errors import ConfigError
 from nablatc.signals import read_signal_csv
@@ -153,6 +156,46 @@ def test_solve_subcommand(tmp_path):
     sol = read_signal_csv(out)
     assert sol.values[0] == 1.0
     assert len(sol.values) == 13
+
+
+@pytest.mark.parametrize("opt", ["--mu=inf", "--mu=-inf", "--mu=nan", "--x0=nan", "--x0=inf"])
+def test_solve_nonfinite_parameter_is_config_error(tmp_path, capsys, opt):
+    out = tmp_path / "sol.csv"
+    args = {"--mu": "-0.2", "--x0": "1"}
+    name, value = opt.split("=")
+    args[name] = value
+    argv = ["solve", "--alpha", "0.5", "--N", "5", "--out", str(out)]
+    argv += [f"{k}={v}" for k, v in args.items()]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nt: configuration error:") and err.count("\n") == 1
+    assert name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--alpha", "0.5", "--mu", "0.99", "--x0", "1e300", "--N", "400"],
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+         "--weight", "case2", "--N", "900"],
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+         "--weight", "case1", "--N", "2200"],
+    ],
+)
+def test_numeric_error_prints_no_warning(tmp_path, argv):
+    # a separate process: numpy warnings would reach its stderr ahead of the error
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablatc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    out = tmp_path / "out.csv"
+    res = subprocess.run(
+        [sys.executable, "-m", "nablatc.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 3
+    assert res.stderr.startswith("nt: numeric error:") and res.stderr.count("\n") == 1
+    assert "Warning" not in res.stderr
+    assert not out.exists()
 
 
 def test_laplace_subcommand_value(capsys):

@@ -21,7 +21,14 @@ from nablatc.laplace import (
     nlt,
 )
 from nablatc.presets import preset_signal, preset_weight
-from nablatc.signals import Grid, GridMismatch, Signal, make_signal_from_fn, make_weight
+from nablatc.signals import (
+    Grid,
+    GridMismatch,
+    NonFiniteSample,
+    Signal,
+    make_signal_from_fn,
+    make_weight,
+)
 
 RNG = np.random.default_rng(1618)
 
@@ -331,6 +338,16 @@ def test_fde_rejects_bad_parameters():
         fde_solve(1.5, 0.1, w, 1.0, 10)
     with pytest.raises(SingularStep):
         fde_solve(0.5, 1.0 + 1e-13, w, 1.0, 10)
+
+
+@pytest.mark.parametrize(
+    "mu, x_a", [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (0.1, math.nan), (0.1, math.inf)]
+)
+def test_fde_rejects_nonfinite_parameters(mu, x_a):
+    # mu = inf used to step to x = 1, -0.0, -0.0, ... without complaint
+    w = preset_weight("one", Grid(0.0, 0, 5))
+    with pytest.raises(NonFiniteSample, match="finite mu and x"):
+        fde_solve(0.5, mu, w, x_a, 5)
 
 
 def test_fde_solution_satisfies_equation():

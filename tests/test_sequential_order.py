@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 from nablatc import operators
 from nablatc.errors import NablaError
-from nablatc.laplace import MLParams, SeriesDiverged, convolve, fde_solve, ml_function
+from nablatc.laplace import (
+    _ML_BLOCK,
+    MLParams,
+    SeriesDiverged,
+    _ml_term_block,
+    convolve,
+    fde_solve,
+    ml_function,
+)
 from nablatc.operators import causal_sum
 from nablatc.presets import preset_weight
 from nablatc.signals import Grid, NonFiniteSample, Signal, ZeroWeight, make_weight
@@ -26,6 +34,7 @@ from _sequential import (
     exp_weight_seq,
     fde_values_seq,
     gl_coefficients_seq,
+    ml_term_block_seq,
     ml_values_seq,
 )
 
@@ -130,6 +139,9 @@ def test_fde_solve_errors_match(args):
 @example(0.9, 1.0, -0.5, 64)
 @example(0.9, 1.0, -0.5, 72)  # past the cancellation guard
 @example(1.0, 1.0, -0.3, 20)
+@example(0.1, 1.0, -0.9, 64)  # needs 7 term blocks
+@example(0.2, 1.0, -0.9, 64)  # cancels past the guard at lattice offset 48
+@example(1.0, 1.0, -0.1, 32)  # the blow-up guard trips at lattice offset 10
 def test_ml_function_sequential(alpha, beta, mu, N):
     params = MLParams(alpha, beta, mu)
     ref = _outcome(lambda: ml_values_seq(params, N))
@@ -139,6 +151,24 @@ def test_ml_function_sequential(alpha, beta, mu, N):
         # unguarded accumulation completed
         assert isinstance(ref, bytes)
         assert got[0] is SeriesDiverged and "cancels" in got[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 256, 512]),
+    st.floats(min_value=0.05, max_value=1.9),
+    st.floats(min_value=0.5, max_value=2.5),
+    st.floats(min_value=-0.9, max_value=0.9),
+    st.integers(min_value=1, max_value=80),
+)
+@example(512, 0.1, 1.0, -0.9, 80)
+@example(0, 1.0, 1.0, 0.0, 1)
+def test_ml_term_block_matches_pinned_copy(i0, alpha, beta, mu, N):
+    # the tabulated block against the frozen column-by-column construction
+    got = _ml_term_block(i0, _ML_BLOCK, alpha, beta, mu, N)
+    ref = ml_term_block_seq(i0, _ML_BLOCK, alpha, beta, mu, N)
+    assert [a.shape for a in got] == [a.shape for a in ref]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
 
 finite = st.floats(min_value=-1e100, max_value=1e100)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nablatc.presets import preset_weight
 from nablatc.signals import (
     BadRate,
     CSVFormatError,
@@ -69,6 +71,36 @@ def test_weight_zero_rejected_anywhere():
         make_weight(g, values=[1.0, 1.0, 1e-310, 1.0, 1.0])
 
 
+def test_weight_rejection_names_the_horizon_cap():
+    # pi^621 and sqrt(2)^2048 = 2^1024 are the first samples past binary64
+    with pytest.raises(
+        NonFiniteSample,
+        match=r"non-finite samples from lattice offset 621: .* at most 620 from its base",
+    ):
+        preset_weight("case2", Grid(0.0, 0, 900))
+    with pytest.raises(
+        NonFiniteSample,
+        match=r"non-finite samples from lattice offset 2048: .* at most 2047 from its base",
+    ):
+        preset_weight("case1", Grid(0.0, 0, 2200))
+    # 0.5^997 is the first sample below the zero threshold
+    with pytest.raises(ZeroWeight, match=r"offset 997: .* at most 996 from its base"):
+        preset_weight("halfgeom", Grid(0.0, 0, 1200))
+    # the named caps are admissible, also from another base point
+    assert preset_weight("case2", Grid(0.0, 0, 620)).grid.horizon == 620
+    assert preset_weight("case1", Grid(0.0, 0, 2047)).grid.horizon == 2047
+    assert preset_weight("case2", Grid(3.5, 2, 620)).grid.horizon == 620
+
+
+def test_weight_rejection_at_or_below_the_base():
+    with pytest.raises(ZeroWeight, match="at lattice offset 0, at or below the base point"):
+        make_weight(Grid(a=0.0, history=1, horizon=3), fn=lambda k: k)
+    # w(k) = 1000^-k overflows in the history from offset -103 down; the
+    # failing offset nearest the base is named
+    with pytest.raises(NonFiniteSample, match=r"at lattice offset -103, at or below"):
+        make_weight(Grid(0.0, 200, 5), rate=0.999)
+
+
 def test_exponential_weight_values():
     g = Grid(a=2.0, history=2, horizon=3)
     w = make_weight(g, rate=0.5)
@@ -108,6 +140,18 @@ def test_scale_weight_identity_and_sign_flip():
     assert flipped.kind == "general"
     with pytest.raises(ZeroScale):
         scale_weight(w, 0.0)
+
+
+def test_weight_overflow_raises_without_warning():
+    # the overflow is reported once, as the exception, not also as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSample, match="offset 1982"):
+            scale_weight(preset_weight("case1", Grid(0.0, 0, 2000)), 1e10)
+        with pytest.raises(NonFiniteSample, match="offset 621"):
+            preset_weight("case2", Grid(0.0, 0, 900))
+        with pytest.raises(NonFiniteSample, match="offset 2048"):
+            make_weight(Grid(0.0, 0, 2200), rate=1.0 - math.sqrt(2.0))
 
 
 def test_signal_immutable():
