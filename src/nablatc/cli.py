@@ -285,21 +285,51 @@ def cmd_repro(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def nonneg_int(text: str) -> int:
+    """argparse type: an integer >= 0 (seeds, history lengths)."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
+def finite(text: str) -> float:
+    """argparse type: a finite float (no NaN or infinity)."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad option as one stderr line with exit code 2, like
+    every other configuration error."""
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG, f"nt: configuration error: {message}\n")
+
+
 def _add_grid_args(p: argparse.ArgumentParser, default_n: int = 100) -> None:
     p.add_argument("--signal", required=True, help="built-in name or CSV path")
     p.add_argument("--weight", default="one", help="built-in name or CSV path")
-    p.add_argument("--a", type=float, default=0.0, help="base point")
+    p.add_argument("--a", type=finite, default=0.0, help="base point")
     p.add_argument("--N", type=int, default=default_n, help="horizon length")
     p.add_argument(
         "--history",
-        type=int,
+        type=nonneg_int,
         default=None,
         help="stored points below the base (default: what the operator needs)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nt", description="nabla tempered fractional calculus toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -319,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run the identity suite, write a JSON report")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonneg_int, default=0)
     p.add_argument("--only", default=None, help="run only matching identity groups")
     p.add_argument(
         "--perturb",
@@ -334,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--weight", default="one")
     p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--a", type=float, default=0.0)
+    p.add_argument("--a", type=finite, default=0.0)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out", required=True)
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import contextvars
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NablaError
 from .signals import Grid, GridMismatch, Signal, Weight
@@ -152,12 +152,18 @@ def _causal_sum_tiled(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     N = len(z)
     out = np.empty(N)
     pad = max(min(N, _TILE) - 1, 0)
-    zp = np.concatenate([np.zeros(pad), z])  # zp[pad + j] = z[j]
+    zp = np.zeros(pad + N)
+    zp[pad:] = z  # zp[pad + j] = z[j]
+    step = zp.itemsize
     for k0 in range(0, N, _TILE):
         L = min(_TILE, N - k0)
         nl = k0 + L
-        # V[i, t] = z[k0 + t - i] for lags i < nl; zero where k0 + t < i
-        V = sliding_window_view(zp[pad + k0 - nl + 1 : pad + k0 + L], L)[::-1]
+        # V[i, t] = z[k0 + t - i] for lags i < nl; zero where k0 + t < i.
+        # A view of zp: row i starts at zp[pad + k0 - i], so the lowest
+        # element read, zp[pad + 1 - L] at i = nl - 1, t = 0, is in range
+        V = np.ndarray(
+            (nl, L), np.float64, buffer=zp, offset=(pad + k0) * step, strides=(-step, step)
+        )
         # order="F": outputs t innermost, lags i outermost and ascending
         np.einsum("i,ik->k", c[:nl], V, out=out[k0 : k0 + L], order="F")
     return out
@@ -190,11 +196,13 @@ def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     ``len(z)`` entries.
 
     One einsum per tile of ``_TILE`` outputs: for each lag in ascending
-    order it adds ``c[i] * z[k-i]`` to every output of the tile.  Lags past
-    an output read zero padding, and adding ``c[i] * 0`` leaves a sum that
-    starts from +0.0 unchanged.  The per-lag loop is used instead where
-    that fails: when ``c[:len(z)]`` holds a non-finite entry (``inf * 0``
-    is NaN), and on a numpy build whose einsum fuses multiply-add.
+    order it adds ``c[i] * z[k-i]`` to every output of the tile.  The
+    tile's lag matrix is one strided view of the zero-padded ``z`` (row
+    stride backwards, no copy).  Lags past an output read zero padding,
+    and adding ``c[i] * 0`` leaves a sum that starts from +0.0 unchanged.
+    The per-lag loop is used instead where that fails: when ``c[:len(z)]``
+    holds a non-finite entry (``inf * 0`` is NaN), and on a numpy build
+    whose einsum fuses multiply-add.
     """
     if _EINSUM_FUSES or not np.isfinite(c[: len(z)]).all():
         return _causal_sum_by_lag(c, z)
@@ -230,8 +238,13 @@ def _require_weight_covers(w: Weight, grid: Grid, lowest_offset: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=16)
 def _signed_binomials(n: int) -> np.ndarray:
-    return np.array([(-1) ** i * math.comb(n, i) for i in range(n + 1)], dtype=np.float64)
+    """``(-1)^i C(n, i)`` for i = 0..n, cached: one shared read-only array
+    per order."""
+    coef = np.array([(-1) ** i * math.comb(n, i) for i in range(n + 1)], dtype=np.float64)
+    coef.setflags(write=False)
+    return coef
 
 
 def _output(grid_a: float, horizon: int, body: np.ndarray, out_history: int = 0) -> Signal:

@@ -117,6 +117,27 @@ class Grid:
         )
 
 
+def _first_bad(grid: Grid, bad: np.ndarray, what: str) -> str:
+    """Where the first rejected sample of a sequence on ``grid`` lies, and
+    the horizon cap it sets.
+
+    A sequence fails from some offset above its base point when it over-
+    or underflows on a long horizon.  Sampled functions and every operator
+    and solver output are causal, so every horizon short of that offset is
+    admissible from the same base point.
+    """
+    offsets = grid.offsets()[bad]
+    first = offsets[0]
+    if first <= 0:
+        # no horizon helps: name the failing offset nearest the base
+        nearest = offsets[offsets <= 0][-1]
+        return f" at lattice offset {nearest}, at or below the base point"
+    return (
+        f" from lattice offset {first}: this {what} admits a horizon of at "
+        f"most {first - 1} from its base point"
+    )
+
+
 def _locked(values: Iterable[float]) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).copy()
     arr.setflags(write=False)
@@ -136,8 +157,12 @@ class Signal:
             raise GridMismatch(
                 f"signal has {len(self.values)} samples, grid holds {self.grid.npoints} points"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteSample("signal contains non-finite samples")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            raise NonFiniteSample(
+                "signal contains non-finite samples"
+                + _first_bad(self.grid, ~finite, "signal")
+            )
 
     def at(self, offset: int) -> float:
         return float(self.values[self.grid.position(offset)])
@@ -177,31 +202,16 @@ class Weight:
         finite = np.isfinite(self.values)
         if not finite.all():
             raise NonFiniteSample(
-                "weight contains non-finite samples" + self._first_bad(~finite)
+                "weight contains non-finite samples"
+                + _first_bad(self.grid, ~finite, "weight")
             )
         tiny = np.abs(self.values) < EPS_WEIGHT
         if tiny.any():
-            raise ZeroWeight(f"weight magnitude below {EPS_WEIGHT}" + self._first_bad(tiny))
+            raise ZeroWeight(
+                f"weight magnitude below {EPS_WEIGHT}" + _first_bad(self.grid, tiny, "weight")
+            )
         if self.kind not in ("general", "exponential"):
             raise GridMismatch(f"unknown weight kind {self.kind!r}")
-
-    def _first_bad(self, bad: np.ndarray) -> str:
-        """Where the first rejected sample lies, and the horizon cap it sets.
-
-        A weight fails from some offset above its base point when it
-        over- or underflows on a long horizon; every horizon short of that
-        offset is admissible from the same base point.
-        """
-        offsets = self.grid.offsets()[bad]
-        first = offsets[0]
-        if first <= 0:
-            # no horizon helps: name the failing offset nearest the base
-            nearest = offsets[offsets <= 0][-1]
-            return f" at lattice offset {nearest}, at or below the base point"
-        return (
-            f" from lattice offset {first}: this weight admits a horizon of at "
-            f"most {first - 1} from its base point"
-        )
 
     def at(self, offset: int) -> float:
         return float(self.values[self.grid.position(offset)])
@@ -217,17 +227,26 @@ class Weight:
 
 
 def _sample(grid: Grid, f: Callable[[float], float]) -> np.ndarray:
-    """``f`` at every lattice point.  Both callers reject a non-finite
-    sample right afterwards, so numpy stays silent about an overflow."""
+    """``f`` at every lattice point, in one pass.
+
+    ``f`` receives each point as a numpy float64, so numpy's scalar rules
+    apply inside it: an overflowing power is inf rather than a Python
+    ``OverflowError``.  Both callers reject a non-finite sample right
+    afterwards, so numpy stays silent about the overflow.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([float(f(grid.a + m)) for m in grid.offsets()], dtype=np.float64)
+        return np.fromiter(map(f, grid.k_values()), np.float64, grid.npoints)
 
 
 def make_signal_from_fn(grid: Grid, f: Callable[[float], float]) -> Signal:
     """Sample ``f`` pointwise at every lattice point of the grid."""
     vals = _sample(grid, f)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteSample("sampled function returned a non-finite value")
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise NonFiniteSample(
+            "sampled function returned a non-finite value"
+            + _first_bad(grid, ~finite, "function")
+        )
     return Signal(grid, vals)
 
 

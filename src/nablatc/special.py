@@ -148,9 +148,30 @@ def rising_over_gamma(p: int, q: float, denom: float) -> float:
 
 
 def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
-    """``[rising_over_gamma(m, q, d) for m = 1..N]``, one Gamma-ratio
-    evaluation per point."""
-    return np.array([rising_over_gamma(m, q, d) for m in range(1, N + 1)])
+    """``[rising_over_gamma(m, q, d) for m = 1..N]``, evaluated one row at a
+    time.
+
+    Each point takes the same sign-tracked log-Gamma terms as
+    :func:`rising_over_gamma`: ``exp((lgamma(m+q) - lgamma(m)) - lgamma(d))``
+    through ``math.exp``/``math.lgamma``, signed by the parity of
+    ``floor(m+q)`` and of ``floor(d)``, so the row is bit-identical to the
+    per-point values.  A row holding a pole (some ``m+q`` or ``d`` a
+    nonpositive integer) or a non-finite argument takes the per-point path
+    and its cancellation rules.
+    """
+    num = np.arange(1, N + 1) + q
+    if (
+        not (math.isfinite(q) and math.isfinite(d))
+        or _is_nonpositive_integer(d)
+        or ((num <= 0.0) & (num == np.floor(num))).any()
+    ):
+        return np.array([rising_over_gamma(m, q, d) for m in range(1, N + 1)])
+    n = len(num)
+    ln = np.fromiter(map(math.lgamma, num.tolist()), np.float64, n)
+    l1 = np.fromiter(map(math.lgamma, range(1, N + 1)), np.float64, n)
+    l2, s2 = _signed_loggamma(d)
+    sign = np.where((num < 0.0) & (np.floor(num) % 2 == 1), -s2, s2)
+    return sign * np.fromiter(map(math.exp, ((ln - l1) - l2).tolist()), np.float64, n)
 
 
 def rising_over_factorial_row(i: int, N: int) -> np.ndarray:

@@ -8,8 +8,11 @@ equality.  They reuse the library's public types (and, for the
 Mittag-Leffler kernel, its elementwise double-width primitives): only the
 accumulation order is under test here.  The kernel's term block is a
 frozen copy of the column-by-column construction, so the library's
-tabulated block is checked against it rather than against itself.  The
-independent, high-precision references live in ``_oracles.py``.
+tabulated block is checked against it rather than against itself.  Likewise
+the per-point Gamma-ratio row and the list-built lattice sampler are frozen
+copies of the one-call-per-point versions that the library's one-pass row
+and sampler replace.  The independent, high-precision references live in
+``_oracles.py``.
 """
 
 from __future__ import annotations
@@ -177,3 +180,16 @@ def causal_sum_seq(c: np.ndarray, z: np.ndarray) -> np.ndarray:
             acc += c[i] * z[k - i]
         out[k] = acc
     return out
+
+
+def rising_over_gamma_row_seq(q: float, d: float, N: int) -> np.ndarray:
+    """``[rising_over_gamma(m, q, d) for m = 1..N]``, one Gamma-ratio
+    evaluation per point."""
+    return np.array([rising_over_gamma(m, q, d) for m in range(1, N + 1)])
+
+
+def sample_seq(grid: Grid, f) -> np.ndarray:
+    """``f`` at every lattice point, one Python call and one ``float`` per
+    point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([float(f(grid.a + m)) for m in grid.offsets()], dtype=np.float64)

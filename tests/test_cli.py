@@ -381,3 +381,48 @@ def test_any_order_exits_cleanly(command, kind, order):
             argv = [command, "--kind", kind, "--signal", "sin10k", "--N", "8",
                     "--out", os.path.join(tmp, "out.csv")]
         assert run([*argv, f"--order={order!r}"]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "--seed", "-1"], "--seed"),
+        (["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+          "--history", "-1"], "--history"),
+        (["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+          "--a", "nan"], "--a"),
+        (["solve", "--alpha", "0.5", "--mu=-0.2", "--x0", "1", "--N", "5",
+          "--a", "inf"], "--a"),
+    ],
+    ids=["seed", "history", "a-nan", "solve-a-inf"],
+)
+def test_bad_numeric_option_is_one_line_exit_2(tmp_path, capsys, argv, option):
+    out = tmp_path / "out"
+    if argv[0] != "verify":
+        argv = [*argv, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nt: configuration error: argument " + option) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+          "--weight", "case2", "--N", "620"],
+         "signal contains non-finite samples from lattice offset 620: "
+         "this signal admits a horizon of at most 619 from its base point"),
+        (["solve", "--alpha", "0.5", "--mu", "0.99", "--x0", "1e300", "--N", "400"],
+         "signal contains non-finite samples from lattice offset 5: "
+         "this signal admits a horizon of at most 4 from its base point"),
+    ],
+    ids=["eval-case2", "solve-overflow"],
+)
+def test_nonfinite_output_names_its_offset(tmp_path, capsys, argv, where):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"nt: numeric error: {where}\n"
+    assert not out.exists()

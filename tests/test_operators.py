@@ -351,3 +351,15 @@ def test_fault_injection_stays_in_its_thread():
         assert gl_tempered(x, 0.5, w).body.tobytes() == clean.tobytes()
     finally:
         set_fault_injection(0.0)
+
+
+def test_signed_binomials_are_shared_read_only():
+    from nablatc.operators import _signed_binomials
+
+    for n in range(1, 6):
+        coef = _signed_binomials(n)
+        assert coef.flags.writeable is False
+        assert _signed_binomials(n) is coef
+        with pytest.raises(ValueError):
+            coef[0] = 2.0
+    np.testing.assert_array_equal(_signed_binomials(3), [1.0, -3.0, 3.0, -1.0])

@@ -4,16 +4,19 @@
 ``fde_solve``, the lagged-sum kernel ``causal_sum`` and ``convolve`` run
 their recurrences and inner sums as numpy accumulations;
 the README promises results identical to the scalar loops in
-``_sequential.py``.  Error cases must raise the same exception with the
-same message.
+``_sequential.py``.  The one-pass Gamma-ratio row and lattice sampler must
+equal their per-point copies there.  Error cases must raise the same
+exception with the same message.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nablatc import operators
+from nablatc import operators, presets
 from nablatc.errors import NablaError
 from nablatc.laplace import (
     _ML_BLOCK,
@@ -26,8 +29,8 @@ from nablatc.laplace import (
 )
 from nablatc.operators import causal_sum
 from nablatc.presets import preset_weight
-from nablatc.signals import Grid, NonFiniteSample, Signal, ZeroWeight, make_weight
-from nablatc.special import gl_coefficients
+from nablatc.signals import Grid, NonFiniteSample, Signal, ZeroWeight, _sample, make_weight
+from nablatc.special import gl_coefficients, rising_over_gamma_row
 
 from _sequential import (
     causal_sum_seq,
@@ -36,6 +39,8 @@ from _sequential import (
     gl_coefficients_seq,
     ml_term_block_seq,
     ml_values_seq,
+    rising_over_gamma_row_seq,
+    sample_seq,
 )
 
 
@@ -266,3 +271,65 @@ def test_convolve_sequential(xy, a):
     y = Signal(g, np.concatenate([[-1.0], yb]))
     expected = np.concatenate([[0.0], causal_sum_seq(xb, yb)])
     assert convolve(x, y).values.tobytes() == expected.tobytes()
+
+
+gamma_args = st.one_of(
+    st.floats(min_value=-6.0, max_value=6.0),
+    st.integers(min_value=-6, max_value=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_args, gamma_args, st.integers(min_value=1, max_value=300))
+@example(0.5, 1.5, 300)
+@example(-3, 0.5, 10)  # integer q: m + q is a pole for m <= 3
+@example(-3.0, -2.0, 10)  # poles in the numerator and at d
+@example(0.5, -2.0, 10)  # d at a pole, numerator regular
+@example(-5.5, 0.25, 12)  # m + q negative and non-integer: alternating sign
+@example(-5.5, -1.5, 12)  # both signs negative
+@example(2.0, 3.0, 1)
+def test_rising_over_gamma_row_matches_per_point(q, d, N):
+    got = _outcome(lambda: rising_over_gamma_row(q, d, N))
+    assert got == _outcome(lambda: rising_over_gamma_row_seq(q, d, N))
+
+
+def _preset_functions(grid):
+    """Every preset's sampled function on ``grid``: the weight functions,
+    and the signal lambdas captured as the presets hand them over."""
+    fns = {name: presets.weight_case_fn(name, grid.a)
+           for name in ("one", "case1", "case2", "case4", "halfgeom", "halfgeom+eps")}
+    with pytest.MonkeyPatch.context() as mp:
+        for spec in ("sin10k", "poly:1,-0.5,0.25", "poly:0,0,0,1e-3", "geom:1.03", "geom:0.5"):
+            mp.setattr(presets, "make_signal_from_fn",
+                       lambda g, f, spec=spec: fns.setdefault(spec, f))
+            presets.preset_signal(spec, grid)
+    return fns
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=1000),
+)
+@example(0.0, 0, 900)  # case2 overflows from offset 621: inf samples
+@example(0.25, 3, 700)
+def test_sample_matches_per_point(a, history, horizon):
+    grid = Grid(a, history, horizon)
+    for name, f in _preset_functions(grid).items():
+        assert _sample(grid, f).tobytes() == sample_seq(grid, f).tobytes(), name
+
+
+def test_sample_passes_numpy_points_and_overflows_to_inf():
+    # a Python float point would make this power raise OverflowError
+    grid = Grid(0.0, 0, 900)
+    seen = set()
+
+    def f(k):
+        seen.add(type(k))
+        return math.pi ** (k - grid.a)
+
+    vals = _sample(grid, f)
+    assert seen == {np.float64}
+    assert np.isinf(vals[621:]).all() and np.isfinite(vals[:621]).all()
+    assert vals.tobytes() == sample_seq(grid, f).tobytes()

@@ -63,6 +63,31 @@ def test_nonfinite_sample_rejected():
         make_signal_from_fn(g, lambda k: math.inf if k > 1 else 0.0)
 
 
+def test_nonfinite_sample_names_its_offset():
+    g = Grid(a=0.5, history=2, horizon=6)
+    with pytest.raises(
+        NonFiniteSample,
+        match=r"^sampled function returned a non-finite value from lattice offset 4: "
+        r"this function admits a horizon of at most 3 from its base point$",
+    ):
+        make_signal_from_fn(g, lambda k: math.inf if k > 4.0 else 1.0)
+    vals = np.ones(g.npoints)
+    vals[g.position(5)] = math.nan
+    vals[g.position(2)] = -math.inf
+    with pytest.raises(
+        NonFiniteSample,
+        match=r"^signal contains non-finite samples from lattice offset 2: "
+        r"this signal admits a horizon of at most 1 from its base point$",
+    ):
+        Signal(g, vals)
+    vals[g.position(-1)] = math.nan
+    with pytest.raises(
+        NonFiniteSample,
+        match=r"^signal contains non-finite samples at lattice offset -1, at or below",
+    ):
+        Signal(g, vals)
+
+
 def test_weight_zero_rejected_anywhere():
     g = Grid(a=0.0, history=1, horizon=3)
     with pytest.raises(ZeroWeight):

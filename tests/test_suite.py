@@ -1,3 +1,7 @@
+import json
+
+import pytest
+
 from nablatc.identities import IdentityReport
 from nablatc.suite import CORE_GROUPS, GROUPS, _tag, reports_to_json_dict, run_suite
 
@@ -62,3 +66,13 @@ def test_tag_leaves_input_report_unchanged():
     assert report.params == {"alpha": 0.5, "instance": 0}
     assert list(tagged.params.items()) == [("alpha", 0.5), ("instance", 3), ("n", 2)]
     assert tagged.params is not report.params
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_in_process_rerun_is_byte_identical(seed):
+    # a cached array mutated by the first pass would change the second
+    first, second = (
+        json.dumps(reports_to_json_dict(run_suite(seed=seed), seed, 1.0, None), sort_keys=True)
+        for _ in range(2)
+    )
+    assert first == second
