@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=float, required=True)
     _add_grid_args(p, default_n=16)
     p.add_argument("--rep", choices=("initial", "current", "future"), default="current")
-    p.add_argument("--degree", type=int, default=5, help="expansion degree K")
+    p.add_argument("--degree", type=nonneg_int, default=5, help="expansion degree K")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run the identity suite, write a JSON report")
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, help="run only matching identity groups")
     p.add_argument(
         "--perturb",
-        type=float,
+        type=finite,
         default=None,
         help="inject an additive fault into the single-sum operator",
     )

@@ -11,7 +11,8 @@ Every lagged inner sum goes through :func:`causal_sum`, which accumulates
 each output in ascending lag order with two roundings per term (one numpy
 einsum per tile of outputs, or a per-lag loop where einsum would round
 differently), so results are identical run to run and equal to sequential
-evaluation.
+evaluation.  :func:`causal_dot` computes one such output alone, for
+recurrences that need each output before the next.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "InsufficientLags",
     "IntegerOrder",
     "causal_sum",
+    "causal_dot",
     "check_order",
     "tempered_diff_rows",
     "nabla_n",
@@ -209,6 +211,81 @@ def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _causal_sum_tiled(c, z)
 
 
+#: numpy's gufunc dot (numpy >= 2.0); absent, :func:`causal_dot` accumulates
+_vecdot = getattr(np, "vecdot", None)
+
+#: Length of the probe's order check: twice numpy's default iterator buffer
+#: of 8,192 items, past which a buffered reduction (einsum's, for one)
+#: splits its sum into chunks.
+_ORDER_PROBE_TERMS = 2**14
+
+
+def _causal_dot_vecdot(c: np.ndarray, z: np.ndarray) -> float:
+    n = len(z)
+    # a reversed operand has no BLAS stride, so vecdot runs numpy's plain
+    # dot loop: one accumulator from 0.0, terms in ascending i, a product
+    # and a sum rounded apiece, the whole core dimension in one call
+    return _vecdot(c[:n], z[::-1])
+
+
+def _causal_dot_accumulate(c: np.ndarray, z: np.ndarray) -> float:
+    n = len(z)
+    if not n:
+        return 0.0
+    # add.accumulate adds strictly left to right, so its last entry is the
+    # ascending-lag sequential sum
+    return 0.0 + np.add.accumulate(np.multiply(c[:n], z[::-1]))[-1]
+
+
+def _vecdot_in_order() -> bool:
+    """Whether vecdot over a reversed view, as :func:`causal_dot` calls it,
+    sums like the sequential scalar loop.
+
+    Two probes, on offset-one slices of longer buffers as the solver passes
+    them.  Two roundings: ``-1 + a*a`` with ``a = 1 + 2^-30`` gives 2^-29,
+    a fused multiply-add 2^-29 + 2^-60.  Order: the terms
+    ``[2^53, 1, ..., 1, -2^53]`` (``_ORDER_PROBE_TERMS`` of them) sum to
+    exactly 0.0 only when added left to right with one accumulator (each
+    ``2^53 + 1`` rounds back to 2^53); a split, reversed, unrolled or
+    pairwise sum keeps some of the ones.
+    """
+    if _vecdot is None:
+        return False
+    a = 1.0 + 2.0**-30
+    c = np.array([0.0, 1.0, a])[1:]
+    z = np.array([0.0, a, -1.0])[1:]
+    if _causal_dot_vecdot(c, z) != 2.0**-29:
+        return False
+    n = _ORDER_PROBE_TERMS
+    c = np.ones(n + 1)[1:]
+    z = np.ones(n + 1)[1:]
+    z[-1], z[0] = 2.0**53, -(2.0**53)  # the first and the last term
+    return bool(_causal_dot_vecdot(c, z) == 0.0)
+
+
+_VECDOT_IN_ORDER = _vecdot_in_order()
+
+
+def causal_dot(c: np.ndarray, z: np.ndarray) -> float:
+    """Last output of :func:`causal_sum`: ``sum_{i=0}^{n-1} c[i] z[n-1-i]``
+    with ``n = len(z)``, computed alone.
+
+    The terms are added in ascending ``i``, starting from 0.0, with one
+    rounding for each product and one for each addition, so the result
+    equals the sequential scalar loop bit for bit (an empty sum is 0.0).
+    ``c`` needs at least ``len(z)`` entries.
+
+    One ``np.vecdot`` call over ``c`` and the reversed view of ``z``.  An
+    import-time probe checks that it sums in order with two roundings on
+    this numpy build (see :func:`_vecdot_in_order`).  Where it does not, or
+    numpy predates vecdot, one ``np.multiply`` and one ``np.add.accumulate``
+    give the same bits, more slowly.
+    """
+    if _VECDOT_IN_ORDER:
+        return _causal_dot_vecdot(c, z)
+    return _causal_dot_accumulate(c, z)
+
+
 def tempered_diff_rows(x: Signal, w: Weight, max_order: int) -> np.ndarray:
     """Repeated backward differences of ``z = w*x`` on the evaluation window.
 
@@ -261,8 +338,10 @@ def nabla_n(x: Signal, n: int) -> Signal:
     coef = _signed_binomials(n)
     N = x.grid.horizon
     out = np.zeros(N)
-    for i in range(n + 1):
-        out += coef[i] * x.window(1 - i, N - i)
+    # an overflowing sum makes a non-finite sample, which Signal rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n + 1):
+            out += coef[i] * x.window(1 - i, N - i)
     return _output(x.grid.a, N, out)
 
 
@@ -276,9 +355,13 @@ def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
     coef = _signed_binomials(n)
     N = x.grid.horizon
     out = np.zeros(N)
-    for i in range(n + 1):
-        out += coef[i] * (w.window(1 - i, N - i) * x.window(1 - i, N - i))
-    return _output(x.grid.a, N, out / w.window(1, N))
+    # an overflowing sum makes a non-finite sample, which Signal rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = w.window(1 - n, N) * x.window(1 - n, N)  # z[j] at offset j + 1 - n
+        for i in range(n + 1):
+            out += coef[i] * z[n - i : n - i + N]
+        out /= w.window(1, N)
+    return _output(x.grid.a, N, out)
 
 
 def _pointwise_order(n: float) -> int:

@@ -42,24 +42,29 @@ WEIGHT_NAMES = (
 )
 
 
+def _spec_number(name: str, what: str, text: str) -> float:
+    """One number of a ``kind:...`` spec; a non-finite one is a bad spec."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise UnknownPreset(f"bad {what} spec {name!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise UnknownPreset(f"bad {what} spec {name!r}: {text!r} is not a finite number")
+    return value
+
+
 def preset_signal(name: str, grid: Grid) -> Signal:
     if name == "sin10k":
         return make_signal_from_fn(grid, lambda k: math.sin(10.0 * k))
     if name.startswith("poly:"):
-        try:
-            coeffs = [float(c) for c in name[5:].split(",") if c]
-        except ValueError as exc:
-            raise UnknownPreset(f"bad polynomial spec {name!r}: {exc}") from None
+        coeffs = [_spec_number(name, "polynomial", c) for c in name[5:].split(",") if c]
         if not coeffs:
             raise UnknownPreset(f"polynomial spec {name!r} has no coefficients")
         return make_signal_from_fn(
             grid, lambda k: sum(c * k**j for j, c in enumerate(coeffs))
         )
     if name.startswith("geom:"):
-        try:
-            r = float(name[5:])
-        except ValueError as exc:
-            raise UnknownPreset(f"bad geometric spec {name!r}: {exc}") from None
+        r = _spec_number(name, "geometric", name[5:])
         if r <= 0.0:
             raise UnknownPreset(f"geometric ratio must be positive, got {r}")
         return make_signal_from_fn(grid, lambda k: r ** (k - grid.a))
@@ -92,9 +97,5 @@ def preset_weight(name: str, grid: Grid) -> Weight:
     if name == "case1":
         return make_weight(grid, rate=1.0 - math.sqrt(2.0))
     if name.startswith("exp:"):
-        try:
-            rate = float(name[4:])
-        except ValueError as exc:
-            raise UnknownPreset(f"bad exponential spec {name!r}: {exc}") from None
-        return make_weight(grid, rate=rate)
+        return make_weight(grid, rate=_spec_number(name, "exponential", name[4:]))
     return make_weight(grid, fn=weight_case_fn(name, grid.a))

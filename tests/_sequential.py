@@ -182,6 +182,16 @@ def causal_sum_seq(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def causal_dot_seq(c: np.ndarray, z: np.ndarray) -> float:
+    """``sum_{i<n} c[i] z[n-1-i]`` with ``n = len(z)``, one scalar
+    accumulator, ascending lag."""
+    n = len(z)
+    acc = 0.0
+    for i in range(n):
+        acc += c[i] * z[n - 1 - i]
+    return acc
+
+
 def rising_over_gamma_row_seq(q: float, d: float, N: int) -> np.ndarray:
     """``[rising_over_gamma(m, q, d) for m = 1..N]``, one Gamma-ratio
     evaluation per point."""

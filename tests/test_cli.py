@@ -426,3 +426,53 @@ def test_nonfinite_output_names_its_offset(tmp_path, capsys, argv, where):
     assert run([*argv, "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"nt: numeric error: {where}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k", "--weight", "exp:nan"],
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "geom:nan"],
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "poly:1,nan"],
+        ["verify", "--perturb", "nan"],
+        ["verify", "--perturb", "inf"],
+        ["taylor", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+         "--degree", "-1", "--rep", "future"],
+        ["taylor", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+         "--degree", "-1", "--rep", "initial"],
+    ],
+    ids=["weight-exp-nan", "signal-geom-nan", "signal-poly-nan", "perturb-nan",
+         "perturb-inf", "degree-future", "degree-initial"],
+)
+def test_bad_spec_or_option_value_is_one_line_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] != "verify":
+        argv = [*argv, "--out", str(out)]
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects the option value
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nt: configuration error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, order", [("rl", "0.5"), ("nabla", "2")])
+def test_tempered_difference_overflow_prints_no_warning(tmp_path, kind, order):
+    # the closing tempered difference overflows at offset 620 under case2;
+    # a separate process, so numpy warnings would reach its stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablatc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    out = tmp_path / "x.csv"
+    res = subprocess.run(
+        [sys.executable, "-m", "nablatc.cli", "eval", "--kind", kind, "--order", order,
+         "--signal", "sin10k", "--weight", "case2", "--N", "620", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 3
+    assert res.stderr.startswith("nt: numeric error:") and res.stderr.count("\n") == 1
+    assert "Warning" not in res.stderr
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from nablatc.operators import (
     rl_tempered,
     set_fault_injection,
 )
-from nablatc.signals import Grid, Signal, make_signal_from_fn, make_weight, scale_weight
+from nablatc.signals import (
+    Grid,
+    NonFiniteSample,
+    Signal,
+    make_signal_from_fn,
+    make_weight,
+    scale_weight,
+)
 from nablatc.special import rising_over_gamma
 
 from _oracles import gl_sum_ref, rl_ref
@@ -363,3 +371,17 @@ def test_signed_binomials_are_shared_read_only():
         with pytest.raises(ValueError):
             coef[0] = 2.0
     np.testing.assert_array_equal(_signed_binomials(3), [1.0, -3.0, 3.0, -1.0])
+
+
+@pytest.mark.parametrize("tempered", [False, True])
+def test_integer_difference_overflow_raises_without_warning(tempered):
+    # finite samples whose difference overflows: Signal rejects the output
+    g = Grid(0.0, 2, 4)
+    x = Signal(g, np.array([1e308, -1e308, 1e308, -1e308, 1e308, -1e308, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSample):
+            if tempered:
+                nabla_n_tempered(x, 2, make_weight(g, rate=0.0))
+            else:
+                nabla_n(x, 2)

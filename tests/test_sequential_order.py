@@ -1,8 +1,8 @@
 """Byte equality of the accumulating kernels with sequential evaluation.
 
 ``gl_coefficients``, the exponential ``make_weight``, ``ml_function``,
-``fde_solve``, the lagged-sum kernel ``causal_sum`` and ``convolve`` run
-their recurrences and inner sums as numpy accumulations;
+``fde_solve``, the lagged-sum kernels ``causal_sum`` and ``causal_dot`` and
+``convolve`` run their recurrences and inner sums as numpy accumulations;
 the README promises results identical to the scalar loops in
 ``_sequential.py``.  The one-pass Gamma-ratio row and lattice sampler must
 equal their per-point copies there.  Error cases must raise the same
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nablatc import operators, presets
+from nablatc import laplace, operators, presets
 from nablatc.errors import NablaError
 from nablatc.laplace import (
     _ML_BLOCK,
@@ -33,6 +33,7 @@ from nablatc.signals import Grid, NonFiniteSample, Signal, ZeroWeight, _sample, 
 from nablatc.special import gl_coefficients, rising_over_gamma_row
 
 from _sequential import (
+    causal_dot_seq,
     causal_sum_seq,
     exp_weight_seq,
     fde_values_seq,
@@ -120,6 +121,51 @@ def test_fde_solve_sequential(alpha, mu, x_a, N, weight):
     w = preset_weight(weight, Grid(0.0, 0, N))
     got = _outcome(lambda: fde_solve(alpha, mu, w, x_a, N).values)
     assert got == _outcome(lambda: fde_values_seq(alpha, mu, w, x_a, N).values)
+
+
+def _alternating_causal_dot(c, z):
+    # steps with an even number of terms take the fallback route
+    if len(z) % 2:
+        return operators.causal_dot(c, z)
+    return operators._causal_dot_accumulate(c, z)
+
+
+@pytest.mark.parametrize("route", ["default", "fallback", "mixed"])
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=0.01, max_value=0.99),
+    st.floats(min_value=-0.9, max_value=2.0),
+    st.one_of(st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([0.0, -0.0])),
+    st.integers(min_value=1, max_value=300),
+    st.sampled_from(WEIGHTS),
+)
+@example(0.5, 0.0, -0.0, 5, "one")  # every inner term is -0.0
+@example(0.5, 0.0, 0.0, 5, "one")
+@example(0.5, 1.5, 0.0, 5, "case4")  # 1 - mu < 0: z(1) is -0.0
+@example(0.3, 1.5, -0.0, 40, "exp:-0.02")
+@example(0.999, 0.95, 1.0, 300, "one")  # grows past binary64: NonFiniteSample
+def test_fde_solve_routes_sequential(route, alpha, mu, x_a, N, weight):
+    """The solver against the scalar loop with the vecdot route, with the
+    multiply-and-accumulate fallback the probe selects where vecdot sums
+    otherwise, and with the two routes alternating from step to step."""
+    w = preset_weight(weight, Grid(0.0, 0, N))
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "fallback":
+            mp.setattr(operators, "_VECDOT_IN_ORDER", False)
+        elif route == "mixed":
+            mp.setattr(laplace, "causal_dot", _alternating_causal_dot)
+        got = _outcome(lambda: fde_solve(alpha, mu, w, x_a, N).values)
+    assert got == _outcome(lambda: fde_values_seq(alpha, mu, w, x_a, N).values)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_fde_solve_overflow_raises_on_both_routes():
+    w = preset_weight("one", Grid(0.0, 0, 300))
+    for in_order in (operators._VECDOT_IN_ORDER, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_VECDOT_IN_ORDER", in_order)
+            with pytest.raises(NonFiniteSample, match="lattice offset"):
+                fde_solve(0.999, 0.95, w, 1.0, 300)
 
 
 @pytest.mark.parametrize(
@@ -259,6 +305,52 @@ def test_einsum_probe(n):
     odd = operators._causal_sum_tiled(c, np.tile([a, -1.0], n)[:n])[1::2]
     if not fuses:
         assert (odd == two_roundings).all()
+
+
+def test_vecdot_probe():
+    in_order = operators._vecdot_in_order()
+    assert isinstance(in_order, bool)
+    assert in_order == operators._VECDOT_IN_ORDER
+    if in_order:
+        # [2^53, 1, ..., 1, -2^53] in ascending lag: each 2^53 + 1 rounds
+        # back to 2^53 only when the ones are added one at a time
+        n = operators._ORDER_PROBE_TERMS
+        z = np.ones(n)
+        z[-1], z[0] = 2.0**53, -(2.0**53)
+        assert operators.causal_dot(np.ones(n), z) == 0.0
+        a = 1.0 + 2.0**-30
+        got = operators.causal_dot(np.array([1.0, a]), np.array([a, -1.0]))
+        assert got == 2.0**-29  # a fused multiply-add gives 2^-29 + 2^-60
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    _scales,
+    _scales,
+    _marks,
+    _marks,
+)
+@example(0, 0, 0, 1.0, 1.0, [], [])
+@example(1, 0, 1, -0.0, 1.0, [], [])
+@example(300, 5, 2, 1e160, -1e160, [], [])  # products overflow to +-inf
+@example(513, 30, 4, 1.0, 1.0, [(1, np.nan)], [(512, -np.inf), (3, np.nan)])
+def test_causal_dot_sequential(n, extra, seed, c_scale, z_scale, c_marks, z_marks):
+    """Both routes of the one-output causal sum against the scalar loop,
+    with ``c`` longer than ``z`` and non-finite, signed-zero and
+    overflowing terms."""
+    rng = np.random.default_rng(seed)
+    c = _marked(rng.standard_normal(n + extra) * c_scale, c_marks)
+    z = _marked(rng.standard_normal(n) * z_scale, z_marks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _canonical_nan_bytes(np.array([causal_dot_seq(c, z)]))
+        for in_order in (operators._VECDOT_IN_ORDER, False):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(operators, "_VECDOT_IN_ORDER", in_order)
+                got = operators.causal_dot(c, z)
+            assert _canonical_nan_bytes(np.array([got])) == expected
 
 
 @settings(max_examples=200, deadline=None)
