@@ -370,10 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laplace", help="transform evaluation / rule checks")
     _add_grid_args(p, default_n=2000)
-    p.add_argument("--s-re", type=float, required=True)
-    p.add_argument("--s-im", type=float, default=0.0)
+    p.add_argument("--s-re", type=finite, required=True)
+    p.add_argument("--s-im", type=finite, default=0.0)
     p.add_argument("--rule", choices=("gl", "rl", "caputo", "int"), default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=finite, default=None)
     p.add_argument("--order", type=float, default=0.5)
 
     p = sub.add_parser("repro", help="emit the reference experiment datasets")

@@ -392,6 +392,9 @@ _ML_MAX_TERMS = 8192
 _ML_BLOCK = 256
 #: Terms added to every point's running sum between two stop/guard checks.
 _ML_CHUNK = 32
+#: Rows of each term block built first; the rest of the block is built only
+#: if some point is still summing past them.
+_ML_FIRST_ROWS = 96
 _ML_STOP_REL = 1e-15
 _ML_BLOWUP_REL = 1e12
 #: Largest term the compensated sum may cancel, relative to max(1, |F(k)|).
@@ -445,41 +448,89 @@ def _dd_div_scalar(xh, xl, d):
 
 
 def _ml_term_block(
-    i0: int, count: int, al: float, be: float, mu: float, horizon: int
+    i0: int,
+    r1: int,
+    al: float,
+    be: float,
+    mu: float,
+    horizon: int,
+    r0: int = 0,
+    chain: tuple[list[float], list[float]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Double-width term matrix T[i - i0, m - 1] = mu^i * prod_{j=1}^{m-1} (i al + be - 1 + j)/j.
+    """Rows ``r0 .. r1 - 1`` of the double-width term block of block ``i0``:
+    T[r - r0, m - 1] = mu^i * prod_{j=1}^{m-1} (i al + be - 1 + j)/j, i = i0 + r.
 
     The factor product is the Gamma-ratio term of the kernel series with an
     integer lattice base, which also realizes its pole cancellations: a
     vanishing factor is exactly the zero the normalized ratio prescribes.
     Every factor is tabulated in one 2-D pass; only the cumulative product
     over m runs as a loop, one vectorised step per lattice offset.
+
+    Rows never mix: each takes the same elementwise operations whatever
+    range it is built in, and mu^t comes from one scalar chain from 1,
+    extended only as far as the rows built (``chain`` carries it between
+    calls).  So any split of a block into row ranges concatenates to the
+    whole block, ``r0 = 0, r1 = 256``, bit for bit.
     """
+    n = r1 - r0
+    pw_h, pw_l = chain if chain is not None else ([1.0], [0.0])
     # past the divergence guard the raw terms may overflow; infinities
     # propagate to the guard, which raises before the values are used
     with np.errstate(over="ignore", invalid="ignore"):
-        ivec = np.arange(i0, i0 + count, dtype=np.float64)
+        ivec = np.arange(i0 + r0, i0 + r1, dtype=np.float64)
         zh, zl = _two_prod(ivec, al)
         zh, zl = _dd_add(zh, zl, be - 1.0, 0.0)
-        # mu^t for t < count, then mu^i0, by one chain of scalar products
-        # from 1; block i0 scales the first by the second
-        pw_h, pw_l = [1.0], [0.0]
-        h, l = 1.0, 0.0
-        for _ in range(max(i0, count - 1)):
+        # mu^t for the rows t, then mu^i0; block i0 scales the first by the
+        # second
+        h, l = pw_h[-1], pw_l[-1]
+        for _ in range(len(pw_h), max(i0, r1 - 1) + 1):
             h, l = _dd_mul(h, l, mu, 0.0)
             pw_h.append(h)
             pw_l.append(l)
-        muh, mul = np.array(pw_h[:count]), np.array(pw_l[:count])
+        muh, mul = np.array(pw_h[r0:r1]), np.array(pw_l[r0:r1])
         if i0:
             muh, mul = _dd_mul(muh, mul, pw_h[i0], pw_l[i0])
         # row m - 1 of the factor table is (i al + be - 1 + (m - 1)) / (m - 1)
         d = np.arange(1.0, horizon)[:, None]
         fh, fl = _dd_div_scalar(*_dd_add(zh, zl, d, 0.0), d)
-        ph = np.empty((horizon, count))
-        pl = np.empty((horizon, count))
+        # the Dekker halves _two_prod splits its second operand into, taken
+        # once for the whole table
+        fb = _SPLIT * fh
+        fhi = fb - (fb - fh)
+        flo = fh - fhi
+        ph = np.empty((horizon, n))
+        pl = np.empty((horizon, n))
         ph[0], pl[0] = 1.0, 0.0
-        for m in range(1, horizon):
-            ph[m], pl[m] = _dd_mul(ph[m - 1], pl[m - 1], fh[m - 1], fl[m - 1])
+        split = np.full(n, _SPLIT)
+        p, aa, t, ahi, alo, x, e, q = np.empty((8, n))
+        mult, add, sub = np.multiply, np.add, np.subtract
+        steps = zip(ph[:-1], pl[:-1], fh, fl, fhi, flo, ph[1:], pl[1:])
+        for a, a_l, b, b_l, bhi, blo, s, err in steps:
+            # (s, err) = _dd_mul(a, a_l, b, b_l), written out into reused
+            # buffers: the same operations in the same order
+            mult(a, b, p)
+            mult(split, a, aa)
+            sub(aa, a, t)
+            sub(aa, t, ahi)
+            sub(a, ahi, alo)
+            mult(ahi, bhi, x)
+            sub(x, p, e)
+            mult(ahi, blo, x)
+            add(e, x, e)
+            mult(alo, bhi, x)
+            add(e, x, e)
+            mult(alo, blo, x)
+            add(e, x, e)
+            mult(a, b_l, x)
+            add(e, x, q)
+            mult(a_l, b, x)
+            add(q, x, q)
+            add(p, q, s)
+            sub(s, p, t)
+            sub(s, t, x)
+            sub(p, x, x)
+            sub(q, t, e)
+            add(x, e, err)
         th, tl = _dd_mul(ph, pl, muh, mul)
     return np.ascontiguousarray(th.T), np.ascontiguousarray(tl.T)
 
@@ -517,15 +568,39 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
     run_h = np.zeros((_ML_CHUNK, horizon))
     run_l = np.zeros((_ML_CHUNK, horizon))
     rows = np.arange(_ML_CHUNK)[:, None]
+    # step t reads row t - 1, which is row -1, the carried sums, at t = 0
+    hs, ls = list(run_h), list(run_l)
+    steps = list(zip(hs[-1:] + hs[:-1], ls[-1:] + ls[:-1], hs, ls))
+    s, bb, v, w, e = np.empty((5, horizon))
+    add, sub = np.add, np.subtract
+    # mu^t, shared by every block's rows
+    chain = ([1.0], [0.0])
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, _ML_MAX_TERMS, _ML_CHUNK):
-            if i % _ML_BLOCK == 0:
-                th, tl = _ml_term_block(i, _ML_BLOCK, al, be, mu, horizon)
             t0 = i % _ML_BLOCK
-            ch, cl = th[t0 : t0 + _ML_CHUNK], tl[t0 : t0 + _ML_CHUNK]
-            for t in range(_ML_CHUNK):
-                # row t - 1 is row -1, the carried sums, at t = 0
-                run_h[t], run_l[t] = _dd_add(run_h[t - 1], run_l[t - 1], ch[t], cl[t])
+            if t0 == 0 or t0 == _ML_FIRST_ROWS:
+                r1 = _ML_FIRST_ROWS if t0 == 0 else _ML_BLOCK
+                th, tl = _ml_term_block(i - t0, r1, al, be, mu, horizon, t0, chain)
+                r0 = t0
+            ch = th[t0 - r0 : t0 - r0 + _ML_CHUNK]
+            cl = tl[t0 - r0 : t0 - r0 + _ML_CHUNK]
+            for (xh, xl, sh, sl), yh, yl in zip(steps, ch, cl):
+                # (sh, sl) = _dd_add(xh, xl, yh, yl), written out into
+                # reused buffers: the same operations in the same order
+                add(xh, yh, s)
+                sub(s, xh, bb)
+                sub(s, bb, v)
+                sub(xh, v, v)
+                sub(yh, bb, w)
+                add(v, w, e)
+                add(e, xl, e)
+                add(e, yl, w)
+                add(s, w, sh)
+                sub(sh, s, bb)
+                sub(sh, bb, v)
+                sub(s, v, v)
+                sub(w, bb, e)
+                add(v, e, sl)
             mag = np.abs(ch)
             ref = np.maximum(np.abs(run_h), _TINY)
             small = mag <= _ML_STOP_REL * ref
@@ -598,15 +673,18 @@ def fde_solve(
     c = gl_coefficients(alpha, N).coeffs
     z = np.empty(N + 1)
     z[0] = w.at(0) * x_a
-    z0 = z[0]
-    one_minus_mu = 1.0 - mu
+    # the step scalars are Python floats: the same binary64 operations as
+    # numpy's scalars, without their dispatch
+    z0 = float(z[0])
+    one_minus_mu = 1.0 - float(mu)
     # lag[j] = z(j) - z(a) for j >= 1, so step m's terms c_i lag[m-i],
     # i = 1..m-1, are the one-output causal sum of c[1:m] against lag[1:m]
     lag = np.empty(N + 1)
     # an overflowing step makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, N + 1):
-            z[m] = (z0 - causal_dot(c[1:m], lag[1:m])) / one_minus_mu
-            lag[m] = z[m] - z0
+            zm = (z0 - float(causal_dot(c[1:m], lag[1:m]))) / one_minus_mu
+            z[m] = zm
+            lag[m] = zm - z0
         x_vals = z / w.window(0, N)
     return Signal(Grid(w.grid.a, 0, N), x_vals)

@@ -145,8 +145,11 @@ _TILE = 256
 def _causal_sum_by_lag(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     N = len(z)
     out = np.zeros(N)
-    for i in range(N):
-        out[i:] += c[i] * z[: N - i]
+    # a non-finite c (the usual reason for this route) makes non-finite
+    # outputs, which the caller rejects; inf * 0 and inf - inf need no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(N):
+            out[i:] += c[i] * z[: N - i]
     return out
 
 
@@ -225,7 +228,7 @@ def _causal_dot_vecdot(c: np.ndarray, z: np.ndarray) -> float:
     # a reversed operand has no BLAS stride, so vecdot runs numpy's plain
     # dot loop: one accumulator from 0.0, terms in ascending i, a product
     # and a sum rounded apiece, the whole core dimension in one call
-    return _vecdot(c[:n], z[::-1])
+    return _vecdot(c if len(c) == n else c[:n], z[::-1])
 
 
 def _causal_dot_accumulate(c: np.ndarray, z: np.ndarray) -> float:

@@ -200,11 +200,19 @@ class GLCoefficientSeq:
         return len(self.coeffs)
 
 
+#: Orders and lengths inside which the coefficients cannot overflow:
+#: |c_i| <= Gamma(i + |order|) / (Gamma(|order|) i!), below 1e227 there.
+_BOUNDED_ORDER = 40.0
+_BOUNDED_LENGTH = 10**7
+
+
 def gl_coefficients(order: float, length: int) -> GLCoefficientSeq:
     """Generate fractional differencing weights by the multiplicative recurrence.
 
     The recurrence is O(1) per term and never touches a Gamma pole, unlike
-    the closed-form Gamma ratio it equals.
+    the closed-form Gamma ratio it equals.  Past ``|order| = 40`` (or ten
+    million terms) the weights may overflow to infinities, without a numpy
+    warning; callers reject the non-finite result.
     """
     if length < 0:
         raise DomainError(f"coefficient sequence length must be >= 0, got {length}")
@@ -214,7 +222,11 @@ def gl_coefficients(order: float, length: int) -> GLCoefficientSeq:
         i = np.arange(1.0, length)
         c[1:] = (i - 1.0 - order) / i
         # multiply.accumulate runs strictly left to right: c_i = c_{i-1} * ratio_i
-        np.multiply.accumulate(c, out=c)
+        if abs(order) <= _BOUNDED_ORDER and length <= _BOUNDED_LENGTH:
+            np.multiply.accumulate(c, out=c)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply.accumulate(c, out=c)
     return GLCoefficientSeq(order=float(order), coeffs=c)
 
 

@@ -476,3 +476,41 @@ def test_tempered_difference_overflow_prints_no_warning(tmp_path, kind, order):
     assert res.stderr.startswith("nt: numeric error:") and res.stderr.count("\n") == 1
     assert "Warning" not in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["laplace", "--signal", "sin10k", "--s-re", "nan"], "--s-re"),
+        (["laplace", "--signal", "sin10k", "--s-re", "1.5", "--s-im", "inf"], "--s-im"),
+        (["laplace", "--signal", "sin10k", "--rule", "gl", "--lambda", "nan",
+          "--order", "0.5", "--s-re", "1.5"], "--lambda"),
+    ],
+    ids=["s-re-nan", "s-im-inf", "lambda-nan"],
+)
+def test_nonfinite_transform_option_is_one_line_exit_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nt: configuration error: argument " + option)
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_huge_order_prints_one_error_line(tmp_path):
+    # the weights overflow past offset 2, and the lagged sum takes its
+    # per-lag route on the non-finite weights; a separate process, so numpy
+    # warnings from either would reach its stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablatc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    out = tmp_path / "x.csv"
+    res = subprocess.run(
+        [sys.executable, "-m", "nablatc.cli", "eval", "--kind", "gl", "--order", "1e300",
+         "--signal", "sin10k", "--N", "50", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 3
+    assert res.stderr.startswith("nt: numeric error:") and res.stderr.count("\n") == 1
+    assert "Warning" not in res.stderr
+    assert not out.exists()

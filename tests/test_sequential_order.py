@@ -222,6 +222,79 @@ def test_ml_term_block_matches_pinned_copy(i0, alpha, beta, mu, N):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([0, 256, 512]),
+    st.lists(st.integers(min_value=1, max_value=_ML_BLOCK - 1), max_size=4),
+    st.booleans(),
+    st.floats(min_value=0.05, max_value=1.9),
+    st.floats(min_value=0.5, max_value=2.5),
+    st.floats(min_value=-0.9, max_value=0.9),
+    st.integers(min_value=1, max_value=80),
+)
+@example(0, [96], True, 0.6, 1.0, -0.3, 48)  # the kernel's own split
+@example(512, [1, 96, 255], False, 0.1, 1.0, -0.9, 80)
+def test_ml_term_block_row_ranges_concatenate(i0, cuts, shared, alpha, beta, mu, N):
+    """Any split of a block into row ranges, built in ascending order with or
+    without a shared mu^t chain, concatenates to the whole block."""
+    whole = _ml_term_block(i0, _ML_BLOCK, alpha, beta, mu, N)
+    edges = [0, *sorted(set(cuts)), _ML_BLOCK]
+    chain = ([1.0], [0.0]) if shared else None
+    parts = [
+        _ml_term_block(i0, r1, alpha, beta, mu, N, r0, chain)
+        for r0, r1 in zip(edges, edges[1:])
+    ]
+    for k in (0, 1):
+        assert np.concatenate([p[k] for p in parts]).tobytes() == whole[k].tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(min_value=0.3, max_value=1.9),
+    st.floats(min_value=0.5, max_value=2.5),
+    st.floats(min_value=-0.9, max_value=0.9),
+    st.integers(min_value=1, max_value=64),
+    st.none(),
+)
+# the last point stops at term 95, the first pass's last row: no more rows
+@example(0.68, 1.22, 0.34, 57, "first pass")
+# the last point stops at term 96, the first row built on demand
+@example(0.38, 1.98, 0.47, 32, "second pass")
+# the last point stops at term 567: two whole blocks, then a first pass
+@example(0.28, 0.57, 0.9, 13, "third block")
+@example(1.0, 1.0, -0.1, 32, "diverging")  # blow-up guard, lattice offset 10
+@example(0.9, 1.0, -0.5, 72, "cancels")  # cancellation guard, lattice offset 69
+@example(0.02, 1.0, 0.999, 1, "did not settle")  # term budget
+def test_ml_function_row_passes_sequential(alpha, beta, mu, N, expect):
+    """The kernel with rows built on demand against the pinned per-term loop,
+    at the edges of its row passes and at each divergence guard."""
+    params = MLParams(alpha, beta, mu)
+    built = []
+
+    def recording_block(i0, r1, al, be, mu, horizon, r0, chain):
+        built.append((i0, r0, r1))
+        return _ml_term_block(i0, r1, al, be, mu, horizon, r0, chain)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laplace, "_ml_term_block", recording_block)
+        got = _outcome(lambda: ml_function(params, N).values)
+    ref = _outcome(lambda: ml_values_seq(params, N))
+    if got != ref:
+        # the only permitted difference: the range guard refuses a sum the
+        # unguarded accumulation completed
+        assert isinstance(ref, bytes)
+        assert got[0] is SeriesDiverged and "cancels" in got[1]
+    first = laplace._ML_FIRST_ROWS
+    if expect == "first pass":
+        assert built == [(0, 0, first)]
+    elif expect == "second pass":
+        assert built == [(0, 0, first), (0, first, _ML_BLOCK)]
+    elif expect == "third block":
+        assert [b[0] for b in built] == [0, 0, 256, 256, 512]
+    elif expect is not None:
+        assert got[0] is SeriesDiverged and expect in got[1]
+
+
 finite = st.floats(min_value=-1e100, max_value=1e100)
 pairs = st.lists(st.tuples(finite, finite), min_size=1, max_size=96)
 # 64 standard-normal pairs: a pairwise or blocked dot product rounds

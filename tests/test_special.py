@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,3 +125,26 @@ def test_gl_coefficients_immutable():
     c = gl_coefficients(0.5, 4)
     with pytest.raises(ValueError):
         c.coeffs[0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "order, length", [(1e300, 300), (-1e300, 300), (41.0, 300), (-1e20, 300), (1100.0, 1200)]
+)
+def test_gl_coefficients_past_the_bounded_orders_warn_nothing(order, length):
+    # past |order| = 40 the weights may overflow, silently; at an integer
+    # order past the overflow, inf times the zero ratio is NaN, also silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = gl_coefficients(order, length).coeffs
+    assert c[0] == 1.0
+    assert c[1] == -order
+    if abs(order) > 1e100:
+        assert not np.isfinite(c[2:]).any()
+    if order == 1100.0:
+        assert np.isnan(c[1101:]).all()
+
+
+def test_gl_coefficients_bounded_orders_stay_finite():
+    # the bound behind the unguarded path: |order| = 40 over 10^5 terms
+    for order in (40.0, -40.0, 39.5):
+        assert np.isfinite(gl_coefficients(order, 10**5).coeffs).all()
