@@ -33,6 +33,7 @@ from .laplace import (
     nlt,
 )
 from .operators import (
+    MAX_INTEGER_STAGE,
     IntegerOrder,
     OperatorKind,
     OperatorSpec,
@@ -190,8 +191,14 @@ def cmd_laplace(cfg: RunConfig) -> int:
     if rule is not None:
         check_order(RULE_KINDS[rule], cfg.order)
         if cfg.history is None:
-            # rules with initial-condition terms need history at the base
+            # rules with initial-condition terms need history at the base;
+            # the single-sum rule admits any order, so its default is capped
             cfg.history = max(int(math.ceil(cfg.order)), 0)
+            if cfg.history > MAX_INTEGER_STAGE:
+                raise ConfigError(
+                    f"--order {cfg.order} would take {cfg.history} history points by "
+                    f"default, past the cap of {MAX_INTEGER_STAGE}; pass --history"
+                )
     x = _load_signal(cfg)
     if rule is None:
         ev = nlt(x, s)

@@ -550,11 +550,21 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
     al, be, mu = params.alpha, params.beta, params.mu
     vals = np.zeros(horizon + 1)
 
-    # base point: only a matched pole survives the zero lattice base
+    # base point: the lattice base 0 puts a pole in Gamma(0), so a term
+    # survives only where Gamma(i al + be - 1) has a pole to match it and
+    # Gamma(i al + be) has none; every other term is exactly 0 and is
+    # skipped (adding it to a sum that started from +0.0 changes nothing)
+    i = np.arange(64)
+    q, d = i * al + be - 1.0, i * al + be
+    matched = (q <= 0.0) & (q == np.floor(q)) & ~((d <= 0.0) & (d == np.floor(d)))
     total = 0.0
-    for i in range(64):
-        term = rising_over_gamma(0, i * al + be - 1.0, i * al + be)
-        total += mu**i * term
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.flatnonzero(matched).tolist():
+            # a numpy power: the bits of the Python one, inf past binary64
+            term = rising_over_gamma(0, i * al + be - 1.0, i * al + be)
+            total += np.float64(mu) ** i * term
+    if not math.isfinite(total):
+        raise SeriesDiverged(f"kernel series overflows at the base point (mu = {mu})")
     vals[0] = total
 
     done = np.zeros(horizon, dtype=bool)

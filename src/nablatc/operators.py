@@ -35,6 +35,7 @@ __all__ = [
     "InsufficientHistory",
     "InsufficientLags",
     "IntegerOrder",
+    "MAX_INTEGER_STAGE",
     "causal_sum",
     "causal_dot",
     "check_order",
@@ -73,13 +74,20 @@ class OperatorKind(enum.Enum):
     CAPUTO = "caputo"
 
 
+#: Largest integer difference order: every ``(-1)^i C(n, i)`` of the
+#: stencil is finite in binary64 up to n = 1029 (C(1030, 515) overflows).
+MAX_INTEGER_STAGE = 1029
+
+
 def check_order(kind: OperatorKind, order: float) -> None:
     """Raise :class:`IntegerOrder` unless ``order`` is admissible for ``kind``.
 
-    RL and Caputo require a non-integer order in (n-1, n) with n >= 1;
-    the integer kind requires a positive integer; the single-sum kind
-    accepts any finite real order (positive = difference, negative = sum,
-    zero = identity).
+    RL and Caputo require a non-integer order in (n-1, n) with
+    1 <= n <= :data:`MAX_INTEGER_STAGE`; the integer kind requires a
+    positive integer up to that cap; the single-sum kind accepts any finite
+    real order (positive = difference, negative = sum, zero = identity).
+    The cap is checked before anything is allocated: the history a
+    difference of order n needs is n points long.
     """
     a = float(order)
     if not math.isfinite(a):
@@ -90,6 +98,13 @@ def check_order(kind: OperatorKind, order: float) -> None:
     elif kind is OperatorKind.INTEGER_NABLA:
         if a != math.floor(a) or a < 1:
             raise IntegerOrder(f"{kind.value} needs a positive integer order, got {a}")
+    else:
+        return
+    if a > MAX_INTEGER_STAGE:
+        raise IntegerOrder(
+            f"{kind.value} order {a} exceeds {MAX_INTEGER_STAGE}: the integer "
+            f"difference stencil past that order overflows binary64"
+        )
 
 
 @dataclass(frozen=True)
@@ -144,12 +159,14 @@ _TILE = 256
 
 def _causal_sum_by_lag(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     N = len(z)
-    out = np.zeros(N)
+    out = np.zeros(c.shape[:-1] + (N,))
+    # lag i's coefficient: a scalar, or a column of one entry per row of c
+    lags = c if c.ndim == 1 else c.T[..., None]
     # a non-finite c (the usual reason for this route) makes non-finite
     # outputs, which the caller rejects; inf * 0 and inf - inf need no warning
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(N):
-            out[i:] += c[i] * z[: N - i]
+            out[..., i:] += lags[i] * z[: N - i]
     return out
 
 
@@ -208,8 +225,13 @@ def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     The per-lag loop is used instead where that fails: when ``c[:len(z)]``
     holds a non-finite entry (``inf * 0`` is NaN), and on a numpy build
     whose einsum fuses multiply-add.
+
+    A 2-D ``c`` holds one coefficient row per output row, all against the
+    same ``z``: ``out[r, k] = sum_{i=0}^{k} c[r, i] z[k-i]``.  It takes the
+    per-lag loop, one 2-D multiply and add per lag for every row at once,
+    so each row equals the 1-D call with that row bit for bit.
     """
-    if _EINSUM_FUSES or not np.isfinite(c[: len(z)]).all():
+    if c.ndim > 1 or _EINSUM_FUSES or not np.isfinite(c[: len(z)]).all():
         return _causal_sum_by_lag(c, z)
     return _causal_sum_tiled(c, z)
 
@@ -370,6 +392,8 @@ def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
 def _pointwise_order(n: float) -> int:
     if not (float(n).is_integer() and n >= 0):
         raise IntegerOrder(f"difference order must be a nonnegative integer, got {n}")
+    if n > MAX_INTEGER_STAGE:
+        raise IntegerOrder(f"difference order {n} exceeds {MAX_INTEGER_STAGE}")
     return int(n)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -186,10 +187,11 @@ class GLCoefficientSeq:
 
     Satisfies ``c_0 = 1`` and ``c_i = c_{i-1} (i - 1 - order)/i``.  For
     order in (0, 1) every ``c_i`` with i >= 1 is negative; for order in
-    (-1, 0) they are all positive.
+    (-1, 0) they are all positive.  Built for a vector of orders, ``order``
+    is a tuple and ``coeffs`` holds one row per order.
     """
 
-    order: float
+    order: float | tuple[float, ...]
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
@@ -197,7 +199,8 @@ class GLCoefficientSeq:
 
     @property
     def length(self) -> int:
-        return len(self.coeffs)
+        """Terms per sequence."""
+        return self.coeffs.shape[-1]
 
 
 #: Orders and lengths inside which the coefficients cannot overflow:
@@ -206,27 +209,46 @@ _BOUNDED_ORDER = 40.0
 _BOUNDED_LENGTH = 10**7
 
 
-def gl_coefficients(order: float, length: int) -> GLCoefficientSeq:
+def gl_coefficients(order: float | Sequence[float], length: int) -> GLCoefficientSeq:
     """Generate fractional differencing weights by the multiplicative recurrence.
 
     The recurrence is O(1) per term and never touches a Gamma pole, unlike
     the closed-form Gamma ratio it equals.  Past ``|order| = 40`` (or ten
     million terms) the weights may overflow to infinities, without a numpy
     warning; callers reject the non-finite result.
+
+    ``order`` may be a 1-D sequence of orders: the result then holds one
+    row per order, each row bit-identical to the call with that order alone
+    (the same elementwise ratios, accumulated left to right along the row).
     """
     if length < 0:
         raise DomainError(f"coefficient sequence length must be >= 0, got {length}")
-    c = np.empty(length, dtype=np.float64)
+    # the scalar test first: np.ndim alone costs more than the short
+    # sequences most callers ask for
+    rows = not isinstance(order, (int, float)) and np.ndim(order) == 1
+    if rows:
+        orders = np.asarray(order, dtype=np.float64)
+        ratio_order = orders[:, None]
+        top = float(np.abs(orders).max(initial=0.0))
+        shape = (len(orders), length)
+    else:
+        ratio_order = order
+        top = abs(order)
+        shape = (length,)
+    c = np.empty(shape, dtype=np.float64)
     if length:
-        c[0] = 1.0
+        c[..., 0] = 1.0
         i = np.arange(1.0, length)
-        c[1:] = (i - 1.0 - order) / i
-        # multiply.accumulate runs strictly left to right: c_i = c_{i-1} * ratio_i
-        if abs(order) <= _BOUNDED_ORDER and length <= _BOUNDED_LENGTH:
-            np.multiply.accumulate(c, out=c)
+        c[..., 1:] = (i - 1.0 - ratio_order) / i
+        # multiply.accumulate runs strictly left to right along each row:
+        # c_i = c_{i-1} * ratio_i
+        if top <= _BOUNDED_ORDER and length <= _BOUNDED_LENGTH:
+            np.multiply.accumulate(c, axis=-1, out=c)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply.accumulate(c, out=c)
+                np.multiply.accumulate(c, axis=-1, out=c)
+    if rows:
+        return GLCoefficientSeq(order=tuple(orders.tolist()), coeffs=c)
     return GLCoefficientSeq(order=float(order), coeffs=c)
 
 

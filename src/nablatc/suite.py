@@ -14,7 +14,6 @@ group, so filtering never changes the instances a group sees.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from typing import Callable
@@ -102,16 +101,29 @@ def _instance_signal(rng: np.random.Generator, grid: Grid, idx: int) -> Signal:
     fam = idx % 4
     if fam == 0:
         return Signal(grid, rng.standard_normal(grid.npoints))
+    a = grid.a
     if fam == 1:
-        return make_signal_from_fn(grid, lambda k: math.sin(10.0 * k))
+        return _float_signal(grid, lambda k: math.sin(10.0 * k))
     if fam == 2:
-        c = rng.uniform(-2.0, 2.0, size=4)
+        c = rng.uniform(-2.0, 2.0, size=4).tolist()
         span = grid.horizon
-        return make_signal_from_fn(
-            grid, lambda k: sum(cj * ((k - grid.a) / span) ** j for j, cj in enumerate(c))
+        return _float_signal(
+            grid, lambda k: sum(cj * ((k - a) / span) ** j for j, cj in enumerate(c))
         )
     r = float(rng.uniform(0.75, 1.03))
-    return make_signal_from_fn(grid, lambda k: r ** (k - grid.a))
+    return _float_signal(grid, lambda k: r ** (k - a))
+
+
+def _float_signal(grid: Grid, f: Callable[[float], float]) -> Signal:
+    """``f`` at every lattice point, passed as a Python float.
+
+    Python floats go through the same IEEE operations (and the same libm
+    calls) as numpy float64 scalars, at a fraction of the call cost.  What
+    they do not share is overflow: a Python power raises instead of giving
+    inf, so this is for functions that stay finite on the grid.
+    """
+    vals = np.fromiter(map(f, grid.k_values().tolist()), np.float64, grid.npoints)
+    return Signal(grid, vals)
 
 
 def _instance_weight(rng: np.random.Generator, grid: Grid, idx: int) -> Weight:
@@ -146,7 +158,13 @@ def _horizon_cap(alpha: float, above_one: int = 32) -> int:
 def _tag(reports: list[IdentityReport], **extra) -> list[IdentityReport]:
     """Copies of ``reports`` whose params also hold ``extra`` (a new key goes
     last, an existing one keeps its place)."""
-    return [dataclasses.replace(r, params={**r.params, **extra}) for r in reports]
+    return [
+        IdentityReport(
+            r.identity_id, r.max_abs_dev, r.argmax_k, r.tolerance, r.passed,
+            {**r.params, **extra},
+        )
+        for r in reports
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +691,9 @@ def run_suite(
         for index, name, runner in selected:
             rng = np.random.default_rng([seed, index])
             for r in runner(rng, tolerance_scale):
-                if "group" not in r.params:
-                    r = dataclasses.replace(r, params={**r.params, "group": name})
+                # every report is new from this call's runner, with a params
+                # dict of its own, so the group key goes in last, in place
+                r.params.setdefault("group", name)
                 reports.append(r)
     finally:
         set_fault_injection(previous)

@@ -10,8 +10,10 @@ checkable against the direct evaluations pointwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .operators import (
     InsufficientLags,
     OperatorKind,
     OperatorSpec,
+    _signed_binomials,
     apply_operator,
     causal_sum,
     nabla_at,
@@ -128,28 +131,43 @@ def reconstruct_from_current(x: Signal, k_offset: int, j_offset: int) -> float:
     t = k_offset - j_offset
     if k_offset - t < -x.grid.history:
         raise InsufficientLags("expansion reaches below the stored grid")
+    # r[j] = x at offset k - j; row i of the table holds the stencil of
+    # nabla^i, so d[i] is nabla_at(x, i, k): its terms added in ascending j
+    pos = x.grid.position(k_offset)
+    r = x.values[pos - t : pos + 1][::-1]
+    d = 0.0 + np.add.accumulate(_difference_stencils(t) * r, axis=1)[:, -1]
     acc = 0.0
-    for i in range(t + 1):
-        # (j-k)^(i)/i! = (-1)^i C(t, i)
-        acc += (-1.0) ** i * math.comb(t, i) * nabla_at(x, i, k_offset)
+    # (j-k)^(i)/i! = (-1)^i C(t, i)
+    for b, di in zip(_signed_binomials(t).tolist(), d.tolist()):
+        acc += b * di
     return acc
 
 
-def _series_term_table(
+@functools.lru_cache(maxsize=32)
+def _difference_stencils(t: int) -> np.ndarray:
+    """Row i: the coefficients ``(-1)^j C(i, j)`` of nabla^i, j = 0..t
+    (zero past j = i); read-only."""
+    table = np.zeros((t + 1, t + 1))
+    for i in range(t + 1):
+        table[i, : i + 1] = _signed_binomials(i)
+    table.setflags(write=False)
+    return table
+
+
+def _series_terms(
     x: Signal, w: Weight, kind: OperatorKind, order: float, n: int, K: int, N: int
-) -> np.ndarray:
-    """Partial base-point series sum_{i..K} basis_i(k) (w(a)/w(k)) d_i."""
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Terms ``basis_i(k) (w(a)/w(k)) d_i`` of the base-point series, for
+    i from the integer stage (or 0) up to K, in ascending i."""
     i_lo = n if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) else 0
     ratio = w.at(0) / w.window(1, N)
-    out = np.zeros(N)
     for i in range(i_lo, K + 1):
         d_i = nabla_n_tempered_at(x, i, w, 0)
         if kind is OperatorKind.INTEGER_NABLA:
             basis = rising_over_factorial_row(i - n, N)
         else:
             basis = rising_over_gamma_row(i - order, i - order + 1, N)
-        out += basis * ratio * d_i
-    return out
+        yield i, basis * ratio * d_i
 
 
 def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
@@ -165,7 +183,9 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     if K < 0 or x.grid.history < K + 1:
         raise InsufficientHistory(f"degree {K} needs history >= {K + 1}")
     N = x.grid.horizon
-    series = _series_term_table(x, w, kind, order, n, K, N)
+    series = np.zeros(N)
+    for _, term in _series_terms(x, w, kind, order, n, K, N):
+        series += term
 
     # remainder coefficient: (k-j+1)^(K-order)/Gamma(K-order+1), with the
     # integer kind using (K-n)! in place of the Gamma
@@ -191,12 +211,16 @@ def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSw
         raise InsufficientHistory(f"sweep to degree {K_max} needs history >= {K_max + 1}")
     N = x.grid.horizon
     direct = apply_operator(x, spec).body
+    # one pass over the degrees: the series to degree K is the one to
+    # degree K - 1 plus term K, the same additions a rebuild would make
+    series = np.zeros(N)
     degrees = []
     deviations = []
-    for K in range(k_lo, K_max + 1):
-        series = _series_term_table(x, spec.weight, kind, spec.order, n, K, N)
-        degrees.append(K)
-        deviations.append(float(np.max(np.abs(series - direct))))
+    for i, term in _series_terms(x, spec.weight, kind, spec.order, n, K_max, N):
+        series += term
+        if i >= k_lo:
+            degrees.append(i)
+            deviations.append(float(np.max(np.abs(series - direct))))
     return SeriesSweep(
         kind=kind,
         order=spec.order,
@@ -219,16 +243,17 @@ def tempered_op_taylor_current(x: Signal, spec: OperatorSpec) -> Signal:
         raise InsufficientLags(f"sum-of-difference form needs history >= {shift}")
     rows = tempered_diff_rows(x, w, N - 1 + shift)
     binom = binomial_coefficients(order - shift, N)
-    body = np.zeros(N)
-    for m in range(1, N + 1):
-        acc = 0.0
-        for i in range(shift, m + shift):
-            acc += (
-                binom[i - shift]
-                * rising_over_gamma(m - i + shift, i - order, i - order + 1)
-                * rows[i, m - 1]
-            )
-        body[m - 1] = acc / w.at(m)
+    # acc[m-1] = sum_{i=shift}^{m-1+shift} binom[i-shift] (m-i+shift)^(i-order)
+    # / Gamma(i-order+1) rows[i, m-1], in ascending i: one pass per i over
+    # the points m >= i - shift + 1 it reaches, its basis one Gamma-ratio row
+    acc = np.zeros(N)
+    # an overflowing sum makes a non-finite sample, which Signal rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(shift, N + shift):
+            lo = i - shift
+            basis = rising_over_gamma_row(i - order, i - order + 1, N - lo)
+            acc[lo:] += binom[lo] * basis * rows[i, lo:]
+        body = acc / w.window(1, N)
     return Signal(Grid(x.grid.a, 0, N), np.concatenate([[0.0], body]))
 
 
@@ -251,33 +276,49 @@ def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     rows = tempered_diff_rows(x, w, K)
     binom = binomial_coefficients(order - shift, K - shift + 1)
     body = np.zeros(N)
-    for m in range(1, N + 1):
-        acc = 0.0
-        # terms with i >= m + shift carry a vanished basis (denominator pole)
-        for i in range(shift, K + 1):
-            acc += (
-                binom[i - shift]
-                * rising_over_gamma(m - i + shift, i - order, i - order + 1)
-                * rows[i, m - 1]
-            )
-        body[m - 1] = acc / w.at(m)
-    kern_q, kern_d = shift - order - 1.0, shift - order
-    kdeg = K - shift
-
-    # residual: sum over inner offsets of the (K+1)-th tempered difference
-    # against the lag-window kernel
-    v = nabla_n_tempered(x, K + 1, w)
-    wv = w.window(1, N) * v.body  # value at offset i is wv[i-1]
-    for m in range(1, N + 1):
-        res = 0.0
-        for io in range(2, m + 1):
-            s = 0.0
-            for jo in range(2, io + 1):
-                t = io - jo
-                if t < kdeg:
-                    continue
-                bval = (-1.0) ** kdeg * math.comb(t, kdeg)
-                s += rising_over_gamma(m - jo + 2, kern_q, kern_d) * bval
-            res += wv[io - 1] * s
-        body[m - 1] -= res / w.at(m)
+    # an overflowing sum makes a non-finite sample, which Signal rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, N + 1):
+            acc = 0.0
+            # terms with i >= m + shift carry a vanished basis (denominator pole)
+            for i in range(shift, K + 1):
+                acc += (
+                    binom[i - shift]
+                    * rising_over_gamma(m - i + shift, i - order, i - order + 1)
+                    * rows[i, m - 1]
+                )
+            body[m - 1] = acc / w.at(m)
+        v = nabla_n_tempered(x, K + 1, w)
+        res = _future_residual(w.window(1, N) * v.body, shift - order, K - shift)
+        body -= res / w.window(1, N)
     return Signal(Grid(x.grid.a, 0, N), np.concatenate([[0.0], body]))
+
+
+def _future_residual(wv: np.ndarray, kern_d: float, kdeg: int) -> np.ndarray:
+    """Residual of the future-instant form at offsets m = 1..N:
+
+        res(m) = sum_{io=2}^{m} wv(io) sum_{jo=2}^{io-kdeg} kern(m-jo+2) B(io-jo)
+
+    with ``wv(io) = wv[io-1]``, the lag-window kernel
+    ``kern(p) = p^(kern_d - 1)/Gamma(kern_d)`` and ``B(t) = (-1)^kdeg C(t, kdeg)``.
+    Both sums run in ascending order from 0.0, as the written-out loops do.
+    The kernel is one Gamma-ratio row and B one binomial row; the inner
+    sums are one 2-D pass per jo, the outer sum one pass per io.
+    """
+    N = len(wv)
+    kern = np.zeros(N + 1)  # kern[p] at base p = 1..N
+    kern[1:] = rising_over_gamma_row(kern_d - 1.0, kern_d, N)
+    bvals = np.zeros(N + 1)  # bvals[t] for t = kdeg..N
+    bvals[kdeg:] = [(-1.0) ** kdeg * math.comb(t, kdeg) for t in range(kdeg, N + 1)]
+    # inner[m, io] for outputs m and inner offsets io, both 0..N: pass jo
+    # adds its term wherever io >= lo = jo + kdeg (and m >= lo); only the
+    # entries with m >= io are read
+    inner = np.zeros((N + 1, N + 1))
+    for jo in range(2, N - kdeg + 1):
+        lo = jo + kdeg
+        terms = np.multiply.outer(kern[kdeg + 2 : N - jo + 3], bvals[kdeg : N - jo + 1])
+        inner[lo:, lo:] += terms
+    res = np.zeros(N + 1)
+    for io in range(2, N + 1):
+        res[io:] += wv[io - 1] * inner[io:, io]
+    return res[1:]

@@ -11,11 +11,15 @@ frozen copy of the column-by-column construction, so the library's
 tabulated block is checked against it rather than against itself.  Likewise
 the per-point Gamma-ratio row and the list-built lattice sampler are frozen
 copies of the one-call-per-point versions that the library's one-pass row
-and sampler replace.  The independent, high-precision references live in
-``_oracles.py``.
+and sampler replace, and the per-term loops of the Taylor forms, the
+product rule and the suite's instance signals are frozen copies of the
+loops that the library's row passes replace.  The independent,
+high-precision references live in ``_oracles.py``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,8 +37,27 @@ from nablatc.laplace import (
     _dd_mul,
     _two_prod,
 )
-from nablatc.signals import BadRate, Grid, GridMismatch, Signal, Weight
-from nablatc.special import DomainError, GLCoefficientSeq, rising_over_gamma
+from nablatc.operators import (
+    InsufficientLags,
+    OperatorKind,
+    OperatorSpec,
+    apply_operator,
+    causal_sum,
+    nabla_at,
+    nabla_n_tempered,
+    nabla_n_tempered_at,
+    tempered_diff_rows,
+)
+from nablatc.signals import BadRate, Grid, GridMismatch, Signal, Weight, make_signal_from_fn
+from nablatc.special import (
+    DomainError,
+    GLCoefficientSeq,
+    binomial_coefficients,
+    gl_coefficients,
+    rising_over_factorial_row,
+    rising_over_gamma,
+    rising_over_gamma_row,
+)
 
 
 def gl_coefficients_seq(order: float, length: int) -> GLCoefficientSeq:
@@ -203,3 +226,163 @@ def sample_seq(grid: Grid, f) -> np.ndarray:
     point."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.array([float(f(grid.a + m)) for m in grid.offsets()], dtype=np.float64)
+
+
+def taylor_sweep_seq(x: Signal, spec: OperatorSpec, K_max: int) -> list[float]:
+    """Deviations of the truncated base-point series from the direct
+    operator, the series rebuilt from its first term for every degree."""
+    kind, order, w = spec.kind, spec.order, spec.weight
+    n = spec.n if kind is not OperatorKind.GL else 0
+    k_lo = (n if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) else 0) + 1
+    i_lo = k_lo - 1
+    N = x.grid.horizon
+    direct = apply_operator(x, spec).body
+    ratio = w.at(0) / w.window(1, N)
+    deviations = []
+    for K in range(k_lo, K_max + 1):
+        series = np.zeros(N)
+        for i in range(i_lo, K + 1):
+            d_i = nabla_n_tempered_at(x, i, w, 0)
+            if kind is OperatorKind.INTEGER_NABLA:
+                basis = rising_over_factorial_row(i - n, N)
+            else:
+                basis = rising_over_gamma_row(i - order, i - order + 1, N)
+            series += basis * ratio * d_i
+        deviations.append(float(np.max(np.abs(series - direct))))
+    return deviations
+
+
+def reconstruct_from_current_seq(x: Signal, k_offset: int, j_offset: int) -> float:
+    """x at offset j from the backward differences at offset k, one
+    pointwise difference per term."""
+    if j_offset > k_offset:
+        raise InsufficientLags("target offset must not exceed the expansion point")
+    t = k_offset - j_offset
+    if k_offset - t < -x.grid.history:
+        raise InsufficientLags("expansion reaches below the stored grid")
+    acc = 0.0
+    for i in range(t + 1):
+        acc += (-1.0) ** i * math.comb(t, i) * nabla_at(x, i, k_offset)
+    return acc
+
+
+def taylor_current_seq(x: Signal, spec: OperatorSpec) -> np.ndarray:
+    """Body of the evaluation-point form, one Gamma ratio per (m, i) term."""
+    order, w = float(spec.order), spec.weight
+    N = x.grid.horizon
+    shift = spec.n if spec.kind is OperatorKind.CAPUTO else 0
+    if x.grid.history < shift:
+        raise InsufficientLags(f"sum-of-difference form needs history >= {shift}")
+    rows = tempered_diff_rows(x, w, N - 1 + shift)
+    binom = binomial_coefficients(order - shift, N)
+    body = np.zeros(N)
+    for m in range(1, N + 1):
+        acc = 0.0
+        for i in range(shift, m + shift):
+            acc += (
+                binom[i - shift]
+                * rising_over_gamma(m - i + shift, i - order, i - order + 1)
+                * rows[i, m - 1]
+            )
+        body[m - 1] = acc / w.at(m)
+    return body
+
+
+def taylor_future_seq(x: Signal, spec: OperatorSpec, K: int) -> np.ndarray:
+    """Body of the evaluation-point expansion with its double-sum residual,
+    one Gamma ratio and one binomial per residual term."""
+    kind, order, w = spec.kind, spec.order, spec.weight
+    N = x.grid.horizon
+    shift = spec.n if kind is OperatorKind.CAPUTO else 0
+    rows = tempered_diff_rows(x, w, K)
+    binom = binomial_coefficients(order - shift, K - shift + 1)
+    body = np.zeros(N)
+    for m in range(1, N + 1):
+        acc = 0.0
+        for i in range(shift, K + 1):
+            acc += (
+                binom[i - shift]
+                * rising_over_gamma(m - i + shift, i - order, i - order + 1)
+                * rows[i, m - 1]
+            )
+        body[m - 1] = acc / w.at(m)
+    kern_q, kern_d = shift - order - 1.0, shift - order
+    kdeg = K - shift
+    v = nabla_n_tempered(x, K + 1, w)
+    wv = w.window(1, N) * v.body
+    for m in range(1, N + 1):
+        res = 0.0
+        for io in range(2, m + 1):
+            s = 0.0
+            for jo in range(2, io + 1):
+                t = io - jo
+                if t < kdeg:
+                    continue
+                bval = (-1.0) ** kdeg * math.comb(t, kdeg)
+                s += rising_over_gamma(m - jo + 2, kern_q, kern_d) * bval
+            res += wv[io - 1] * s
+        body[m - 1] -= res / w.at(m)
+    return body
+
+
+def leibniz_rhs_seq(f: Signal, g: Signal, spec: OperatorSpec) -> np.ndarray:
+    """Product-rule right-hand side, one scalar accumulator per point and
+    one 1-D single sum per member of the inner family."""
+    w = spec.weight
+    N = f.grid.horizon
+    kind = spec.kind
+    if kind is OperatorKind.INTEGER_NABLA:
+        nn = int(spec.order)
+        frows = tempered_diff_rows(f, w, nn)
+        rhs = np.zeros(N)
+        for m in range(1, N + 1):
+            acc = 0.0
+            for i in range(nn + 1):
+                df = frows[i, m - 1] / w.at(m)
+                dg = nabla_at(g, nn - i, m - i)
+                acc += math.comb(nn, i) * df * dg
+            rhs[m - 1] = acc
+        return rhs
+    alpha = spec.order
+    binom = binomial_coefficients(alpha, N)
+    frows = tempered_diff_rows(f, w, N - 1)
+    inner = [
+        causal_sum(gl_coefficients(alpha - i, N - i).coeffs, g.body[: N - i])
+        for i in range(N)
+    ]
+    rhs = np.zeros(N)
+    for m in range(1, N + 1):
+        acc = 0.0
+        for i in range(m):
+            df = frows[i, m - 1] / w.at(m)
+            acc += binom[i] * df * inner[i][m - i - 1]
+        rhs[m - 1] = acc
+    if kind is OperatorKind.CAPUTO:
+        ratio = w.at(0) / w.window(1, N)
+        r_term = np.zeros(N)
+        for j in range(spec.n):
+            for i in range(j, spec.n):
+                df = nabla_n_tempered_at(f, j, w, 0)
+                dg = nabla_at(g, i - j, -j)
+                basis = rising_over_gamma_row(i - alpha, i - alpha + 1, N)
+                r_term += math.comb(i, j) * basis * ratio * (df * dg)
+        rhs = rhs - r_term
+    return rhs
+
+
+def instance_signal_seq(rng: np.random.Generator, grid: Grid, idx: int) -> Signal:
+    """The suite's instance signal with every family sampled on numpy
+    float64 points."""
+    fam = idx % 4
+    if fam == 0:
+        return Signal(grid, rng.standard_normal(grid.npoints))
+    if fam == 1:
+        return make_signal_from_fn(grid, lambda k: math.sin(10.0 * k))
+    if fam == 2:
+        c = rng.uniform(-2.0, 2.0, size=4)
+        span = grid.horizon
+        return make_signal_from_fn(
+            grid, lambda k: sum(cj * ((k - grid.a) / span) ** j for j, cj in enumerate(c))
+        )
+    r = float(rng.uniform(0.75, 1.03))
+    return make_signal_from_fn(grid, lambda k: r ** (k - grid.a))

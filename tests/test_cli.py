@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nablatc
@@ -334,6 +334,10 @@ def test_out_in_missing_directory_is_config_error(tmp_path, capsys):
         ["taylor", "--kind", "caputo", "--order", "nan"],
         ["laplace", "--rule", "gl", "--order", "nan", "--lambda", "0", "--s-re", "0.9"],
         ["laplace", "--rule", "int", "--order", "0", "--lambda", "0", "--s-re", "0.9"],
+        ["eval", "--kind", "nabla", "--order", "1e20"],
+        ["eval", "--kind", "nabla", "--order", "1030"],
+        ["eval", "--kind", "rl", "--order", "1029.5"],
+        ["laplace", "--rule", "int", "--order", "1e6", "--lambda", "0", "--s-re", "0.9"],
     ],
 )
 def test_bad_order_is_config_error(tmp_path, capsys, argv):
@@ -360,6 +364,8 @@ orders = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.floats(min_value=-8.0, max_value=8.0),
     st.integers(min_value=-8, max_value=8).map(float),
+    # integer stages past the cap: rejected before any history is allocated
+    st.sampled_from([1029.5, 1030.0, 1e6, 1e20, 2.0**53 + 2.0, 1e300]),
 )
 
 
@@ -369,6 +375,9 @@ orders = st.one_of(
     st.sampled_from(["gl", "rl", "caputo", "nabla", "int"]),
     orders,
 )
+@example("eval", "nabla", 1e20)
+@example("taylor", "caputo", 1029.5)
+@example("laplace", "int", 1e6)
 def test_any_order_exits_cleanly(command, kind, order):
     # runs in-process: a traceback would surface here as an uncaught exception
     with tempfile.TemporaryDirectory() as tmp:

@@ -279,6 +279,16 @@ def test_ml_divergence_guard():
         ml_function(MLParams(0.5, 1.0, 1.2), 40)
 
 
+def test_ml_base_point_overflow_is_series_diverged():
+    # mu^i past binary64 on the base point's zero terms raised a bare
+    # OverflowError; they are skipped now, and the series itself diverges
+    with pytest.raises(SeriesDiverged, match="lattice offset 1"):
+        ml_function(MLParams(0.5, 1.0, 1e6), 5)
+    # the one surviving term, i = 62, overflows itself
+    with pytest.raises(SeriesDiverged, match="base point"):
+        ml_function(MLParams(0.5, -30.0, 1e6), 5)
+
+
 def test_ml_cancellation_guard():
     # the largest term at k = 150 is ~1e38, past the compensated sum's range
     with pytest.raises(SeriesDiverged, match="lattice offset 69"):

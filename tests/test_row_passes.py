@@ -1,0 +1,417 @@
+"""Byte equality of the row passes with the per-term loops they replace.
+
+The Taylor sweep, the evaluation-point roundtrip and form, the
+future-instant residual, the product-rule right-hand side and the suite's instance
+signals each add the same terms, in the same order, with the same
+roundings as the loops frozen in ``_sequential.py``; so do the vector-order
+``gl_coefficients`` and the 2-D ``causal_sum`` against their 1-D calls.
+Every comparison is on bytes.  The suite's own shapes are covered first,
+then drawn ones.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nablatc import suite
+from nablatc.errors import NablaError
+from nablatc.identities import _leibniz_rhs, check_leibniz
+from nablatc.operators import OperatorKind, OperatorSpec, causal_sum
+from nablatc.presets import preset_signal, preset_weight
+from nablatc.signals import Grid, Signal
+from nablatc.special import gl_coefficients
+from nablatc.taylor import (
+    reconstruct_from_current,
+    taylor_series_initial,
+    tempered_op_taylor_current,
+    tempered_op_taylor_future,
+)
+
+from _sequential import (
+    causal_sum_seq,
+    instance_signal_seq,
+    leibniz_rhs_seq,
+    reconstruct_from_current_seq,
+    taylor_current_seq,
+    taylor_future_seq,
+    taylor_sweep_seq,
+)
+
+
+def _outcome(thunk):
+    """Bytes of one evaluation, or the type and message it raised."""
+    try:
+        out = thunk()
+    except NablaError as exc:
+        return type(exc), str(exc)
+    return np.asarray(out, dtype=np.float64).tobytes()
+
+
+def _signal(grid, name, seed):
+    if name == "random":
+        return Signal(grid, np.random.default_rng(seed).standard_normal(grid.npoints))
+    return preset_signal(name, grid)
+
+
+SIGNALS = ("sin10k", "poly:1,3,2", "geom:0.8", "geom:1.5", "random")
+WEIGHTS = ("one", "exp:-1", "case1", "case3", "case4")
+
+# ---------------------------------------------------------------------------
+# truncated series sweep
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sname", ["geom:2", "geom:0.8", "poly:1,2,1"])
+@pytest.mark.parametrize("kind", [OperatorKind.GL, OperatorKind.CAPUTO])
+def test_sweep_suite_shapes(sname, kind):
+    grid = Grid(0.0, history=14, horizon=8)
+    spec = OperatorSpec(kind, 0.5, preset_weight("one", grid))
+    x = preset_signal(sname, grid)
+    sweep = taylor_series_initial(x, spec, 12)
+    assert sweep.degrees == tuple(range(spec.n + 1 if kind is OperatorKind.CAPUTO else 1, 13))
+    assert np.array(sweep.deviations).tobytes() == np.array(taylor_sweep_seq(x, spec, 12)).tobytes()
+
+
+KIND_ORDERS = st.sampled_from(
+    [
+        (OperatorKind.GL, 0.5),
+        (OperatorKind.GL, -0.7),
+        (OperatorKind.GL, 2.0),
+        (OperatorKind.RL, 0.5),
+        (OperatorKind.RL, 1.5),
+        (OperatorKind.CAPUTO, 0.3),
+        (OperatorKind.CAPUTO, 1.5),
+        (OperatorKind.INTEGER_NABLA, 1.0),
+        (OperatorKind.INTEGER_NABLA, 2.0),
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    KIND_ORDERS,
+    st.sampled_from(SIGNALS),
+    st.sampled_from(WEIGHTS),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=0, max_value=99),
+)
+def test_sweep_sequential(kind_order, sname, wname, N, K_max, seed):
+    kind, order = kind_order
+    grid = Grid(0.25, history=K_max + 1, horizon=N)
+    spec = OperatorSpec(kind, order, preset_weight(wname, grid))
+    x = _signal(grid, sname, seed)
+    got = _outcome(lambda: taylor_series_initial(x, spec, K_max).deviations)
+    assert got == _outcome(lambda: taylor_sweep_seq(x, spec, K_max))
+
+
+# ---------------------------------------------------------------------------
+# evaluation-point roundtrip
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sname", ["poly:2,3,1", "geom:2", "geom:1.5", "random"])
+def test_roundtrip_suite_shapes(sname):
+    # every pair the suite checks, down to jo = -history
+    grid = Grid(0.0, history=2, horizon=16)
+    s = _signal(grid, sname, 7)
+    for ko in range(1, 17):
+        for jo in range(-2, ko + 1):
+            got = reconstruct_from_current(s, ko, jo)
+            assert np.float64(got).tobytes() == np.float64(
+                reconstruct_from_current_seq(s, ko, jo)
+            ).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(SIGNALS),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=40),
+    st.data(),
+)
+@example("random", 0, 1, None)
+def test_roundtrip_sequential(sname, history, N, data):
+    grid = Grid(-1.5, history=history, horizon=N)
+    s = _signal(grid, sname, N)
+    if data is None:
+        pairs = [(0, -history), (1, -history), (N, N), (N, -history), (0, 1), (-history, -history)]
+    else:
+        ko = data.draw(st.integers(min_value=-history, max_value=N))
+        jo = data.draw(st.integers(min_value=-history - 2, max_value=N + 1))
+        pairs = [(ko, jo)]
+    for ko, jo in pairs:
+        got = _outcome(lambda: reconstruct_from_current(s, ko, jo))
+        assert got == _outcome(lambda: reconstruct_from_current_seq(s, ko, jo))
+
+
+# ---------------------------------------------------------------------------
+# evaluation-point form
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sname, wname", [("sin10k", "case3"), ("random", "exp:-1"), ("poly:1,3,2", "one")]
+)
+@pytest.mark.parametrize(
+    "kind, order",
+    [
+        (OperatorKind.GL, 0.5),
+        (OperatorKind.GL, -0.5),
+        (OperatorKind.RL, 1.5),
+        (OperatorKind.CAPUTO, 0.5),
+    ],
+)
+def test_current_suite_shapes(sname, wname, kind, order):
+    grid = Grid(0.0, history=2, horizon=24)
+    spec = OperatorSpec(kind, order, preset_weight(wname, grid))
+    x = _signal(grid, sname, 3)
+    got = tempered_op_taylor_current(x, spec).body
+    assert got.tobytes() == taylor_current_seq(x, spec).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            (OperatorKind.GL, 0.5),
+            (OperatorKind.GL, -1.5),
+            (OperatorKind.GL, 1.0),
+            (OperatorKind.GL, 3.0),
+            (OperatorKind.RL, 0.3),
+            (OperatorKind.CAPUTO, 0.5),
+            (OperatorKind.CAPUTO, 1.5),
+            (OperatorKind.CAPUTO, 2.5),
+        ]
+    ),
+    st.sampled_from(SIGNALS),
+    st.sampled_from(WEIGHTS),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=99),
+)
+def test_current_sequential(kind_order, sname, wname, N, history, seed):
+    kind, order = kind_order
+    grid = Grid(0.5, history=history, horizon=N)
+    spec = OperatorSpec(kind, order, preset_weight(wname, grid))
+    x = _signal(grid, sname, seed)
+    got = _outcome(lambda: tempered_op_taylor_current(x, spec).body)
+    assert got == _outcome(lambda: taylor_current_seq(x, spec))
+
+
+# ---------------------------------------------------------------------------
+# future-instant residual
+# ---------------------------------------------------------------------------
+
+
+FUTURE_CASES = [
+    (OperatorKind.GL, 0.5, 4),
+    (OperatorKind.GL, -0.5, 2),
+    (OperatorKind.RL, 0.5, 4),
+    (OperatorKind.CAPUTO, 1.5, 3),
+]
+
+
+@pytest.mark.parametrize("wname", ["one", "exp:-1", "case3", "case4"])
+@pytest.mark.parametrize("kind, order, K", FUTURE_CASES)
+def test_future_suite_shapes(wname, kind, order, K):
+    grid = Grid(0.0, history=6, horizon=12)
+    spec = OperatorSpec(kind, order, preset_weight(wname, grid))
+    x = preset_signal("sin10k", grid)
+    got = tempered_op_taylor_future(x, spec, K).body
+    assert got.tobytes() == taylor_future_seq(x, spec, K).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            (OperatorKind.GL, 0.5),
+            (OperatorKind.GL, -1.5),
+            (OperatorKind.GL, 1.0),
+            (OperatorKind.RL, 0.3),
+            (OperatorKind.RL, 1.7),
+            (OperatorKind.CAPUTO, 0.5),
+            (OperatorKind.CAPUTO, 1.5),
+            (OperatorKind.CAPUTO, 2.5),
+        ]
+    ),
+    st.sampled_from(SIGNALS),
+    st.sampled_from(WEIGHTS),
+    st.integers(min_value=1, max_value=18),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=99),
+)
+def test_future_sequential(kind_order, sname, wname, N, K, seed):
+    kind, order = kind_order
+    if kind is OperatorKind.CAPUTO:
+        K = max(K, math.ceil(order))
+    grid = Grid(0.5, history=K + 1, horizon=N)
+    spec = OperatorSpec(kind, order, preset_weight(wname, grid))
+    x = _signal(grid, sname, seed)
+    got = _outcome(lambda: tempered_op_taylor_future(x, spec, K).body)
+    assert got == _outcome(lambda: taylor_future_seq(x, spec, K))
+
+
+# ---------------------------------------------------------------------------
+# product rule
+# ---------------------------------------------------------------------------
+
+
+LEIBNIZ_KINDS = [
+    (OperatorKind.INTEGER_NABLA, 1.0),
+    (OperatorKind.INTEGER_NABLA, 2.0),
+    (OperatorKind.GL, 0.5),
+    (OperatorKind.GL, -0.5),
+    (OperatorKind.RL, 0.5),
+    (OperatorKind.RL, 1.5),
+    (OperatorKind.CAPUTO, 0.5),
+    (OperatorKind.CAPUTO, 1.5),
+]
+
+
+@pytest.mark.parametrize(
+    "fname, gname, wname, N",
+    [
+        ("poly:0,1", "sin10k", "exp:0.25", 24),
+        ("sin10k", "geom:0.8", "case3", 20),
+        ("geom:0.8", "poly:1,0.1,0.01", "one", 20),
+        ("sin10k", "sin10k", "case3", 16),
+    ],
+)
+def test_leibniz_suite_shapes(fname, gname, wname, N):
+    grid = Grid(0.0, history=3, horizon=N)
+    f, g = preset_signal(fname, grid), preset_signal(gname, grid)
+    w = preset_weight(wname, grid)
+    for kind, order in LEIBNIZ_KINDS:
+        spec = OperatorSpec(kind, order, w)
+        assert _leibniz_rhs(f, g, spec).tobytes() == leibniz_rhs_seq(f, g, spec).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(LEIBNIZ_KINDS + [(OperatorKind.INTEGER_NABLA, 3.0), (OperatorKind.GL, 1.0)]),
+    st.sampled_from(SIGNALS),
+    st.sampled_from(SIGNALS),
+    st.sampled_from(WEIGHTS),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=99),
+)
+def test_leibniz_sequential(kind_order, fname, gname, wname, N, history, seed):
+    kind, order = kind_order
+    grid = Grid(-0.5, history=history, horizon=N)
+    f, g = _signal(grid, fname, seed), _signal(grid, gname, seed + 1)
+    spec = OperatorSpec(kind, order, preset_weight(wname, grid))
+    if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) and history < spec.n:
+        with pytest.raises(NablaError):
+            check_leibniz(f, g, spec)
+        return
+    got = _outcome(lambda: _leibniz_rhs(f, g, spec))
+    assert got == _outcome(lambda: leibniz_rhs_seq(f, g, spec))
+
+
+# ---------------------------------------------------------------------------
+# vector-order coefficients and the 2-D single sum
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-60.0, max_value=60.0), min_size=0, max_size=12),
+    st.integers(min_value=0, max_value=300),
+)
+@example([0.5, 0.5 - 1, 0.5 - 2], 24)
+@example([45.0, 0.5], 200)  # past the bounded order: overflow, no warning
+def test_gl_coefficient_rows_match_1d_calls(orders, length):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = gl_coefficients(orders, length)
+    assert seq.coeffs.shape == (len(orders), length)
+    assert seq.order == tuple(orders)
+    assert seq.length == length
+    assert not seq.coeffs.flags.writeable
+    for row, order in zip(seq.coeffs, orders):
+        assert row.tobytes() == gl_coefficients(order, length).coeffs.tobytes()
+
+
+def _canonical_nan_bytes(a):
+    a = np.array(a, dtype=np.float64)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1.0, 1e-300, 1e300]),
+    st.lists(st.sampled_from([np.inf, -np.inf, np.nan, -0.0]), max_size=3),
+)
+def test_causal_sum_rows_match_1d_calls(rows, n, extra, seed, scale, marks):
+    """Each row of a 2-D ``causal_sum`` against the 1-D call on that row
+    (einsum tiles or the per-lag loop) and the scalar loop, across tile
+    edges and with non-finite, signed-zero and overflowing coefficients."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((rows, n + extra)) * scale
+    for v in marks:
+        c[rng.integers(rows), rng.integers(n + extra)] = v
+    z = rng.standard_normal(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = causal_sum(c, z)
+        assert out.shape == (rows, n)
+        for r in range(rows):
+            expected = _canonical_nan_bytes(causal_sum(c[r], z))
+            assert _canonical_nan_bytes(out[r]) == expected
+            assert _canonical_nan_bytes(causal_sum_seq(c[r], z)) == expected
+
+
+# ---------------------------------------------------------------------------
+# instance signals
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=8, max_value=64),
+    st.integers(min_value=0, max_value=7),
+)
+def test_instance_signals_match_numpy_points(seed, history, N, idx):
+    a = float(np.round(np.random.default_rng(seed).uniform(-4.0, 4.0), 3))
+    grid = Grid(a, history=history, horizon=N)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = suite._instance_signal(rng_new, grid, idx)
+    expected = instance_signal_seq(rng_old, grid, idx)
+    assert got.values.tobytes() == expected.values.tobytes()
+    # the same draws, so the instances after this one are unchanged too
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("index", [0, 2, 6])
+def test_instance_signals_match_over_suite_draws(index, monkeypatch):
+    # a core group's own instance stream at seed 0: the order draw, then the
+    # instance, with the sampled families on Python floats and on numpy points
+    def instances(sampler):
+        with monkeypatch.context() as m:
+            m.setattr(suite, "_instance_signal", sampler)
+            rng = np.random.default_rng([0, index])
+            out = []
+            for i in range(suite.CORE_INSTANCES):
+                al = suite._alpha(rng)
+                n_max = suite._horizon_cap(al, 16) if index == 2 else 64
+                out.append(suite._core_instance(rng, i, history=2, n_max=n_max))
+            return out
+
+    new = instances(suite._instance_signal)
+    old = instances(instance_signal_seq)
+    for (x, w), (x0, w0) in zip(new, old):
+        assert x.values.tobytes() == x0.values.tobytes()
+        assert w.values.tobytes() == w0.values.tobytes()

@@ -204,6 +204,21 @@ def test_ml_function_sequential(alpha, beta, mu, N):
         assert got[0] is SeriesDiverged and "cancels" in got[1]
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("beta", [1.0, 0.5, 0.0, -0.5, -1.0, -3.0])
+@pytest.mark.parametrize("mu", [0.3, 0.0, -0.7, -1.9])
+def test_ml_base_point_sequential(alpha, beta, mu):
+    """The base point sums only its matched-pole terms (at beta = 0, alpha
+    0.5: i = 2; at beta = -3: i = 8), skipping the zero ones, with the bits
+    of the 64-term loop."""
+    params = MLParams(alpha, beta, mu)
+    ref = _outcome(lambda: ml_values_seq(params, 3))
+    got = _outcome(lambda: ml_function(params, 3).values)
+    if got != ref:
+        assert isinstance(ref, bytes)
+        assert got[0] is SeriesDiverged and "cancels" in got[1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([0, 256, 512]),
