@@ -9,7 +9,8 @@ reference experiment datasets).
 
 Exit codes: 0 success (and, for ``verify``, every identity passed),
 1 verification failures, 2 configuration errors (bad options or
-NT_TOLERANCE_SCALE, unreadable inputs, unwritable outputs), 3 numeric errors.
+NT_TOLERANCE_SCALE, unreadable inputs, unwritable outputs, grids too large
+to allocate), 3 numeric errors.
 Output files are written atomically; identical configurations and seeds
 produce byte-identical outputs.
 """
@@ -21,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,131 +75,107 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation parameters for one subcommand."""
-
-    command: str
-    kind: OperatorKind | None = None
-    order: float = 0.0
-    signal: str = ""
-    weight: str = "one"
-    a: float = 0.0
-    horizon: int = 100
-    history: int | None = None
-    out: str | None = None
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
-
-    def resolved_history(self) -> int:
-        if self.history is not None:
-            return self.history
-        if self.kind in (OperatorKind.RL, OperatorKind.CAPUTO):
-            return int(math.ceil(self.order))
-        if self.kind is OperatorKind.INTEGER_NABLA:
-            return int(self.order)
-        return 0
+def _load_signal(args: argparse.Namespace, history: int) -> Signal:
+    if os.path.exists(args.signal) or args.signal.endswith(".csv"):
+        return read_signal_csv(args.signal, history=history)
+    grid = Grid(a=args.a, history=history, horizon=args.N)
+    return preset_signal(args.signal, grid)
 
 
-def _load_signal(cfg: RunConfig) -> Signal:
-    if os.path.exists(cfg.signal) or cfg.signal.endswith(".csv"):
-        return read_signal_csv(cfg.signal, history=cfg.resolved_history())
-    grid = Grid(a=cfg.a, history=cfg.resolved_history(), horizon=cfg.horizon)
-    return preset_signal(cfg.signal, grid)
-
-
-def _load_weight(cfg: RunConfig, grid: Grid) -> Weight:
-    if os.path.exists(cfg.weight) or cfg.weight.endswith(".csv"):
-        w = read_weight_csv(cfg.weight, history=grid.history)
+def _load_weight(args: argparse.Namespace, grid: Grid) -> Weight:
+    if os.path.exists(args.weight) or args.weight.endswith(".csv"):
+        w = read_weight_csv(args.weight, history=grid.history)
         if not w.grid.covers(grid):
             raise ConfigError(
-                f"weight file {cfg.weight} does not cover the signal grid"
+                f"weight file {args.weight} does not cover the signal grid"
             )
         return w
-    return preset_weight(cfg.weight, grid)
+    return preset_weight(args.weight, grid)
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    check_order(cfg.kind, cfg.order)
-    x = _load_signal(cfg)
-    w = _load_weight(cfg, x.grid)
-    spec = OperatorSpec(cfg.kind, cfg.order, w)
-    y = apply_operator(x, spec)
-    write_signal_csv(cfg.out, y)
+def _load_spec(args: argparse.Namespace) -> tuple[Signal, OperatorSpec]:
+    """The signal and operator of ``eval`` and ``taylor``.  Without
+    ``--history`` the signal keeps what the operator reads below the base."""
+    kind = KINDS[args.kind]
+    check_order(kind, args.order)
+    history = args.history
+    if history is None:
+        # the integer stage ceil(order); the single-sum form reads no history
+        history = 0 if kind is OperatorKind.GL else int(math.ceil(args.order))
+    x = _load_signal(args, history)
+    return x, OperatorSpec(kind, args.order, _load_weight(args, x.grid))
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    x, spec = _load_spec(args)
+    write_signal_csv(args.out, apply_operator(x, spec))
     return EXIT_OK
 
 
-def cmd_taylor(cfg: RunConfig) -> int:
-    check_order(cfg.kind, cfg.order)
-    x = _load_signal(cfg)
-    w = _load_weight(cfg, x.grid)
-    spec = OperatorSpec(cfg.kind, cfg.order, w)
-    rep = cfg.extra["rep"]
-    if rep == "current":
+def cmd_taylor(args: argparse.Namespace) -> int:
+    x, spec = _load_spec(args)
+    if args.rep == "current":
         y = tempered_op_taylor_current(x, spec)
-    elif rep == "initial":
-        y = tempered_op_taylor_initial(x, spec, cfg.extra["degree"])
+    elif args.rep == "initial":
+        y = tempered_op_taylor_initial(x, spec, args.degree)
     else:
-        y = tempered_op_taylor_future(x, spec, cfg.extra["degree"])
-    write_signal_csv(cfg.out, y)
+        y = tempered_op_taylor_future(x, spec, args.degree)
+    write_signal_csv(args.out, y)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     scale = resolve_tolerance_scale()
     reports = run_suite(
-        seed=cfg.seed,
-        only=cfg.extra.get("only"),
-        perturb=cfg.extra.get("perturb"),
-        tolerance_scale=scale,
+        seed=args.seed, only=args.only, perturb=args.perturb, tolerance_scale=scale
     )
     if not reports:
-        raise ConfigError(f"--only {cfg.extra.get('only')!r} matched no identity group")
-    payload = reports_to_json_dict(reports, cfg.seed, scale, cfg.extra.get("perturb"))
+        raise ConfigError(f"--only {args.only!r} matched no identity group")
+    payload = reports_to_json_dict(reports, args.seed, scale, args.perturb)
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if cfg.out:
-        _atomic_write_text(cfg.out, text + "\n")
+    if args.out:
+        _atomic_write_text(args.out, text + "\n")
     else:
         print(text)
     failures = payload["failures"]
     print(
-        f"verify: {payload['total']} checks, {failures} failures (seed {cfg.seed})",
+        f"verify: {payload['total']} checks, {failures} failures (seed {args.seed})",
         file=sys.stderr,
     )
     return EXIT_OK if payload["all_pass"] else EXIT_SUITE_FAILED
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    alpha = cfg.extra["alpha"]
-    mu = cfg.extra["mu"]
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"--alpha must lie in (0, 1), got {alpha}")
+def cmd_solve(args: argparse.Namespace) -> int:
+    if not (0.0 < args.alpha < 1.0):
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     for name in ("mu", "x0"):
-        if not math.isfinite(cfg.extra[name]):
-            raise ConfigError(f"--{name} must be finite, got {cfg.extra[name]}")
-    grid = Grid(a=cfg.a, history=0, horizon=cfg.horizon)
-    w = _load_weight(cfg, grid)
-    x = fde_solve(alpha, mu, w, cfg.extra["x0"], cfg.horizon)
-    write_signal_csv(cfg.out, x, include_history=True)
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigError(f"--{name} must be finite, got {getattr(args, name)}")
+    grid = Grid(a=args.a, history=0, horizon=args.N)
+    w = _load_weight(args, grid)
+    x = fde_solve(args.alpha, args.mu, w, args.x0, args.N)
+    write_signal_csv(args.out, x, include_history=True)
     return EXIT_OK
 
 
-def cmd_laplace(cfg: RunConfig) -> int:
-    s = complex(cfg.extra["s_re"], cfg.extra["s_im"])
-    rule = cfg.extra.get("rule")
-    lam = cfg.extra.get("lam") or 0.0
+def cmd_laplace(args: argparse.Namespace) -> int:
+    s = complex(args.s_re, args.s_im)
+    rule = args.rule
+    history = args.history
     if rule is not None:
-        check_order(RULE_KINDS[rule], cfg.order)
-        if cfg.history is None:
+        if args.lam is None:
+            raise ConfigError("--rule needs --lambda")
+        check_order(RULE_KINDS[rule], args.order)
+        if history is None:
             # rules with initial-condition terms need history at the base;
             # the single-sum rule admits any order, so its default is capped
-            cfg.history = max(int(math.ceil(cfg.order)), 0)
-            if cfg.history > MAX_INTEGER_STAGE:
+            history = max(int(math.ceil(args.order)), 0)
+            if history > MAX_INTEGER_STAGE:
                 raise ConfigError(
-                    f"--order {cfg.order} would take {cfg.history} history points by "
+                    f"--order {args.order} would take {history} history points by "
                     f"default, past the cap of {MAX_INTEGER_STAGE}; pass --history"
                 )
-    x = _load_signal(cfg)
+    x = _load_signal(args, history or 0)
     if rule is None:
         ev = nlt(x, s)
         payload = {
@@ -210,10 +186,11 @@ def cmd_laplace(cfg: RunConfig) -> int:
             "converged": ev.converged,
         }
     else:
+        lam = args.lam or 0.0  # a --lambda of -0 reports as 0.0
         if rule == "gl":
-            rep = check_transform_rule_gl(x, cfg.order, lam, s)
+            rep = check_transform_rule_gl(x, args.order, lam, s)
         else:
-            order = cfg.order if rule != "int" else int(cfg.order)
+            order = args.order if rule != "int" else int(args.order)
             rep = check_transform_rule_diff(x, rule, order, lam, s)
         payload = rep.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
@@ -239,9 +216,8 @@ def _alpha_label(alpha: float) -> str:
     return f"alpha{alpha:+.1f}".replace("+", "p").replace("-", "m").replace(".", "_")
 
 
-def cmd_repro(cfg: RunConfig) -> int:
-    target = cfg.extra["target"]
-    outdir = cfg.extra["outdir"]
+def cmd_repro(args: argparse.Namespace) -> int:
+    target, outdir = args.target, args.outdir
     os.makedirs(outdir, exist_ok=True)
     x0 = _repro_signal(0)
     x1 = _repro_signal(1)
@@ -303,6 +279,17 @@ def nonneg_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (horizon lengths)."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def finite(text: str) -> float:
     """argparse type: a finite float (no NaN or infinity)."""
     try:
@@ -326,7 +313,7 @@ def _add_grid_args(p: argparse.ArgumentParser, default_n: int = 100) -> None:
     p.add_argument("--signal", required=True, help="built-in name or CSV path")
     p.add_argument("--weight", default="one", help="built-in name or CSV path")
     p.add_argument("--a", type=finite, default=0.0, help="base point")
-    p.add_argument("--N", type=int, default=default_n, help="horizon length")
+    p.add_argument("--N", type=positive_int, default=default_n, help="horizon length")
     p.add_argument(
         "--history",
         type=nonneg_int,
@@ -372,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", default="one")
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--a", type=finite, default=0.0)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=positive_int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("laplace", help="transform evaluation / rule checks")
@@ -390,35 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if hasattr(args, "kind") and args.kind is not None:
-        cfg.kind = KINDS[args.kind]
-    for name, attr in (
-        ("order", "order"),
-        ("signal", "signal"),
-        ("weight", "weight"),
-        ("a", "a"),
-        ("N", "horizon"),
-        ("history", "history"),
-        ("out", "out"),
-        ("seed", "seed"),
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, attr, getattr(args, name))
-    for name in ("only", "perturb", "rep", "degree", "alpha", "mu", "x0", "rule", "lam", "target", "outdir"):
-        if hasattr(args, name):
-            cfg.extra[name] = getattr(args, name)
-    if hasattr(args, "s_re"):
-        cfg.extra["s_re"] = args.s_re
-        cfg.extra["s_im"] = args.s_im
-    if cfg.command == "laplace" and args.rule is not None and args.lam is None:
-        raise ConfigError("--rule needs --lambda")
-    if getattr(args, "N", 1) is not None and getattr(args, "N", 1) < 1:
-        raise ConfigError("--N must be >= 1")
-    return cfg
-
-
 COMMANDS = {
     "eval": cmd_eval,
     "taylor": cmd_taylor,
@@ -430,19 +388,18 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"nt: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except (ConfigError, UnknownPreset, IntegerOrder, OSError) as exc:
         # a bad order (checked before any work), an unreadable input or an
         # unwritable output path is configuration
         print(f"nt: configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a grid too large to allocate
+        detail = str(exc) or "out of memory"
+        print(f"nt: configuration error: {detail}", file=sys.stderr)
         return EXIT_CONFIG
     except NablaError as exc:
         print(f"nt: numeric error: {exc}", file=sys.stderr)

@@ -111,6 +111,26 @@ class IdentityReport:
             params=params or {},
         )
 
+    @classmethod
+    def from_devs(
+        cls,
+        identity_id: str,
+        devs: np.ndarray,
+        first_k: float,
+        tolerance: float,
+        params: dict | None = None,
+    ) -> "IdentityReport":
+        """Report the largest of pointwise deviations ``devs``, where
+        ``devs[j]`` belongs to lattice point ``first_k + j``.
+
+        The first index wins a tie (and a NaN wins over any number); an
+        empty array reports 0 at ``first_k``.
+        """
+        devs = np.asarray(devs, dtype=np.float64)
+        idx = int(np.argmax(devs)) if len(devs) else 0
+        dev = float(devs[idx]) if len(devs) else 0.0
+        return cls.from_measurement(identity_id, dev, first_k + idx, tolerance, params)
+
     def to_dict(self) -> dict:
         return {
             "identity-id": self.identity_id,
@@ -120,21 +140,6 @@ class IdentityReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
-
-
-def _report_from_devs(
-    identity_id: str,
-    devs: np.ndarray,
-    first_offset: int,
-    grid: Grid,
-    tolerance: float,
-    params: dict | None = None,
-) -> IdentityReport:
-    devs = np.asarray(devs, dtype=np.float64)
-    idx = int(np.argmax(devs)) if len(devs) else 0
-    k = grid.a + first_offset + idx
-    dev = float(devs[idx]) if len(devs) else 0.0
-    return IdentityReport.from_measurement(identity_id, dev, k, tolerance, params)
 
 
 def _stage(alpha: float) -> int:
@@ -156,8 +161,8 @@ def check_gl_rl_agreement(
 ) -> IdentityReport:
     """Single-sum form against the difference-of-sum form, pointwise."""
     devs = np.abs(gl_tempered(x, alpha, w).body - rl_tempered(x, alpha, w).body)
-    return _report_from_devs(
-        "gl-rl-agree", devs, 1, x.grid, tol, {"alpha": alpha}
+    return IdentityReport.from_devs(
+        "gl-rl-agree", devs, x.grid.a + 1, tol, {"alpha": alpha}
     )
 
 
@@ -176,8 +181,8 @@ def check_rl_caputo_correction(
         basis = rising_over_gamma_row(i - alpha, i - alpha + 1, N)
         corr += basis * ratio * iv
     devs = np.abs(rl - (cap + corr))
-    return _report_from_devs(
-        "rl-caputo-correction", devs, 1, x.grid, tol, {"alpha": alpha}
+    return IdentityReport.from_devs(
+        "rl-caputo-correction", devs, x.grid.a + 1, tol, {"alpha": alpha}
     )
 
 
@@ -191,8 +196,8 @@ def check_sum_composition(
     inner = gl_tempered(x, -alpha - n, w, out_history=n)
     rhs = nabla_n_tempered(inner, n, w).body
     devs = np.abs(lhs - rhs)
-    return _report_from_devs(
-        "sum-composition", devs, 1, x.grid, tol, {"alpha": alpha}
+    return IdentityReport.from_devs(
+        "sum-composition", devs, x.grid.a + 1, tol, {"alpha": alpha}
     )
 
 
@@ -206,8 +211,8 @@ def check_difference_of_sum(
     d_rl = np.abs(rl_tempered(u, alpha, w).body - x.body)
     d_cap = np.abs(caputo_tempered(u, alpha, w).body - x.body)
     devs = np.maximum(d_rl, d_cap)
-    return _report_from_devs(
-        "diff-of-sum", devs, 1, x.grid, tol, {"alpha": alpha}
+    return IdentityReport.from_devs(
+        "diff-of-sum", devs, x.grid.a + 1, tol, {"alpha": alpha}
     )
 
 
@@ -244,8 +249,8 @@ def check_sum_of_difference(
     lhs = gl_tempered(v, -alpha, w).body
     rhs = x.body - corr
     devs = np.abs(lhs - rhs)
-    return _report_from_devs(
-        f"sum-of-diff-{kind}", devs, 1, x.grid, tol, {"alpha": alpha}
+    return IdentityReport.from_devs(
+        f"sum-of-diff-{kind}", devs, x.grid.a + 1, tol, {"alpha": alpha}
     )
 
 
@@ -282,8 +287,8 @@ def check_mixed_composition(
     devs = np.maximum(
         np.abs(side_a[lo:] - target[lo:]), np.abs(side_b[lo:] - target[lo:])
     )
-    return _report_from_devs(
-        f"mixed-composition-{outer}", devs, n, x.grid, tol, {"beta": beta, "n": n}
+    return IdentityReport.from_devs(
+        f"mixed-composition-{outer}", devs, x.grid.a + n, tol, {"beta": beta, "n": n}
     )
 
 
@@ -326,7 +331,9 @@ def check_taylor_remainder_forms(
         devs = np.maximum(devs, np.abs(x.body - (series + acc2 / w.window(1, N))))
 
     ident = "taylor-remainder-base" if m == 0 else "taylor-remainder-shifted"
-    return _report_from_devs(ident, devs, 1, x.grid, tol, {"alpha": alpha, "m": m})
+    return IdentityReport.from_devs(
+        ident, devs, x.grid.a + 1, tol, {"alpha": alpha, "m": m}
+    )
 
 
 def check_integer_defect(
@@ -343,7 +350,7 @@ def check_integer_defect(
             for i in range(m, n + 1)
         )
     devs = np.abs(d - expected)
-    return _report_from_devs("integer-defect", devs, 1, x.grid, tol, {"n": n})
+    return IdentityReport.from_devs("integer-defect", devs, x.grid.a + 1, tol, {"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +368,6 @@ def _limit_report(
     devs_by_eps: list[float],
     monotone_from: float,
     tol: float,
-    grid: Grid,
     argmax_k: float,
     params: dict,
 ) -> IdentityReport:
@@ -391,7 +397,7 @@ def check_order_limit_sum(
         devs.append(float(np.max(d)))
         argmax_k = x.grid.a + 1 + int(np.argmax(d))
     return _limit_report(
-        "order-limit-sum", eps_seq, devs, 1e-3, tol, x.grid, argmax_k, {}
+        "order-limit-sum", eps_seq, devs, 1e-3, tol, argmax_k, {}
     )
 
 
@@ -457,7 +463,6 @@ def check_order_limit_diff(
         devs,
         max(eps_seq),
         tol,
-        x.grid,
         argmax_k,
         {"n": n},
     )
@@ -537,7 +542,9 @@ def check_leibniz(
     if kind is OperatorKind.INTEGER_NABLA:
         nn = int(spec.order)
         devs = np.abs(nabla_n_tempered(fg, nn, w).body - rhs)
-        return _report_from_devs("leibniz-integer", devs, 1, f.grid, tol, {"n": nn})
+        return IdentityReport.from_devs(
+            "leibniz-integer", devs, f.grid.a + 1, tol, {"n": nn}
+        )
 
     alpha = spec.order
     if kind is OperatorKind.GL:
@@ -550,7 +557,7 @@ def check_leibniz(
         lhs = caputo_tempered(fg, alpha, w).body
         ident = "leibniz-caputo"
     devs = np.abs(lhs - rhs)
-    return _report_from_devs(ident, devs, 1, f.grid, tol, {"alpha": alpha})
+    return IdentityReport.from_devs(ident, devs, f.grid.a + 1, tol, {"alpha": alpha})
 
 
 def _leibniz_rhs(f: Signal, g: Signal, spec: OperatorSpec) -> np.ndarray:

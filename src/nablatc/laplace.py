@@ -293,7 +293,9 @@ def check_convolution_commutation(
     lhs = convolve(x, gl_tempered(y, alpha, w)).body
     rhs = convolve(gl_tempered(x, alpha, w), y).body
     devs = np.abs(lhs - rhs)
-    return _conv_report("conv-commute", devs, x.grid, tol, {"alpha": alpha, "lambda": lam})
+    return IdentityReport.from_devs(
+        "conv-commute", devs, x.grid.a + 1, tol, {"alpha": alpha, "lambda": lam}
+    )
 
 
 def check_convolution_with_ic(
@@ -351,16 +353,7 @@ def check_convolution_with_ic(
         params = {"alpha": order}
     params["lambda"] = lam
     devs = np.abs(lhs - (base + bracket / (1.0 - lam)))
-    return _conv_report(ident, devs, x.grid, tol, params)
-
-
-def _conv_report(
-    ident: str, devs: np.ndarray, grid: Grid, tol: float, params: dict
-) -> IdentityReport:
-    idx = int(np.argmax(devs))
-    return IdentityReport.from_measurement(
-        ident, float(devs[idx]), grid.a + 1 + idx, tol, params
-    )
+    return IdentityReport.from_devs(ident, devs, x.grid.a + 1, tol, params)
 
 
 # ---------------------------------------------------------------------------

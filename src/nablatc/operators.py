@@ -134,14 +134,6 @@ _fault_eps: contextvars.ContextVar[float] = contextvars.ContextVar(
 )
 
 
-def __getattr__(name: str):
-    # read-only view of the current context's fault under its former
-    # module-global name
-    if name == "_FAULT_EPS":
-        return _fault_eps.get()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def set_fault_injection(eps: float) -> float:
     """Set the additive perturbation applied to single-sum outputs in the
     current context.

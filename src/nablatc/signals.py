@@ -13,7 +13,7 @@ import csv
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -151,17 +151,22 @@ class Signal:
     grid: Grid
     values: np.ndarray
 
+    #: What error messages call the sequence.
+    _noun: ClassVar[str] = "signal"
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _locked(self.values))
+        noun = self._noun
         if len(self.values) != self.grid.npoints:
             raise GridMismatch(
-                f"signal has {len(self.values)} samples, grid holds {self.grid.npoints} points"
+                f"{noun} has {len(self.values)} samples, "
+                f"grid holds {self.grid.npoints} points"
             )
         finite = np.isfinite(self.values)
         if not finite.all():
             raise NonFiniteSample(
-                "signal contains non-finite samples"
-                + _first_bad(self.grid, ~finite, "signal")
+                f"{noun} contains non-finite samples"
+                + _first_bad(self.grid, ~finite, noun)
             )
 
     def at(self, offset: int) -> float:
@@ -180,7 +185,7 @@ class Signal:
 
 
 @dataclass(frozen=True)
-class Weight:
+class Weight(Signal):
     """Nonzero tempering sequence on the full extended grid.
 
     The weight is stored on every grid point, including history, because
@@ -188,23 +193,13 @@ class Weight:
     below the base point.
     """
 
-    grid: Grid
-    values: np.ndarray
     kind: str = "general"
     rate: float | None = None
 
+    _noun: ClassVar[str] = "weight"
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _locked(self.values))
-        if len(self.values) != self.grid.npoints:
-            raise GridMismatch(
-                f"weight has {len(self.values)} samples, grid holds {self.grid.npoints} points"
-            )
-        finite = np.isfinite(self.values)
-        if not finite.all():
-            raise NonFiniteSample(
-                "weight contains non-finite samples"
-                + _first_bad(self.grid, ~finite, "weight")
-            )
+        super().__post_init__()
         tiny = np.abs(self.values) < EPS_WEIGHT
         if tiny.any():
             raise ZeroWeight(
@@ -212,18 +207,6 @@ class Weight:
             )
         if self.kind not in ("general", "exponential"):
             raise GridMismatch(f"unknown weight kind {self.kind!r}")
-
-    def at(self, offset: int) -> float:
-        return float(self.values[self.grid.position(offset)])
-
-    def window(self, first_offset: int, last_offset: int) -> np.ndarray:
-        return self.values[
-            self.grid.position(first_offset) : self.grid.position(last_offset) + 1
-        ]
-
-    @property
-    def body(self) -> np.ndarray:
-        return self.window(1, self.grid.horizon)
 
 
 def _sample(grid: Grid, f: Callable[[float], float]) -> np.ndarray:
@@ -331,7 +314,9 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _read_kv_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _read_grid_csv(path: str, history: int) -> tuple[Grid, np.ndarray]:
+    """The grid and values of a ``k,value`` file whose row at index
+    ``history`` is the base point."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -361,28 +346,22 @@ def _read_kv_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise CSVFormatError(
             f"{path}: non-unit step between k={k[bad]} and k={k[bad + 1]}"
         )
-    return k, np.asarray(vs)
+    if history < 0 or history >= len(k) - 1:
+        raise CSVFormatError(
+            f"{path}: history {history} incompatible with {len(k)} rows"
+        )
+    grid = Grid(a=float(k[history]), history=history, horizon=len(k) - history - 1)
+    return grid, np.asarray(vs)
 
 
 def read_signal_csv(path: str, history: int = 0) -> Signal:
     """Load a signal; the row at index ``history`` becomes the base point."""
-    k, v = _read_kv_rows(path)
-    if history < 0 or history >= len(k) - 1:
-        raise CSVFormatError(
-            f"{path}: history {history} incompatible with {len(k)} rows"
-        )
-    grid = Grid(a=float(k[history]), history=history, horizon=len(k) - history - 1)
-    return Signal(grid, v)
+    return Signal(*_read_grid_csv(path, history))
 
 
 def read_weight_csv(path: str, history: int = 0) -> Weight:
-    k, v = _read_kv_rows(path)
-    if history < 0 or history >= len(k) - 1:
-        raise CSVFormatError(
-            f"{path}: history {history} incompatible with {len(k)} rows"
-        )
-    grid = Grid(a=float(k[history]), history=history, horizon=len(k) - history - 1)
-    return Weight(grid, v, kind="general")
+    """Load a weight, as :func:`read_signal_csv` loads a signal."""
+    return Weight(*_read_grid_csv(path, history))
 
 
 def write_signal_csv(path: str, sig: Signal, *, include_history: bool = False) -> None:

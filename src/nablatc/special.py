@@ -98,6 +98,16 @@ def _gamma_ratio3(num: float, den1: float, den2: float) -> float:
     return _matched_pole_ratio(m_num, m_den) * so * math.exp(-lo)
 
 
+def _check_resolved(q: float, d: float) -> None:
+    # from 2**53 on, m + q rounds the unit shift m away, and every base of
+    # a row would give 1/Gamma(d)
+    if abs(q) >= 2.0**53 or abs(d) >= 2.0**53:
+        raise DomainError(
+            f"Gamma-ratio arguments q = {q!r}, d = {d!r} are past 2**53 in "
+            "magnitude, where binary64 no longer resolves unit shifts"
+        )
+
+
 def rising(p: int, q: float) -> float:
     """Rising function ``p^(q) = Gamma(p+q)/Gamma(p)`` for integer p >= 1.
 
@@ -141,10 +151,12 @@ def rising_over_gamma(p: int, q: float, denom: float) -> float:
     operator identities rely on.
 
     Raises:
-        DomainError: when the numerator sits at an unresolvable pole.
+        DomainError: when the numerator sits at an unresolvable pole, or
+            when ``|q|`` or ``|denom|`` is 2**53 or more (or infinite).
     """
     if p != int(p):
         raise DomainError(f"rising function base must be an integer, got {p}")
+    _check_resolved(q, denom)
     return _gamma_ratio3(int(p) + q, float(int(p)), denom)
 
 
@@ -157,9 +169,11 @@ def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
     through ``math.exp``/``math.lgamma``, signed by the parity of
     ``floor(m+q)`` and of ``floor(d)``, so the row is bit-identical to the
     per-point values.  A row holding a pole (some ``m+q`` or ``d`` a
-    nonpositive integer) or a non-finite argument takes the per-point path
-    and its cancellation rules.
+    nonpositive integer) or a NaN argument takes the per-point path and its
+    cancellation rules; ``|q|`` or ``|d|`` of 2**53 or more raises
+    :class:`DomainError`, as the per-point function does.
     """
+    _check_resolved(q, d)
     num = np.arange(1, N + 1) + q
     if (
         not (math.isfinite(q) and math.isfinite(d))

@@ -155,16 +155,32 @@ def _horizon_cap(alpha: float, above_one: int = 32) -> int:
     return 64 if alpha < 1.0 else above_one
 
 
-def _tag(reports: list[IdentityReport], **extra) -> list[IdentityReport]:
-    """Copies of ``reports`` whose params also hold ``extra`` (a new key goes
+def _tag(r: IdentityReport, **extra) -> IdentityReport:
+    """A copy of ``r`` whose params also hold ``extra`` (a new key goes
     last, an existing one keeps its place)."""
-    return [
-        IdentityReport(
-            r.identity_id, r.max_abs_dev, r.argmax_k, r.tolerance, r.passed,
-            {**r.params, **extra},
-        )
-        for r in reports
-    ]
+    return IdentityReport(
+        r.identity_id, r.max_abs_dev, r.argmax_k, r.tolerance, r.passed,
+        {**r.params, **extra},
+    )
+
+
+def _alpha_instances(
+    rng: np.random.Generator,
+    check: Callable[..., IdentityReport],
+    ts: float,
+    lo: float = 0.05,
+    hi: float = 1.95,
+    cap: int = 64,
+) -> list[IdentityReport]:
+    """``check(x, alpha, w, tol=...)`` on every core instance, tagged with
+    its index.  Each instance draws its order from [lo, hi] first, then its
+    signal and weight on a horizon of at most ``_horizon_cap(alpha, cap)``."""
+    out = []
+    for i in range(CORE_INSTANCES):
+        al = _alpha(rng, lo, hi)
+        x, w = _core_instance(rng, i, history=2, n_max=_horizon_cap(al, cap))
+        out.append(_tag(check(x, al, w, tol=TOL_EXACT * ts), instance=i))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,53 +189,29 @@ def _tag(reports: list[IdentityReport], **extra) -> list[IdentityReport]:
 
 
 def _run_gl_rl_agree(rng, ts):
-    out = []
-    for i in range(CORE_INSTANCES):
-        al = _alpha(rng)
-        x, w = _core_instance(rng, i, history=2)
-        out += _tag([check_gl_rl_agreement(x, al, w, tol=TOL_EXACT * ts)], instance=i)
-    return out
+    return _alpha_instances(rng, check_gl_rl_agreement, ts)
 
 
 def _run_rl_caputo_correction(rng, ts):
-    out = []
-    for i in range(CORE_INSTANCES):
-        al = _alpha(rng)
-        x, w = _core_instance(rng, i, history=2)
-        out += _tag(
-            [check_rl_caputo_correction(x, al, w, tol=TOL_EXACT * ts)], instance=i
-        )
-    return out
+    return _alpha_instances(rng, check_rl_caputo_correction, ts)
 
 
 def _run_sum_composition(rng, ts):
-    out = []
-    for i in range(CORE_INSTANCES):
-        al = _alpha(rng)
-        x, w = _core_instance(rng, i, history=2, n_max=_horizon_cap(al, 16))
-        out += _tag([check_sum_composition(x, al, w, tol=TOL_EXACT * ts)], instance=i)
-    return out
+    return _alpha_instances(rng, check_sum_composition, ts, cap=16)
 
 
 def _run_diff_of_sum(rng, ts):
-    out = []
-    for i in range(CORE_INSTANCES):
-        al = _alpha(rng)
-        x, w = _core_instance(rng, i, history=2)
-        out += _tag([check_difference_of_sum(x, al, w, tol=TOL_EXACT * ts)], instance=i)
-    return out
+    return _alpha_instances(rng, check_difference_of_sum, ts)
 
 
 def _run_sum_of_diff(rng, ts):
     out = []
     for kind in ("rl", "caputo"):
-        for i in range(CORE_INSTANCES):
-            al = _alpha(rng)
-            x, w = _core_instance(rng, i, history=2)
-            out += _tag(
-                [check_sum_of_difference(x, al, w, kind, tol=TOL_EXACT * ts)],
-                instance=i,
-            )
+        out += _alpha_instances(
+            rng,
+            lambda x, al, w, tol: check_sum_of_difference(x, al, w, kind, tol=tol),
+            ts,
+        )
     return out
 
 
@@ -230,26 +222,20 @@ def _run_mixed_composition(rng, ts):
         beta = _alpha(rng, 0.05, n - 0.05)
         x, w = _core_instance(rng, i, history=n)
         outer = "rl" if (i // 2) % 2 == 0 else "caputo"
-        out += _tag(
-            [check_mixed_composition(x, beta, n, w, outer, tol=TOL_EXACT * ts)],
-            instance=i,
-        )
+        rep = check_mixed_composition(x, beta, n, w, outer, tol=TOL_EXACT * ts)
+        out.append(_tag(rep, instance=i))
     return out
 
 
 def _run_taylor_remainder(rng, ts):
     out = []
-    for i in range(CORE_INSTANCES):
-        al = _alpha(rng)
-        x, w = _core_instance(rng, i, history=2, n_max=_horizon_cap(al))
-        out += _tag(
-            [check_taylor_remainder_forms(x, al, w, 0, tol=TOL_EXACT * ts)], instance=i
-        )
-    for i in range(CORE_INSTANCES):
-        al = _alpha(rng, 1.05, 1.95)
-        x, w = _core_instance(rng, i, history=2)
-        out += _tag(
-            [check_taylor_remainder_forms(x, al, w, 1, tol=TOL_EXACT * ts)], instance=i
+    for m, lo, cap in ((0, 0.05, 32), (1, 1.05, 64)):
+        out += _alpha_instances(
+            rng,
+            lambda x, al, w, tol: check_taylor_remainder_forms(x, al, w, m, tol=tol),
+            ts,
+            lo,
+            cap=cap,
         )
     return out
 
@@ -259,7 +245,7 @@ def _run_integer_defect(rng, ts):
     for i in range(CORE_INSTANCES):
         n = 1 + i % 3
         x, w = _core_instance(rng, i, history=n)
-        out += _tag([check_integer_defect(x, n, w, tol=TOL_EXACT * ts)], instance=i)
+        out.append(_tag(check_integer_defect(x, n, w, tol=TOL_EXACT * ts), instance=i))
     return out
 
 
@@ -269,15 +255,15 @@ def _run_order_limits(rng, ts):
         grid = Grid(0.5 * j, history=2, horizon=25)
         w = preset_weight(wname, grid)
         x = preset_signal("sin10k" if j % 2 == 0 else "geom:0.9", grid)
-        out += _tag(
-            [check_order_limit_sum(x, w, tol=1e-6 * ts)], weight=wname
-        )
+        out.append(_tag(check_order_limit_sum(x, w, tol=1e-6 * ts), weight=wname))
         for n in (1, 2):
             for kind in ("caputo", "rl"):
                 for side in ("at_n", "at_n_minus_1"):
-                    out += _tag(
-                        [check_order_limit_diff(x, w, n, side, kind, tol=1e-5 * ts)],
-                        weight=wname,
+                    out.append(
+                        _tag(
+                            check_order_limit_diff(x, w, n, side, kind, tol=1e-5 * ts),
+                            weight=wname,
+                        )
                     )
     return out
 
@@ -292,9 +278,8 @@ def _run_uniform_convergence(rng, ts):
         seq = [
             Signal(grid, x.values + 1.0 / i) for i in range(1, 21)
         ]
-        out += _tag(
-            [check_uniform_convergence_exchange(seq, x, 0.5, w)], weight=wname
-        )
+        rep = check_uniform_convergence_exchange(seq, x, 0.5, w)
+        out.append(_tag(rep, weight=wname))
     return out
 
 
@@ -327,13 +312,24 @@ def _run_leibniz(rng, ts):
         w = preset_weight(wname, grid)
         for kind, order in kinds:
             spec = OperatorSpec(kind, order, w)
-            out += _tag(
-                [check_leibniz(f, g, spec, tol=1e-10 * ts)],
-                f=fname,
-                g=gname,
-                weight=wname,
-            )
+            rep = check_leibniz(f, g, spec, tol=1e-10 * ts)
+            out.append(_tag(rep, f=fname, g=gname, weight=wname))
     return out
+
+
+def _vs_direct(
+    identity_id: str,
+    rep: Signal,
+    x: Signal,
+    spec: OperatorSpec,
+    tol: float,
+    params: dict,
+) -> IdentityReport:
+    """A series representation ``rep`` of ``spec`` applied to ``x`` against
+    the direct operator, pointwise on the evaluation window."""
+    direct = apply_operator(x, spec)
+    devs = np.abs(rep.body - direct.body)
+    return IdentityReport.from_devs(identity_id, devs, x.grid.a + 1, tol, params)
 
 
 def _run_taylor_representations(rng, ts):
@@ -366,17 +362,8 @@ def _run_taylor_representations(rng, ts):
         ):
             spec = OperatorSpec(kind, order, w)
             rep = tempered_op_taylor_initial(x, spec, K)
-            direct = apply_operator(x, spec)
-            dev = float(np.max(np.abs(rep.body - direct.body)))
-            out.append(
-                IdentityReport.from_measurement(
-                    "taylor-op-initial",
-                    dev,
-                    grid.a + 1 + int(np.argmax(np.abs(rep.body - direct.body))),
-                    tol,
-                    {"kind": kind.value, "order": order, "K": K, "weight": wname},
-                )
-            )
+            params = {"kind": kind.value, "order": order, "K": K, "weight": wname}
+            out.append(_vs_direct("taylor-op-initial", rep, x, spec, tol, params))
 
     # reconstruction from base-point data is a finite identity
     for sname, K in (("sin10k", 3), ("poly:1,2,1", 4), ("geom:1.4", 3)):
@@ -384,15 +371,9 @@ def _run_taylor_representations(rng, ts):
         s = preset_signal(sname, g2)
         rec = reconstruct_initial(s, K)
         devs = np.abs(rec.values - s.window(0, 20))
-        out.append(
-            IdentityReport.from_measurement(
-                "taylor-initial-reconstruction",
-                float(np.max(devs)),
-                g2.a + int(np.argmax(devs)),
-                tol,
-                {"signal": sname, "K": K},
-            )
-        )
+        params = {"signal": sname, "K": K}
+        ident = "taylor-initial-reconstruction"
+        out.append(IdentityReport.from_devs(ident, devs, g2.a, tol, params))
 
     # evaluation-point representation: pairings with tame weighted differences
     fams = [
@@ -415,17 +396,10 @@ def _run_taylor_representations(rng, ts):
         ):
             spec = OperatorSpec(kind, order, w)
             rep = tempered_op_taylor_current(s, spec)
-            direct = apply_operator(s, spec)
-            dev = float(np.max(np.abs(rep.body - direct.body)))
-            out.append(
-                IdentityReport.from_measurement(
-                    "taylor-op-current",
-                    dev,
-                    g3.a + 1 + int(np.argmax(np.abs(rep.body - direct.body))),
-                    tol,
-                    {"kind": kind.value, "order": order, "signal": sname, "weight": wname},
-                )
-            )
+            params = {
+                "kind": kind.value, "order": order, "signal": sname, "weight": wname
+            }
+            out.append(_vs_direct("taylor-op-current", rep, s, spec, tol, params))
 
     # future/current-instant expansion with the double-sum residual
     g4 = Grid(0.0, history=6, horizon=12)
@@ -440,17 +414,8 @@ def _run_taylor_representations(rng, ts):
         ):
             spec = OperatorSpec(kind, order, w4)
             rep = tempered_op_taylor_future(s4, spec, K)
-            direct = apply_operator(s4, spec)
-            dev = float(np.max(np.abs(rep.body - direct.body)))
-            out.append(
-                IdentityReport.from_measurement(
-                    "taylor-op-future",
-                    dev,
-                    g4.a + 1 + int(np.argmax(np.abs(rep.body - direct.body))),
-                    tol,
-                    {"kind": kind.value, "order": order, "K": K, "weight": wname},
-                )
-            )
+            params = {"kind": kind.value, "order": order, "K": K, "weight": wname}
+            out.append(_vs_direct("taylor-op-future", rep, s4, spec, tol, params))
 
     # all-pairs lag reconstruction from evaluation-point differences; exact
     # for signals whose difference tables stay in exact binary64 range
@@ -512,26 +477,21 @@ def _run_decay(rng, ts):
         w = preset_weight(wname, grid)
         x = make_signal_from_fn(grid, lambda k: math.sin(10.0 * k) + 1.0)
         for al in (0.5, 1.5):
-            out += _tag(
-                [check_rl_caputo_asymptotics(x, al, w, "large_k")], weight=wname
-            )
+            rep = check_rl_caputo_asymptotics(x, al, w, "large_k")
+            out.append(_tag(rep, weight=wname))
     for wname in ("one", "case4"):
         grid = Grid(0.0, history=1, horizon=20)
         w = preset_weight(wname, grid)
         x = make_signal_from_fn(grid, lambda k: math.sin(10.0 * k) + 1.0)
-        out += _tag(
-            [
-                check_rl_caputo_asymptotics(
-                    x,
-                    0.5,
-                    w,
-                    "early_a",
-                    x_fn=lambda k: math.sin(10.0 * k) + 1.0,
-                    w_fn=weight_case_fn(wname, 0.0),
-                )
-            ],
-            weight=wname,
+        rep = check_rl_caputo_asymptotics(
+            x,
+            0.5,
+            w,
+            "early_a",
+            x_fn=lambda k: math.sin(10.0 * k) + 1.0,
+            w_fn=weight_case_fn(wname, 0.0),
         )
+        out.append(_tag(rep, weight=wname))
     return out
 
 
@@ -568,15 +528,11 @@ def _run_convolution(rng, ts):
         x = Signal(grid, rng.standard_normal(grid.npoints))
         y = Signal(grid, rng.standard_normal(grid.npoints))
         for al in (0.5, -0.5, 1.5):
-            out += _tag(
-                [check_convolution_commutation(x, y, al, lam, tol=1e-10 * ts)],
-                instance=i,
-            )
+            rep = check_convolution_commutation(x, y, al, lam, tol=1e-10 * ts)
+            out.append(_tag(rep, instance=i))
         for order in (1, 2, 0.5, 1.5):
-            out += _tag(
-                [check_convolution_with_ic(x, y, order, lam, tol=1e-10 * ts)],
-                instance=i,
-            )
+            rep = check_convolution_with_ic(x, y, order, lam, tol=1e-10 * ts)
+            out.append(_tag(rep, instance=i))
     return out
 
 
@@ -591,15 +547,9 @@ def _run_ml_solver(rng, ts):
             lhs = w.window(0, 50) * sol.values
             rhs = kern.values * (w.at(0) * 1.0)
             devs = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
-            out.append(
-                IdentityReport.from_measurement(
-                    "ml-solver-agreement",
-                    float(np.max(devs)),
-                    grid.a + int(np.argmax(devs)),
-                    1e-10 * ts,
-                    {"alpha": al, "mu": mu},
-                )
-            )
+            params = {"alpha": al, "mu": mu}
+            ident = "ml-solver-agreement"
+            out.append(IdentityReport.from_devs(ident, devs, grid.a, 1e-10 * ts, params))
     # mu = 0 trajectory is bit-exact against the weighted constant
     sol0 = fde_solve(0.5, 0.0, w, 2.5, 50)
     expected = (w.at(0) * 2.5) / w.window(0, 50)

@@ -139,7 +139,7 @@ def test_verify_perturbation_flagged(tmp_path):
     # the fault hook is restored afterwards
     import nablatc.operators as operators
 
-    assert operators._FAULT_EPS == 0.0
+    assert operators._fault_eps.get() == 0.0
 
 
 def test_verify_unknown_only_is_config_error(tmp_path):
@@ -522,4 +522,76 @@ def test_huge_order_prints_one_error_line(tmp_path):
     assert res.returncode == 3
     assert res.stderr.startswith("nt: numeric error:") and res.stderr.count("\n") == 1
     assert "Warning" not in res.stderr
+    assert not out.exists()
+
+
+def test_huge_taylor_order_is_numeric_error(tmp_path, capsys):
+    # q = i - 1e300 absorbs every unit shift m, so the base-point series
+    # would be 1/Gamma(d) at every point
+    out = tmp_path / "x.csv"
+    assert run(["taylor", "--kind", "gl", "--order", "1e300", "--rep", "initial",
+                "--history", "7", "--signal", "sin10k", "--N", "4", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("nt: numeric error:") and err.count("\n") == 1
+    assert "2**53" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k", "--N", "0"],
+        ["taylor", "--kind", "gl", "--order", "0.5", "--signal", "sin10k", "--N", "-3"],
+        ["laplace", "--signal", "sin10k", "--s-re", "0.9", "--N", "0"],
+        ["solve", "--alpha", "0.5", "--mu=-0.2", "--x0", "1", "--N", "0"],
+    ],
+    ids=["eval", "taylor", "laplace", "solve"],
+)
+def test_nonpositive_horizon_is_one_line_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    if argv[0] != "laplace":
+        argv = [*argv, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nt: configuration error: argument --N: must be a positive")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _cap_address_space():
+    # the allocation must fail on any overcommit policy
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit via RLIMIT_AS")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+         "--N", "1000000000000"],
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+         "--history", "1000000000000"],
+        ["solve", "--alpha", "0.5", "--mu=-0.2", "--x0", "1", "--N", "1000000000000"],
+    ],
+    ids=["eval-N", "eval-history", "solve-N"],
+)
+def test_unallocatable_grid_is_one_line_exit_2(tmp_path, argv):
+    # a separate process under a 4 GiB address-space limit: numpy refuses
+    # the 7 TiB grid at once
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablatc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "x.csv"
+    res = subprocess.run(
+        [sys.executable, "-m", "nablatc.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert res.returncode == 2
+    assert res.stderr.startswith("nt: configuration error:") and res.stderr.count("\n") == 1
+    assert "allocate" in res.stderr
     assert not out.exists()

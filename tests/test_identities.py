@@ -38,6 +38,28 @@ def test_report_invariant_enforced():
     assert r.to_dict()["pass"] is False
 
 
+def test_from_devs_reports_the_first_largest_deviation():
+    r = IdentityReport.from_devs("x", np.array([0.5, 2.0, 1.0, 2.0]), 1.25, 3.0, {"n": 1})
+    assert (r.max_abs_dev, r.argmax_k, r.passed, r.params) == (2.0, 2.25, True, {"n": 1})
+    # a NaN deviation wins over any number and fails the check
+    r = IdentityReport.from_devs("x", np.array([1.0, math.nan, 3.0]), 0.0, 10.0)
+    assert math.isnan(r.max_abs_dev) and r.argmax_k == 1.0 and not r.passed
+
+
+def test_from_devs_empty_reports_zero_at_first_k():
+    r = IdentityReport.from_devs("x", np.array([]), -3.5, 0.0)
+    assert (r.max_abs_dev, r.argmax_k, r.passed, r.params) == (0.0, -3.5, True, {})
+
+
+@pytest.mark.parametrize("first_k", [-4.0, 0.0, 0.375, 7.0])
+def test_from_devs_argmax_is_first_k_plus_index(first_k):
+    devs = np.abs(RNG.standard_normal(40))
+    j = int(np.argmax(devs))
+    r = IdentityReport.from_devs("x", devs, first_k, 1.0)
+    assert r.argmax_k == first_k + j
+    assert r.max_abs_dev == devs[j]
+
+
 def test_difference_of_sum_recovers_signal():
     x = sin_signal()
     w = preset_weight("case4", x.grid)

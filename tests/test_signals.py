@@ -20,6 +20,7 @@ from nablatc.signals import (
     make_signal_from_fn,
     make_weight,
     read_signal_csv,
+    read_weight_csv,
     scale_weight,
     signal_from_values,
     write_signal_csv,
@@ -190,6 +191,31 @@ def test_grid_length_mismatch():
         Signal(Grid(0.0, 0, 2), np.ones(5))
     with pytest.raises(GridMismatch):
         Weight(Grid(0.0, 0, 2), np.ones(5))
+
+
+def test_weight_is_a_signal_whose_messages_say_weight(tmp_path):
+    g = Grid(a=0.5, history=1, horizon=4)
+    w = make_weight(g, rate=0.5)
+    assert isinstance(w, Signal) and (w.kind, w.rate) == ("exponential", 0.5)
+    assert w.at(0) == 1.0 and w.at(-1) == 2.0
+    np.testing.assert_array_equal(w.body, [0.5, 0.25, 0.125, 0.0625])
+    np.testing.assert_array_equal(w.window(-1, 1), [2.0, 1.0, 0.5])
+    with pytest.raises(GridMismatch, match=r"^weight has 5 samples, grid holds 6 points$"):
+        Weight(g, np.ones(5))
+    vals = np.ones(g.npoints)
+    vals[g.position(3)] = math.inf
+    with pytest.raises(
+        NonFiniteSample,
+        match=r"^weight contains non-finite samples from lattice offset 3: "
+        r"this weight admits a horizon of at most 2 from its base point$",
+    ):
+        Weight(g, vals)
+    path = str(tmp_path / "w.csv")
+    write_signal_csv(path, w, include_history=True)
+    back = read_weight_csv(path, history=1)
+    assert type(back) is Weight and back.kind == "general" and back.rate is None
+    assert back.grid == g
+    np.testing.assert_array_equal(back.values, w.values)
 
 
 def test_csv_roundtrip(tmp_path):

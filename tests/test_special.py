@@ -12,6 +12,7 @@ from nablatc.special import (
     gl_coefficients,
     rising,
     rising_over_gamma,
+    rising_over_gamma_row,
 )
 
 from _oracles import gl_coeff_ref, rising_ref
@@ -57,6 +58,33 @@ def test_rising_over_gamma_vanishing_rule():
 def test_rising_over_gamma_unresolvable_pole():
     with pytest.raises(DomainError):
         rising_over_gamma(2, -4.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "q, d",
+    [
+        (2.0**53, 1.5),
+        (-(2.0**53), 0.5),
+        (0.5, 2.0**53),
+        (-1e300, 1.0 - 1e300),
+        (math.inf, 1.0),
+        (0.5, -math.inf),
+    ],
+)
+def test_gamma_ratio_past_unit_resolution_is_domain_error(q, d):
+    # from 2**53 on, m + q rounds the shift m away: every base of a row
+    # would give the same value
+    with pytest.raises(DomainError, match=r"2\*\*53"):
+        rising_over_gamma(1, q, d)
+    with pytest.raises(DomainError, match=r"2\*\*53"):
+        rising_over_gamma_row(q, d, 4)
+
+
+def test_gamma_ratio_just_below_unit_resolution_still_evaluates():
+    q = 2.0**53 - 2.0
+    row = rising_over_gamma_row(q, q + 1.0, 3)
+    assert row.tolist() == [rising_over_gamma(m, q, q + 1.0) for m in (1, 2, 3)]
+    assert row[0] == 1.0
 
 
 @given(st.integers(min_value=0, max_value=12), st.floats(min_value=0.01, max_value=6.0))
