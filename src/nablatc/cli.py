@@ -49,6 +49,7 @@ from .signals import (
     Signal,
     Weight,
     _atomic_write_text,
+    _nonunit_step,
     read_signal_csv,
     read_weight_csv,
     write_signal_csv,
@@ -75,11 +76,24 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+def _lattice(args: argparse.Namespace, history: int) -> Grid:
+    """The grid of ``--a`` and ``--N``, held to unit steps like a CSV file:
+    past 2**22 in magnitude, ``a + m`` may round off the lattice."""
+    grid = Grid(a=args.a, history=history, horizon=args.N)
+    k = grid.k_values()
+    bad = _nonunit_step(k)
+    if bad is not None:
+        raise ConfigError(
+            f"--a {args.a!r} gives a non-unit step between k={k[bad]} and "
+            f"k={k[bad + 1]}: binary64 does not resolve this lattice"
+        )
+    return grid
+
+
 def _load_signal(args: argparse.Namespace, history: int) -> Signal:
     if os.path.exists(args.signal) or args.signal.endswith(".csv"):
         return read_signal_csv(args.signal, history=history)
-    grid = Grid(a=args.a, history=history, horizon=args.N)
-    return preset_signal(args.signal, grid)
+    return preset_signal(args.signal, _lattice(args, history))
 
 
 def _load_weight(args: argparse.Namespace, grid: Grid) -> Weight:
@@ -148,11 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     if not (0.0 < args.alpha < 1.0):
         raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    for name in ("mu", "x0"):
-        if not math.isfinite(getattr(args, name)):
-            raise ConfigError(f"--{name} must be finite, got {getattr(args, name)}")
-    grid = Grid(a=args.a, history=0, horizon=args.N)
-    w = _load_weight(args, grid)
+    w = _load_weight(args, _lattice(args, 0))
     x = fde_solve(args.alpha, args.mu, w, args.x0, args.N)
     write_signal_csv(args.out, x, include_history=True)
     return EXIT_OK
@@ -355,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="step the tempered relaxation equation")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--mu", type=finite, required=True)
     p.add_argument("--weight", default="one")
-    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--x0", type=finite, required=True)
     p.add_argument("--a", type=finite, default=0.0)
     p.add_argument("--N", type=positive_int, required=True)
     p.add_argument("--out", required=True)

@@ -22,11 +22,13 @@ from .operators import (
     InsufficientLags,
     OperatorKind,
     OperatorSpec,
-    _signed_binomials,
+    _stencil,
+    apply_operator,
     causal_sum,
     caputo_tempered,
     gl_integer_vs_nabla_defect,
     gl_tempered,
+    initial_value_terms,
     nabla_at,
     nabla_n_tempered,
     nabla_n_tempered_at,
@@ -174,12 +176,8 @@ def check_rl_caputo_correction(
     N = x.grid.horizon
     rl = rl_tempered(x, alpha, w).body
     cap = caputo_tempered(x, alpha, w).body
-    ratio = _w_ratio_from_base(w, N)
-    corr = np.zeros(N)
-    for i in range(n):
-        iv = nabla_n_tempered_at(x, i, w, 0)
-        basis = rising_over_gamma_row(i - alpha, i - alpha + 1, N)
-        corr += basis * ratio * iv
+    basis = lambda i: rising_over_gamma_row(i - alpha, i - alpha + 1, N)
+    corr = sum(initial_value_terms(x, w, range(n), basis), np.zeros(N))
     devs = np.abs(rl - (cap + corr))
     return IdentityReport.from_devs(
         "rl-caputo-correction", devs, x.grid.a + 1, tol, {"alpha": alpha}
@@ -229,9 +227,9 @@ def check_sum_of_difference(
     """
     n = _stage(alpha)
     N = x.grid.horizon
-    ratio = _w_ratio_from_base(w, N)
     if kind == "rl":
         v = rl_tempered(x, alpha, w)
+        ratio = _w_ratio_from_base(w, N)
         corr = np.zeros(N)
         for i in range(n):
             iv = rl_tempered_at_base(x, alpha - i - 1, w)
@@ -239,11 +237,8 @@ def check_sum_of_difference(
             corr += basis * ratio * iv
     elif kind == "caputo":
         v = caputo_tempered(x, alpha, w)
-        corr = np.zeros(N)
-        for i in range(n):
-            iv = nabla_n_tempered_at(x, i, w, 0)
-            basis = rising_over_factorial_row(i, N)
-            corr += basis * ratio * iv
+        basis = lambda i: rising_over_factorial_row(i, N)
+        corr = sum(initial_value_terms(x, w, range(n), basis), np.zeros(N))
     else:
         raise ValueError(f"kind must be 'rl' or 'caputo', got {kind!r}")
     lhs = gl_tempered(v, -alpha, w).body
@@ -311,12 +306,8 @@ def check_taylor_remainder_forms(
     if not (0 <= m < alpha):
         raise ValueError(f"shift m must satisfy 0 <= m < alpha, got {m}")
     N = x.grid.horizon
-    ratio = _w_ratio_from_base(w, N)
-
-    series = np.zeros(N)
-    for i in range(m, n):
-        iv = nabla_n_tempered_at(x, i, w, 0)
-        series += rising_over_factorial_row(i - m, N) * ratio * iv
+    basis = lambda i: rising_over_factorial_row(i - m, N)
+    series = sum(initial_value_terms(x, w, range(m, n), basis), np.zeros(N))
 
     cap = caputo_tempered(x, alpha, w)
     coef = rising_over_gamma_row(alpha - m - 1, alpha - m, N)
@@ -423,12 +414,6 @@ def check_order_limit_diff(
         raise ValueError(f"kind must be 'rl' or 'caputo', got {kind!r}")
     N = x.grid.horizon
 
-    if n >= 2:
-        low_target = nabla_n_tempered(x, n - 1, w).body
-    else:
-        low_target = x.body.copy()
-    high_target = nabla_n_tempered(x, n, w).body
-
     if kind == "caputo":
         first = 1
         op = caputo_tempered
@@ -437,10 +422,10 @@ def check_order_limit_diff(
         op = rl_tempered
     sl = slice(first - 1, N)
 
-    if side == "at_n":
-        target = high_target[sl]
-    else:
-        target = low_target[sl]
+    # the limit from below is the n-th difference, from above the (n-1)-th
+    target_order = n if side == "at_n" else n - 1
+    target = x.body if target_order == 0 else nabla_n_tempered(x, target_order, w).body
+    target = target[sl]
 
     ratio = _w_ratio_from_base(w, N)
     iv_low = (
@@ -529,7 +514,6 @@ def check_leibniz(
     """
     if f.grid != g.grid:
         raise GridMismatch("product factors must share a grid")
-    w = spec.weight
     h = f.grid.history
     kind = spec.kind
     if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) and h < spec.n:
@@ -539,25 +523,12 @@ def check_leibniz(
 
     fg = Signal(f.grid, f.values * g.values)
     rhs = _leibniz_rhs(f, g, spec)
+    devs = np.abs(apply_operator(fg, spec).body - rhs)
     if kind is OperatorKind.INTEGER_NABLA:
-        nn = int(spec.order)
-        devs = np.abs(nabla_n_tempered(fg, nn, w).body - rhs)
-        return IdentityReport.from_devs(
-            "leibniz-integer", devs, f.grid.a + 1, tol, {"n": nn}
-        )
-
-    alpha = spec.order
-    if kind is OperatorKind.GL:
-        lhs = gl_tempered(fg, alpha, w).body
-        ident = "leibniz-gl"
-    elif kind is OperatorKind.RL:
-        lhs = rl_tempered(fg, alpha, w).body
-        ident = "leibniz-rl"
+        ident, params = "leibniz-integer", {"n": int(spec.order)}
     else:
-        lhs = caputo_tempered(fg, alpha, w).body
-        ident = "leibniz-caputo"
-    devs = np.abs(lhs - rhs)
-    return IdentityReport.from_devs(ident, devs, f.grid.a + 1, tol, {"alpha": alpha})
+        ident, params = f"leibniz-{kind.value}", {"alpha": spec.order}
+    return IdentityReport.from_devs(ident, devs, f.grid.a + 1, tol, params)
 
 
 def _leibniz_rhs(f: Signal, g: Signal, spec: OperatorSpec) -> np.ndarray:
@@ -578,10 +549,7 @@ def _leibniz_rhs(f: Signal, g: Signal, spec: OperatorSpec) -> np.ndarray:
         rhs = np.zeros(N)
         for i in range(nn + 1):
             # nabla^(nn-i) g at offsets 1-i..N-i, lag by lag like nabla_at
-            coef = _signed_binomials(nn - i)
-            dg = np.zeros(N)
-            for j in range(nn - i + 1):
-                dg += coef[j] * g.window(1 - i - j, N - i - j)
+            dg = _stencil(g.window(1 - nn, N - i), nn - i)
             rhs += math.comb(nn, i) * (frows[i] / wk) * dg
         return rhs
 

@@ -22,6 +22,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "nabla_n",
     "nabla_n_tempered",
     "nabla_n_tempered_at",
+    "initial_value_terms",
     "nabla_at",
     "gl_tempered",
     "rl_tempered",
@@ -341,6 +343,18 @@ def _signed_binomials(n: int) -> np.ndarray:
     return coef
 
 
+def _stencil(z: np.ndarray, n: int) -> np.ndarray:
+    """``out[j] = sum_{i=0}^{n} (-1)^i C(n, i) z[n+j-i]``, each output summed
+    from 0.0 in ascending lag like :func:`nabla_at`, one pass per lag.
+    Callers that expect overflow set their own ``np.errstate``."""
+    coef = _signed_binomials(n)
+    N = len(z) - n
+    out = np.zeros(N)
+    for i in range(n + 1):
+        out += coef[i] * z[n - i : n - i + N]
+    return out
+
+
 def _output(grid_a: float, horizon: int, body: np.ndarray, out_history: int = 0) -> Signal:
     vals = np.concatenate([np.zeros(out_history + 1), body])
     return Signal(Grid(a=grid_a, history=out_history, horizon=horizon), vals)
@@ -352,13 +366,10 @@ def nabla_n(x: Signal, n: int) -> Signal:
     n = int(n)
     if x.grid.history < n:
         raise InsufficientHistory(f"order {n} difference needs history >= {n}")
-    coef = _signed_binomials(n)
     N = x.grid.horizon
-    out = np.zeros(N)
     # an overflowing sum makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n + 1):
-            out += coef[i] * x.window(1 - i, N - i)
+        out = _stencil(x.window(1 - n, N), n)
     return _output(x.grid.a, N, out)
 
 
@@ -369,14 +380,10 @@ def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
     if x.grid.history < n:
         raise InsufficientHistory(f"order {n} tempered difference needs history >= {n}")
     _require_weight_covers(w, x.grid, 1 - n)
-    coef = _signed_binomials(n)
     N = x.grid.horizon
-    out = np.zeros(N)
     # an overflowing sum makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        z = w.window(1 - n, N) * x.window(1 - n, N)  # z[j] at offset j + 1 - n
-        for i in range(n + 1):
-            out += coef[i] * z[n - i : n - i + N]
+        out = _stencil(w.window(1 - n, N) * x.window(1 - n, N), n)
         out /= w.window(1, N)
     return _output(x.grid.a, N, out)
 
@@ -406,6 +413,18 @@ def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
     for i in range(n + 1):
         acc += coef[i] * w.at(offset - i) * x.at(offset - i)
     return acc / w.at(offset)
+
+
+def initial_value_terms(
+    x: Signal, w: Weight, degrees: Iterable[int], basis: Callable[[int], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Terms ``basis(i) * (w(a)/w(k)) * d_i`` on the evaluation window, in
+    the order of ``degrees``, with ``d_i = nabla_n_tempered_at(x, i, w, 0)``:
+    summed from 0.0, the initial-value series of the base-point forms."""
+    ratio = w.at(0) / w.window(1, x.grid.horizon)
+    for i in degrees:
+        d_i = nabla_n_tempered_at(x, i, w, 0)
+        yield basis(i) * ratio * d_i
 
 
 def nabla_at(x: Signal, n: int, offset: int = 0) -> float:

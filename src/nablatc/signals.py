@@ -103,11 +103,6 @@ class Grid:
             )
         return offset + self.history
 
-    def offset_at(self, position: int) -> int:
-        if position < 0 or position >= self.npoints:
-            raise GridMismatch(f"position {position} outside storage [0, {self.npoints})")
-        return position - self.history
-
     def covers(self, other: "Grid") -> bool:
         """Whether this grid contains every point of ``other`` (same base)."""
         return (
@@ -296,6 +291,13 @@ def scale_weight(w: Weight, lam_scale: float) -> Weight:
 _STEP_TOL = 1e-9
 
 
+def _nonunit_step(k: np.ndarray) -> int | None:
+    """Index of the step of ``k`` farthest from 1, or None when all are 1
+    within ``_STEP_TOL`` (the unit-step test of CSV files and ``nt --a``)."""
+    dev = np.abs(np.diff(k) - 1.0)
+    return int(np.argmax(dev)) if np.any(dev > _STEP_TOL) else None
+
+
 def _atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file and rename, so no partial file survives an error."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -340,9 +342,8 @@ def _read_grid_csv(path: str, history: int) -> tuple[Grid, np.ndarray]:
     if len(ks) < 2:
         raise CSVFormatError(f"{path}: need at least two rows")
     k = np.asarray(ks)
-    steps = np.diff(k)
-    if np.any(np.abs(steps - 1.0) > _STEP_TOL):
-        bad = int(np.argmax(np.abs(steps - 1.0)))
+    bad = _nonunit_step(k)
+    if bad is not None:
         raise CSVFormatError(
             f"{path}: non-unit step between k={k[bad]} and k={k[bad + 1]}"
         )

@@ -56,12 +56,23 @@ def _signed_loggamma(x: float) -> tuple[float, float]:
     return math.lgamma(x), sign
 
 
+def _exp(t: float | list[float]) -> float | np.ndarray:
+    """``math.exp`` of a float, or of each float of a list into an array;
+    a result past binary64 raises :class:`DomainError`, not ``OverflowError``."""
+    try:
+        if type(t) is list:
+            return np.fromiter(map(math.exp, t), np.float64, len(t))
+        return math.exp(t)
+    except OverflowError:
+        raise DomainError("a Gamma ratio overflows binary64 (math.exp range)") from None
+
+
 def _matched_pole_ratio(m_num: int, m_den: int) -> float:
     # Gamma(-m_num + t)/Gamma(-m_den + t) as t -> 0 with both arguments
     # shifted by the same t (the situation for co-moving lattice arguments):
     # ratio of residues, (-1)^(m_num - m_den) * m_den!/m_num!.
     sign = -1.0 if (m_num - m_den) % 2 else 1.0
-    return sign * math.exp(math.lgamma(m_den + 1.0) - math.lgamma(m_num + 1.0))
+    return sign * _exp(math.lgamma(m_den + 1.0) - math.lgamma(m_num + 1.0))
 
 
 def _gamma_ratio3(num: float, den1: float, den2: float) -> float:
@@ -78,7 +89,7 @@ def _gamma_ratio3(num: float, den1: float, den2: float) -> float:
         ln, sn = _signed_loggamma(num)
         l1, s1 = _signed_loggamma(den1)
         l2, s2 = _signed_loggamma(den2)
-        return sn * s1 * s2 * math.exp(ln - l1 - l2)
+        return sn * s1 * s2 * _exp(ln - l1 - l2)
 
     if n_den_poles == 0:
         raise DomainError(
@@ -95,7 +106,7 @@ def _gamma_ratio3(num: float, den1: float, den2: float) -> float:
     else:
         m_den, other = int(-den2), den1
     lo, so = _signed_loggamma(other)
-    return _matched_pole_ratio(m_num, m_den) * so * math.exp(-lo)
+    return _matched_pole_ratio(m_num, m_den) * so * _exp(-lo)
 
 
 def _check_resolved(q: float, d: float) -> None:
@@ -137,7 +148,7 @@ def rising(p: int, q: float) -> float:
             out *= j
         return 1.0 / out
     ln, sn = _signed_loggamma(p + q)
-    return sn * math.exp(ln - math.lgamma(p))
+    return sn * _exp(ln - math.lgamma(p))
 
 
 def rising_over_gamma(p: int, q: float, denom: float) -> float:
@@ -151,8 +162,9 @@ def rising_over_gamma(p: int, q: float, denom: float) -> float:
     operator identities rely on.
 
     Raises:
-        DomainError: when the numerator sits at an unresolvable pole, or
-            when ``|q|`` or ``|denom|`` is 2**53 or more (or infinite).
+        DomainError: when the numerator sits at an unresolvable pole, when
+            ``|q|`` or ``|denom|`` is 2**53 or more (or infinite), or when
+            the ratio overflows binary64.
     """
     if p != int(p):
         raise DomainError(f"rising function base must be an integer, got {p}")
@@ -170,8 +182,9 @@ def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
     ``floor(m+q)`` and of ``floor(d)``, so the row is bit-identical to the
     per-point values.  A row holding a pole (some ``m+q`` or ``d`` a
     nonpositive integer) or a NaN argument takes the per-point path and its
-    cancellation rules; ``|q|`` or ``|d|`` of 2**53 or more raises
-    :class:`DomainError`, as the per-point function does.
+    cancellation rules; ``|q|`` or ``|d|`` of 2**53 or more, or a value
+    past binary64, raises :class:`DomainError`, as the per-point function
+    does.
     """
     _check_resolved(q, d)
     num = np.arange(1, N + 1) + q
@@ -186,7 +199,7 @@ def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
     l1 = np.fromiter(map(math.lgamma, range(1, N + 1)), np.float64, n)
     l2, s2 = _signed_loggamma(d)
     sign = np.where((num < 0.0) & (np.floor(num) % 2 == 1), -s2, s2)
-    return sign * np.fromiter(map(math.exp, ((ln - l1) - l2).tolist()), np.float64, n)
+    return sign * _exp(((ln - l1) - l2).tolist())
 
 
 def rising_over_factorial_row(i: int, N: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -26,9 +26,10 @@ from .operators import (
     _signed_binomials,
     apply_operator,
     causal_sum,
+    initial_value_terms,
     nabla_at,
+    nabla_n,
     nabla_n_tempered,
-    nabla_n_tempered_at,
     tempered_diff_rows,
 )
 from .signals import Grid, Signal, Weight
@@ -42,7 +43,6 @@ from .special import (
 __all__ = [
     "DegreeTooLow",
     "InsufficientLags",
-    "TaylorExpansion",
     "SeriesSweep",
     "taylor_initial",
     "reconstruct_initial",
@@ -59,23 +59,6 @@ class DegreeTooLow(NablaError):
 
 
 @dataclass(frozen=True)
-class TaylorExpansion:
-    """Expansion data of a signal around a lattice anchor.
-
-    ``coefficients[i]`` holds the i-th backward difference at the anchor;
-    the factorial normalization lives in the basis, not here.
-    """
-
-    base: str  # "initial_a" | "future_b" | "current_k"
-    degree: int
-    coefficients: np.ndarray
-    remainder_kind: str  # "none" | "integer_sum" | "fractional_sum"
-
-    def __post_init__(self) -> None:
-        self.coefficients.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class SeriesSweep:
     """Deviation of truncated base-point series from the direct operator,
     per truncation degree."""
@@ -84,23 +67,18 @@ class SeriesSweep:
     order: float
     degrees: tuple[int, ...]
     deviations: tuple[float, ...]
-    params: dict = field(default_factory=dict)
-
-    @property
-    def final_deviation(self) -> float:
-        return self.deviations[-1]
 
 
-def taylor_initial(x: Signal, K: int) -> TaylorExpansion:
-    """Backward differences of the signal at the base point, degrees 0..K."""
+def taylor_initial(x: Signal, K: int) -> np.ndarray:
+    """Backward differences of the signal at the base point, degrees 0..K,
+    as a read-only array (the factorial normalization lives in the basis)."""
     if K < 0:
         raise DegreeTooLow(f"degree must be >= 0, got {K}")
     if x.grid.history < K + 1:
         raise InsufficientHistory(f"degree {K} expansion needs history >= {K + 1}")
     coeffs = np.array([nabla_at(x, i, 0) for i in range(K + 1)])
-    return TaylorExpansion(
-        base="initial_a", degree=K, coefficients=coeffs, remainder_kind="integer_sum"
-    )
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def reconstruct_initial(x: Signal, K: int) -> Signal:
@@ -109,14 +87,14 @@ def reconstruct_initial(x: Signal, K: int) -> Signal:
     This is a finite identity: the reconstruction equals the signal on the
     whole evaluation window, exactly up to rounding.
     """
-    exp = taylor_initial(x, K)
+    coeffs = taylor_initial(x, K)
     N = x.grid.horizon
     out = np.zeros(N + 1)  # offsets 0..N
-    out[0] = exp.coefficients[0]  # only the i=0 basis survives at the anchor
+    out[0] = coeffs[0]  # only the i=0 basis survives at the anchor
     for i in range(K + 1):
-        out[1:] += rising_over_factorial_row(i, N) * exp.coefficients[i]
+        out[1:] += rising_over_factorial_row(i, N) * coeffs[i]
     # remainder: sum_{j=1}^{m} ((m-j+1)^(K)/K!) * nabla^{K+1} x(j)
-    dKp1 = np.array([nabla_at(x, K + 1, m) for m in range(1, N + 1)])
+    dKp1 = nabla_n(x, K + 1).body
     out[1:] += causal_sum(rising_over_factorial_row(K, N), dKp1)
     return Signal(Grid(x.grid.a, 0, N), out)
 
@@ -156,18 +134,15 @@ def _difference_stencils(t: int) -> np.ndarray:
 
 def _series_terms(
     x: Signal, w: Weight, kind: OperatorKind, order: float, n: int, K: int, N: int
-) -> Iterator[tuple[int, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """Terms ``basis_i(k) (w(a)/w(k)) d_i`` of the base-point series, for
     i from the integer stage (or 0) up to K, in ascending i."""
     i_lo = n if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) else 0
-    ratio = w.at(0) / w.window(1, N)
-    for i in range(i_lo, K + 1):
-        d_i = nabla_n_tempered_at(x, i, w, 0)
-        if kind is OperatorKind.INTEGER_NABLA:
-            basis = rising_over_factorial_row(i - n, N)
-        else:
-            basis = rising_over_gamma_row(i - order, i - order + 1, N)
-        yield i, basis * ratio * d_i
+    if kind is OperatorKind.INTEGER_NABLA:
+        basis = lambda i: rising_over_factorial_row(i - n, N)
+    else:
+        basis = lambda i: rising_over_gamma_row(i - order, i - order + 1, N)
+    return initial_value_terms(x, w, range(i_lo, K + 1), basis)
 
 
 def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
@@ -183,9 +158,7 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     if K < 0 or x.grid.history < K + 1:
         raise InsufficientHistory(f"degree {K} needs history >= {K + 1}")
     N = x.grid.horizon
-    series = np.zeros(N)
-    for _, term in _series_terms(x, w, kind, order, n, K, N):
-        series += term
+    series = sum(_series_terms(x, w, kind, order, n, K, N), np.zeros(N))
 
     # remainder coefficient: (k-j+1)^(K-order)/Gamma(K-order+1), with the
     # integer kind using (K-n)! in place of the Gamma
@@ -216,17 +189,13 @@ def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSw
     series = np.zeros(N)
     degrees = []
     deviations = []
-    for i, term in _series_terms(x, spec.weight, kind, spec.order, n, K_max, N):
+    terms = _series_terms(x, spec.weight, kind, spec.order, n, K_max, N)
+    for i, term in enumerate(terms, k_lo - 1):
         series += term
         if i >= k_lo:
             degrees.append(i)
             deviations.append(float(np.max(np.abs(series - direct))))
-    return SeriesSweep(
-        kind=kind,
-        order=spec.order,
-        degrees=tuple(degrees),
-        deviations=tuple(deviations),
-    )
+    return SeriesSweep(kind, spec.order, tuple(degrees), tuple(deviations))
 
 
 def tempered_op_taylor_current(x: Signal, spec: OperatorSpec) -> Signal:

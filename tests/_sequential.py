@@ -13,8 +13,12 @@ the per-point Gamma-ratio row and the list-built lattice sampler are frozen
 copies of the one-call-per-point versions that the library's one-pass row
 and sampler replace, and the per-term loops of the Taylor forms, the
 product rule and the suite's instance signals are frozen copies of the
-loops that the library's row passes replace.  The independent,
-high-precision references live in ``_oracles.py``.
+loops that the library's row passes replace.  The same holds for the
+per-point tempered integer difference, the base-point reconstruction with
+one pointwise difference per point, and the initial-value series as the
+identity checkers wrote it inline, which the library's shared stencil and
+series generator replace.  The independent, high-precision references live
+in ``_oracles.py``.
 """
 
 from __future__ import annotations
@@ -386,3 +390,46 @@ def instance_signal_seq(rng: np.random.Generator, grid: Grid, idx: int) -> Signa
         )
     r = float(rng.uniform(0.75, 1.03))
     return make_signal_from_fn(grid, lambda k: r ** (k - grid.a))
+
+
+def nabla_n_tempered_seq(x: Signal, n: int, w: Weight) -> np.ndarray:
+    """Body of ``w^-1 nabla^n [w x]``, one scalar accumulator per point:
+    ``c_i * (w x)(m - i)`` added from 0.0 in ascending lag, then divided
+    by ``w(m)``."""
+    N = x.grid.horizon
+    coef = [float((-1) ** i * math.comb(n, i)) for i in range(n + 1)]
+    body = np.empty(N)
+    for m in range(1, N + 1):
+        acc = 0.0
+        for i in range(n + 1):
+            acc += coef[i] * (w.at(m - i) * x.at(m - i))
+        body[m - 1] = acc / w.at(m)
+    return body
+
+
+def reconstruct_initial_seq(x: Signal, K: int) -> np.ndarray:
+    """Values of the degree-K base-point reconstruction at offsets 0..N,
+    with one pointwise difference per coefficient and per remainder point."""
+    N = x.grid.horizon
+    coeffs = [nabla_at(x, i, 0) for i in range(K + 1)]
+    out = np.zeros(N + 1)
+    out[0] = coeffs[0]
+    for i in range(K + 1):
+        out[1:] += rising_over_factorial_row(i, N) * coeffs[i]
+    dKp1 = np.array([nabla_at(x, K + 1, m) for m in range(1, N + 1)])
+    out[1:] += causal_sum(rising_over_factorial_row(K, N), dKp1)
+    return out
+
+
+def initial_value_series_seq(x: Signal, w: Weight, degrees, basis) -> np.ndarray:
+    """``sum_i basis(i)(k) (w(a)/w(k)) d_i`` over ``degrees`` in order, one
+    scalar accumulator per point, as the identity checkers wrote it inline."""
+    N = x.grid.horizon
+    terms = [(basis(i), nabla_n_tempered_at(x, i, w, 0)) for i in degrees]
+    out = np.empty(N)
+    for m in range(1, N + 1):
+        acc = 0.0
+        for row, d_i in terms:
+            acc += row[m - 1] * (w.at(0) / w.at(m)) * d_i
+        out[m - 1] = acc
+    return out

@@ -166,7 +166,9 @@ def test_solve_nonfinite_parameter_is_config_error(tmp_path, capsys, opt):
     args[name] = value
     argv = ["solve", "--alpha", "0.5", "--N", "5", "--out", str(out)]
     argv += [f"{k}={v}" for k, v in args.items()]
-    assert run(argv) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("nt: configuration error:") and err.count("\n") == 1
     assert name in err
@@ -535,6 +537,62 @@ def test_huge_taylor_order_is_numeric_error(tmp_path, capsys):
     assert err.startswith("nt: numeric error:") and err.count("\n") == 1
     assert "2**53" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rep", [["--rep", "current"], ["--rep", "initial", "--history", "7"]], ids=["current", "initial"]
+)
+def test_gamma_ratio_overflow_is_numeric_error(tmp_path, rep):
+    # a sum order of -1e15 puts a Taylor basis value past binary64 from
+    # k - a = 23 on, where math.exp raises OverflowError; a separate
+    # process, so a traceback would reach its stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablatc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    out = tmp_path / "x.csv"
+    res = subprocess.run(
+        [sys.executable, "-m", "nablatc.cli", "taylor", "--kind", "gl", "--order=-1e15",
+         "--signal", "sin10k", "--N", "30", *rep, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 3
+    assert res.stderr.startswith("nt: numeric error:") and res.stderr.count("\n") == 1
+    assert "overflows binary64" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k", "--a", "1e300"],
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+         "--a", "9007199254740990"],
+        ["taylor", "--kind", "gl", "--order", "0.5", "--signal", "sin10k", "--a=-1e17"],
+        ["solve", "--alpha", "0.5", "--mu=-0.2", "--x0", "1", "--a", "1e300"],
+        ["laplace", "--signal", "sin10k", "--s-re", "1.5", "--a", "1e300"],
+    ],
+    ids=["eval-1e300", "eval-2**53", "taylor", "solve", "laplace"],
+)
+def test_base_point_without_unit_steps_is_config_error(tmp_path, capsys, argv):
+    # a + m rounds onto its neighbours: the lattice the reader would reject
+    out = tmp_path / "x.csv"
+    if argv[0] != "laplace":  # laplace prints to stdout
+        argv = [*argv, "--out", str(out)]
+    assert run([*argv, "--N", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nt: configuration error: --a")
+    assert captured.err.count("\n") == 1 and "non-unit step" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a", [1e6, 100000000.1, -4194303.5])
+def test_large_base_point_with_unit_steps_round_trips(tmp_path, a):
+    # a + m is exact for these, so the output reads back as a unit lattice
+    out = str(tmp_path / "x.csv")
+    assert run(["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+                f"--a={a!r}", "--N", "20", "--out", out]) == 0
+    y = read_signal_csv(out, history=0)
+    assert y.grid.a == a + 1 and y.grid.horizon == 19
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """Byte equality of the row passes with the per-term loops they replace.
 
 The Taylor sweep, the evaluation-point roundtrip and form, the
-future-instant residual, the product-rule right-hand side and the suite's instance
-signals each add the same terms, in the same order, with the same
-roundings as the loops frozen in ``_sequential.py``; so do the vector-order
+future-instant residual, the product-rule right-hand side, the suite's instance
+signals, the integer difference stencil, the base-point reconstruction and
+the initial-value series each add the same terms, in the same order, with
+the same roundings as the loops frozen in ``_sequential.py``; so do the vector-order
 ``gl_coefficients`` and the 2-D ``causal_sum`` against their 1-D calls.
 Every comparison is on bytes.  The suite's own shapes are covered first,
 then drawn ones.
@@ -20,12 +21,21 @@ from hypothesis import strategies as st
 from nablatc import suite
 from nablatc.errors import NablaError
 from nablatc.identities import _leibniz_rhs, check_leibniz
-from nablatc.operators import OperatorKind, OperatorSpec, causal_sum
+from nablatc.operators import (
+    OperatorKind,
+    OperatorSpec,
+    causal_sum,
+    initial_value_terms,
+    nabla_at,
+    nabla_n,
+    nabla_n_tempered,
+)
 from nablatc.presets import preset_signal, preset_weight
 from nablatc.signals import Grid, Signal
-from nablatc.special import gl_coefficients
+from nablatc.special import gl_coefficients, rising_over_factorial_row, rising_over_gamma_row
 from nablatc.taylor import (
     reconstruct_from_current,
+    reconstruct_initial,
     taylor_series_initial,
     tempered_op_taylor_current,
     tempered_op_taylor_future,
@@ -33,9 +43,12 @@ from nablatc.taylor import (
 
 from _sequential import (
     causal_sum_seq,
+    initial_value_series_seq,
     instance_signal_seq,
     leibniz_rhs_seq,
+    nabla_n_tempered_seq,
     reconstruct_from_current_seq,
+    reconstruct_initial_seq,
     taylor_current_seq,
     taylor_future_seq,
     taylor_sweep_seq,
@@ -415,3 +428,82 @@ def test_instance_signals_match_over_suite_draws(index, monkeypatch):
     for (x, w), (x0, w0) in zip(new, old):
         assert x.values.tobytes() == x0.values.tobytes()
         assert w.values.tobytes() == w0.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# integer difference stencil, base-point reconstruction, initial-value series
+# ---------------------------------------------------------------------------
+
+# the two weights of the suite that grow or alternate fastest, and
+# exponential weights (1 - rate)^(k - a) with a base above 1 (a negative
+# rate) and a negative base (a rate above 1)
+STENCIL_WEIGHTS = st.one_of(
+    st.sampled_from(["case2", "case4"]),
+    st.floats(min_value=-2.0, max_value=-0.01).map(lambda r: f"exp:{r!r}"),
+    st.floats(min_value=1.01, max_value=3.0).map(lambda r: f"exp:{r!r}"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=0, max_value=3),
+    STENCIL_WEIGHTS,
+    st.sampled_from(SIGNALS),
+    st.integers(min_value=0, max_value=99),
+)
+@example(6, 80, 0, "case2", "random", 0)
+@example(1, 1, 0, "exp:1.01", "sin10k", 0)
+def test_integer_stencil_sequential(n, N, extra, wspec, sname, seed):
+    grid = Grid(-1.5, history=n + extra, horizon=N)
+    x = _signal(grid, sname, seed)
+    w = preset_weight(wspec, grid)
+    got = _outcome(lambda: nabla_n_tempered(x, n, w).body)
+    assert got == _outcome(lambda: nabla_n_tempered_seq(x, n, w))
+    got = _outcome(lambda: nabla_n(x, n).body)
+    assert got == _outcome(lambda: [nabla_at(x, n, m) for m in range(1, N + 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(SIGNALS),
+    st.integers(min_value=0, max_value=99),
+)
+@example(5, 80, 0, "random", 0)
+def test_reconstruct_initial_sequential(K, N, extra, sname, seed):
+    grid = Grid(1.0, history=K + 1 + extra, horizon=N)
+    x = _signal(grid, sname, seed)
+    got = _outcome(lambda: reconstruct_initial(x, K).values)
+    assert got == _outcome(lambda: reconstruct_initial_seq(x, K))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=0, max_value=3),
+    STENCIL_WEIGHTS,
+    st.sampled_from(SIGNALS),
+    st.one_of(st.none(), st.floats(min_value=0.05, max_value=5.95)),
+    st.integers(min_value=0, max_value=99),
+)
+@example(0, 6, 80, 0, "case2", "random", None, 0)
+@example(0, 2, 64, 0, "exp:-1.0", "geom:1.5", 1.5, 0)
+def test_initial_value_series_sequential(lo, hi, N, extra, wspec, sname, order, seed):
+    # the factorial basis (shifted by lo) of the sum-of-difference and
+    # remainder identities, or the Gamma-ratio basis of a fractional order
+    grid = Grid(0.25, history=max(hi, 1) + extra, horizon=N)
+    x = _signal(grid, sname, seed)
+    w = preset_weight(wspec, grid)
+    if order is None:
+        basis = lambda i: rising_over_factorial_row(i - lo, N)
+    else:
+        basis = lambda i: rising_over_gamma_row(i - order, i - order + 1, N)
+    degrees = range(lo, hi)
+    got = _outcome(lambda: sum(initial_value_terms(x, w, degrees, basis), np.zeros(N)))
+    assert got == _outcome(lambda: initial_value_series_seq(x, w, degrees, basis))

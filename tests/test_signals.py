@@ -53,7 +53,7 @@ def test_identity_sampling_with_history():
 def test_offset_position_roundtrip(history, horizon, a):
     g = Grid(a=a, history=history, horizon=horizon)
     for m in range(-history, horizon + 1):
-        assert g.offset_at(g.position(m)) == m
+        assert g.position(m) == m + history
     assert g.position(-history) == 0
     assert g.position(horizon) == g.npoints - 1
 

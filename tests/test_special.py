@@ -87,6 +87,41 @@ def test_gamma_ratio_just_below_unit_resolution_still_evaluates():
     assert row[0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rising_over_gamma_row(1e15, 1e15 + 1.0, 30),  # the row's exp
+        lambda: rising_over_gamma(30, 1e15, 1e15 + 1.0),  # the plain ratio
+        lambda: rising_over_gamma(-200, 195.0, 0.5),  # a matched pole: 200!/5!
+        lambda: rising_over_gamma(-3, -2.0, -200.5),  # 1/Gamma(-200.5)
+        lambda: rising(1000, 150.5),
+    ],
+    ids=["row", "ratio", "matched-pole", "other-gamma", "rising"],
+)
+def test_gamma_ratio_past_binary64_is_domain_error(call):
+    # math.exp raises OverflowError where numpy would give inf
+    with pytest.raises(DomainError, match="overflows binary64"):
+        call()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=15.0), st.integers(min_value=1, max_value=60))
+def test_gamma_ratio_rows_at_the_exp_limit(decades, N):
+    # the Taylor basis rows of a sum order -q: inside binary64 each point
+    # keeps the bits of its math.exp, past it (q = 1e15 at N = 30) the row
+    # raises DomainError
+    q = 10.0**decades
+    d = q + 1.0
+    logs = [(math.lgamma(m + q) - math.lgamma(m)) - math.lgamma(d) for m in range(1, N + 1)]
+    try:
+        expected = np.array([math.exp(t) for t in logs])
+    except OverflowError:
+        with pytest.raises(DomainError, match="overflows binary64"):
+            rising_over_gamma_row(q, d, N)
+        return
+    assert rising_over_gamma_row(q, d, N).tobytes() == expected.tobytes()
+
+
 @given(st.integers(min_value=0, max_value=12), st.floats(min_value=0.01, max_value=6.0))
 def test_vanishing_rule_all_base_zero(i, frac):
     # 0^(i - alpha)/Gamma(i - alpha + 1) = 0 for any non-integer exponent.
