@@ -33,7 +33,6 @@ from .laplace import (
     nlt,
 )
 from .operators import (
-    MAX_INTEGER_STAGE,
     IntegerOrder,
     OperatorKind,
     OperatorSpec,
@@ -107,16 +106,20 @@ def _load_weight(args: argparse.Namespace, grid: Grid) -> Weight:
     return preset_weight(args.weight, grid)
 
 
-def _load_spec(args: argparse.Namespace) -> tuple[Signal, OperatorSpec]:
-    """The signal and operator of ``eval`` and ``taylor``.  Without
-    ``--history`` the signal keeps what the operator reads below the base."""
-    kind = KINDS[args.kind]
+def _history(args: argparse.Namespace, kind: OperatorKind) -> int:
+    """``--history``, checked ``--order`` first; without it, what ``kind``
+    reads below the base: the integer stage ceil(order), none for the
+    single-sum form."""
     check_order(kind, args.order)
-    history = args.history
-    if history is None:
-        # the integer stage ceil(order); the single-sum form reads no history
-        history = 0 if kind is OperatorKind.GL else int(math.ceil(args.order))
-    x = _load_signal(args, history)
+    if args.history is not None:
+        return args.history
+    return 0 if kind is OperatorKind.GL else int(math.ceil(args.order))
+
+
+def _load_spec(args: argparse.Namespace) -> tuple[Signal, OperatorSpec]:
+    """The signal and operator of ``eval`` and ``taylor``."""
+    kind = KINDS[args.kind]
+    x = _load_signal(args, _history(args, kind))
     return x, OperatorSpec(kind, args.order, _load_weight(args, x.grid))
 
 
@@ -171,21 +174,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_laplace(args: argparse.Namespace) -> int:
     s = complex(args.s_re, args.s_im)
     rule = args.rule
-    history = args.history
-    if rule is not None:
-        if args.lam is None:
-            raise ConfigError("--rule needs --lambda")
-        check_order(RULE_KINDS[rule], args.order)
-        if history is None:
-            # rules with initial-condition terms need history at the base;
-            # the single-sum rule admits any order, so its default is capped
-            history = max(int(math.ceil(args.order)), 0)
-            if history > MAX_INTEGER_STAGE:
-                raise ConfigError(
-                    f"--order {args.order} would take {history} history points by "
-                    f"default, past the cap of {MAX_INTEGER_STAGE}; pass --history"
-                )
-    x = _load_signal(args, history or 0)
+    if rule is None:
+        history = args.history or 0
+    elif args.lam is None:
+        raise ConfigError("--rule needs --lambda")
+    else:
+        history = _history(args, RULE_KINDS[rule])
+    x = _load_signal(args, history)
     if rule is None:
         ev = nlt(x, s)
         payload = {

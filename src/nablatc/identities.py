@@ -37,7 +37,7 @@ from .operators import (
     tempered_diff_rows,
     with_zero_history,
 )
-from .signals import Grid, GridMismatch, Signal, Weight, make_weight
+from .signals import Grid, GridMismatch, Signal, Weight, make_signal_from_fn, make_weight
 from .special import (
     binomial_coefficients,
     gl_coefficients,
@@ -78,21 +78,20 @@ DEFAULT_EPS_DIFF = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 class IdentityReport:
     """Outcome of one identity check.
 
-    ``passed`` is always equivalent to ``max_abs_dev <= tolerance``.  For
-    decay checkers the deviation field holds a dimensionless ratio margin
-    against tolerance 1.0 (documented on the checker).
+    For decay checkers the deviation field holds a dimensionless ratio
+    margin against tolerance 1.0 (documented on the checker).
     """
 
     identity_id: str
     max_abs_dev: float
     argmax_k: float
     tolerance: float
-    passed: bool
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.max_abs_dev <= self.tolerance):
-            raise ValueError("pass flag inconsistent with deviation and tolerance")
+    @property
+    def passed(self) -> bool:
+        """``max_abs_dev <= tolerance``; a NaN deviation fails."""
+        return bool(self.max_abs_dev <= self.tolerance)
 
     @classmethod
     def from_measurement(
@@ -103,13 +102,11 @@ class IdentityReport:
         tolerance: float,
         params: dict | None = None,
     ) -> "IdentityReport":
-        dev = float(max_abs_dev)
         return cls(
             identity_id=identity_id,
-            max_abs_dev=dev,
+            max_abs_dev=float(max_abs_dev),
             argmax_k=float(argmax_k),
             tolerance=float(tolerance),
-            passed=bool(dev <= tolerance),
             params=params or {},
         )
 
@@ -144,10 +141,6 @@ class IdentityReport:
         }
 
 
-def _stage(alpha: float) -> int:
-    return int(math.ceil(alpha))
-
-
 def _w_ratio_from_base(w: Weight, horizon: int) -> np.ndarray:
     """w(a)/w(k) across the evaluation window."""
     return w.at(0) / w.window(1, horizon)
@@ -172,7 +165,7 @@ def check_rl_caputo_correction(
     x: Signal, alpha: float, w: Weight, tol: float = TOL_EXACT
 ) -> IdentityReport:
     """Difference-of-sum equals sum-of-difference plus the initial-value series."""
-    n = _stage(alpha)
+    n = math.ceil(alpha)
     N = x.grid.horizon
     rl = rl_tempered(x, alpha, w).body
     cap = caputo_tempered(x, alpha, w).body
@@ -189,7 +182,7 @@ def check_sum_composition(
 ) -> IdentityReport:
     """Order -alpha sum equals the n-th tempered difference of the
     order -(alpha+n) sum."""
-    n = _stage(alpha)
+    n = math.ceil(alpha)
     lhs = gl_tempered(x, -alpha, w).body
     inner = gl_tempered(x, -alpha - n, w, out_history=n)
     rhs = nabla_n_tempered(inner, n, w).body
@@ -204,7 +197,7 @@ def check_difference_of_sum(
 ) -> IdentityReport:
     """Applying either fractional difference to the order -alpha sum
     reproduces the signal."""
-    n = _stage(alpha)
+    n = math.ceil(alpha)
     u = gl_tempered(x, -alpha, w, out_history=n)
     d_rl = np.abs(rl_tempered(u, alpha, w).body - x.body)
     d_cap = np.abs(caputo_tempered(u, alpha, w).body - x.body)
@@ -225,7 +218,7 @@ def check_sum_of_difference(
     rather than assumed), ``"caputo"`` uses the integer tempered
     differences at the base.
     """
-    n = _stage(alpha)
+    n = math.ceil(alpha)
     N = x.grid.horizon
     if kind == "rl":
         v = rl_tempered(x, alpha, w)
@@ -260,10 +253,10 @@ def check_mixed_composition(
     route an integer difference through a zero-extended intermediate only
     close from offset n on, so the comparison window is {a+n, ..., a+N}.
     """
-    m = _stage(beta)
+    m = math.ceil(beta)
     if not (0 < beta < n) or beta == math.floor(beta):
         raise ValueError(f"split order must be non-integer in (0, {n}), got {beta}")
-    m2 = _stage(n - beta)
+    m2 = math.ceil(n - beta)
     if outer == "rl":
         inner_a = with_zero_history(caputo_tempered(x, beta, w), m2)
         side_a = rl_tempered(inner_a, n - beta, w).body
@@ -302,7 +295,7 @@ def check_taylor_remainder_forms(
     integer-remainder variant (remainder driven by the n-th tempered
     difference instead of the fractional one).
     """
-    n = _stage(alpha)
+    n = math.ceil(alpha)
     if not (0 <= m < alpha):
         raise ValueError(f"shift m must satisfy 0 <= m < alpha, got {m}")
     N = x.grid.horizon
@@ -356,15 +349,21 @@ def _monotone_nonincreasing(seq: Sequence[float]) -> bool:
 def _limit_report(
     identity_id: str,
     eps_seq: Sequence[float],
-    devs_by_eps: list[float],
+    devs: list[np.ndarray],
     monotone_from: float,
     tol: float,
-    argmax_k: float,
+    first_k: float,
     params: dict,
 ) -> IdentityReport:
+    """Report the limit from the pointwise deviations ``devs[j]`` at order
+    offset ``eps_seq[j]`` (``devs[j][i]`` belongs to lattice point
+    ``first_k + i``): the deviation and its point at the smallest offset,
+    failed when the maxima from ``monotone_from`` down do not decrease."""
+    devs_by_eps = [float(np.max(d)) for d in devs]
     tail = [d for e, d in zip(eps_seq, devs_by_eps) if e <= monotone_from]
     monotone = _monotone_nonincreasing(tail)
     dev = devs_by_eps[-1]
+    argmax_k = first_k + int(np.argmax(devs[-1]))
     if not monotone:
         # surface the monotonicity failure through the single deviation field
         dev = max(dev, 2.0 * tol)
@@ -374,22 +373,11 @@ def _limit_report(
     return IdentityReport.from_measurement(identity_id, dev, argmax_k, tol, params)
 
 
-def check_order_limit_sum(
-    x: Signal,
-    w: Weight,
-    eps_seq: Sequence[float] = DEFAULT_EPS_SUM,
-    tol: float = 1e-6,
-) -> IdentityReport:
+def check_order_limit_sum(x: Signal, w: Weight, tol: float = 1e-6) -> IdentityReport:
     """As the sum order tends to zero the tempered sum tends to the signal."""
-    devs = []
-    argmax_k = x.grid.a + 1
-    for eps in eps_seq:
-        d = np.abs(gl_tempered(x, -eps, w).body - x.body)
-        devs.append(float(np.max(d)))
-        argmax_k = x.grid.a + 1 + int(np.argmax(d))
-    return _limit_report(
-        "order-limit-sum", eps_seq, devs, 1e-3, tol, argmax_k, {}
-    )
+    eps_seq = DEFAULT_EPS_SUM
+    devs = [np.abs(gl_tempered(x, -eps, w).body - x.body) for eps in eps_seq]
+    return _limit_report("order-limit-sum", eps_seq, devs, 1e-3, tol, x.grid.a + 1, {})
 
 
 def check_order_limit_diff(
@@ -398,7 +386,6 @@ def check_order_limit_diff(
     n: int,
     side: str,
     kind: str,
-    eps_seq: Sequence[float] = DEFAULT_EPS_DIFF,
     tol: float = TOL_LIMIT,
 ) -> IdentityReport:
     """Unilateral limits of the fractional differences at integer orders.
@@ -432,23 +419,21 @@ def check_order_limit_diff(
         nabla_n_tempered_at(x, n - 1, w, 0) if n >= 2 else x.at(0)
     )
 
+    eps_seq = DEFAULT_EPS_DIFF
     devs = []
-    argmax_k = x.grid.a + first
     for eps in eps_seq:
         alpha = n - eps if side == "at_n" else n - 1 + eps
         lhs = op(x, alpha, w).body
         if kind == "caputo" and side == "at_n_minus_1":
             lhs = lhs + ratio * iv_low
-        d = np.abs(lhs[sl] - target)
-        devs.append(float(np.max(d)))
-        argmax_k = x.grid.a + first + int(np.argmax(d))
+        devs.append(np.abs(lhs[sl] - target))
     return _limit_report(
         f"order-limit-{kind}-{side}",
         eps_seq,
         devs,
         max(eps_seq),
         tol,
-        argmax_k,
+        x.grid.a + first,
         {"n": n},
     )
 
@@ -472,7 +457,7 @@ def check_uniform_convergence_exchange(
     for xi in x_seq:
         if xi.grid != x.grid:
             raise GridMismatch("sequence members must share the limit signal's grid")
-    w_abs = Weight(w.grid, np.abs(w.values), kind="general")
+    w_abs = Weight(w.grid, np.abs(w.values))
     ones = Signal(x.grid, np.ones(x.grid.npoints))
     kappa = float(np.max(gl_tempered(ones, -alpha, w_abs).body))
     base = gl_tempered(x, -alpha, w).body
@@ -593,23 +578,21 @@ def check_rl_caputo_asymptotics(
     *,
     x_fn: Callable[[float], float] | None = None,
     w_fn: Callable[[float], float] | None = None,
-    k0_offset: int = 20,
-    rebase_step: int = 100,
 ) -> IdentityReport:
     """Decay of the gap between the two fractional differences.
 
     ``large_k``: the gap at the end of the window must fall below its value
     at the midpoint and below ten times the power-law envelope of its
     initial-value series (an artifact-side bound; the decay rate itself is
-    not quantified analytically).  ``early_k``/``early_a``: moving the base
-    point earlier by ``rebase_step`` twice must shrink the gap at a fixed
-    lattice point; this mode needs the generating functions ``x_fn`` and
+    not quantified analytically).  ``early_a``: moving the base point
+    earlier by 100 twice must shrink the gap at the fixed lattice point
+    a + 20; this mode needs the generating functions ``x_fn`` (of k) and
     ``w_fn`` (of k - a) to resample on the extended grids.
 
     The deviation reported is a dimensionless ratio margin: the largest of
     the decay ratios, against tolerance 1.0.
     """
-    n = _stage(alpha)
+    n = math.ceil(alpha)
     if mode == "large_k":
         N = x.grid.horizon
         if N < 4:
@@ -635,21 +618,21 @@ def check_rl_caputo_asymptotics(
     if x_fn is None or w_fn is None:
         raise ValueError("early_a mode needs x_fn and w_fn to resample the grid")
     gaps = []
-    for shift in (0, rebase_step, 2 * rebase_step):
+    for shift in (0, 100, 200):
         a_new = x.grid.a - shift
-        g = Grid(a=a_new, history=n, horizon=k0_offset + shift)
-        xs = Signal(g, np.array([x_fn(a_new + m) for m in g.offsets()]))
+        g = Grid(a=a_new, history=n, horizon=20 + shift)
+        xs = make_signal_from_fn(g, x_fn)
         ws = make_weight(g, fn=lambda k: w_fn(k - a_new))
         gap = np.abs(
             rl_tempered(xs, alpha, ws).body - caputo_tempered(xs, alpha, ws).body
         )
-        gaps.append(float(gap[-1]))  # same lattice point x.grid.a + k0_offset
+        gaps.append(float(gap[-1]))  # same lattice point x.grid.a + 20
     floor = 1e-300
     ratio = max(gaps[1] / max(gaps[0], floor), gaps[2] / max(gaps[1], floor))
     return IdentityReport.from_measurement(
         "rl-caputo-decay-early-a",
         ratio,
-        x.grid.a + k0_offset,
+        x.grid.a + 20,
         1.0,
         {"alpha": alpha, "gaps": gaps},
     )

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NablaError
 from .identities import IdentityReport
 from .operators import (
+    _output,
     caputo_tempered,
     causal_dot,
     causal_sum,
@@ -33,7 +34,6 @@ from .special import gl_coefficients, rising_over_gamma
 __all__ = [
     "LaplaceEval",
     "MLParams",
-    "HorizonExhausted",
     "RegionOfConvergence",
     "SeriesDiverged",
     "SingularStep",
@@ -52,10 +52,6 @@ __all__ = [
 #: considered summed.
 _CONVERGED_REL = 1e-14
 _TINY = 1e-300
-
-
-class HorizonExhausted(NablaError):
-    """The grid ended before the transform series met its stop criterion."""
 
 
 class RegionOfConvergence(NablaError):
@@ -87,13 +83,7 @@ class LaplaceEval:
     converged: bool
 
 
-def nlt(
-    x: Signal,
-    s: complex,
-    max_terms: int | None = None,
-    *,
-    require_convergence: bool = False,
-) -> LaplaceEval:
+def nlt(x: Signal, s: complex) -> LaplaceEval:
     """Partial sum ``sum_{j=1}^J (1-s)^(j-1) x(a+j)`` with early stopping.
 
     Raises:
@@ -101,10 +91,6 @@ def nlt(
             outside the disk ``|1-s| < 1``).  A finite unconverged value is
             returned, flagged by ``converged``.
     """
-    N = x.grid.horizon
-    J = N if max_terms is None else min(int(max_terms), N)
-    if J < 1:
-        raise HorizonExhausted("transform needs at least one sample")
     body = x.body
     # suffix maxima of |x|: suffix_max[j] bounds every sample after index j
     suffix_max = np.maximum.accumulate(np.abs(body[::-1]))[::-1]
@@ -115,7 +101,7 @@ def nlt(
     last_mag = math.inf
     used = 0
     criterion = False
-    for j in range(1, J + 1):
+    for j in range(1, len(body) + 1):
         term = p * body[j - 1]
         total += term
         last_mag = abs(term)
@@ -136,25 +122,22 @@ def nlt(
             f"transform partial sum is {total} after {used} terms (|1-s| = {qa:.3g})"
         )
     tail_zero = bool(np.all(body[used:] == 0.0))
-    converged = criterion and (qa < 1.0 or tail_zero)
-    if require_convergence and not converged:
-        raise HorizonExhausted(
-            f"series not converged after {used} terms (|1-s| = {qa:.3g})"
-        )
     return LaplaceEval(
         s=complex(s),
         value=total,
         terms_used=used,
         last_term_mag=last_mag,
-        converged=converged,
+        converged=criterion and (qa < 1.0 or tail_zero),
     )
 
 
-def _check_region(s: complex, lam: float, r: float) -> None:
-    if abs(s - 1.0) >= min(r, abs(1.0 - lam)):
+def _check_region(s: complex, lam: float) -> None:
+    # the signals the rules are checked on are bounded, so their transforms
+    # converge for |s-1| < 1
+    if abs(s - 1.0) >= min(1.0, abs(1.0 - lam)):
         raise RegionOfConvergence(
             f"|s-1| = {abs(s - 1.0):.4g} outside the disk of radius "
-            f"min({r}, |1-lambda| = {abs(1.0 - lam):.4g})"
+            f"min(1.0, |1-lambda| = {abs(1.0 - lam):.4g})"
         )
 
 
@@ -168,17 +151,15 @@ def check_transform_rule_gl(
     lam: float,
     s: complex,
     *,
-    r: float = 1.0,
     tol: float = 1e-7,
 ) -> IdentityReport:
     """Transform of the exponentially tempered single-sum operator equals
     ``((s - lambda)/(1 - lambda))^alpha`` times the transform of the signal.
 
-    ``r`` is the caller-supplied convergence radius of the signal's
-    transform (1 for bounded signals); the rule is checked strictly inside
-    ``|s-1| < min(r, |1-lambda|)``.
+    The signal must be bounded; the rule is checked strictly inside
+    ``|s-1| < min(1, |1-lambda|)``.
     """
-    _check_region(s, lam, r)
+    _check_region(s, lam)
     w = make_weight(x.grid, rate=lam)
     lhs = nlt(gl_tempered(x, alpha, w), s).value
     rhs = _rho(s, lam) ** alpha * nlt(x, s).value
@@ -199,7 +180,6 @@ def check_transform_rule_diff(
     lam: float,
     s: complex,
     *,
-    r: float = 1.0,
     tol: float = 1e-7,
 ) -> IdentityReport:
     """Transform rules with initial-condition polynomials.
@@ -209,7 +189,7 @@ def check_transform_rule_diff(
     vanish under the base-point convention but are evaluated regardless),
     or ``"caputo"``.
     """
-    _check_region(s, lam, r)
+    _check_region(s, lam)
     w = make_weight(x.grid, rate=lam)
     rho = _rho(s, lam)
     X = nlt(x, s).value
@@ -279,8 +259,7 @@ def convolve(x: Signal, y: Signal) -> Signal:
     if x.grid.a != y.grid.a or x.grid.horizon != y.grid.horizon:
         raise GridMismatch("convolution needs matching base points and horizons")
     # lag i = k - j pairs x(a+1+i) with y(k-i): a causal sum with kernel x
-    out = causal_sum(x.body, y.body)
-    return Signal(Grid(x.grid.a, 0, x.grid.horizon), np.concatenate([[0.0], out]))
+    return _output(x.grid.a, x.grid.horizon, causal_sum(x.body, y.body))
 
 
 def check_convolution_commutation(
@@ -368,7 +347,6 @@ class MLParams:
     alpha: float
     beta: float
     mu: float
-    a: float = 0.0
 
     def __post_init__(self) -> None:
         # alpha = 1 is admitted: the kernel degenerates to the lattice
@@ -529,7 +507,8 @@ def _ml_term_block(
 
 
 def ml_function(params: MLParams, horizon: int) -> Signal:
-    """Two-index kernel ``sum_i mu^i (k-a)^(i alpha + beta - 1)/Gamma(i alpha + beta)``.
+    """Two-index kernel ``sum_i mu^i (k-a)^(i alpha + beta - 1)/Gamma(i alpha + beta)``
+    on the lattice based at a = 0.
 
     Terms are added until one falls below 1e-15 of the partial sum twice in
     a row; a term exceeding 1e12 of the partial sum aborts the evaluation.
@@ -641,7 +620,7 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
             f"kernel series cancels terms up to {peak[m]:.3g} at lattice offset "
             f"{m + 1}, beyond the {_ML_CANCEL_MAX:.0e} the compensated sum holds"
         )
-    return Signal(Grid(params.a, 0, horizon), vals)
+    return Signal(Grid(0.0, 0, horizon), vals)
 
 
 def fde_solve(

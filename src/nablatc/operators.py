@@ -388,12 +388,19 @@ def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
     return _output(x.grid.a, N, out)
 
 
-def _pointwise_order(n: float) -> int:
+def _pointwise_order(x: Signal, n: float, offset: int) -> int:
+    """``n`` as an int, once it is an admissible order for a pointwise
+    difference and ``x`` stores the history down to ``offset - n``."""
     if not (float(n).is_integer() and n >= 0):
         raise IntegerOrder(f"difference order must be a nonnegative integer, got {n}")
     if n > MAX_INTEGER_STAGE:
         raise IntegerOrder(f"difference order {n} exceeds {MAX_INTEGER_STAGE}")
-    return int(n)
+    n = int(n)
+    if offset - n < -x.grid.history:
+        raise InsufficientHistory(
+            f"offset {offset} order {n} needs history down to {offset - n}"
+        )
+    return n
 
 
 def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
@@ -402,11 +409,7 @@ def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
     Order 0 is the identity; this is how initial values like the n-th
     tempered difference at the base point are extracted.
     """
-    n = _pointwise_order(n)
-    if offset - n < -x.grid.history:
-        raise InsufficientHistory(
-            f"offset {offset} order {n} needs history down to {offset - n}"
-        )
+    n = _pointwise_order(x, n, offset)
     _require_weight_covers(w, x.grid, offset - n)
     coef = _signed_binomials(n)
     acc = 0.0
@@ -429,11 +432,7 @@ def initial_value_terms(
 
 def nabla_at(x: Signal, n: int, offset: int = 0) -> float:
     """Pointwise untempered n-th backward difference at a lattice offset."""
-    n = _pointwise_order(n)
-    if offset - n < -x.grid.history:
-        raise InsufficientHistory(
-            f"offset {offset} order {n} needs history down to {offset - n}"
-        )
+    n = _pointwise_order(x, n, offset)
     coef = _signed_binomials(n)
     acc = 0.0
     for i in range(n + 1):

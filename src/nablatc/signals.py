@@ -17,7 +17,7 @@ from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NablaError
+from .errors import ConfigError, NablaError
 
 __all__ = [
     "EPS_WEIGHT",
@@ -63,7 +63,7 @@ class GridMismatch(NablaError):
     """Two objects that must share a lattice do not."""
 
 
-class CSVFormatError(NablaError):
+class CSVFormatError(ConfigError):
     """Signal CSV is malformed (bad header, non-unit step, or gaps)."""
 
 
@@ -188,9 +188,6 @@ class Weight(Signal):
     below the base point.
     """
 
-    kind: str = "general"
-    rate: float | None = None
-
     _noun: ClassVar[str] = "weight"
 
     def __post_init__(self) -> None:
@@ -200,8 +197,6 @@ class Weight(Signal):
             raise ZeroWeight(
                 f"weight magnitude below {EPS_WEIGHT}" + _first_bad(self.grid, tiny, "weight")
             )
-        if self.kind not in ("general", "exponential"):
-            raise GridMismatch(f"unknown weight kind {self.kind!r}")
 
 
 def _sample(grid: Grid, f: Callable[[float], float]) -> np.ndarray:
@@ -262,12 +257,12 @@ def make_weight(
             np.multiply.accumulate(vals[pos0:], out=vals[pos0:])
             below = vals[pos0::-1]
             np.divide.accumulate(below, out=below)
-        return Weight(grid, vals, kind="exponential", rate=float(rate))
+        return Weight(grid, vals)
     if fn is not None:
         vals = _sample(grid, fn)
     else:
         vals = np.asarray(values, dtype=np.float64)
-    return Weight(grid, vals, kind="general")
+    return Weight(grid, vals)
 
 
 def scale_weight(w: Weight, lam_scale: float) -> Weight:
@@ -277,11 +272,10 @@ def scale_weight(w: Weight, lam_scale: float) -> Weight:
         raise ZeroScale(f"scale factor must be finite and nonzero, got {lam_scale}")
     if lam == 1.0:
         return w
-    # Any other constant breaks w(a) = 1, so the exponential form is lost.
-    # Weight rejects an overflowed product, so numpy stays silent about it.
+    # Weight rejects an overflowed product, so numpy stays silent about it
     with np.errstate(over="ignore"):
         vals = w.values * lam
-    return Weight(w.grid, vals, kind="general", rate=None)
+    return Weight(w.grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +286,11 @@ _STEP_TOL = 1e-9
 
 
 def _nonunit_step(k: np.ndarray) -> int | None:
-    """Index of the step of ``k`` farthest from 1, or None when all are 1
-    within ``_STEP_TOL`` (the unit-step test of CSV files and ``nt --a``)."""
+    """Index of the step of ``k`` farthest from 1 (a NaN step first), or
+    None when all are 1 within ``_STEP_TOL`` (the unit-step test of CSV
+    files and ``nt --a``)."""
     dev = np.abs(np.diff(k) - 1.0)
-    return int(np.argmax(dev)) if np.any(dev > _STEP_TOL) else None
+    return None if (dev <= _STEP_TOL).all() else int(np.argmax(dev))
 
 
 def _atomic_write_text(path: str, text: str) -> None:

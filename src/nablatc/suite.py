@@ -161,8 +161,7 @@ def _tag(r: IdentityReport, **extra) -> IdentityReport:
     """A copy of ``r`` whose params also hold ``extra`` (a new key goes
     last, an existing one keeps its place)."""
     return IdentityReport(
-        r.identity_id, r.max_abs_dev, r.argmax_k, r.tolerance, r.passed,
-        {**r.params, **extra},
+        r.identity_id, r.max_abs_dev, r.argmax_k, r.tolerance, {**r.params, **extra}
     )
 
 

@@ -23,6 +23,7 @@ from .operators import (
     InsufficientLags,
     OperatorKind,
     OperatorSpec,
+    _output,
     _signed_binomials,
     apply_operator,
     causal_sum,
@@ -63,8 +64,6 @@ class SeriesSweep:
     """Deviation of truncated base-point series from the direct operator,
     per truncation degree."""
 
-    kind: OperatorKind
-    order: float
     degrees: tuple[int, ...]
     deviations: tuple[float, ...]
 
@@ -169,7 +168,7 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     u = nabla_n_tempered(x, K + 1, w)
     acc = causal_sum(coef, w.window(1, N) * u.body)
     body = series + acc / w.window(1, N)
-    return Signal(Grid(x.grid.a, 0, N), np.concatenate([[0.0], body]))
+    return _output(x.grid.a, N, body)
 
 
 def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSweep:
@@ -195,7 +194,7 @@ def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSw
         if i >= k_lo:
             degrees.append(i)
             deviations.append(float(np.max(np.abs(series - direct))))
-    return SeriesSweep(kind, spec.order, tuple(degrees), tuple(deviations))
+    return SeriesSweep(tuple(degrees), tuple(deviations))
 
 
 def tempered_op_taylor_current(x: Signal, spec: OperatorSpec) -> Signal:
@@ -223,7 +222,7 @@ def tempered_op_taylor_current(x: Signal, spec: OperatorSpec) -> Signal:
             basis = rising_over_gamma_row(i - order, i - order + 1, N - lo)
             acc[lo:] += binom[lo] * basis * rows[i, lo:]
         body = acc / w.window(1, N)
-    return Signal(Grid(x.grid.a, 0, N), np.concatenate([[0.0], body]))
+    return _output(x.grid.a, N, body)
 
 
 def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
@@ -260,7 +259,7 @@ def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
         v = nabla_n_tempered(x, K + 1, w)
         res = _future_residual(w.window(1, N) * v.body, shift - order, K - shift)
         body -= res / w.window(1, N)
-    return Signal(Grid(x.grid.a, 0, N), np.concatenate([[0.0], body]))
+    return _output(x.grid.a, N, body)
 
 
 def _future_residual(wv: np.ndarray, kern_d: float, kdeg: int) -> np.ndarray:

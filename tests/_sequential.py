@@ -86,7 +86,7 @@ def exp_weight_seq(grid: Grid, rate: float) -> Weight:
         vals[p] = vals[p - 1] * base
     for p in range(pos0 - 1, -1, -1):
         vals[p] = vals[p + 1] / base
-    return Weight(grid, vals, kind="exponential", rate=float(rate))
+    return Weight(grid, vals)
 
 
 def ml_term_block_seq(

@@ -237,6 +237,32 @@ def test_laplace_rule_with_initial_conditions(capsys):
     ) == 2
 
 
+@pytest.mark.parametrize("order", ["0.5", "1029", "1e6"])
+def test_laplace_gl_rule_reads_no_history_by_default(capsys, order):
+    # the single-sum rule runs as with --history 0 at any order
+    argv = ["laplace", "--signal", "sin10k", "--N", "64", "--s-re", "0.9",
+            "--rule", "gl", "--lambda", "0", "--order", order]
+    assert run(argv) == 0
+    default = capsys.readouterr()
+    assert run([*argv, "--history", "0"]) == 0
+    assert capsys.readouterr() == default and default.err == ""
+
+
+@pytest.mark.parametrize("ks", ["0,nan,2", "0,1,3", "0,inf,2"], ids=["nan", "gap", "inf"])
+@pytest.mark.parametrize("role", ["signal", "weight"])
+def test_malformed_csv_k_is_one_line_exit_2(tmp_path, capsys, ks, role):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("k,value\n" + "".join(f"{k},1.0\n" for k in ks.split(",")))
+    out = tmp_path / "out.csv"
+    files = {"signal": "sin10k", "weight": "one", role: str(bad)}
+    assert run(["eval", "--kind", "gl", "--order", "0.5", "--signal", files["signal"],
+                "--weight", files["weight"], "--N", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nt: configuration error:") and captured.err.count("\n") == 1
+    assert "non-unit step" in captured.err
+    assert not out.exists()
+
+
 def test_eval_weight_from_csv(tmp_path):
     # build a weight file on the extended grid, then consume it
     wpath = str(tmp_path / "w.csv")

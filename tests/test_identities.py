@@ -31,11 +31,12 @@ def sin_signal(a=0.0, history=2, N=32):
 
 
 def test_report_invariant_enforced():
-    with pytest.raises(ValueError):
-        IdentityReport("x", 2.0, 0.0, 1.0, True)
-    r = IdentityReport.from_measurement("x", 2.0, 0.0, 1.0)
-    assert not r.passed
-    assert r.to_dict()["pass"] is False
+    # the pass flag follows max_abs_dev <= tolerance; a NaN deviation fails
+    for dev, passed in ((2.0, False), (1.0, True), (0.5, True), (math.nan, False)):
+        r = IdentityReport("x", dev, 0.0, 1.0)
+        assert r.passed is passed
+        assert r.to_dict()["pass"] is passed
+    assert IdentityReport.from_measurement("x", 2.0, 0.0, 1.0).passed is False
 
 
 def test_from_devs_reports_the_first_largest_deviation():

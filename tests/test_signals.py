@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nablatc.errors import ConfigError
 from nablatc.presets import preset_weight
 from nablatc.signals import (
     BadRate,
@@ -132,7 +133,6 @@ def test_exponential_weight_values():
     w = make_weight(g, rate=0.5)
     # (1 - 0.5)^(k - a) evaluated by repeated multiplication
     np.testing.assert_allclose(w.values, [4.0, 2.0, 1.0, 0.5, 0.25, 0.125], rtol=0)
-    assert w.kind == "exponential" and w.rate == 0.5
 
 
 def test_exponential_rate_one_rejected():
@@ -163,7 +163,6 @@ def test_scale_weight_identity_and_sign_flip():
     assert scale_weight(w, 1.0) is w
     flipped = scale_weight(w, -1.0)
     np.testing.assert_array_equal(flipped.values, -np.ones(4))
-    assert flipped.kind == "general"
     with pytest.raises(ZeroScale):
         scale_weight(w, 0.0)
 
@@ -196,7 +195,7 @@ def test_grid_length_mismatch():
 def test_weight_is_a_signal_whose_messages_say_weight(tmp_path):
     g = Grid(a=0.5, history=1, horizon=4)
     w = make_weight(g, rate=0.5)
-    assert isinstance(w, Signal) and (w.kind, w.rate) == ("exponential", 0.5)
+    assert isinstance(w, Signal)
     assert w.at(0) == 1.0 and w.at(-1) == 2.0
     np.testing.assert_array_equal(w.body, [0.5, 0.25, 0.125, 0.0625])
     np.testing.assert_array_equal(w.window(-1, 1), [2.0, 1.0, 0.5])
@@ -213,7 +212,7 @@ def test_weight_is_a_signal_whose_messages_say_weight(tmp_path):
     path = str(tmp_path / "w.csv")
     write_signal_csv(path, w, include_history=True)
     back = read_weight_csv(path, history=1)
-    assert type(back) is Weight and back.kind == "general" and back.rate is None
+    assert type(back) is Weight
     assert back.grid == g
     np.testing.assert_array_equal(back.values, w.values)
 
@@ -243,6 +242,22 @@ def test_csv_gap_rejected(tmp_path):
         fh.write("k,value\n1.0,0.1\n2.0,0.2\n4.0,0.4\n")
     with pytest.raises(CSVFormatError):
         read_signal_csv(path)
+
+
+@pytest.mark.parametrize(
+    "ks, step",
+    [("0,nan,2", "k=0.0 and k=nan"), ("0,1,3", "k=1.0 and k=3.0"), ("0,inf,2", "k=0.0 and k=inf")],
+    ids=["nan", "gap", "inf"],
+)
+def test_csv_bad_k_is_config_error(tmp_path, ks, step):
+    # a NaN step compares false against any tolerance, and still fails
+    path = str(tmp_path / "bad.csv")
+    with open(path, "w") as fh:
+        fh.write("k,value\n" + "".join(f"{k},1.0\n" for k in ks.split(",")))
+    for reader in (read_signal_csv, read_weight_csv):
+        with pytest.raises(CSVFormatError, match=f"non-unit step between {step}$") as exc:
+            reader(path)
+        assert isinstance(exc.value, ConfigError)
 
 
 def test_csv_header_rejected(tmp_path):
