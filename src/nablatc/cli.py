@@ -130,6 +130,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_taylor(args: argparse.Namespace) -> int:
+    if args.history is None and args.rep != "current":
+        # these forms also read the degree + 1 points below the base
+        args.history = max(_history(args, KINDS[args.kind]), args.degree + 1)
     x, spec = _load_spec(args)
     if args.rep == "current":
         y = tempered_op_taylor_current(x, spec)

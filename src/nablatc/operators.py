@@ -452,7 +452,9 @@ def gl_tempered(x: Signal, alpha: float, w: Weight, *, out_history: int = 0) -> 
     _require_weight_covers(w, x.grid, 1)
     N = x.grid.horizon
     c = gl_coefficients(alpha, N).coeffs
-    body = causal_sum(c, w.window(1, N) * x.window(1, N)) / w.window(1, N)
+    # an overflowing sum makes a non-finite sample, which Signal rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        body = causal_sum(c, w.window(1, N) * x.window(1, N)) / w.window(1, N)
     fault = _fault_eps.get()
     if fault:
         body = body + fault

@@ -214,11 +214,10 @@ class GLCoefficientSeq:
 
     Satisfies ``c_0 = 1`` and ``c_i = c_{i-1} (i - 1 - order)/i``.  For
     order in (0, 1) every ``c_i`` with i >= 1 is negative; for order in
-    (-1, 0) they are all positive.  Built for a vector of orders, ``order``
-    is a tuple and ``coeffs`` holds one row per order.
+    (-1, 0) they are all positive.  Built for a vector of orders,
+    ``coeffs`` holds one row per order.
     """
 
-    order: float | tuple[float, ...]
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
@@ -274,9 +273,7 @@ def gl_coefficients(order: float | Sequence[float], length: int) -> GLCoefficien
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply.accumulate(c, axis=-1, out=c)
-    if rows:
-        return GLCoefficientSeq(order=tuple(orders.tolist()), coeffs=c)
-    return GLCoefficientSeq(order=float(order), coeffs=c)
+    return GLCoefficientSeq(coeffs=c)
 
 
 def binomial_coefficients(order: float, length: int) -> np.ndarray:

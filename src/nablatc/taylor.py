@@ -37,7 +37,6 @@ from .signals import Grid, Signal, Weight
 from .special import (
     binomial_coefficients,
     rising_over_factorial_row,
-    rising_over_gamma,
     rising_over_gamma_row,
 )
 
@@ -197,6 +196,31 @@ def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSw
     return SeriesSweep(tuple(degrees), tuple(deviations))
 
 
+def _shift(spec: OperatorSpec) -> int:
+    """Lowest degree of the evaluation-point forms: n for ``caputo``, else 0."""
+    return spec.n if spec.kind is OperatorKind.CAPUTO else 0
+
+
+def _point_series(x: Signal, spec: OperatorSpec, shift: int, top: int) -> np.ndarray:
+    """Evaluation-point series to degree ``top``, divided by the weight: at m,
+    the terms C(order-shift, i-shift) (m-i+shift)^(i-order)/Gamma(i-order+1)
+    nabla^i [w x](m) for i = shift..min(top, m-1+shift) (past that the base
+    is not positive), in ascending i, one pass per i over the points it
+    reaches with its basis one Gamma-ratio row."""
+    order, w = float(spec.order), spec.weight
+    N = x.grid.horizon
+    rows = tempered_diff_rows(x, w, top)
+    binom = binomial_coefficients(order - shift, top - shift + 1)
+    acc = np.zeros(N)
+    # an overflowing sum makes a non-finite sample, which Signal rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(shift, min(top, N - 1 + shift) + 1):
+            lo = i - shift
+            basis = rising_over_gamma_row(i - order, i - order + 1, N - lo)
+            acc[lo:] += binom[lo] * basis * rows[i, lo:]
+        return acc / w.window(1, N)
+
+
 def tempered_op_taylor_current(x: Signal, spec: OperatorSpec) -> Signal:
     """Evaluation-point representation: exact finite sums over the
     backward differences at the evaluation point itself.
@@ -204,25 +228,11 @@ def tempered_op_taylor_current(x: Signal, spec: OperatorSpec) -> Signal:
     For the sum-of-difference kind the lag range extends n points deeper,
     which is why that form needs history n.
     """
-    order, w = float(spec.order), spec.weight
     N = x.grid.horizon
-    shift = spec.n if spec.kind is OperatorKind.CAPUTO else 0
+    shift = _shift(spec)
     if x.grid.history < shift:
         raise InsufficientLags(f"sum-of-difference form needs history >= {shift}")
-    rows = tempered_diff_rows(x, w, N - 1 + shift)
-    binom = binomial_coefficients(order - shift, N)
-    # acc[m-1] = sum_{i=shift}^{m-1+shift} binom[i-shift] (m-i+shift)^(i-order)
-    # / Gamma(i-order+1) rows[i, m-1], in ascending i: one pass per i over
-    # the points m >= i - shift + 1 it reaches, its basis one Gamma-ratio row
-    acc = np.zeros(N)
-    # an overflowing sum makes a non-finite sample, which Signal rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(shift, N + shift):
-            lo = i - shift
-            basis = rising_over_gamma_row(i - order, i - order + 1, N - lo)
-            acc[lo:] += binom[lo] * basis * rows[i, lo:]
-        body = acc / w.window(1, N)
-    return _output(x.grid.a, N, body)
+    return _output(x.grid.a, N, _point_series(x, spec, shift, N - 1 + shift))
 
 
 def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
@@ -232,7 +242,7 @@ def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     Exact identity for any K in range; the residual couples the (K+1)-th
     tempered difference with a lag-window kernel.
     """
-    kind, order, w = spec.kind, spec.order, spec.weight
+    kind, w = spec.kind, spec.weight
     if kind is OperatorKind.INTEGER_NABLA:
         raise DegreeTooLow("future-instant form covers the fractional kinds only")
     if kind is OperatorKind.CAPUTO and K < spec.n:
@@ -240,24 +250,12 @@ def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     if K < 0 or x.grid.history < K + 1:
         raise InsufficientHistory(f"degree {K} needs history >= {K + 1}")
     N = x.grid.horizon
-    shift = spec.n if kind is OperatorKind.CAPUTO else 0
-    rows = tempered_diff_rows(x, w, K)
-    binom = binomial_coefficients(order - shift, K - shift + 1)
-    body = np.zeros(N)
+    shift = _shift(spec)
+    body = _point_series(x, spec, shift, K)
     # an overflowing sum makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, N + 1):
-            acc = 0.0
-            # terms with i >= m + shift carry a vanished basis (denominator pole)
-            for i in range(shift, K + 1):
-                acc += (
-                    binom[i - shift]
-                    * rising_over_gamma(m - i + shift, i - order, i - order + 1)
-                    * rows[i, m - 1]
-                )
-            body[m - 1] = acc / w.at(m)
         v = nabla_n_tempered(x, K + 1, w)
-        res = _future_residual(w.window(1, N) * v.body, shift - order, K - shift)
+        res = _future_residual(w.window(1, N) * v.body, shift - spec.order, K - shift)
         body -= res / w.window(1, N)
     return _output(x.grid.a, N, body)
 

@@ -72,7 +72,7 @@ def gl_coefficients_seq(order: float, length: int) -> GLCoefficientSeq:
         c[0] = 1.0
     for i in range(1, length):
         c[i] = c[i - 1] * ((i - 1 - order) / i)
-    return GLCoefficientSeq(order=float(order), coeffs=c)
+    return GLCoefficientSeq(coeffs=c)
 
 
 def exp_weight_seq(grid: Grid, rate: float) -> Weight:
@@ -303,7 +303,8 @@ def taylor_future_seq(x: Signal, spec: OperatorSpec, K: int) -> np.ndarray:
     body = np.zeros(N)
     for m in range(1, N + 1):
         acc = 0.0
-        for i in range(shift, K + 1):
+        # degrees past m - 1 + shift have no term at m (base not positive)
+        for i in range(shift, min(K, m - 1 + shift) + 1):
             acc += (
                 binom[i - shift]
                 * rising_over_gamma(m - i + shift, i - order, i - order + 1)

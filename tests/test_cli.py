@@ -120,6 +120,18 @@ def test_taylor_subcommand_matches_eval(tmp_path):
     np.testing.assert_allclose(t.values, e.values, atol=1e-11)
 
 
+@pytest.mark.parametrize("rep", ["initial", "future"])
+def test_taylor_default_history_covers_the_degree(tmp_path, rep):
+    # without --history, the series forms keep the degree + 1 points below
+    # the base that the default --degree 5 reads
+    common = ["taylor", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+              "--rep", rep]
+    default, explicit = tmp_path / "y.csv", tmp_path / "y6.csv"
+    assert run([*common, "--out", str(default)]) == 0
+    assert run([*common, "--history", "6", "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
 def test_verify_default_passes(tmp_path):
     out = str(tmp_path / "report.json")
     assert run(["verify", "--only", "integer-defect", "--out", out]) == 0
@@ -198,6 +210,22 @@ def test_numeric_error_prints_no_warning(tmp_path, argv):
     assert res.stderr.startswith("nt: numeric error:") and res.stderr.count("\n") == 1
     assert "Warning" not in res.stderr
     assert not out.exists()
+
+
+def test_gl_rule_overflow_prints_no_warning():
+    # the single-sum operator overflows when it divides by the weight; a
+    # separate process, so numpy warnings would reach its stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablatc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    res = subprocess.run(
+        [sys.executable, "-m", "nablatc.cli", "laplace", "--signal", "sin10k",
+         "--s-re", "1.1", "--rule", "gl", "--lambda", "0.1", "--order", "2000"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 3
+    assert res.stderr.startswith("nt: numeric error:") and res.stderr.count("\n") == 1
+    assert "Warning" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_laplace_subcommand_value(capsys):

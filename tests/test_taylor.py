@@ -203,6 +203,22 @@ def test_op_taylor_future_matches_direct():
             assert dev < 1e-10, (wname, kind, order, dev)
 
 
+@pytest.mark.parametrize("wname", ["one", "case3", "exp:-1", "case4"])
+@pytest.mark.parametrize("order", [1.0, 2.0, 3.0])
+def test_op_taylor_future_exact_at_integer_orders(wname, order):
+    # degrees past m - 1 have no term at offset m: at a positive integer
+    # order the Gamma poles of such a term cancel to a nonzero basis, so
+    # adding it would put the output off the direct operator by O(1)
+    for N in (1, 2, 3, 4, 7, 12, 24):
+        g = Grid(0.0, 6, N)
+        x = preset_signal("sin10k", g)
+        spec = OperatorSpec(OperatorKind.GL, order, preset_weight(wname, g))
+        direct = gl_tempered(x, order, spec.weight).body
+        for K in range(6):
+            dev = np.max(np.abs(tempered_op_taylor_future(x, spec, K).body - direct))
+            assert dev < 1e-10, (N, K, dev)
+
+
 def test_op_taylor_future_polynomial_residual_vanishes():
     g = Grid(0.0, 6, 10)
     x = make_signal_from_fn(g, lambda k: k * k)
