@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import NablaError
-from .signals import Grid, GridMismatch, Signal, Weight
+from .signals import Grid, GridMismatch, Signal, Weight, _require_finite
 from .special import gl_coefficients
 
 __all__ = [
@@ -355,9 +355,34 @@ def _stencil(z: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _tempered_stencil(x_low: np.ndarray, n: int, w: Weight) -> np.ndarray:
+    """The integer-difference stage ``w^-1 nabla^n [w x]`` on the window
+    1..N, from ``x_low``, the values of x at offsets 1-n..N: c·(w·x)
+    summed by :func:`_stencil`, then one division by w.  Callers hold the
+    ``np.errstate`` that lets an overflow through to their finiteness
+    check."""
+    N = len(x_low) - n
+    out = _stencil(w.window(1 - n, N) * x_low, n)
+    out /= w.window(1, N)
+    return out
+
+
+def _tempered_single_sum(x_body: np.ndarray, alpha: float, w: Weight) -> np.ndarray:
+    """The single-sum stage ``w^-1 sum_i c_i(alpha) [w x](k-i)`` on the
+    window 1..N, from ``x_body``, the values of x at offsets 1..N, plus the
+    fault hook's perturbation.  Callers hold the ``np.errstate``, as for
+    :func:`_tempered_stencil`."""
+    wb = w.window(1, len(x_body))
+    body = causal_sum(gl_coefficients(alpha, len(x_body)).coeffs, wb * x_body) / wb
+    fault = _fault_eps.get()
+    if fault:
+        body += fault
+    return body
+
+
 def _output(grid_a: float, horizon: int, body: np.ndarray, out_history: int = 0) -> Signal:
     vals = np.concatenate([np.zeros(out_history + 1), body])
-    return Signal(Grid(a=grid_a, history=out_history, horizon=horizon), vals)
+    return Signal._adopt(Grid(a=grid_a, history=out_history, horizon=horizon), vals)
 
 
 def nabla_n(x: Signal, n: int) -> Signal:
@@ -383,8 +408,7 @@ def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
     N = x.grid.horizon
     # an overflowing sum makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _stencil(w.window(1 - n, N) * x.window(1 - n, N), n)
-        out /= w.window(1, N)
+        out = _tempered_stencil(x.window(1 - n, N), n, w)
     return _output(x.grid.a, N, out)
 
 
@@ -451,37 +475,56 @@ def gl_tempered(x: Signal, alpha: float, w: Weight, *, out_history: int = 0) -> 
     """
     _require_weight_covers(w, x.grid, 1)
     N = x.grid.horizon
-    c = gl_coefficients(alpha, N).coeffs
     # an overflowing sum makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        body = causal_sum(c, w.window(1, N) * x.window(1, N)) / w.window(1, N)
-    fault = _fault_eps.get()
-    if fault:
-        body = body + fault
+        body = _tempered_single_sum(x.window(1, N), alpha, w)
     return _output(x.grid.a, N, body, out_history=out_history)
 
 
 def rl_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     """Difference-of-sum form: integer tempered difference of the order
-    ``alpha - n`` tempered sum, with ``n = ceil(alpha)``."""
-    n = _fractional_stage(OperatorKind.RL, alpha, x)
-    inner = gl_tempered(x, alpha - n, w, out_history=n)
-    return nabla_n_tempered(inner, n, w)
+    ``alpha - n`` tempered sum, with ``n = ceil(alpha)``.
+
+    The same two stages as ``nabla_n_tempered(gl_tempered(x, alpha - n,
+    w, out_history=n), n, w)``, bit for bit, run on arrays: the
+    intermediate sum is zero at and below the base point, and a
+    non-finite one raises the composition's error.  The weight's history
+    is checked before either stage runs.
+    """
+    n = _fractional_stage(OperatorKind.RL, alpha, x, w)
+    N = x.grid.horizon
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = _tempered_single_sum(x.window(1, N), alpha - n, w)
+        _require_finite(inner, 1)
+        body = _tempered_stencil(np.concatenate([np.zeros(n), inner]), n, w)
+    return _output(x.grid.a, N, body)
 
 
 def caputo_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     """Sum-of-difference form: order ``alpha - n`` tempered sum of the n-th
-    tempered difference.  Annihilates tempered constants."""
-    n = _fractional_stage(OperatorKind.CAPUTO, alpha, x)
-    inner = nabla_n_tempered(x, n, w)
-    return gl_tempered(inner, alpha - n, w)
+    tempered difference.  Annihilates tempered constants.
+
+    The same two stages as ``gl_tempered(nabla_n_tempered(x, n, w),
+    alpha - n, w)``, bit for bit and with the same errors, run on arrays.
+    """
+    n = _fractional_stage(OperatorKind.CAPUTO, alpha, x, w)
+    N = x.grid.horizon
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = _tempered_stencil(x.window(1 - n, N), n, w)
+        _require_finite(inner, 1)
+        body = _tempered_single_sum(inner, alpha - n, w)
+    return _output(x.grid.a, N, body)
 
 
-def _fractional_stage(kind: OperatorKind, alpha: float, x: Signal) -> int:
+def _fractional_stage(kind: OperatorKind, alpha: float, x: Signal, w: Weight) -> int:
+    """The integer stage ``n = ceil(alpha)``, once ``alpha`` is admissible
+    for ``kind`` and ``x`` and ``w`` store the n points of history that the
+    integer difference reads."""
     check_order(kind, alpha)
     n = int(math.ceil(alpha))
     if x.grid.history < n:
         raise InsufficientHistory(f"order {float(alpha)} needs history >= {n}")
+    _require_weight_covers(w, x.grid, 1 - n)
     return n
 
 
@@ -524,7 +567,7 @@ def with_zero_history(sig: Signal, history: int) -> Signal:
         return sig
     pad = np.zeros(history - sig.grid.history)
     vals = np.concatenate([pad, sig.values])
-    return Signal(Grid(sig.grid.a, history, sig.grid.horizon), vals)
+    return Signal._adopt(Grid(sig.grid.a, history, sig.grid.horizon), vals)
 
 
 def apply_operator(x: Signal, spec: OperatorSpec) -> Signal:

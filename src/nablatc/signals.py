@@ -112,16 +112,16 @@ class Grid:
         )
 
 
-def _first_bad(grid: Grid, bad: np.ndarray, what: str) -> str:
-    """Where the first rejected sample of a sequence on ``grid`` lies, and
-    the horizon cap it sets.
+def _first_bad(first_offset: int, bad: np.ndarray, what: str) -> str:
+    """Where the first rejected sample of a sequence whose entry 0 sits at
+    lattice offset ``first_offset`` lies, and the horizon cap it sets.
 
     A sequence fails from some offset above its base point when it over-
     or underflows on a long horizon.  Sampled functions and every operator
     and solver output are causal, so every horizon short of that offset is
     admissible from the same base point.
     """
-    offsets = grid.offsets()[bad]
+    offsets = np.flatnonzero(bad) + first_offset
     first = offsets[0]
     if first <= 0:
         # no horizon helps: name the failing offset nearest the base
@@ -139,6 +139,17 @@ def _locked(values: Iterable[float]) -> np.ndarray:
     return arr
 
 
+def _require_finite(values: np.ndarray, first_offset: int, noun: str = "signal") -> None:
+    """Raise :class:`NonFiniteSample` unless every entry of ``values`` is
+    finite; entry 0 sits at lattice offset ``first_offset``, and the message
+    names the first bad offset as a :class:`Signal` of that noun would."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NonFiniteSample(
+            f"{noun} contains non-finite samples" + _first_bad(first_offset, ~finite, noun)
+        )
+
+
 @dataclass(frozen=True)
 class Signal:
     """Real sequence sampled on a grid."""
@@ -151,18 +162,28 @@ class Signal:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _locked(self.values))
+        self._validate()
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> Signal:
+        """A sequence that takes ``values`` over without copying it: a fresh
+        float64 array that nothing else holds, locked and validated in
+        place."""
+        values.setflags(write=False)
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "grid", grid)
+        object.__setattr__(sig, "values", values)
+        sig._validate()
+        return sig
+
+    def _validate(self) -> None:
         noun = self._noun
         if len(self.values) != self.grid.npoints:
             raise GridMismatch(
                 f"{noun} has {len(self.values)} samples, "
                 f"grid holds {self.grid.npoints} points"
             )
-        finite = np.isfinite(self.values)
-        if not finite.all():
-            raise NonFiniteSample(
-                f"{noun} contains non-finite samples"
-                + _first_bad(self.grid, ~finite, noun)
-            )
+        _require_finite(self.values, -self.grid.history, noun)
 
     def at(self, offset: int) -> float:
         return float(self.values[self.grid.position(offset)])
@@ -190,12 +211,13 @@ class Weight(Signal):
 
     _noun: ClassVar[str] = "weight"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _validate(self) -> None:
+        super()._validate()
         tiny = np.abs(self.values) < EPS_WEIGHT
         if tiny.any():
             raise ZeroWeight(
-                f"weight magnitude below {EPS_WEIGHT}" + _first_bad(self.grid, tiny, "weight")
+                f"weight magnitude below {EPS_WEIGHT}"
+                + _first_bad(-self.grid.history, tiny, "weight")
             )
 
 
@@ -218,7 +240,7 @@ def make_signal_from_fn(grid: Grid, f: Callable[[float], float]) -> Signal:
     if not finite.all():
         raise NonFiniteSample(
             "sampled function returned a non-finite value"
-            + _first_bad(grid, ~finite, "function")
+            + _first_bad(-grid.history, ~finite, "function")
         )
     return Signal(grid, vals)
 

@@ -172,6 +172,26 @@ def rising_over_gamma(p: int, q: float, denom: float) -> float:
     return _gamma_ratio3(int(p) + q, float(int(p)), denom)
 
 
+#: ``lgamma(1..len)``, read-only.  :func:`_lgamma_1_to` grows it by binding
+#: a new, longer array, never by writing into this one, so a reader that
+#: holds the old array keeps valid values; it is as long as the longest
+#: row requested so far.
+_LGAMMA_INT = np.empty(0)
+_LGAMMA_INT.setflags(write=False)
+
+
+def _lgamma_1_to(N: int) -> np.ndarray:
+    """``[math.lgamma(m) for m = 1..N]`` as a read-only array."""
+    global _LGAMMA_INT
+    table = _LGAMMA_INT
+    if len(table) < N:
+        more = np.fromiter(map(math.lgamma, range(len(table) + 1, N + 1)), np.float64)
+        table = np.concatenate([table, more])
+        table.setflags(write=False)
+        _LGAMMA_INT = table
+    return table[:N]
+
+
 def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
     """``[rising_over_gamma(m, q, d) for m = 1..N]``, evaluated one row at a
     time.
@@ -180,7 +200,8 @@ def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
     :func:`rising_over_gamma`: ``exp((lgamma(m+q) - lgamma(m)) - lgamma(d))``
     through ``math.exp``/``math.lgamma``, signed by the parity of
     ``floor(m+q)`` and of ``floor(d)``, so the row is bit-identical to the
-    per-point values.  A row holding a pole (some ``m+q`` or ``d`` a
+    per-point values (``lgamma(m)`` comes from one shared table of the same
+    ``math.lgamma`` values).  A row holding a pole (some ``m+q`` or ``d`` a
     nonpositive integer) or a NaN argument takes the per-point path and its
     cancellation rules; ``|q|`` or ``|d|`` of 2**53 or more, or a value
     past binary64, raises :class:`DomainError`, as the per-point function
@@ -196,7 +217,7 @@ def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
         return np.array([rising_over_gamma(m, q, d) for m in range(1, N + 1)])
     n = len(num)
     ln = np.fromiter(map(math.lgamma, num.tolist()), np.float64, n)
-    l1 = np.fromiter(map(math.lgamma, range(1, N + 1)), np.float64, n)
+    l1 = _lgamma_1_to(n)
     l2, s2 = _signed_loggamma(d)
     sign = np.where((num < 0.0) & (np.floor(num) % 2 == 1), -s2, s2)
     return sign * _exp(((ln - l1) - l2).tolist())

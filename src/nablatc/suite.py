@@ -107,11 +107,16 @@ def _instance_signal(rng: np.random.Generator, grid: Grid, idx: int) -> Signal:
     if fam == 1:
         return _float_signal(grid, lambda k: math.sin(10.0 * k))
     if fam == 2:
-        c = rng.uniform(-2.0, 2.0, size=4).tolist()
+        c0, c1, c2, c3 = rng.uniform(-2.0, 2.0, size=4).tolist()
         span = grid.horizon
-        return _float_signal(
-            grid, lambda k: sum(cj * ((k - a) / span) ** j for j, cj in enumerate(c))
-        )
+
+        def cubic(k: float) -> float:
+            t = (k - a) / span
+            # the terms in ascending power, added left to right from 0: not
+            # sum(), which compensates float sums from Python 3.12 on
+            return 0 + c0 * t**0 + c1 * t**1 + c2 * t**2 + c3 * t**3
+
+        return _float_signal(grid, cubic)
     r = float(rng.uniform(0.75, 1.03))
     return _float_signal(grid, lambda k: r ** (k - a))
 
@@ -145,7 +150,7 @@ def _core_instance(
     rng: np.random.Generator, idx: int, history: int, n_max: int = 64
 ) -> tuple[Signal, Weight]:
     N = int(rng.integers(8, n_max + 1))
-    a = float(np.round(rng.uniform(-4.0, 4.0), 3))
+    a = float(np.float64(rng.uniform(-4.0, 4.0)).round(3))
     grid = Grid(a, history=history, horizon=N)
     return _instance_signal(rng, grid, idx), _instance_weight(rng, grid, idx // 4)
 

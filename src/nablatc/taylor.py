@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NablaError
+from .errors import ConfigError
 from .operators import (
     InsufficientHistory,
     InsufficientLags,
@@ -54,8 +54,9 @@ __all__ = [
 ]
 
 
-class DegreeTooLow(NablaError):
-    """The expansion degree does not dominate the operator's integer stage."""
+class DegreeTooLow(ConfigError):
+    """The expansion degree does not dominate the operator's integer stage,
+    or the form does not cover the operator kind: a choice of options."""
 
 
 @dataclass(frozen=True)

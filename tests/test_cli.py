@@ -505,9 +505,14 @@ def test_nonfinite_output_names_its_offset(tmp_path, capsys, argv, where):
          "--degree", "-1", "--rep", "future"],
         ["taylor", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
          "--degree", "-1", "--rep", "initial"],
+        ["taylor", "--kind", "nabla", "--order", "2", "--signal", "sin10k",
+         "--rep", "future"],
+        ["taylor", "--kind", "caputo", "--order", "1.5", "--signal", "sin10k",
+         "--rep", "initial", "--degree", "2", "--history", "3"],
     ],
     ids=["weight-exp-nan", "signal-geom-nan", "signal-poly-nan", "perturb-nan",
-         "perturb-inf", "degree-future", "degree-initial"],
+         "perturb-inf", "degree-future", "degree-initial", "future-integer-kind",
+         "initial-degree-at-stage"],
 )
 def test_bad_spec_or_option_value_is_one_line_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nablatc.operators import (
     InsufficientHistory,
@@ -19,7 +21,9 @@ from nablatc.operators import (
     nabla_n_tempered_at,
     rl_tempered,
     set_fault_injection,
+    with_zero_history,
 )
+from nablatc.presets import preset_weight
 from nablatc.signals import (
     Grid,
     NonFiniteSample,
@@ -385,3 +389,124 @@ def test_integer_difference_overflow_raises_without_warning(tempered):
                 nabla_n_tempered(x, 2, make_weight(g, rate=0.0))
             else:
                 nabla_n(x, 2)
+
+
+# ---------------------------------------------------------------------------
+# RL and Caputo against the composition of the public stages
+# ---------------------------------------------------------------------------
+
+
+def rl_composed(x, alpha, w):
+    n = math.ceil(alpha)
+    return nabla_n_tempered(gl_tempered(x, alpha - n, w, out_history=n), n, w)
+
+
+def caputo_composed(x, alpha, w):
+    n = math.ceil(alpha)
+    return gl_tempered(nabla_n_tempered(x, n, w), alpha - n, w)
+
+
+FRACTIONAL_ORDERS = st.floats(min_value=0.01, max_value=3.99).filter(
+    lambda al: al != math.floor(al)
+)
+
+
+def _stage_weight(grid, kind, seed):
+    if kind.startswith("case") or kind == "one":
+        return preset_weight(kind, grid)
+    rng = np.random.default_rng(seed)
+    if kind == "rate":
+        # bases 1 - rate in (0.5, 2] and [-1.5, -0.5): no underflow by N = 80
+        lo, hi = (-1.0, 0.5) if seed % 2 else (1.5, 2.5)
+        return make_weight(grid, rate=float(rng.uniform(lo, hi)))
+    signs = rng.choice([-1.0, 1.0], grid.npoints)
+    return make_weight(grid, values=signs * 10.0 ** rng.uniform(-3.0, 3.0, grid.npoints))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    FRACTIONAL_ORDERS,
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from(["one", "case1", "case2", "case3", "case4", "rate", "values"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.0, 1e-6]),
+)
+def test_rl_caputo_equal_their_stage_composition(alpha, N, extra, wkind, seed, fault):
+    n = math.ceil(alpha)
+    grid = Grid(float(seed % 7) - 3.5, history=n + extra, horizon=N)
+    rng = np.random.default_rng(seed)
+    x = Signal(grid, rng.standard_normal(grid.npoints))
+    w = _stage_weight(grid, wkind, seed)
+    previous = set_fault_injection(fault)
+    try:
+        for fused, composed in ((rl_tempered, rl_composed), (caputo_tempered, caputo_composed)):
+            got = fused(x, alpha, w)
+            expected = composed(x, alpha, w)
+            assert got.grid == expected.grid
+            assert got.values.tobytes() == expected.values.tobytes()
+    finally:
+        set_fault_injection(previous)
+
+
+def _spikes(values):
+    """A signal of k that is ``values[k]`` at the listed points, else 0."""
+    return lambda k: values.get(round(k), 0.0)
+
+
+OVERFLOWS = [
+    # the intermediate overflows: a long sum of a huge constant, the
+    # difference of a huge alternating signal
+    ("rl", 0.05, lambda k: 1.7e308, "one", 8),
+    ("caputo", 0.5, lambda k: 1e308 * (-1.0) ** round(k), "one", 8),
+    # both stages overflow, the second one at an earlier offset: the error
+    # names the intermediate's offset, as the composition does
+    ("rl", 0.5, _spikes({1: 1.5e308, 2: -1.5e308, 4: 1.7e308, 5: 1.7e308}), "one", 8),
+    ("caputo", 0.05, _spikes({0: -0.5e308, 1: 0.5e308, 2: 1.5e308, 3: -1.5e308}), "one", 8),
+    # finite intermediates whose next stage overflows: the difference of a
+    # large alternating sum, the long sum of a large constant difference
+    ("rl", 0.5, lambda k: 1.5e308 * (-1.0) ** round(k), "one", 12),
+    ("caputo", 0.05, lambda k: 1e307 * (k - 16.5), "one", 33),
+    # past the horizon the weight case2 admits for these orders
+    *[
+        (kind, al, lambda k: math.sin(10 * k), "case2", 620)
+        for kind in ("rl", "caputo")
+        for al in (0.5, 1.5, 2.5)
+    ],
+]
+
+
+@pytest.mark.parametrize("kind, alpha, x_fn, wname, N", OVERFLOWS)
+def test_rl_caputo_overflow_errors_match_their_composition(kind, alpha, x_fn, wname, N):
+    fused, composed = {
+        "rl": (rl_tempered, rl_composed),
+        "caputo": (caputo_tempered, caputo_composed),
+    }[kind]
+    grid = Grid(0.0, history=math.ceil(alpha), horizon=N)
+    x = make_signal_from_fn(grid, x_fn)
+    w = preset_weight(wname, grid)
+    with pytest.raises(NonFiniteSample) as want:
+        composed(x, alpha, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSample) as got:
+            fused(x, alpha, w)
+    assert str(got.value) == str(want.value)
+
+
+def test_operator_outputs_are_read_only():
+    x = grid_and_signal(lambda k: math.sin(10 * k), history=2)
+    w = make_weight(x.grid, rate=-0.1)
+    outputs = [
+        gl_tempered(x, 0.5, w),
+        gl_tempered(x, -0.5, w, out_history=2),
+        rl_tempered(x, 1.5, w),
+        caputo_tempered(x, 1.5, w),
+        nabla_n_tempered(x, 2, w),
+        nabla_n(x, 1),
+        with_zero_history(gl_tempered(x, 0.5, w), 3),
+    ]
+    for out in outputs:
+        assert out.values.flags.writeable is False
+        with pytest.raises(ValueError):
+            out.values[0] = 1.0

@@ -407,6 +407,15 @@ def test_instance_signals_match_numpy_points(seed, history, N, idx):
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=8, max_value=64))
+def test_core_instance_base_point_is_np_round(seed, n_max):
+    x, _ = suite._core_instance(np.random.default_rng(seed), 0, history=2, n_max=n_max)
+    rng = np.random.default_rng(seed)
+    rng.integers(8, n_max + 1)
+    assert x.grid.a == float(np.round(rng.uniform(-4.0, 4.0), 3))
+
+
 @pytest.mark.parametrize("index", [0, 2, 6])
 def test_instance_signals_match_over_suite_draws(index, monkeypatch):
     # a core group's own instance stream at seed 0: the order draw, then the

@@ -211,3 +211,33 @@ def test_gl_coefficients_bounded_orders_stay_finite():
     # the bound behind the unguarded path: |order| = 40 over 10^5 terms
     for order in (40.0, -40.0, 39.5):
         assert np.isfinite(gl_coefficients(order, 10**5).coeffs).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=120), min_size=1, max_size=5),
+    st.floats(min_value=-3.9, max_value=3.9).filter(lambda q: q != math.floor(q)),
+)
+def test_lgamma_table_serves_rows_of_any_length_order(lengths, q):
+    # from an empty table, rows of growing and shrinking length: each equals
+    # the per-point ratios, and a grown table leaves an earlier one intact
+    from nablatc import special
+
+    saved = special._LGAMMA_INT
+    special._LGAMMA_INT = np.empty(0)
+    special._LGAMMA_INT.setflags(write=False)
+    try:
+        d = q + 1.0
+        for N in lengths:
+            before = special._LGAMMA_INT
+            kept = before.copy()
+            row = rising_over_gamma_row(q, d, N)
+            expected = np.array([rising_over_gamma(m, q, d) for m in range(1, N + 1)])
+            assert row.tobytes() == expected.tobytes()
+            table = special._LGAMMA_INT
+            assert len(table) == max(len(before), N)
+            assert table.flags.writeable is False
+            assert before.tobytes() == kept.tobytes()
+            assert table[: len(before)].tobytes() == kept.tobytes()
+    finally:
+        special._LGAMMA_INT = saved
