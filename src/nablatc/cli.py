@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .signals import (
     read_weight_csv,
     write_signal_csv,
 )
-from .suite import reports_to_json_dict, resolve_tolerance_scale, run_suite
+from .suite import reports_to_json_dict, resolve_tolerance_scale, run_suite, select_groups
 from .taylor import (
     tempered_op_taylor_current,
     tempered_op_taylor_future,
@@ -144,13 +145,43 @@ def cmd_taylor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _group_line(name: str, reports: list, seconds: float) -> str:
+    """One stderr line per suite group: its checks, wall time and worst
+    ``max_abs_dev / tolerance``.  A check of tolerance 0 is bit-exact: it
+    counts as ``exact`` when it holds, and as an infinite ratio when not."""
+    ratios = []
+    exact = 0
+    for r in reports:
+        if r.tolerance > 0:
+            ratios.append(r.max_abs_dev / r.tolerance)
+        elif r.passed:
+            exact += 1
+        else:
+            ratios.append(math.inf)
+    # a NaN deviation (a failed check) ranks above every number
+    worst = f"{max(ratios, key=lambda v: (math.isnan(v), v)):.3g}" if ratios else "exact"
+    if exact and ratios:
+        worst += f" ({exact} exact)"
+    return (
+        f"verify: {name}: {len(reports)} checks, {seconds * 1e3:.1f} ms, "
+        f"worst dev/tol {worst}"
+    )
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     scale = resolve_tolerance_scale()
-    reports = run_suite(
-        seed=args.seed, only=args.only, perturb=args.perturb, tolerance_scale=scale
-    )
-    if not reports:
+    selected = select_groups(args.only)
+    if not selected:
         raise ConfigError(f"--only {args.only!r} matched no identity group")
+    reports = []
+    lines = []
+    for _, name, _ in selected:
+        start = time.perf_counter()
+        group = run_suite(
+            seed=args.seed, perturb=args.perturb, tolerance_scale=scale, groups=(name,)
+        )
+        lines.append(_group_line(name, group, time.perf_counter() - start))
+        reports += group
     payload = reports_to_json_dict(reports, args.seed, scale, args.perturb)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -158,6 +189,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(text)
     failures = payload["failures"]
+    for line in lines:
+        print(line, file=sys.stderr)
     print(
         f"verify: {payload['total']} checks, {failures} failures (seed {args.seed})",
         file=sys.stderr,

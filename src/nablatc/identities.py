@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,20 +22,28 @@ from .operators import (
     InsufficientLags,
     OperatorKind,
     OperatorSpec,
+    _caputo_values,
+    _fractional_stage,
+    _gl_values,
+    _initial_value_terms,
+    _integer_stage,
+    _nabla_values,
+    _pointwise_tempered_order,
+    _require_weight_covers,
+    _rl_values,
+    _settled,
     _stencil,
+    _zero_extended,
     apply_operator,
     causal_sum,
     caputo_tempered,
-    gl_integer_vs_nabla_defect,
     gl_tempered,
-    initial_value_terms,
     nabla_at,
     nabla_n_tempered,
     nabla_n_tempered_at,
     rl_tempered,
     rl_tempered_at_base,
     tempered_diff_rows,
-    with_zero_history,
 )
 from .signals import Grid, GridMismatch, Signal, Weight, make_signal_from_fn, make_weight
 from .special import (
@@ -50,6 +58,8 @@ __all__ = [
     "TOL_LIMIT",
     "InsufficientLags",
     "IdentityReport",
+    "RowCheck",
+    "run_rows",
     "check_gl_rl_agreement",
     "check_rl_caputo_correction",
     "check_sum_composition",
@@ -147,34 +157,188 @@ def _w_ratio_from_base(w: Weight, horizon: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# stacked rows: the core checkers, one instance or many at once
+# ---------------------------------------------------------------------------
+
+
+class RowCheck(NamedTuple):
+    """A core checker as two steps.
+
+    ``prep(x, w, *args)`` validates one instance as its one-row call would
+    and returns ``(orders, stages, params)``: its real orders (stacked into
+    one array each), its integer stages (shared by every row of a stack)
+    and its report params.  ``body(x, w, h, N, *orders, *stages)`` runs on
+    the values of x and w at offsets ``-h..N``, one row or a stack of rows
+    zero-padded past each row's own N (w padded with ones), and returns
+    ``(identity_id, devs, first)`` with ``devs[..., j]`` at offset
+    ``first + j``.
+    """
+
+    prep: Callable
+    body: Callable
+
+
+def run_rows(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[IdentityReport]:
+    """The reports of ``check`` on each ``(x, w, *args)`` of ``rows``, in
+    order, each equal to the one-row call on that instance bit for bit.
+
+    Rows that share their history and integer stages run as one stack, so
+    each side of the identity runs once per stack through its own stage
+    sequence.  When anything in the stacked pass fails, the rows run again
+    one at a time: the batch raises exactly the error of its first failing
+    row.
+    """
+    if len(rows) > 1:
+        try:
+            return _stacked(check, rows, tol)
+        except Exception:
+            # whatever failed (a later row's validation, a non-finite
+            # stage, a numpy warning raised as an error), the one-row calls
+            # below raise what the first failing row raises alone
+            pass
+    return [_one_row(check, row, tol) for row in rows]
+
+
+def _lattice(x: Signal, w: Weight) -> tuple[np.ndarray, np.ndarray, int]:
+    """The values of x and w at offsets ``-h..N`` of x's grid, with ``h``
+    the longer of the two histories; below its own history x reads 0 and w
+    reads 1, entries that a validated instance never reads."""
+    if w.grid == x.grid:
+        return x.values, w.values, x.grid.history
+    h, N = max(x.grid.history, w.grid.history), x.grid.horizon
+    xv = np.zeros(h + 1 + N)
+    xv[h - x.grid.history :] = x.values
+    wv = np.ones(h + 1 + N)
+    wv[h - w.grid.history :] = w.window(-w.grid.history, N)
+    return xv, wv, h
+
+
+def _one_row(check: RowCheck, row: tuple, tol: float) -> IdentityReport:
+    x, w, *args = row
+    orders, stages, params = check.prep(x, w, *args)
+    xv, wv, h = _lattice(x, w)
+    ident, devs, first = check.body(xv, wv, h, x.grid.horizon, *orders, *stages)
+    return IdentityReport.from_devs(ident, devs, x.grid.a + first, tol, params)
+
+
+def _stacked(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[IdentityReport]:
+    preps = [check.prep(x, w, *args) for x, w, *args in rows]
+    lattices = [_lattice(x, w) for x, w, *_ in rows]
+    stacks: dict[tuple, list[int]] = {}
+    for r, (prep, (_, _, h)) in enumerate(zip(preps, lattices)):
+        stacks.setdefault((h, prep[1]), []).append(r)
+    reports: list = [None] * len(rows)
+    for (h, stages), members in stacks.items():
+        N = np.array([rows[r][0].grid.horizon for r in members])
+        x = np.zeros((len(members), h + 1 + int(N.max())))
+        w = np.ones(x.shape)
+        for j, r in enumerate(members):
+            xv, wv, _ = lattices[r]
+            x[j, : len(xv)] = xv
+            w[j, : len(wv)] = wv
+        orders = [np.array(col) for col in zip(*(preps[r][0] for r in members))]
+        ident, devs, first = check.body(x, w, h, N, *orders, *stages)
+        for j, r in enumerate(members):
+            first_k = rows[r][0].grid.a + first
+            row_devs = devs[j, : N[j] - first + 1]
+            reports[r] = IdentityReport.from_devs(ident, row_devs, first_k, tol, preps[r][2])
+    return reports
+
+
+def _gamma_rows(q, d, N) -> np.ndarray:
+    """``rising_over_gamma_row(q, d, N)``, or for arrays ``q``, ``d`` and
+    ``N`` one such row per entry, zero past its own N."""
+    if np.ndim(N) == 0:
+        return rising_over_gamma_row(q, d, N)
+    rows = np.zeros((len(N), int(N.max())))
+    for r, (qr, dr, nr) in enumerate(zip(q.tolist(), d.tolist(), N.tolist())):
+        rows[r, :nr] = rising_over_gamma_row(qr, dr, nr)
+    return rows
+
+
+def _series(x: np.ndarray, w: np.ndarray, h: int, degrees, basis) -> np.ndarray:
+    """The initial-value series ``sum_i basis(i) (w(a)/w(k)) d_i`` on the
+    window, summed from 0.0 in the order of ``degrees``."""
+    ratio = w[..., h : h + 1] / w[..., h + 1 :]
+    terms = _initial_value_terms(x, h, w, h, ratio, degrees, basis)
+    return sum(terms, np.zeros(ratio.shape))
+
+
+def _output_stage(kind: OperatorKind, order: float, x: Signal, w: Weight) -> int:
+    """The integer stage of ``kind`` at ``order`` applied to an operator
+    output on x's window, zero-extended by the history that stage reads."""
+    n = math.ceil(order)
+    return _fractional_stage(kind, order, Grid(x.grid.a, n, x.grid.horizon), w)
+
+
+# ---------------------------------------------------------------------------
 # basic relations between the operator forms
 # ---------------------------------------------------------------------------
+
+
+def _gl_rl_prep(x, w, alpha):
+    _require_weight_covers(w, x.grid, 1)
+    n = _fractional_stage(OperatorKind.RL, alpha, x.grid, w)
+    return (alpha,), (n,), {"alpha": alpha}
+
+
+def _gl_rl_body(x, w, h, N, alpha, n):
+    gl = _gl_values(x[..., h + 1 :], alpha, w[..., h + 1 :])
+    rl = _rl_values(x[..., h + 1 :], alpha, n, w[..., h + 1 - n :])
+    return "gl-rl-agree", np.abs(gl - rl), 1
+
+
+GL_RL_AGREE = RowCheck(_gl_rl_prep, _gl_rl_body)
 
 
 def check_gl_rl_agreement(
     x: Signal, alpha: float, w: Weight, tol: float = TOL_EXACT
 ) -> IdentityReport:
     """Single-sum form against the difference-of-sum form, pointwise."""
-    devs = np.abs(gl_tempered(x, alpha, w).body - rl_tempered(x, alpha, w).body)
-    return IdentityReport.from_devs(
-        "gl-rl-agree", devs, x.grid.a + 1, tol, {"alpha": alpha}
-    )
+    return run_rows(GL_RL_AGREE, [(x, w, alpha)], tol)[0]
+
+
+def _rl_caputo_prep(x, w, alpha):
+    n = math.ceil(alpha)
+    # the sum-of-difference form admits exactly what this one does
+    _fractional_stage(OperatorKind.RL, alpha, x.grid, w)
+    return (alpha,), (n,), {"alpha": alpha}
+
+
+def _rl_caputo_body(x, w, h, N, alpha, n):
+    rl = _rl_values(x[..., h + 1 :], alpha, n, w[..., h + 1 - n :])
+    cap = _caputo_values(x[..., h + 1 - n :], alpha, n, w[..., h + 1 - n :])
+    basis = lambda i: _gamma_rows(i - alpha, i - alpha + 1, N)
+    corr = _series(x, w, h, range(n), basis)
+    return "rl-caputo-correction", np.abs(rl - (cap + corr)), 1
+
+
+RL_CAPUTO_CORRECTION = RowCheck(_rl_caputo_prep, _rl_caputo_body)
 
 
 def check_rl_caputo_correction(
     x: Signal, alpha: float, w: Weight, tol: float = TOL_EXACT
 ) -> IdentityReport:
     """Difference-of-sum equals sum-of-difference plus the initial-value series."""
+    return run_rows(RL_CAPUTO_CORRECTION, [(x, w, alpha)], tol)[0]
+
+
+def _sum_composition_prep(x, w, alpha):
     n = math.ceil(alpha)
-    N = x.grid.horizon
-    rl = rl_tempered(x, alpha, w).body
-    cap = caputo_tempered(x, alpha, w).body
-    basis = lambda i: rising_over_gamma_row(i - alpha, i - alpha + 1, N)
-    corr = sum(initial_value_terms(x, w, range(n), basis), np.zeros(N))
-    devs = np.abs(rl - (cap + corr))
-    return IdentityReport.from_devs(
-        "rl-caputo-correction", devs, x.grid.a + 1, tol, {"alpha": alpha}
-    )
+    _require_weight_covers(w, x.grid, 1)
+    n = _integer_stage(n, Grid(x.grid.a, n, x.grid.horizon), w)
+    return (alpha,), (n,), {"alpha": alpha}
+
+
+def _sum_composition_body(x, w, h, N, alpha, n):
+    x_body, w_body = x[..., h + 1 :], w[..., h + 1 :]
+    lhs = _gl_values(x_body, -alpha, w_body)
+    inner = _gl_values(x_body, -alpha - n, w_body)
+    rhs = _nabla_values(_zero_extended(inner, n), n, w[..., h + 1 - n :])
+    return "sum-composition", np.abs(lhs - rhs), 1
+
+
+SUM_COMPOSITION = RowCheck(_sum_composition_prep, _sum_composition_body)
 
 
 def check_sum_composition(
@@ -182,14 +346,26 @@ def check_sum_composition(
 ) -> IdentityReport:
     """Order -alpha sum equals the n-th tempered difference of the
     order -(alpha+n) sum."""
+    return run_rows(SUM_COMPOSITION, [(x, w, alpha)], tol)[0]
+
+
+def _difference_of_sum_prep(x, w, alpha):
     n = math.ceil(alpha)
-    lhs = gl_tempered(x, -alpha, w).body
-    inner = gl_tempered(x, -alpha - n, w, out_history=n)
-    rhs = nabla_n_tempered(inner, n, w).body
-    devs = np.abs(lhs - rhs)
-    return IdentityReport.from_devs(
-        "sum-composition", devs, x.grid.a + 1, tol, {"alpha": alpha}
-    )
+    _require_weight_covers(w, x.grid, 1)
+    # the sum-of-difference form admits exactly what this one does
+    _output_stage(OperatorKind.RL, alpha, x, w)
+    return (alpha,), (n,), {"alpha": alpha}
+
+
+def _difference_of_sum_body(x, w, h, N, alpha, n):
+    x_body, w_low = x[..., h + 1 :], w[..., h + 1 - n :]
+    u = _gl_values(x_body, -alpha, w_low[..., n:])
+    d_rl = np.abs(_rl_values(u, alpha, n, w_low) - x_body)
+    d_cap = np.abs(_caputo_values(_zero_extended(u, n), alpha, n, w_low) - x_body)
+    return "diff-of-sum", np.maximum(d_rl, d_cap), 1
+
+
+DIFFERENCE_OF_SUM = RowCheck(_difference_of_sum_prep, _difference_of_sum_body)
 
 
 def check_difference_of_sum(
@@ -197,14 +373,38 @@ def check_difference_of_sum(
 ) -> IdentityReport:
     """Applying either fractional difference to the order -alpha sum
     reproduces the signal."""
+    return run_rows(DIFFERENCE_OF_SUM, [(x, w, alpha)], tol)[0]
+
+
+def _sum_of_difference_prep(x, w, alpha, kind):
     n = math.ceil(alpha)
-    u = gl_tempered(x, -alpha, w, out_history=n)
-    d_rl = np.abs(rl_tempered(u, alpha, w).body - x.body)
-    d_cap = np.abs(caputo_tempered(u, alpha, w).body - x.body)
-    devs = np.maximum(d_rl, d_cap)
-    return IdentityReport.from_devs(
-        "diff-of-sum", devs, x.grid.a + 1, tol, {"alpha": alpha}
-    )
+    if kind not in ("rl", "caputo"):
+        raise ValueError(f"kind must be 'rl' or 'caputo', got {kind!r}")
+    op = OperatorKind.RL if kind == "rl" else OperatorKind.CAPUTO
+    _fractional_stage(op, alpha, x.grid, w)
+    # the difference-of-sum initial values, evaluated rather than assumed
+    ivs = [rl_tempered_at_base(x, alpha - i - 1, w) for i in range(n)] if kind == "rl" else []
+    return (alpha, np.array(ivs)), (n, kind), {"alpha": alpha}
+
+
+def _sum_of_difference_body(x, w, h, N, alpha, ivs, n, kind):
+    x_body, w_low = x[..., h + 1 :], w[..., h + 1 - n :]
+    if kind == "rl":
+        v = _rl_values(x_body, alpha, n, w_low)
+        ratio = w[..., h : h + 1] / w[..., h + 1 :]
+        corr = np.zeros(ratio.shape)
+        for i in range(n):
+            basis = _gamma_rows(alpha - i - 1, alpha - i, N)
+            corr += basis * ratio * ivs[..., i, None]
+    else:
+        v = _caputo_values(x[..., h + 1 - n :], alpha, n, w_low)
+        L = x.shape[-1] - h - 1
+        corr = _series(x, w, h, range(n), lambda i: rising_over_factorial_row(i, L))
+    lhs = _gl_values(v, -alpha, w_low[..., n:])
+    return f"sum-of-diff-{kind}", np.abs(lhs - (x_body - corr)), 1
+
+
+SUM_OF_DIFFERENCE = RowCheck(_sum_of_difference_prep, _sum_of_difference_body)
 
 
 def check_sum_of_difference(
@@ -218,28 +418,53 @@ def check_sum_of_difference(
     rather than assumed), ``"caputo"`` uses the integer tempered
     differences at the base.
     """
-    n = math.ceil(alpha)
-    N = x.grid.horizon
-    if kind == "rl":
-        v = rl_tempered(x, alpha, w)
-        ratio = _w_ratio_from_base(w, N)
-        corr = np.zeros(N)
-        for i in range(n):
-            iv = rl_tempered_at_base(x, alpha - i - 1, w)
-            basis = rising_over_gamma_row(alpha - i - 1, alpha - i, N)
-            corr += basis * ratio * iv
-    elif kind == "caputo":
-        v = caputo_tempered(x, alpha, w)
-        basis = lambda i: rising_over_factorial_row(i, N)
-        corr = sum(initial_value_terms(x, w, range(n), basis), np.zeros(N))
+    return run_rows(SUM_OF_DIFFERENCE, [(x, w, alpha, kind)], tol)[0]
+
+
+def _mixed_composition_prep(x, w, beta, n, outer):
+    m = math.ceil(beta)
+    if not (0 < beta < n) or beta == math.floor(beta):
+        raise ValueError(f"split order must be non-integer in (0, {n}), got {beta}")
+    m2 = math.ceil(n - beta)
+    if outer not in ("rl", "caputo"):
+        raise ValueError(f"outer must be 'rl' or 'caputo', got {outer!r}")
+    inner, outer_kind = OperatorKind.CAPUTO, OperatorKind.RL
+    if outer == "caputo":
+        inner, outer_kind = outer_kind, inner
+    _fractional_stage(inner, beta, x.grid, w)
+    _output_stage(outer_kind, n - beta, x, w)
+    _fractional_stage(inner, n - beta, x.grid, w)
+    _output_stage(outer_kind, beta, x, w)
+    if outer == "rl":
+        _integer_stage(n, x.grid, w)
     else:
-        raise ValueError(f"kind must be 'rl' or 'caputo', got {kind!r}")
-    lhs = gl_tempered(v, -alpha, w).body
-    rhs = x.body - corr
-    devs = np.abs(lhs - rhs)
-    return IdentityReport.from_devs(
-        f"sum-of-diff-{kind}", devs, x.grid.a + 1, tol, {"alpha": alpha}
+        _require_weight_covers(w, x.grid, 1)
+    return (beta,), (n, outer, m, m2), {"beta": beta, "n": n}
+
+
+def _mixed_composition_body(x, w, h, N, beta, n, outer, m, m2):
+    x_body = x[..., h + 1 :]
+    w_low = lambda k: w[..., h + 1 - k :]  # w at offsets 1-k..N
+    if outer == "rl":
+        inner_a = _caputo_values(x[..., h + 1 - m :], beta, m, w_low(m))
+        side_a = _rl_values(inner_a, n - beta, m2, w_low(m2))
+        inner_b = _caputo_values(x[..., h + 1 - m2 :], n - beta, m2, w_low(m2))
+        side_b = _rl_values(inner_b, beta, m, w_low(m))
+        target = _nabla_values(x[..., h + 1 - n :], n, w_low(n))
+    else:
+        inner_a = _rl_values(x_body, beta, m, w_low(m))
+        side_a = _caputo_values(_zero_extended(inner_a, m2), n - beta, m2, w_low(m2))
+        inner_b = _rl_values(x_body, n - beta, m2, w_low(m2))
+        side_b = _caputo_values(_zero_extended(inner_b, m), beta, m, w_low(m))
+        target = _gl_values(x_body, float(n), w_low(0))
+    lo = n - 1  # body index of offset n
+    devs = np.maximum(
+        np.abs(side_a[..., lo:] - target[..., lo:]), np.abs(side_b[..., lo:] - target[..., lo:])
     )
+    return f"mixed-composition-{outer}", devs, n
+
+
+MIXED_COMPOSITION = RowCheck(_mixed_composition_prep, _mixed_composition_body)
 
 
 def check_mixed_composition(
@@ -253,36 +478,48 @@ def check_mixed_composition(
     route an integer difference through a zero-extended intermediate only
     close from offset n on, so the comparison window is {a+n, ..., a+N}.
     """
-    m = math.ceil(beta)
-    if not (0 < beta < n) or beta == math.floor(beta):
-        raise ValueError(f"split order must be non-integer in (0, {n}), got {beta}")
-    m2 = math.ceil(n - beta)
-    if outer == "rl":
-        inner_a = with_zero_history(caputo_tempered(x, beta, w), m2)
-        side_a = rl_tempered(inner_a, n - beta, w).body
-        inner_b = with_zero_history(caputo_tempered(x, n - beta, w), m)
-        side_b = rl_tempered(inner_b, beta, w).body
-        target = nabla_n_tempered(x, n, w).body
-    elif outer == "caputo":
-        inner_a = with_zero_history(rl_tempered(x, beta, w), m2)
-        side_a = caputo_tempered(inner_a, n - beta, w).body
-        inner_b = with_zero_history(rl_tempered(x, n - beta, w), m)
-        side_b = caputo_tempered(inner_b, beta, w).body
-        target = gl_tempered(x, float(n), w).body
-    else:
-        raise ValueError(f"outer must be 'rl' or 'caputo', got {outer!r}")
-    lo = n - 1  # body index of offset n
-    devs = np.maximum(
-        np.abs(side_a[lo:] - target[lo:]), np.abs(side_b[lo:] - target[lo:])
-    )
-    return IdentityReport.from_devs(
-        f"mixed-composition-{outer}", devs, x.grid.a + n, tol, {"beta": beta, "n": n}
-    )
+    return run_rows(MIXED_COMPOSITION, [(x, w, beta, n, outer)], tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # initial-instant reconstruction identities
 # ---------------------------------------------------------------------------
+
+
+def _taylor_remainder_prep(x, w, alpha, m):
+    n = math.ceil(alpha)
+    if not (0 <= m < alpha):
+        raise ValueError(f"shift m must satisfy 0 <= m < alpha, got {m}")
+    for i in range(m, n):
+        _pointwise_tempered_order(x, i, w, 0)
+    _fractional_stage(OperatorKind.CAPUTO, alpha, x.grid, w)
+    _integer_stage(m if m else n, x.grid, w)
+    return (alpha,), (n, m), {"alpha": alpha, "m": m}
+
+
+def _taylor_remainder_body(x, w, h, N, alpha, n, m):
+    L = x.shape[-1] - h - 1
+    x_body, w_body = x[..., h + 1 :], w[..., h + 1 :]
+    basis = lambda i: rising_over_factorial_row(i - m, L)
+    series = _series(x, w, h, range(m, n), basis)
+
+    cap = _caputo_values(x[..., h + 1 - n :], alpha, n, w[..., h + 1 - n :])
+    coef = _gamma_rows(alpha - m - 1, alpha - m, N)
+    sumpart = causal_sum(coef, w_body * cap) / w_body
+
+    lhs = x_body if m == 0 else _nabla_values(x[..., h + 1 - m :], m, w[..., h + 1 - m :])
+    devs = np.abs(lhs - (series + sumpart))
+
+    if m == 0:
+        vn = _nabla_values(x[..., h + 1 - n :], n, w[..., h + 1 - n :])
+        acc2 = causal_sum(rising_over_factorial_row(n - 1, L), w_body * vn)
+        devs = np.maximum(devs, np.abs(x_body - (series + acc2 / w_body)))
+
+    ident = "taylor-remainder-base" if m == 0 else "taylor-remainder-shifted"
+    return ident, devs, 1
+
+
+TAYLOR_REMAINDER = RowCheck(_taylor_remainder_prep, _taylor_remainder_body)
 
 
 def check_taylor_remainder_forms(
@@ -295,29 +532,30 @@ def check_taylor_remainder_forms(
     integer-remainder variant (remainder driven by the n-th tempered
     difference instead of the fractional one).
     """
-    n = math.ceil(alpha)
-    if not (0 <= m < alpha):
-        raise ValueError(f"shift m must satisfy 0 <= m < alpha, got {m}")
-    N = x.grid.horizon
-    basis = lambda i: rising_over_factorial_row(i - m, N)
-    series = sum(initial_value_terms(x, w, range(m, n), basis), np.zeros(N))
+    return run_rows(TAYLOR_REMAINDER, [(x, w, alpha, m)], tol)[0]
 
-    cap = caputo_tempered(x, alpha, w)
-    coef = rising_over_gamma_row(alpha - m - 1, alpha - m, N)
-    sumpart = causal_sum(coef, w.window(1, N) * cap.body) / w.window(1, N)
 
-    lhs = x.body if m == 0 else nabla_n_tempered(x, m, w).body
-    devs = np.abs(lhs - (series + sumpart))
+def _integer_defect_prep(x, w, n):
+    _require_weight_covers(w, x.grid, 1)
+    return (), (_integer_stage(n, x.grid, w),), {"n": n}
 
-    if m == 0:
-        vn = nabla_n_tempered(x, n, w)
-        acc2 = causal_sum(rising_over_factorial_row(n - 1, N), w.window(1, N) * vn.body)
-        devs = np.maximum(devs, np.abs(x.body - (series + acc2 / w.window(1, N))))
 
-    ident = "taylor-remainder-base" if m == 0 else "taylor-remainder-shifted"
-    return IdentityReport.from_devs(
-        ident, devs, x.grid.a + 1, tol, {"alpha": alpha, "m": m}
-    )
+def _integer_defect_body(x, w, h, N, n):
+    gl = _gl_values(x[..., h + 1 :], float(n), w[..., h + 1 :])
+    d = _settled(gl - _nabla_values(x[..., h + 1 - n :], n, w[..., h + 1 - n :]))
+    expected = np.zeros(d.shape)
+    for m in range(1, min(n, d.shape[-1]) + 1):
+        # added left to right from 0, not by sum(), whose float sums are
+        # compensated from Python 3.12 on
+        acc = 0.0
+        for i in range(m, n + 1):
+            ratio = w[..., h + m - i] / w[..., h + m]
+            acc += (-1) ** i * math.comb(n, i) * ratio * x[..., h + m - i]
+        expected[..., m - 1] = -acc
+    return "integer-defect", np.abs(d - expected), 1
+
+
+INTEGER_DEFECT = RowCheck(_integer_defect_prep, _integer_defect_body)
 
 
 def check_integer_defect(
@@ -325,18 +563,7 @@ def check_integer_defect(
 ) -> IdentityReport:
     """The integer single-sum operator minus the plain tempered difference
     equals the missing-stencil boundary sum, and vanishes from offset n+1 on."""
-    N = x.grid.horizon
-    d = gl_integer_vs_nabla_defect(x, n, w).body
-    expected = np.zeros(N)
-    for m in range(1, min(n, N) + 1):
-        # added left to right from 0, not by sum(), whose float sums are
-        # compensated from Python 3.12 on
-        acc = 0.0
-        for i in range(m, n + 1):
-            acc += (-1) ** i * math.comb(n, i) * (w.at(m - i) / w.at(m)) * x.at(m - i)
-        expected[m - 1] = -acc
-    devs = np.abs(d - expected)
-    return IdentityReport.from_devs("integer-defect", devs, x.grid.a + 1, tol, {"n": n})
+    return run_rows(INTEGER_DEFECT, [(x, w, n)], tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "SingularStep",
     "nlt",
     "check_transform_rule_gl",
+    "transform_rule_gl_reports",
     "check_transform_rule_diff",
     "check_tempering_shift",
     "convolve",
@@ -159,18 +161,37 @@ def check_transform_rule_gl(
     The signal must be bounded; the rule is checked strictly inside
     ``|s-1| < min(1, |1-lambda|)``.
     """
-    _check_region(s, lam)
-    w = make_weight(x.grid, rate=lam)
-    lhs = nlt(gl_tempered(x, alpha, w), s).value
-    rhs = _rho(s, lam) ** alpha * nlt(x, s).value
-    dev = abs(lhs - rhs)
-    return IdentityReport.from_measurement(
-        "laplace-gl-rule",
-        dev,
-        x.grid.a,
-        tol,
-        {"alpha": alpha, "lambda": lam, "s": [s.real, s.imag]},
-    )
+    return transform_rule_gl_reports(x, alpha, lam, (s,), tol=tol)[0]
+
+
+def transform_rule_gl_reports(
+    x: Signal,
+    alpha: float,
+    lam: float,
+    s_points: Sequence[complex],
+    *,
+    tol: float = 1e-7,
+) -> list[IdentityReport]:
+    """:func:`check_transform_rule_gl` at each of ``s_points``, in order,
+    with one single-sum output shared by all of them."""
+    out = []
+    y = None
+    for s in s_points:
+        _check_region(s, lam)
+        if y is None:
+            y = gl_tempered(x, alpha, make_weight(x.grid, rate=lam))
+        lhs = nlt(y, s).value
+        rhs = _rho(s, lam) ** alpha * nlt(x, s).value
+        out.append(
+            IdentityReport.from_measurement(
+                "laplace-gl-rule",
+                abs(lhs - rhs),
+                x.grid.a,
+                tol,
+                {"alpha": alpha, "lambda": lam, "s": [s.real, s.imag]},
+            )
+        )
+    return out
 
 
 def check_transform_rule_diff(

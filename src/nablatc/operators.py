@@ -152,16 +152,20 @@ _TILE = 256
 
 
 def _causal_sum_by_lag(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    N = len(z)
-    out = np.zeros(c.shape[:-1] + (N,))
-    # lag i's coefficient: a scalar, or a column of one entry per row of c
-    lags = c if c.ndim == 1 else c.T[..., None]
+    N = z.shape[-1]
+    rows = np.broadcast_shapes(c.shape[:-1], z.shape[:-1])
+    # outputs and lags along the first axis, so that each lag is one pass
+    # over contiguous rows; lag i's coefficient is a scalar, or one entry
+    # per row of c
+    zt = np.ascontiguousarray(np.moveaxis(np.broadcast_to(z, rows + (N,)), -1, 0))
+    lags = c if c.ndim == 1 else np.ascontiguousarray(np.moveaxis(c, -1, 0))
+    out = np.zeros((N,) + rows)
     # a non-finite c (the usual reason for this route) makes non-finite
     # outputs, which the caller rejects; inf * 0 and inf - inf need no warning
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(N):
-            out[..., i:] += lags[i] * z[: N - i]
-    return out
+            out[i:] += lags[i] * zt[: N - i]
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def _causal_sum_tiled(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -220,12 +224,16 @@ def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     holds a non-finite entry (``inf * 0`` is NaN), and on a numpy build
     whose einsum fuses multiply-add.
 
-    A 2-D ``c`` holds one coefficient row per output row, all against the
-    same ``z``: ``out[r, k] = sum_{i=0}^{k} c[r, i] z[k-i]``.  It takes the
-    per-lag loop, one 2-D multiply and add per lag for every row at once,
-    so each row equals the 1-D call with that row bit for bit.
+    A 2-D ``c`` holds one coefficient row per output row, and a 2-D ``z``
+    one sequence per output row (a 1-D one is shared by every row):
+    ``out[r, k] = sum_{i=0}^{k} c[r, i] z[r, k-i]``.  Both take the per-lag
+    loop, one 2-D multiply and add per lag for every row at once, so each
+    row equals the 1-D call with that row bit for bit.  Output ``k`` of a
+    row reads its lags ``i <= k`` only, so entries of ``c`` or ``z`` past
+    a row's own length (stacked rows of different lengths, zero-padded)
+    never reach that row's first outputs.
     """
-    if c.ndim > 1 or _EINSUM_FUSES or not np.isfinite(c[: len(z)]).all():
+    if c.ndim > 1 or z.ndim > 1 or _EINSUM_FUSES or not np.isfinite(c[: len(z)]).all():
         return _causal_sum_by_lag(c, z)
     return _causal_sum_tiled(c, z)
 
@@ -344,40 +352,96 @@ def _signed_binomials(n: int) -> np.ndarray:
 
 
 def _stencil(z: np.ndarray, n: int) -> np.ndarray:
-    """``out[j] = sum_{i=0}^{n} (-1)^i C(n, i) z[n+j-i]``, each output summed
-    from 0.0 in ascending lag like :func:`nabla_at`, one pass per lag.
-    Callers that expect overflow set their own ``np.errstate``."""
+    """``out[..., j] = sum_{i=0}^{n} (-1)^i C(n, i) z[..., n+j-i]``, each
+    output summed from 0.0 in ascending lag like :func:`nabla_at`, one pass
+    per lag over every row of ``z`` at once.  Callers that expect overflow
+    set their own ``np.errstate``."""
     coef = _signed_binomials(n)
-    N = len(z) - n
-    out = np.zeros(N)
+    N = z.shape[-1] - n
+    out = np.zeros(z.shape[:-1] + (N,))
     for i in range(n + 1):
-        out += coef[i] * z[n - i : n - i + N]
+        out += coef[i] * z[..., n - i : n - i + N]
     return out
 
 
-def _tempered_stencil(x_low: np.ndarray, n: int, w: Weight) -> np.ndarray:
+class _NonFiniteRows(NablaError):
+    """A stage of a stack of rows holds a non-finite value: the rows run
+    again one at a time, so that each raises its own error."""
+
+
+def _settled(body: np.ndarray) -> np.ndarray:
+    """``body``, a stage's values at offsets 1..N, once they are finite.
+
+    A 1-D body raises the :class:`NonFiniteSample` that its output signal
+    would raise, naming the first bad offset; a stack of rows (zero-padded
+    past each row's own N) raises :class:`_NonFiniteRows`."""
+    if body.ndim == 1:
+        _require_finite(body, 1)
+    elif not np.isfinite(body).all():
+        raise _NonFiniteRows("a stacked stage holds a non-finite value")
+    return body
+
+
+def _zero_extended(body: np.ndarray, n: int) -> np.ndarray:
+    """An operator output's values at offsets 1-n..N from its values
+    ``body`` at 1..N: zero at and below the base point."""
+    return np.concatenate([np.zeros(body.shape[:-1] + (n,)), body], axis=-1)
+
+
+def _tempered_stencil(x_low: np.ndarray, n: int, w_low: np.ndarray) -> np.ndarray:
     """The integer-difference stage ``w^-1 nabla^n [w x]`` on the window
-    1..N, from ``x_low``, the values of x at offsets 1-n..N: c·(w·x)
-    summed by :func:`_stencil`, then one division by w.  Callers hold the
-    ``np.errstate`` that lets an overflow through to their finiteness
-    check."""
-    N = len(x_low) - n
-    out = _stencil(w.window(1 - n, N) * x_low, n)
-    out /= w.window(1, N)
+    1..N, from ``x_low`` and ``w_low``, the values of x and w at offsets
+    1-n..N (one row each, or a stack of rows): c·(w·x) summed by
+    :func:`_stencil`, then one division by w.  Callers hold the
+    ``np.errstate`` that lets an overflow through to :func:`_settled`."""
+    out = _stencil(w_low * x_low, n)
+    out /= w_low[..., n:]
     return out
 
 
-def _tempered_single_sum(x_body: np.ndarray, alpha: float, w: Weight) -> np.ndarray:
+def _tempered_single_sum(x_body: np.ndarray, alpha, w_body: np.ndarray) -> np.ndarray:
     """The single-sum stage ``w^-1 sum_i c_i(alpha) [w x](k-i)`` on the
-    window 1..N, from ``x_body``, the values of x at offsets 1..N, plus the
-    fault hook's perturbation.  Callers hold the ``np.errstate``, as for
-    :func:`_tempered_stencil`."""
-    wb = w.window(1, len(x_body))
-    body = causal_sum(gl_coefficients(alpha, len(x_body)).coeffs, wb * x_body) / wb
+    window 1..N, from ``x_body`` and ``w_body``, the values of x and w at
+    offsets 1..N, plus the fault hook's perturbation.  For a stack of rows,
+    ``alpha`` holds one order per row.  Callers hold the ``np.errstate``,
+    as for :func:`_tempered_stencil`."""
+    c = gl_coefficients(alpha, x_body.shape[-1]).coeffs
+    body = causal_sum(c, w_body * x_body) / w_body
     fault = _fault_eps.get()
     if fault:
         body += fault
     return body
+
+
+# The operators' stage sequences on arrays: one row (the public operators)
+# or a stack of rows (the identity battery).  An overflow inside a stage
+# makes non-finite values without a numpy warning, and _settled rejects them
+# before the next stage reads them.
+
+
+def _gl_values(x_body: np.ndarray, alpha, w_body: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _settled(_tempered_single_sum(x_body, alpha, w_body))
+
+
+def _nabla_values(x_low: np.ndarray, n: int, w_low: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _settled(_tempered_stencil(x_low, n, w_low))
+
+
+def _rl_values(x_body: np.ndarray, alpha, n: int, w_low: np.ndarray) -> np.ndarray:
+    """Order ``alpha - n`` sum, then the n-th difference of its zero
+    extension; ``w_low`` holds w at offsets 1-n..N."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = _settled(_tempered_single_sum(x_body, alpha - n, w_low[..., n:]))
+        return _settled(_tempered_stencil(_zero_extended(inner, n), n, w_low))
+
+
+def _caputo_values(x_low: np.ndarray, alpha, n: int, w_low: np.ndarray) -> np.ndarray:
+    """The n-th difference, then its order ``alpha - n`` sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = _settled(_tempered_stencil(x_low, n, w_low))
+        return _settled(_tempered_single_sum(inner, alpha - n, w_low[..., n:]))
 
 
 def _output(grid_a: float, horizon: int, body: np.ndarray, out_history: int = 0) -> Signal:
@@ -398,17 +462,23 @@ def nabla_n(x: Signal, n: int) -> Signal:
     return _output(x.grid.a, N, out)
 
 
-def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
-    """Tempered integer difference ``w^-1(k) nabla^n [w x](k)``."""
+def _integer_stage(n: int, grid: Grid, w: Weight) -> int:
+    """``n`` as an int, once it is an admissible integer order and a signal
+    on ``grid`` and ``w`` store the n points of history its difference
+    reads."""
     check_order(OperatorKind.INTEGER_NABLA, n)
     n = int(n)
-    if x.grid.history < n:
+    if grid.history < n:
         raise InsufficientHistory(f"order {n} tempered difference needs history >= {n}")
-    _require_weight_covers(w, x.grid, 1 - n)
+    _require_weight_covers(w, grid, 1 - n)
+    return n
+
+
+def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
+    """Tempered integer difference ``w^-1(k) nabla^n [w x](k)``."""
+    n = _integer_stage(n, x.grid, w)
     N = x.grid.horizon
-    # an overflowing sum makes a non-finite sample, which Signal rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _tempered_stencil(x.window(1 - n, N), n, w)
+    out = _nabla_values(x.window(1 - n, N), n, w.window(1 - n, N))
     return _output(x.grid.a, N, out)
 
 
@@ -427,19 +497,53 @@ def _pointwise_order(x: Signal, n: float, offset: int) -> int:
     return n
 
 
+def _pointwise_tempered_order(x: Signal, n: int, w: Weight, offset: int) -> int:
+    """``n`` as an int, once :func:`nabla_n_tempered_at` can read x and w
+    down to ``offset - n``."""
+    n = _pointwise_order(x, n, offset)
+    _require_weight_covers(w, x.grid, offset - n)
+    return n
+
+
+def _tempered_diff_at(x: np.ndarray, px: int, w: np.ndarray, pw: int, n: int):
+    """``w^-1 nabla^n [w x]`` at the lattice point of ``x[..., px]`` and
+    ``w[..., pw]``, one value per row: the terms ``(c_i·w)·x`` added from
+    0.0 in ascending lag, then one division by w."""
+    coef = _signed_binomials(n)
+    xt, wt = x.T, w.T  # wt[k] is a scalar for one row, a column for a stack
+    acc = 0.0
+    for i in range(n + 1):
+        acc += coef[i] * wt[pw - i] * xt[px - i]
+    return acc / wt[pw]
+
+
 def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
     """Pointwise ``w^-1 nabla^n [w x]`` at a single lattice offset.
 
     Order 0 is the identity; this is how initial values like the n-th
     tempered difference at the base point are extracted.
     """
-    n = _pointwise_order(x, n, offset)
-    _require_weight_covers(w, x.grid, offset - n)
-    coef = _signed_binomials(n)
-    acc = 0.0
-    for i in range(n + 1):
-        acc += coef[i] * w.at(offset - i) * x.at(offset - i)
-    return acc / w.at(offset)
+    n = _pointwise_tempered_order(x, n, w, offset)
+    return _tempered_diff_at(
+        x.values, x.grid.position(offset), w.values, w.grid.position(offset), n
+    )
+
+
+def _initial_value_terms(
+    x: np.ndarray,
+    px: int,
+    w: np.ndarray,
+    pw: int,
+    ratio: np.ndarray,
+    degrees: Iterable[int],
+    basis: Callable[[int], np.ndarray],
+) -> Iterator[np.ndarray]:
+    """:func:`initial_value_terms` on arrays whose entries ``px`` and
+    ``pw`` sit at the base point, with ``ratio = w(a)/w(k)`` on the window;
+    one row, or a stack of rows."""
+    for i in degrees:
+        d_i = _tempered_diff_at(x, px, w, pw, i)
+        yield basis(i) * ratio * d_i[..., None]
 
 
 def initial_value_terms(
@@ -449,9 +553,10 @@ def initial_value_terms(
     the order of ``degrees``, with ``d_i = nabla_n_tempered_at(x, i, w, 0)``:
     summed from 0.0, the initial-value series of the base-point forms."""
     ratio = w.at(0) / w.window(1, x.grid.horizon)
-    for i in degrees:
-        d_i = nabla_n_tempered_at(x, i, w, 0)
-        yield basis(i) * ratio * d_i
+    checked = (_pointwise_tempered_order(x, i, w, 0) for i in degrees)
+    yield from _initial_value_terms(
+        x.values, x.grid.history, w.values, w.grid.history, ratio, checked, basis
+    )
 
 
 def nabla_at(x: Signal, n: int, offset: int = 0) -> float:
@@ -475,9 +580,7 @@ def gl_tempered(x: Signal, alpha: float, w: Weight, *, out_history: int = 0) -> 
     """
     _require_weight_covers(w, x.grid, 1)
     N = x.grid.horizon
-    # an overflowing sum makes a non-finite sample, which Signal rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        body = _tempered_single_sum(x.window(1, N), alpha, w)
+    body = _gl_values(x.window(1, N), alpha, w.window(1, N))
     return _output(x.grid.a, N, body, out_history=out_history)
 
 
@@ -491,12 +594,9 @@ def rl_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     non-finite one raises the composition's error.  The weight's history
     is checked before either stage runs.
     """
-    n = _fractional_stage(OperatorKind.RL, alpha, x, w)
+    n = _fractional_stage(OperatorKind.RL, alpha, x.grid, w)
     N = x.grid.horizon
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = _tempered_single_sum(x.window(1, N), alpha - n, w)
-        _require_finite(inner, 1)
-        body = _tempered_stencil(np.concatenate([np.zeros(n), inner]), n, w)
+    body = _rl_values(x.window(1, N), alpha, n, w.window(1 - n, N))
     return _output(x.grid.a, N, body)
 
 
@@ -507,24 +607,21 @@ def caputo_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     The same two stages as ``gl_tempered(nabla_n_tempered(x, n, w),
     alpha - n, w)``, bit for bit and with the same errors, run on arrays.
     """
-    n = _fractional_stage(OperatorKind.CAPUTO, alpha, x, w)
+    n = _fractional_stage(OperatorKind.CAPUTO, alpha, x.grid, w)
     N = x.grid.horizon
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = _tempered_stencil(x.window(1 - n, N), n, w)
-        _require_finite(inner, 1)
-        body = _tempered_single_sum(inner, alpha - n, w)
+    body = _caputo_values(x.window(1 - n, N), alpha, n, w.window(1 - n, N))
     return _output(x.grid.a, N, body)
 
 
-def _fractional_stage(kind: OperatorKind, alpha: float, x: Signal, w: Weight) -> int:
+def _fractional_stage(kind: OperatorKind, alpha: float, grid: Grid, w: Weight) -> int:
     """The integer stage ``n = ceil(alpha)``, once ``alpha`` is admissible
-    for ``kind`` and ``x`` and ``w`` store the n points of history that the
-    integer difference reads."""
+    for ``kind`` and a signal on ``grid`` and ``w`` store the n points of
+    history that the integer difference reads."""
     check_order(kind, alpha)
     n = int(math.ceil(alpha))
-    if x.grid.history < n:
+    if grid.history < n:
         raise InsufficientHistory(f"order {float(alpha)} needs history >= {n}")
-    _require_weight_covers(w, x.grid, 1 - n)
+    _require_weight_covers(w, grid, 1 - n)
     return n
 
 

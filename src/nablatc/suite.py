@@ -23,21 +23,23 @@ import numpy as np
 
 from .errors import ConfigError
 from .identities import (
+    DIFFERENCE_OF_SUM,
+    GL_RL_AGREE,
+    INTEGER_DEFECT,
+    MIXED_COMPOSITION,
+    RL_CAPUTO_CORRECTION,
+    SUM_COMPOSITION,
+    SUM_OF_DIFFERENCE,
+    TAYLOR_REMAINDER,
     IdentityReport,
     TOL_EXACT,
-    check_difference_of_sum,
-    check_gl_rl_agreement,
-    check_integer_defect,
+    RowCheck,
     check_leibniz,
-    check_mixed_composition,
     check_order_limit_diff,
     check_order_limit_sum,
     check_rl_caputo_asymptotics,
-    check_rl_caputo_correction,
-    check_sum_composition,
-    check_sum_of_difference,
-    check_taylor_remainder_forms,
     check_uniform_convergence_exchange,
+    run_rows,
 )
 from .laplace import (
     MLParams,
@@ -45,9 +47,9 @@ from .laplace import (
     check_convolution_with_ic,
     check_tempering_shift,
     check_transform_rule_diff,
-    check_transform_rule_gl,
     fde_solve,
     ml_function,
+    transform_rule_gl_reports,
 )
 from .operators import (
     OperatorKind,
@@ -72,6 +74,7 @@ __all__ = [
     "resolve_tolerance_scale",
     "run_suite",
     "reports_to_json_dict",
+    "select_groups",
 ]
 
 CORE_INSTANCES = 100
@@ -122,6 +125,10 @@ def _instance_signal(rng: np.random.Generator, grid: Grid, idx: int) -> Signal:
 
 
 def _float_signal(grid: Grid, f: Callable[[float], float]) -> Signal:
+    return Signal(grid, _float_values(grid, f))
+
+
+def _float_values(grid: Grid, f: Callable[[float], float]) -> np.ndarray:
     """``f`` at every lattice point, passed as a Python float.
 
     Python floats go through the same IEEE operations (and the same libm
@@ -129,12 +136,17 @@ def _float_signal(grid: Grid, f: Callable[[float], float]) -> Signal:
     they do not share is overflow: a Python power raises instead of giving
     inf, so this is for functions that stay finite on the grid.
     """
-    vals = np.fromiter(map(f, grid.k_values().tolist()), np.float64, grid.npoints)
-    return Signal(grid, vals)
+    return np.fromiter(map(f, grid.k_values().tolist()), np.float64, grid.npoints)
 
 
 def _instance_weight(rng: np.random.Generator, grid: Grid, idx: int) -> Weight:
     fam = idx % 7
+    if fam in (1, 3):
+        # case2 and case4 sampled on Python floats: |pi^(k - a)| stays
+        # finite on suite grids (horizon <= 64, history <= 3), so the values
+        # are preset_weight's bit for bit
+        name = f"case{fam + 1}"
+        return Weight(grid, _float_values(grid, weight_case_fn(name, grid.a)))
     if fam < 4:
         return preset_weight(f"case{fam + 1}", grid)
     if fam == 4:
@@ -170,23 +182,32 @@ def _tag(r: IdentityReport, **extra) -> IdentityReport:
     )
 
 
+def _tagged(check: RowCheck, rows: list[tuple], ts: float) -> list[IdentityReport]:
+    """``check`` on the stacked ``rows``, each report tagged with its
+    instance index."""
+    reports = run_rows(check, rows, TOL_EXACT * ts)
+    return [_tag(r, instance=i) for i, r in enumerate(reports)]
+
+
 def _alpha_instances(
     rng: np.random.Generator,
     ts: float,
-    check: Callable[..., IdentityReport],
+    check: RowCheck,
     lo: float = 0.05,
     hi: float = 1.95,
     cap: int = 64,
+    extra: tuple = (),
 ) -> list[IdentityReport]:
-    """``check(x, alpha, w, tol=...)`` on every core instance, tagged with
-    its index.  Each instance draws its order from [lo, hi] first, then its
-    signal and weight on a horizon of at most ``_horizon_cap(alpha, cap)``."""
-    out = []
+    """``check`` on every core instance ``(x, w, alpha, *extra)``, tagged
+    with its index.  Each instance draws its order from [lo, hi] first,
+    then its signal and weight on a horizon of at most
+    ``_horizon_cap(alpha, cap)``; all are drawn before any is checked."""
+    rows = []
     for i in range(CORE_INSTANCES):
         al = _alpha(rng, lo, hi)
         x, w = _core_instance(rng, i, history=2, n_max=_horizon_cap(al, cap))
-        out.append(_tag(check(x, al, w, tol=TOL_EXACT * ts), instance=i))
-    return out
+        rows.append((x, w, al, *extra))
+    return _tagged(check, rows, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -197,46 +218,35 @@ def _alpha_instances(
 def _run_sum_of_diff(rng, ts):
     out = []
     for kind in ("rl", "caputo"):
-        out += _alpha_instances(
-            rng,
-            ts,
-            lambda x, al, w, tol: check_sum_of_difference(x, al, w, kind, tol=tol),
-        )
+        out += _alpha_instances(rng, ts, SUM_OF_DIFFERENCE, extra=(kind,))
     return out
 
 
 def _run_mixed_composition(rng, ts):
-    out = []
+    rows = []
     for i in range(CORE_INSTANCES):
         n = 1 + i % 2
         beta = _alpha(rng, 0.05, n - 0.05)
         x, w = _core_instance(rng, i, history=n)
         outer = "rl" if (i // 2) % 2 == 0 else "caputo"
-        rep = check_mixed_composition(x, beta, n, w, outer, tol=TOL_EXACT * ts)
-        out.append(_tag(rep, instance=i))
-    return out
+        rows.append((x, w, beta, n, outer))
+    return _tagged(MIXED_COMPOSITION, rows, ts)
 
 
 def _run_taylor_remainder(rng, ts):
     out = []
     for m, lo, cap in ((0, 0.05, 32), (1, 1.05, 64)):
-        out += _alpha_instances(
-            rng,
-            ts,
-            lambda x, al, w, tol: check_taylor_remainder_forms(x, al, w, m, tol=tol),
-            lo,
-            cap=cap,
-        )
+        out += _alpha_instances(rng, ts, TAYLOR_REMAINDER, lo, cap=cap, extra=(m,))
     return out
 
 
 def _run_integer_defect(rng, ts):
-    out = []
+    rows = []
     for i in range(CORE_INSTANCES):
         n = 1 + i % 3
         x, w = _core_instance(rng, i, history=n)
-        out.append(_tag(check_integer_defect(x, n, w, tol=TOL_EXACT * ts), instance=i))
-    return out
+        rows.append((x, w, n))
+    return _tagged(INTEGER_DEFECT, rows, ts)
 
 
 def _run_order_limits(rng, ts):
@@ -498,8 +508,7 @@ def _run_laplace_rules(rng, ts):
     x = preset_signal("sin10k", grid)
     for lam in (0.0, 2.0, -0.02):
         for al in (0.5, -1.0, 1.5):
-            for s in _S_POINTS[:2]:
-                out.append(check_transform_rule_gl(x, al, lam, s, tol=1e-7 * ts))
+            out += transform_rule_gl_reports(x, al, lam, _S_POINTS[:2], tol=1e-7 * ts)
         for kind, order in (("int", 1), ("int", 2), ("rl", 0.5), ("rl", 1.5), ("caputo", 0.5), ("caputo", 1.5)):
             out.append(
                 check_transform_rule_diff(x, kind, order, lam, _S_POINTS[2], tol=1e-7 * ts)
@@ -563,10 +572,10 @@ def _run_ml_solver(rng, ts):
 
 
 GROUPS: tuple[tuple[str, Callable], ...] = (
-    ("gl-rl-agree", partial(_alpha_instances, check=check_gl_rl_agreement)),
-    ("rl-caputo-correction", partial(_alpha_instances, check=check_rl_caputo_correction)),
-    ("sum-composition", partial(_alpha_instances, check=check_sum_composition, cap=16)),
-    ("diff-of-sum", partial(_alpha_instances, check=check_difference_of_sum)),
+    ("gl-rl-agree", partial(_alpha_instances, check=GL_RL_AGREE)),
+    ("rl-caputo-correction", partial(_alpha_instances, check=RL_CAPUTO_CORRECTION)),
+    ("sum-composition", partial(_alpha_instances, check=SUM_COMPOSITION, cap=16)),
+    ("diff-of-sum", partial(_alpha_instances, check=DIFFERENCE_OF_SUM)),
     ("sum-of-diff", _run_sum_of_diff),
     ("mixed-composition", _run_mixed_composition),
     ("taylor-remainder", _run_taylor_remainder),
@@ -601,6 +610,21 @@ def resolve_tolerance_scale(scale: float | None = None) -> float:
     return scale
 
 
+def select_groups(
+    only: str | None = None, groups: tuple[str, ...] | None = None
+) -> list[tuple[int, str, Callable]]:
+    """The ``(index, name, runner)`` entries of :data:`GROUPS` that
+    :func:`run_suite` runs for ``only`` and ``groups``, in registry order."""
+    selected = []
+    for index, (name, runner) in enumerate(GROUPS):
+        if groups is not None and name not in groups:
+            continue
+        if only is not None and only not in name and name not in only:
+            continue
+        selected.append((index, name, runner))
+    return selected
+
+
 def run_suite(
     seed: int = 0,
     only: str | None = None,
@@ -618,13 +642,7 @@ def run_suite(
     :func:`resolve_tolerance_scale`).
     """
     tolerance_scale = resolve_tolerance_scale(tolerance_scale)
-    selected = []
-    for index, (name, runner) in enumerate(GROUPS):
-        if groups is not None and name not in groups:
-            continue
-        if only is not None and only not in name and name not in only:
-            continue
-        selected.append((index, name, runner))
+    selected = select_groups(only, groups)
     reports: list[IdentityReport] = []
     previous = set_fault_injection(perturb or 0.0)
     try:

@@ -14,7 +14,7 @@ import nablatc
 from nablatc.cli import main
 from nablatc.errors import ConfigError
 from nablatc.signals import read_signal_csv
-from nablatc.suite import run_suite
+from nablatc.suite import GROUPS, reports_to_json_dict, run_suite
 
 
 def run(argv):
@@ -152,6 +152,28 @@ def test_verify_perturbation_flagged(tmp_path):
     import nablatc.operators as operators
 
     assert operators._fault_eps.get() == 0.0
+
+
+def test_verify_prints_one_summary_line_per_group(tmp_path, capsys):
+    import re
+
+    out = str(tmp_path / "report.json")
+    assert run(["verify", "--only", "ml-solver", "--seed", "3", "--out", out]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    # ml-solver-mu-zero has tolerance 0: counted as exact, not divided by
+    assert re.fullmatch(
+        r"verify: ml-solver: 18 checks, \d+\.\d ms, worst dev/tol [0-9.e+-]+ \(1 exact\)",
+        lines[0],
+    )
+    assert lines[1:] == ["verify: 18 checks, 0 failures (seed 3)"]
+    assert run(["verify", "--only", "i", "--seed", "3", "--out", out]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    names = [m.group(1) for m in map(re.compile(r"verify: ([a-z-]+): ").match, lines) if m]
+    assert names == [name for name, _ in GROUPS if "i" in name]
+    assert all(re.search(r" checks, \d+\.\d ms, worst dev/tol \d", line) for line in lines[:-1])
+    # the JSON report is the in-process result, byte for byte
+    payload = reports_to_json_dict(run_suite(seed=3, only="i", tolerance_scale=1.0), 3, 1.0, None)
+    assert open(out).read() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_unknown_only_is_config_error(tmp_path):
