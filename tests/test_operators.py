@@ -7,14 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nablatc.identities import (
+    check_difference_of_sum,
+    check_gl_rl_agreement,
+    check_integer_defect,
+    check_mixed_composition,
+    check_rl_caputo_correction,
+    check_sum_composition,
+    check_sum_of_difference,
+    check_taylor_remainder_forms,
+)
 from nablatc.operators import (
+    MAX_INTEGER_STAGE,
     InsufficientHistory,
+    InsufficientLags,
     IntegerOrder,
     OperatorKind,
     OperatorSpec,
     caputo_tempered,
     gl_integer_vs_nabla_defect,
     gl_tempered,
+    initial_value_terms,
     nabla_at,
     nabla_n,
     nabla_n_tempered,
@@ -26,6 +39,7 @@ from nablatc.operators import (
 from nablatc.presets import preset_weight
 from nablatc.signals import (
     Grid,
+    GridMismatch,
     NonFiniteSample,
     Signal,
     make_signal_from_fn,
@@ -33,6 +47,13 @@ from nablatc.signals import (
     scale_weight,
 )
 from nablatc.special import rising_over_gamma
+from nablatc.taylor import (
+    taylor_initial,
+    taylor_series_initial,
+    tempered_op_taylor_current,
+    tempered_op_taylor_future,
+    tempered_op_taylor_initial,
+)
 
 from _oracles import gl_sum_ref, rl_ref
 
@@ -510,3 +531,191 @@ def test_operator_outputs_are_read_only():
         assert out.values.flags.writeable is False
         with pytest.raises(ValueError):
             out.values[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the error each entry point raises for one bad input
+# ---------------------------------------------------------------------------
+
+_CAP = MAX_INTEGER_STAGE
+_N = 4
+
+
+def _zero_spec_form(form, order=1.5):
+    return lambda x, w, p: form(x, OperatorSpec(OperatorKind.CAPUTO, order, w), p)
+
+
+#: entry point -> (call(x, w, p), a good p, p past the integer-stage cap,
+#: the signal history and the weight history it needs, {bad input: error})
+_ENTRY_POINTS = {
+    "gl_tempered": (
+        lambda x, w, p: gl_tempered(x, p, w), 0.5, None, 0, 0,
+        {"nan": NonFiniteSample, "weight-base": GridMismatch, "weight-horizon": GridMismatch},
+    ),
+    "rl_tempered": (
+        lambda x, w, p: rl_tempered(x, p, w), 1.5, _CAP + 0.5, 2, 1,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
+         "history": InsufficientHistory, "weight-base": GridMismatch,
+         "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
+    ),
+    "caputo_tempered": (
+        lambda x, w, p: caputo_tempered(x, p, w), 1.5, _CAP + 0.5, 2, 1,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
+         "history": InsufficientHistory, "weight-base": GridMismatch,
+         "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
+    ),
+    "nabla_n": (
+        lambda x, w, p: nabla_n(x, p), 2, _CAP + 1, 2, None,
+        {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory},
+    ),
+    "nabla_n_tempered": (
+        lambda x, w, p: nabla_n_tempered(x, p, w), 2, _CAP + 1, 2, 1,
+        {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory,
+         "weight-base": GridMismatch, "weight-horizon": GridMismatch,
+         "weight-history": InsufficientHistory},
+    ),
+    "nabla_at": (
+        lambda x, w, p: nabla_at(x, p, 0), 2, _CAP + 1, 2, None,
+        {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory},
+    ),
+    "nabla_n_tempered_at": (
+        lambda x, w, p: nabla_n_tempered_at(x, p, w, 0), 2, _CAP + 1, 2, 2,
+        {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory,
+         "weight-base": GridMismatch, "weight-horizon": GridMismatch,
+         "weight-history": InsufficientHistory},
+    ),
+    "initial_value_terms": (
+        lambda x, w, p: list(initial_value_terms(x, w, [0, 1, p], lambda i: np.ones(_N))),
+        2, _CAP + 1, 2, 2,
+        {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory,
+         "weight-base": GridMismatch, "weight-horizon": GridMismatch,
+         "weight-history": InsufficientHistory},
+    ),
+    "check_gl_rl_agreement": (
+        lambda x, w, p: check_gl_rl_agreement(x, p, w), 1.5, _CAP + 0.5, 2, 1,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
+         "history": InsufficientHistory, "weight-base": GridMismatch,
+         "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
+    ),
+    "check_rl_caputo_correction": (
+        lambda x, w, p: check_rl_caputo_correction(x, p, w), 1.5, _CAP + 0.5, 2, 1,
+        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+         "history": InsufficientHistory, "weight-base": GridMismatch,
+         "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
+    ),
+    # the sum composition admits integer orders, and reads no signal history
+    "check_sum_composition": (
+        lambda x, w, p: check_sum_composition(x, p, w), 1.5, _CAP + 0.5, 0, 1,
+        {"nan": ValueError, "over-cap": IntegerOrder, "weight-base": GridMismatch,
+         "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
+    ),
+    "check_difference_of_sum": (
+        lambda x, w, p: check_difference_of_sum(x, p, w), 1.5, _CAP + 0.5, 0, 1,
+        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+         "weight-base": GridMismatch, "weight-horizon": GridMismatch,
+         "weight-history": InsufficientHistory},
+    ),
+    "check_sum_of_difference": (
+        lambda x, w, p: check_sum_of_difference(x, p, w, "caputo"), 1.5, _CAP + 0.5, 2, 1,
+        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+         "history": InsufficientHistory, "weight-base": GridMismatch,
+         "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
+    ),
+    "check_mixed_composition": (
+        lambda x, w, p: check_mixed_composition(x, p, 2 if p < 2 else _CAP + 2, w, "rl"),
+        0.5, _CAP + 0.5, 2, 1,
+        {"nan": ValueError, "integer": ValueError, "over-cap": IntegerOrder,
+         "history": InsufficientHistory, "weight-base": GridMismatch,
+         "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
+    ),
+    "check_taylor_remainder_forms": (
+        lambda x, w, p: check_taylor_remainder_forms(x, p, w, 0), 1.5, _CAP + 0.5, 2, 1,
+        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+         "history": InsufficientHistory, "weight-base": GridMismatch,
+         "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
+    ),
+    "check_integer_defect": (
+        lambda x, w, p: check_integer_defect(x, p, w), 2, _CAP + 1, 2, 1,
+        {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory,
+         "weight-base": GridMismatch, "weight-horizon": GridMismatch,
+         "weight-history": InsufficientHistory},
+    ),
+    # the forms below take p as their degree, except the evaluation-point
+    # form, which has none and takes it as the order of its spec
+    "taylor_initial": (
+        lambda x, w, p: taylor_initial(x, p), 3, _CAP + 1, 4, None,
+        {"over-cap": IntegerOrder, "history": InsufficientHistory},
+    ),
+    "tempered_op_taylor_initial": (
+        _zero_spec_form(tempered_op_taylor_initial), 3, _CAP, 4, 3,
+        {"over-cap": IntegerOrder, "history": InsufficientHistory,
+         "weight-base": GridMismatch, "weight-horizon": GridMismatch,
+         "weight-history": InsufficientHistory},
+    ),
+    "tempered_op_taylor_current": (
+        lambda x, w, p: tempered_op_taylor_current(
+            x, OperatorSpec(OperatorKind.CAPUTO, p, w)
+        ),
+        1.5, None, 2, 2,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "history": InsufficientLags,
+         "weight-horizon": GridMismatch, "weight-history": GridMismatch},
+    ),
+    # its difference rows read the weight as deep as the signal's history
+    "tempered_op_taylor_future": (
+        _zero_spec_form(tempered_op_taylor_future), 3, _CAP, 4, 4,
+        {"over-cap": IntegerOrder, "history": InsufficientHistory,
+         "weight-base": GridMismatch, "weight-horizon": GridMismatch,
+         "weight-history": GridMismatch},
+    ),
+    "taylor_series_initial": (
+        _zero_spec_form(taylor_series_initial), 3, _CAP + 1, 4, 3,
+        {"over-cap": IntegerOrder, "history": InsufficientHistory,
+         "weight-base": GridMismatch, "weight-horizon": GridMismatch,
+         "weight-history": InsufficientHistory},
+    ),
+}
+
+
+def _bad_input(p, over, hx, hw, bad):
+    """``(p, signal history, weight grid)`` of an input that differs from a
+    good one in ``bad`` alone; the weight's default history is the longer
+    of the two needs."""
+    hw_good = hx if hw is None else max(hx, hw)
+    if bad == "nan":
+        p = math.nan
+    elif bad == "integer":
+        p = 2.0
+    elif bad == "over-cap":
+        p, hx, hw_good = over, max(hx, _CAP + 2), max(hw_good, _CAP + 2)
+    elif bad == "history":
+        hx -= 1
+    wgrid = Grid(0.0, hw_good, _N)
+    if bad == "weight-base":
+        wgrid = Grid(1.0, hw_good, _N)
+    elif bad == "weight-horizon":
+        wgrid = Grid(0.0, hw_good, _N - 1)
+    elif bad == "weight-history":
+        wgrid = Grid(0.0, hw - 1, _N)
+    return p, hx, wgrid
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [(e, None) for e in _ENTRY_POINTS]
+    + [(e, bad) for e, spec in _ENTRY_POINTS.items() for bad in spec[-1]],
+)
+def test_first_failing_check_error_class(entry, bad):
+    """Each entry point raises one error class for each single bad input:
+    the class of the first check that input fails (messages may differ).
+    A zero signal keeps every value finite, so no numeric error hides a
+    missing check."""
+    call, good, over, hx, hw, errors = _ENTRY_POINTS[entry]
+    p, h, wgrid = _bad_input(good, over, hx, hw, bad)
+    x = Signal(Grid(0.0, h, _N), np.zeros(h + 1 + _N))
+    w = make_weight(wgrid, rate=0.0)
+    if bad is None:
+        call(x, w, p)
+        return
+    with pytest.raises(errors[bad]) as got:
+        call(x, w, p)
+    assert type(got.value) is errors[bad]

@@ -29,6 +29,7 @@ from nablatc.operators import (
     nabla_at,
     nabla_n,
     nabla_n_tempered,
+    nabla_n_tempered_at,
 )
 from nablatc.presets import preset_signal, preset_weight
 from nablatc.signals import Grid, Signal
@@ -471,6 +472,12 @@ def test_integer_stencil_sequential(n, N, extra, wspec, sname, seed):
     assert got == _outcome(lambda: nabla_n_tempered_seq(x, n, w))
     got = _outcome(lambda: nabla_n(x, n).body)
     assert got == _outcome(lambda: [nabla_at(x, n, m) for m in range(1, N + 1)])
+    # the untempered pointwise difference is the tempered one under a unit
+    # weight: (c*1)*x = c*x and the closing division by 1 is exact
+    ones = preset_weight("one", grid)
+    got = _outcome(lambda: [nabla_at(x, n, m) for m in range(-extra, N + 1)])
+    offsets = range(-extra, N + 1)
+    assert got == _outcome(lambda: [nabla_n_tempered_at(x, n, ones, m) for m in offsets])
 
 
 @settings(max_examples=100, deadline=None)
