@@ -17,15 +17,12 @@ from .signals import (
     read_signal_csv,
     read_weight_csv,
     scale_weight,
-    signal_from_values,
     write_signal_csv,
 )
 from .special import (
     DomainError,
     GLCoefficientSeq,
-    PoleError,
     gl_coefficients,
-    rising,
     rising_over_gamma,
 )
 from .operators import (
@@ -35,7 +32,6 @@ from .operators import (
     OperatorSpec,
     apply_operator,
     caputo_tempered,
-    gl_integer_vs_nabla_defect,
     gl_tempered,
     nabla_at,
     nabla_n,
@@ -43,7 +39,6 @@ from .operators import (
     nabla_n_tempered_at,
     rl_tempered,
     rl_tempered_at_base,
-    with_zero_history,
 )
 from .identities import IdentityReport
 from .laplace import LaplaceEval, MLParams, convolve, fde_solve, ml_function, nlt

@@ -8,9 +8,10 @@ Subcommands: ``eval`` (apply an operator to a signal, write CSV),
 reference experiment datasets).
 
 Exit codes: 0 success (and, for ``verify``, every identity passed),
-1 verification failures, 2 configuration errors (bad options or
-NT_TOLERANCE_SCALE, unreadable inputs, unwritable outputs, grids too large
-to allocate), 3 numeric errors.
+1 verification failures, 2 configuration errors (bad options, an
+NT_TOLERANCE_SCALE that is not finite or below about 2.23e-297, where the
+smallest tolerance is no longer a normal float, unreadable inputs,
+unwritable outputs, grids too large to allocate), 3 numeric errors.
 Output files are written atomically; identical configurations and seeds
 produce byte-identical outputs.
 """

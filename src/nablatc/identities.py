@@ -22,16 +22,14 @@ from .operators import (
     InsufficientLags,
     OperatorKind,
     OperatorSpec,
+    _base_ratio,
     _caputo_values,
-    _fractional_stage,
     _gl_values,
     _initial_value_terms,
-    _integer_stage,
     _nabla_values,
-    _pointwise_tempered_order,
-    _require_weight_covers,
     _rl_values,
     _settled,
+    _stage,
     _stencil,
     _zero_extended,
     apply_operator,
@@ -151,11 +149,6 @@ class IdentityReport:
         }
 
 
-def _w_ratio_from_base(w: Weight, horizon: int) -> np.ndarray:
-    """w(a)/w(k) across the evaluation window."""
-    return w.at(0) / w.window(1, horizon)
-
-
 # ---------------------------------------------------------------------------
 # stacked rows: the core checkers, one instance or many at once
 # ---------------------------------------------------------------------------
@@ -259,16 +252,8 @@ def _gamma_rows(q, d, N) -> np.ndarray:
 def _series(x: np.ndarray, w: np.ndarray, h: int, degrees, basis) -> np.ndarray:
     """The initial-value series ``sum_i basis(i) (w(a)/w(k)) d_i`` on the
     window, summed from 0.0 in the order of ``degrees``."""
-    ratio = w[..., h : h + 1] / w[..., h + 1 :]
-    terms = _initial_value_terms(x, h, w, h, ratio, degrees, basis)
-    return sum(terms, np.zeros(ratio.shape))
-
-
-def _output_stage(kind: OperatorKind, order: float, x: Signal, w: Weight) -> int:
-    """The integer stage of ``kind`` at ``order`` applied to an operator
-    output on x's window, zero-extended by the history that stage reads."""
-    n = math.ceil(order)
-    return _fractional_stage(kind, order, Grid(x.grid.a, n, x.grid.horizon), w)
+    terms = _initial_value_terms(x, h, w, h, degrees, basis)
+    return sum(terms, np.zeros(x[..., h + 1 :].shape))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +262,8 @@ def _output_stage(kind: OperatorKind, order: float, x: Signal, w: Weight) -> int
 
 
 def _gl_rl_prep(x, w, alpha):
-    _require_weight_covers(w, x.grid, 1)
-    n = _fractional_stage(OperatorKind.RL, alpha, x.grid, w)
+    _stage(OperatorKind.GL, alpha, x.grid, w)
+    n = _stage(OperatorKind.RL, alpha, x.grid, w)
     return (alpha,), (n,), {"alpha": alpha}
 
 
@@ -301,7 +286,7 @@ def check_gl_rl_agreement(
 def _rl_caputo_prep(x, w, alpha):
     n = math.ceil(alpha)
     # the sum-of-difference form admits exactly what this one does
-    _fractional_stage(OperatorKind.RL, alpha, x.grid, w)
+    _stage(OperatorKind.RL, alpha, x.grid, w)
     return (alpha,), (n,), {"alpha": alpha}
 
 
@@ -325,8 +310,9 @@ def check_rl_caputo_correction(
 
 def _sum_composition_prep(x, w, alpha):
     n = math.ceil(alpha)
-    _require_weight_covers(w, x.grid, 1)
-    n = _integer_stage(n, Grid(x.grid.a, n, x.grid.horizon), w)
+    _stage(OperatorKind.GL, -alpha, x.grid, w)
+    # the n-th difference of an operator output
+    _stage(OperatorKind.INTEGER_NABLA, n, None, w)
     return (alpha,), (n,), {"alpha": alpha}
 
 
@@ -351,9 +337,10 @@ def check_sum_composition(
 
 def _difference_of_sum_prep(x, w, alpha):
     n = math.ceil(alpha)
-    _require_weight_covers(w, x.grid, 1)
-    # the sum-of-difference form admits exactly what this one does
-    _output_stage(OperatorKind.RL, alpha, x, w)
+    _stage(OperatorKind.GL, -alpha, x.grid, w)
+    # both differences of an operator output; the sum-of-difference form
+    # admits exactly what this one does
+    _stage(OperatorKind.RL, alpha, None, w)
     return (alpha,), (n,), {"alpha": alpha}
 
 
@@ -380,8 +367,7 @@ def _sum_of_difference_prep(x, w, alpha, kind):
     n = math.ceil(alpha)
     if kind not in ("rl", "caputo"):
         raise ValueError(f"kind must be 'rl' or 'caputo', got {kind!r}")
-    op = OperatorKind.RL if kind == "rl" else OperatorKind.CAPUTO
-    _fractional_stage(op, alpha, x.grid, w)
+    _stage(OperatorKind(kind), alpha, x.grid, w)
     # the difference-of-sum initial values, evaluated rather than assumed
     ivs = [rl_tempered_at_base(x, alpha - i - 1, w) for i in range(n)] if kind == "rl" else []
     return (alpha, np.array(ivs)), (n, kind), {"alpha": alpha}
@@ -391,7 +377,7 @@ def _sum_of_difference_body(x, w, h, N, alpha, ivs, n, kind):
     x_body, w_low = x[..., h + 1 :], w[..., h + 1 - n :]
     if kind == "rl":
         v = _rl_values(x_body, alpha, n, w_low)
-        ratio = w[..., h : h + 1] / w[..., h + 1 :]
+        ratio = _base_ratio(w, h)
         corr = np.zeros(ratio.shape)
         for i in range(n):
             basis = _gamma_rows(alpha - i - 1, alpha - i, N)
@@ -428,17 +414,12 @@ def _mixed_composition_prep(x, w, beta, n, outer):
     m2 = math.ceil(n - beta)
     if outer not in ("rl", "caputo"):
         raise ValueError(f"outer must be 'rl' or 'caputo', got {outer!r}")
-    inner, outer_kind = OperatorKind.CAPUTO, OperatorKind.RL
-    if outer == "caputo":
-        inner, outer_kind = outer_kind, inner
-    _fractional_stage(inner, beta, x.grid, w)
-    _output_stage(outer_kind, n - beta, x, w)
-    _fractional_stage(inner, n - beta, x.grid, w)
-    _output_stage(outer_kind, beta, x, w)
-    if outer == "rl":
-        _integer_stage(n, x.grid, w)
-    else:
-        _require_weight_covers(w, x.grid, 1)
+    inner = OperatorKind.CAPUTO if outer == "rl" else OperatorKind.RL
+    # each split: the inner form on x, then the outer one on its output
+    for first, second in ((beta, n - beta), (n - beta, beta)):
+        _stage(inner, first, x.grid, w)
+        _stage(OperatorKind(outer), second, None, w)
+    _stage(OperatorKind.INTEGER_NABLA if outer == "rl" else OperatorKind.GL, n, x.grid, w)
     return (beta,), (n, outer, m, m2), {"beta": beta, "n": n}
 
 
@@ -491,9 +472,9 @@ def _taylor_remainder_prep(x, w, alpha, m):
     if not (0 <= m < alpha):
         raise ValueError(f"shift m must satisfy 0 <= m < alpha, got {m}")
     for i in range(m, n):
-        _pointwise_tempered_order(x, i, w, 0)
-    _fractional_stage(OperatorKind.CAPUTO, alpha, x.grid, w)
-    _integer_stage(m if m else n, x.grid, w)
+        _stage(None, i, x.grid, w, 0)
+    _stage(OperatorKind.CAPUTO, alpha, x.grid, w)
+    _stage(OperatorKind.INTEGER_NABLA, m if m else n, x.grid, w)
     return (alpha,), (n, m), {"alpha": alpha, "m": m}
 
 
@@ -536,8 +517,8 @@ def check_taylor_remainder_forms(
 
 
 def _integer_defect_prep(x, w, n):
-    _require_weight_covers(w, x.grid, 1)
-    return (), (_integer_stage(n, x.grid, w),), {"n": n}
+    _stage(OperatorKind.GL, n, x.grid, w)
+    return (), (_stage(OperatorKind.INTEGER_NABLA, n, x.grid, w),), {"n": n}
 
 
 def _integer_defect_body(x, w, h, N, n):
@@ -643,7 +624,7 @@ def check_order_limit_diff(
     target = x.body if target_order == 0 else nabla_n_tempered(x, target_order, w).body
     target = target[sl]
 
-    ratio = _w_ratio_from_base(w, N)
+    ratio = _base_ratio(w.window(0, N))
     iv_low = (
         nabla_n_tempered_at(x, n - 1, w, 0) if n >= 2 else x.at(0)
     )
@@ -782,7 +763,7 @@ def _leibniz_rhs(f: Signal, g: Signal, spec: OperatorSpec) -> np.ndarray:
 
     if kind is OperatorKind.CAPUTO:
         n = spec.n
-        ratio = _w_ratio_from_base(w, N)
+        ratio = _base_ratio(w.window(0, N))
         r_term = np.zeros(N)
         for j in range(n):
             for i in range(j, n):

@@ -50,8 +50,6 @@ __all__ = [
     "rl_tempered",
     "rl_tempered_at_base",
     "caputo_tempered",
-    "gl_integer_vs_nabla_defect",
-    "with_zero_history",
     "apply_operator",
     "set_fault_injection",
 ]
@@ -330,23 +328,58 @@ def tempered_diff_rows(x: Signal, w: Weight, max_order: int) -> np.ndarray:
     return rows
 
 
-def _require_weight_covers(w: Weight, grid: Grid, lowest_offset: int) -> None:
+def _stage(
+    kind: OperatorKind | None,
+    order: float,
+    grid: Grid | None,
+    w: Weight | None,
+    lowest_offset: int = 1,
+) -> int:
+    """The integer stage n of a difference of ``order`` taken from offset
+    ``lowest_offset`` on, once these checks pass (the first to fail raises):
+
+    1. the order, by :func:`check_order`: n is ceil(order) for an operator
+       ``kind``, and the order itself, which may also be 0, for a pointwise
+       difference (``kind`` None); GL has stage 0 and leaves its order to
+       :func:`gl_coefficients`;
+    2. the history of the signal on ``grid``, unless None (an operator
+       output is zero below its base): n points for an operator, one more
+       than its difference reads, and what it reads for a pointwise one;
+    3. the weight ``w``, unless None: the base point and horizon of
+       ``grid`` (of its own grid when None), and history down to offset
+       ``lowest_offset - n``."""
+    if kind is OperatorKind.GL:
+        n = need = 0
+    else:
+        if kind or order != 0:
+            check_order(kind or OperatorKind.INTEGER_NABLA, order)
+        n = math.ceil(order)
+        need = n if kind else n - lowest_offset
+    if grid is not None and grid.history < need:
+        raise InsufficientHistory(f"order {order} needs history >= {need}")
+    if w is None:
+        return n
+    grid = grid or w.grid
     if w.grid.a != grid.a:
         raise GridMismatch("weight and signal have different base points")
     if w.grid.horizon < grid.horizon:
         raise GridMismatch("weight grid is shorter than the signal horizon")
-    if -w.grid.history > lowest_offset:
+    if -w.grid.history > lowest_offset - n:
         raise InsufficientHistory(
-            f"weight needs history down to offset {lowest_offset}, "
-            f"has {-w.grid.history}"
+            f"weight needs history down to offset {lowest_offset - n}, has {-w.grid.history}"
         )
+    return n
 
 
 @functools.lru_cache(maxsize=16)
 def _signed_binomials(n: int) -> np.ndarray:
     """``(-1)^i C(n, i)`` for i = 0..n, cached: one shared read-only array
     per order."""
-    coef = np.array([(-1) ** i * math.comb(n, i) for i in range(n + 1)], dtype=np.float64)
+    # C(n, i) by the exact integer recurrence: a row of math.comb is O(n^2)
+    comb = [1]
+    for i in range(n):
+        comb.append(comb[-1] * (n - i) // (i + 1))
+    coef = np.array([(-1) ** i * c for i, c in enumerate(comb)], dtype=np.float64)
     coef.setflags(write=False)
     return coef
 
@@ -451,10 +484,7 @@ def _output(grid_a: float, horizon: int, body: np.ndarray, out_history: int = 0)
 
 def nabla_n(x: Signal, n: int) -> Signal:
     """n-th backward difference ``sum_i (-1)^i C(n,i) x(k-i)`` on the window."""
-    check_order(OperatorKind.INTEGER_NABLA, n)
-    n = int(n)
-    if x.grid.history < n:
-        raise InsufficientHistory(f"order {n} difference needs history >= {n}")
+    n = _stage(OperatorKind.INTEGER_NABLA, n, x.grid, None)
     N = x.grid.horizon
     # an overflowing sum makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -462,47 +492,12 @@ def nabla_n(x: Signal, n: int) -> Signal:
     return _output(x.grid.a, N, out)
 
 
-def _integer_stage(n: int, grid: Grid, w: Weight) -> int:
-    """``n`` as an int, once it is an admissible integer order and a signal
-    on ``grid`` and ``w`` store the n points of history its difference
-    reads."""
-    check_order(OperatorKind.INTEGER_NABLA, n)
-    n = int(n)
-    if grid.history < n:
-        raise InsufficientHistory(f"order {n} tempered difference needs history >= {n}")
-    _require_weight_covers(w, grid, 1 - n)
-    return n
-
-
 def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
     """Tempered integer difference ``w^-1(k) nabla^n [w x](k)``."""
-    n = _integer_stage(n, x.grid, w)
+    n = _stage(OperatorKind.INTEGER_NABLA, n, x.grid, w)
     N = x.grid.horizon
     out = _nabla_values(x.window(1 - n, N), n, w.window(1 - n, N))
     return _output(x.grid.a, N, out)
-
-
-def _pointwise_order(x: Signal, n: float, offset: int) -> int:
-    """``n`` as an int, once it is an admissible order for a pointwise
-    difference and ``x`` stores the history down to ``offset - n``."""
-    if not (float(n).is_integer() and n >= 0):
-        raise IntegerOrder(f"difference order must be a nonnegative integer, got {n}")
-    if n > MAX_INTEGER_STAGE:
-        raise IntegerOrder(f"difference order {n} exceeds {MAX_INTEGER_STAGE}")
-    n = int(n)
-    if offset - n < -x.grid.history:
-        raise InsufficientHistory(
-            f"offset {offset} order {n} needs history down to {offset - n}"
-        )
-    return n
-
-
-def _pointwise_tempered_order(x: Signal, n: int, w: Weight, offset: int) -> int:
-    """``n`` as an int, once :func:`nabla_n_tempered_at` can read x and w
-    down to ``offset - n``."""
-    n = _pointwise_order(x, n, offset)
-    _require_weight_covers(w, x.grid, offset - n)
-    return n
 
 
 def _tempered_diff_at(x: np.ndarray, px: int, w: np.ndarray, pw: int, n: int):
@@ -523,7 +518,7 @@ def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
     Order 0 is the identity; this is how initial values like the n-th
     tempered difference at the base point are extracted.
     """
-    n = _pointwise_tempered_order(x, n, w, offset)
+    n = _stage(None, n, x.grid, w, offset)
     return _tempered_diff_at(
         x.values, x.grid.position(offset), w.values, w.grid.position(offset), n
     )
@@ -534,13 +529,13 @@ def _initial_value_terms(
     px: int,
     w: np.ndarray,
     pw: int,
-    ratio: np.ndarray,
     degrees: Iterable[int],
     basis: Callable[[int], np.ndarray],
 ) -> Iterator[np.ndarray]:
-    """:func:`initial_value_terms` on arrays whose entries ``px`` and
-    ``pw`` sit at the base point, with ``ratio = w(a)/w(k)`` on the window;
-    one row, or a stack of rows."""
+    """:func:`initial_value_terms` on arrays, one row or a stack of rows:
+    entry ``px`` of x and entry ``pw`` of w sit at the base point, and w
+    ends at offset N."""
+    ratio = _base_ratio(w, pw)
     for i in degrees:
         d_i = _tempered_diff_at(x, px, w, pw, i)
         yield basis(i) * ratio * d_i[..., None]
@@ -552,21 +547,23 @@ def initial_value_terms(
     """Terms ``basis(i) * (w(a)/w(k)) * d_i`` on the evaluation window, in
     the order of ``degrees``, with ``d_i = nabla_n_tempered_at(x, i, w, 0)``:
     summed from 0.0, the initial-value series of the base-point forms."""
-    ratio = w.at(0) / w.window(1, x.grid.horizon)
-    checked = (_pointwise_tempered_order(x, i, w, 0) for i in degrees)
-    yield from _initial_value_terms(
-        x.values, x.grid.history, w.values, w.grid.history, ratio, checked, basis
-    )
+    wv = w.window(-w.grid.history, x.grid.horizon)
+    checked = [_stage(None, i, x.grid, w, 0) for i in degrees]
+    yield from _initial_value_terms(x.values, x.grid.history, wv, w.grid.history, checked, basis)
+
+
+def _base_ratio(w: np.ndarray, h: int = 0) -> np.ndarray:
+    """``w(a)/w(k)`` on the window, from ``w``'s values at offsets
+    ``-h..N`` (one row, or a stack of rows)."""
+    return w[..., h : h + 1] / w[..., h + 1 :]
 
 
 def nabla_at(x: Signal, n: int, offset: int = 0) -> float:
-    """Pointwise untempered n-th backward difference at a lattice offset."""
-    n = _pointwise_order(x, n, offset)
-    coef = _signed_binomials(n)
-    acc = 0.0
-    for i in range(n + 1):
-        acc += coef[i] * x.at(offset - i)
-    return acc
+    """Pointwise untempered n-th backward difference at a lattice offset:
+    :func:`nabla_n_tempered_at` under a unit weight, whose products
+    ``(c_i·1)·x`` and closing division by 1 are exact."""
+    n = _stage(None, n, x.grid, None, offset)
+    return _tempered_diff_at(x.values, x.grid.position(offset), np.ones(n + 1), n, n)
 
 
 def gl_tempered(x: Signal, alpha: float, w: Weight, *, out_history: int = 0) -> Signal:
@@ -578,7 +575,7 @@ def gl_tempered(x: Signal, alpha: float, w: Weight, *, out_history: int = 0) -> 
     of the output, when requested via ``out_history``, hold the empty
     partial sums of the same formula, which are zero.
     """
-    _require_weight_covers(w, x.grid, 1)
+    _stage(OperatorKind.GL, alpha, x.grid, w)
     N = x.grid.horizon
     body = _gl_values(x.window(1, N), alpha, w.window(1, N))
     return _output(x.grid.a, N, body, out_history=out_history)
@@ -594,7 +591,7 @@ def rl_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     non-finite one raises the composition's error.  The weight's history
     is checked before either stage runs.
     """
-    n = _fractional_stage(OperatorKind.RL, alpha, x.grid, w)
+    n = _stage(OperatorKind.RL, alpha, x.grid, w)
     N = x.grid.horizon
     body = _rl_values(x.window(1, N), alpha, n, w.window(1 - n, N))
     return _output(x.grid.a, N, body)
@@ -607,22 +604,10 @@ def caputo_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     The same two stages as ``gl_tempered(nabla_n_tempered(x, n, w),
     alpha - n, w)``, bit for bit and with the same errors, run on arrays.
     """
-    n = _fractional_stage(OperatorKind.CAPUTO, alpha, x.grid, w)
+    n = _stage(OperatorKind.CAPUTO, alpha, x.grid, w)
     N = x.grid.horizon
     body = _caputo_values(x.window(1 - n, N), alpha, n, w.window(1 - n, N))
     return _output(x.grid.a, N, body)
-
-
-def _fractional_stage(kind: OperatorKind, alpha: float, grid: Grid, w: Weight) -> int:
-    """The integer stage ``n = ceil(alpha)``, once ``alpha`` is admissible
-    for ``kind`` and a signal on ``grid`` and ``w`` store the n points of
-    history that the integer difference reads."""
-    check_order(kind, alpha)
-    n = int(math.ceil(alpha))
-    if grid.history < n:
-        raise InsufficientHistory(f"order {float(alpha)} needs history >= {n}")
-    _require_weight_covers(w, grid, 1 - n)
-    return n
 
 
 def rl_tempered_at_base(x: Signal, beta: float, w: Weight) -> float:
@@ -637,34 +622,6 @@ def rl_tempered_at_base(x: Signal, beta: float, w: Weight) -> float:
     if beta == math.floor(beta):
         raise IntegerOrder(f"fractional initial value needs non-integer order, got {beta}")
     return 0.0
-
-
-def gl_integer_vs_nabla_defect(x: Signal, n: int, w: Weight) -> Signal:
-    """Pointwise gap between the integer-order single-sum operator and the
-    plain tempered difference.
-
-    Nonzero only on ``k <= a + n``, where the single sum has not yet seen
-    the full differencing stencil.
-    """
-    g = gl_tempered(x, float(n), w)
-    d = nabla_n_tempered(x, n, w)
-    return _output(x.grid.a, x.grid.horizon, g.body - d.body)
-
-
-def with_zero_history(sig: Signal, history: int) -> Signal:
-    """Extend an operator output with zero-valued history points.
-
-    Operator outputs vanish at and below the base point (empty partial
-    sums), so composing a further operator on top of them uses zeros there.
-    Only meaningful for signals produced by the operators in this module.
-    """
-    if history < sig.grid.history:
-        raise GridMismatch("cannot shrink history")
-    if history == sig.grid.history:
-        return sig
-    pad = np.zeros(history - sig.grid.history)
-    vals = np.concatenate([pad, sig.values])
-    return Signal._adopt(Grid(sig.grid.a, history, sig.grid.horizon), vals)
 
 
 def apply_operator(x: Signal, spec: OperatorSpec) -> Signal:

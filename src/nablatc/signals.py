@@ -31,7 +31,6 @@ __all__ = [
     "GridMismatch",
     "CSVFormatError",
     "make_signal_from_fn",
-    "signal_from_values",
     "make_weight",
     "scale_weight",
     "read_signal_csv",
@@ -243,10 +242,6 @@ def make_signal_from_fn(grid: Grid, f: Callable[[float], float]) -> Signal:
             + _first_bad(-grid.history, ~finite, "function")
         )
     return Signal(grid, vals)
-
-
-def signal_from_values(grid: Grid, values: Sequence[float]) -> Signal:
-    return Signal(grid, np.asarray(values, dtype=np.float64))
 
 
 def make_weight(

@@ -20,20 +20,14 @@ import numpy as np
 from .errors import NablaError
 
 __all__ = [
-    "PoleError",
     "DomainError",
     "GLCoefficientSeq",
-    "rising",
     "rising_over_gamma",
     "rising_over_gamma_row",
     "rising_over_factorial_row",
     "gl_coefficients",
     "binomial_coefficients",
 ]
-
-
-class PoleError(NablaError):
-    """Gamma pole in the numerator with no denominator pole to cancel it."""
 
 
 class DomainError(NablaError):
@@ -117,38 +111,6 @@ def _check_resolved(q: float, d: float) -> None:
             f"Gamma-ratio arguments q = {q!r}, d = {d!r} are past 2**53 in "
             "magnitude, where binary64 no longer resolves unit shifts"
         )
-
-
-def rising(p: int, q: float) -> float:
-    """Rising function ``p^(q) = Gamma(p+q)/Gamma(p)`` for integer p >= 1.
-
-    Integer exponents take an exact product path (so small integer cases are
-    exact in binary64); otherwise the value comes from sign-tracked
-    log-Gamma.
-
-    Raises:
-        PoleError: if ``p + q`` is a nonpositive integer, where Gamma is
-            undefined.  Callers that need the normalized, analytically
-            continued ratio must use :func:`rising_over_gamma`.
-    """
-    if p < 1 or p != int(p):
-        raise DomainError(f"rising function base must be a positive integer, got {p}")
-    p = int(p)
-    if q == math.floor(q):
-        qi = int(q)
-        if p + qi <= 0:
-            raise PoleError(f"Gamma({p + qi}) undefined: {p}^({q}) has no finite value")
-        if qi >= 0:
-            out = 1.0
-            for j in range(p, p + qi):
-                out *= j
-            return out
-        out = 1.0
-        for j in range(p + qi, p):
-            out *= j
-        return 1.0 / out
-    ln, sn = _signed_loggamma(p + q)
-    return sn * _exp(ln - math.lgamma(p))
 
 
 def rising_over_gamma(p: int, q: float, denom: float) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from functools import partial
 from typing import Callable
 
@@ -561,7 +562,8 @@ def _run_ml_solver(rng, ts):
     # order-limit continuity of the solver against the first-order recursion
     g20 = Grid(0.0, history=1, horizon=20)
     sol9 = fde_solve(0.999, -0.5, preset_weight("one", g20), 1.0, 20)
-    first = (1.0 / 1.5) ** np.arange(21.0)
+    # Python-float (libm) powers: numpy's CPU-dispatched power varies by host
+    first = np.array([(1.0 / 1.5) ** k for k in range(21)])
     dev9 = float(np.max(np.abs(sol9.values - first)))
     out.append(
         IdentityReport.from_measurement(
@@ -595,7 +597,8 @@ def resolve_tolerance_scale(scale: float | None = None) -> float:
     """The suite's tolerance multiplier: ``scale``, else NT_TOLERANCE_SCALE, else 1.
 
     Raises:
-        ConfigError: unless the value is a finite number > 0.
+        ConfigError: unless the value is finite and the smallest scaled
+            tolerance, ``TOL_EXACT * scale``, is a normal float.
     """
     source = "tolerance scale"
     if scale is None:
@@ -605,8 +608,10 @@ def resolve_tolerance_scale(scale: float | None = None) -> float:
             scale = float(raw)
         except ValueError:
             raise ConfigError(f"{source} must be a number, got {raw!r}") from None
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ConfigError(f"{source} must be finite and > 0, got {scale!r}")
+    # a subnormal tolerance loses precision, then underflows to 0
+    if not (math.isfinite(scale) and TOL_EXACT * scale >= sys.float_info.min):
+        low = sys.float_info.min / TOL_EXACT
+        raise ConfigError(f"{source} must be finite and at least {low:.3g}, got {scale!r}")
     return scale
 
 

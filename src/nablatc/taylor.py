@@ -19,12 +19,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .operators import (
-    InsufficientHistory,
     InsufficientLags,
     OperatorKind,
     OperatorSpec,
     _output,
     _signed_binomials,
+    _stage,
     apply_operator,
     causal_sum,
     initial_value_terms,
@@ -73,8 +73,8 @@ def taylor_initial(x: Signal, K: int) -> np.ndarray:
     as a read-only array (the factorial normalization lives in the basis)."""
     if K < 0:
         raise DegreeTooLow(f"degree must be >= 0, got {K}")
-    if x.grid.history < K + 1:
-        raise InsufficientHistory(f"degree {K} expansion needs history >= {K + 1}")
+    # K + 1 points of history, as the remainder of reconstruct_initial asks
+    _stage(None, K, x.grid, None, -1)
     coeffs = np.array([nabla_at(x, i, 0) for i in range(K + 1)])
     coeffs.setflags(write=False)
     return coeffs
@@ -154,20 +154,21 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     n = spec.n if kind is not OperatorKind.GL else 0
     if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) and K <= n:
         raise DegreeTooLow(f"{kind.value} representation needs degree K > {n}, got {K}")
-    if K < 0 or x.grid.history < K + 1:
-        raise InsufficientHistory(f"degree {K} needs history >= {K + 1}")
+    # the remainder's (K+1)-th difference covers the series' at the base
+    _stage(OperatorKind.INTEGER_NABLA, K + 1, x.grid, w)
     N = x.grid.horizon
-    series = sum(_series_terms(x, w, kind, order, n, K, N), np.zeros(N))
-
-    # remainder coefficient: (k-j+1)^(K-order)/Gamma(K-order+1), with the
-    # integer kind using (K-n)! in place of the Gamma
-    if kind is OperatorKind.INTEGER_NABLA:
-        coef = rising_over_factorial_row(K - int(spec.order), N)
-    else:
-        coef = rising_over_gamma_row(K - order, K - order + 1, N)
-    u = nabla_n_tempered(x, K + 1, w)
-    acc = causal_sum(coef, w.window(1, N) * u.body)
-    body = series + acc / w.window(1, N)
+    # an overflowing sum makes a non-finite sample, which Signal rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = sum(_series_terms(x, w, kind, order, n, K, N), np.zeros(N))
+        # remainder coefficient: (k-j+1)^(K-order)/Gamma(K-order+1), with
+        # the integer kind using (K-n)! in place of the Gamma
+        if kind is OperatorKind.INTEGER_NABLA:
+            coef = rising_over_factorial_row(K - int(spec.order), N)
+        else:
+            coef = rising_over_gamma_row(K - order, K - order + 1, N)
+        u = nabla_n_tempered(x, K + 1, w)
+        acc = causal_sum(coef, w.window(1, N) * u.body)
+        body = series + acc / w.window(1, N)
     return _output(x.grid.a, N, body)
 
 
@@ -179,8 +180,8 @@ def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSw
     k_lo = (n if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) else 0) + 1
     if K_max < k_lo:
         raise DegreeTooLow(f"sweep needs K_max >= {k_lo}, got {K_max}")
-    if x.grid.history < K_max + 1:
-        raise InsufficientHistory(f"sweep to degree {K_max} needs history >= {K_max + 1}")
+    # the history of the base-point form at degree K_max
+    _stage(None, K_max, x.grid, None, -1)
     N = x.grid.horizon
     direct = apply_operator(x, spec).body
     # one pass over the degrees: the series to degree K is the one to
@@ -248,8 +249,8 @@ def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
         raise DegreeTooLow("future-instant form covers the fractional kinds only")
     if kind is OperatorKind.CAPUTO and K < spec.n:
         raise DegreeTooLow(f"sum-of-difference form needs degree K >= {spec.n}")
-    if K < 0 or x.grid.history < K + 1:
-        raise InsufficientHistory(f"degree {K} needs history >= {K + 1}")
+    # the residual's (K+1)-th difference; the rows check the weight they read
+    _stage(OperatorKind.INTEGER_NABLA, K + 1, x.grid, None)
     N = x.grid.horizon
     shift = _shift(spec)
     body = _point_series(x, spec, shift, K)

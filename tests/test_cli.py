@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -365,7 +366,9 @@ def test_tolerance_scale_env(tmp_path, monkeypatch):
     assert run(["verify", "--only", "gl-rl-agree", "--out", out]) == 0
 
 
-@pytest.mark.parametrize("raw", ["abc", "nan", "inf", "0", "-1"])
+# TOL_EXACT times 1e-300 or 1e-320 is subnormal or 0, where every check
+# would fail; the 1e-12 of test_tolerance_scale_env is accepted
+@pytest.mark.parametrize("raw", ["abc", "nan", "inf", "0", "-1", "1e-300", "1e-320"])
 def test_tolerance_scale_rejected_is_config_error(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("NT_TOLERANCE_SCALE", raw)
     out = tmp_path / "r.json"
@@ -606,6 +609,32 @@ def test_huge_order_prints_one_error_line(tmp_path):
     assert res.stderr.startswith("nt: numeric error:") and res.stderr.count("\n") == 1
     assert "Warning" not in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--rep", "initial", "--degree", "100000"], 2),
+        (["--rep", "initial", "--degree", "1029"], 2),
+        (["--rep", "initial", "--degree", "1000"], 3),
+        (["--rep", "future", "--degree", "5000"], 2),
+        (["--rep", "initial", "--degree", "200"], 0),
+        (["--rep", "future", "--degree", "400"], 0),
+    ],
+)
+def test_taylor_degree_prints_no_warning(tmp_path, capsys, argv, code):
+    # the forms check their top stage, the difference of order degree + 1,
+    # before any work, and sum their series where an overflow reaches the
+    # output's finiteness check; a warning here raises instead
+    out = tmp_path / "y.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(["taylor", "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+                   "--N", "30", *argv, "--out", str(out)])
+    assert got == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == (1 if code else 0)
+    assert out.exists() == (code == 0)
 
 
 def test_huge_taylor_order_is_numeric_error(tmp_path, capsys):

@@ -25,7 +25,6 @@ from nablatc.operators import (
     OperatorKind,
     OperatorSpec,
     caputo_tempered,
-    gl_integer_vs_nabla_defect,
     gl_tempered,
     initial_value_terms,
     nabla_at,
@@ -34,7 +33,6 @@ from nablatc.operators import (
     nabla_n_tempered_at,
     rl_tempered,
     set_fault_injection,
-    with_zero_history,
 )
 from nablatc.presets import preset_weight
 from nablatc.signals import (
@@ -266,22 +264,27 @@ def test_history_precondition():
 # ---------------------------------------------------------------------------
 
 
+def _defect(x, n, w):
+    """The integer-order single sum minus the tempered difference."""
+    return gl_tempered(x, float(n), w).body - nabla_n_tempered(x, n, w).body
+
+
 def test_defect_zero_beyond_stencil():
     x = grid_and_signal(lambda k: math.sin(k) + k, history=2, N=10)
     w = make_weight(x.grid, fn=lambda k: 1.0 + 0.5 * math.cos(k))
     for n in (1, 2):
-        d = gl_integer_vs_nabla_defect(x, n, w).body
+        d = _defect(x, n, w)
         np.testing.assert_array_equal(d[n:], np.zeros(10 - n))
 
 
 def test_defect_boundary_values():
     x = grid_and_signal(lambda k: k + 2.0, history=2, N=6)
     w = ones_weight(x.grid)
-    d1 = gl_integer_vs_nabla_defect(x, 1, w).body
+    d1 = _defect(x, 1, w)
     # at k = a+1 the single sum misses the i=1 term, so the gap is +x(a)
     assert d1[0] == pytest.approx(x.at(0))
     ones = grid_and_signal(lambda k: 1.0, history=2, N=6)
-    d2 = gl_integer_vs_nabla_defect(ones, 2, w).body
+    d2 = _defect(ones, 2, w)
     # at k = a+1 the missing i=1,2 terms are -2 x(a) + x(a-1) = -1
     assert d2[0] == pytest.approx(1.0)
     assert d2[1] == pytest.approx(-1.0)
@@ -291,7 +294,7 @@ def test_defect_matches_missing_stencil_formula():
     x = grid_and_signal(lambda k: math.sin(3 * k), history=3, N=8)
     w = make_weight(x.grid, fn=lambda k: math.sqrt(2) ** k)
     n = 3
-    d = gl_integer_vs_nabla_defect(x, n, w).body
+    d = _defect(x, n, w)
     for m in range(1, n + 1):
         missing = -sum(
             (-1) ** i * math.comb(n, i) * (w.at(m - i) / w.at(m)) * x.at(m - i)
@@ -525,7 +528,7 @@ def test_operator_outputs_are_read_only():
         caputo_tempered(x, 1.5, w),
         nabla_n_tempered(x, 2, w),
         nabla_n(x, 1),
-        with_zero_history(gl_tempered(x, 0.5, w), 3),
+        gl_tempered(x, 0.5, w, out_history=3),
     ]
     for out in outputs:
         assert out.values.flags.writeable is False

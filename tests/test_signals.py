@@ -23,7 +23,6 @@ from nablatc.signals import (
     read_signal_csv,
     read_weight_csv,
     scale_weight,
-    signal_from_values,
     write_signal_csv,
 )
 
@@ -180,7 +179,7 @@ def test_weight_overflow_raises_without_warning():
 
 
 def test_signal_immutable():
-    s = signal_from_values(Grid(0.0, 0, 2), [1.0, 2.0, 3.0])
+    s = Signal(Grid(0.0, 0, 2), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         s.values[0] = 9.0
 

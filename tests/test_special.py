@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from nablatc.special import (
     DomainError,
-    PoleError,
     gl_coefficients,
-    rising,
     rising_over_gamma,
     rising_over_gamma_row,
 )
@@ -20,24 +18,10 @@ from _oracles import gl_coeff_ref, rising_ref
 REL = 1e-12
 
 
-def test_rising_integer_cases_exact():
-    assert rising(3, 0) == 1.0
-    assert rising(1, 2) == 2.0
-    assert rising(5, 3) == 5 * 6 * 7
-    assert rising(4, -2) == 1.0 / (2 * 3)
-
-
 def test_rising_half_order():
     # Gamma(2.5)/Gamma(3), frozen from the 50-digit oracle.
-    assert rising(3, -0.5) == pytest.approx(0.6646701940895685, rel=REL)
-    assert rising(3, -0.5) == pytest.approx(rising_ref(3, -0.5), rel=REL)
-
-
-def test_rising_pole_rejected():
-    with pytest.raises(PoleError):
-        rising(2, -5)
-    with pytest.raises(DomainError):
-        rising(0, 0.5)
+    assert rising_over_gamma(3, -0.5, 1.0) == pytest.approx(0.6646701940895685, rel=REL)
+    assert rising_over_gamma(3, -0.5, 1.0) == pytest.approx(rising_ref(3, -0.5), rel=REL)
 
 
 def test_rising_over_gamma_matched_ratio():
@@ -94,7 +78,7 @@ def test_gamma_ratio_just_below_unit_resolution_still_evaluates():
         lambda: rising_over_gamma(30, 1e15, 1e15 + 1.0),  # the plain ratio
         lambda: rising_over_gamma(-200, 195.0, 0.5),  # a matched pole: 200!/5!
         lambda: rising_over_gamma(-3, -2.0, -200.5),  # 1/Gamma(-200.5)
-        lambda: rising(1000, 150.5),
+        lambda: rising_over_gamma(1000, 150.5, 1.0),  # a plain rising function
     ],
     ids=["row", "ratio", "matched-pole", "other-gamma", "rising"],
 )
