@@ -11,12 +11,15 @@ from nablatc.identities import (
     check_difference_of_sum,
     check_gl_rl_agreement,
     check_integer_defect,
+    check_leibniz,
     check_mixed_composition,
+    check_rl_caputo_asymptotics,
     check_rl_caputo_correction,
     check_sum_composition,
     check_sum_of_difference,
     check_taylor_remainder_forms,
 )
+from nablatc.laplace import check_convolution_with_ic, check_transform_rule_diff
 from nablatc.operators import (
     MAX_INTEGER_STAGE,
     InsufficientHistory,
@@ -642,6 +645,32 @@ _ENTRY_POINTS = {
         {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory,
          "weight-base": GridMismatch, "weight-horizon": GridMismatch,
          "weight-history": InsufficientHistory},
+    ),
+    # the product rule reads the weight as deep as the signal's history
+    "check_leibniz": (
+        lambda x, w, p: check_leibniz(x, x, OperatorSpec(OperatorKind.CAPUTO, p, w)),
+        1.5, _CAP + 0.5, 2, 2,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
+         "history": InsufficientLags, "weight-base": GridMismatch,
+         "weight-horizon": GridMismatch, "weight-history": GridMismatch},
+    ),
+    "check_rl_caputo_asymptotics": (
+        lambda x, w, p: check_rl_caputo_asymptotics(x, p, w, "large_k"), 1.5, _CAP + 0.5, 2, 1,
+        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+         "history": InsufficientHistory, "weight-base": GridMismatch,
+         "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
+    ),
+    # these two build their weight on the signal's grid; the exchange
+    # identity admits integer orders
+    "check_transform_rule_diff": (
+        lambda x, w, p: check_transform_rule_diff(x, "caputo", p, 0.0, 0.5),
+        1.5, _CAP + 0.5, 2, None,
+        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+         "history": InsufficientHistory},
+    ),
+    "check_convolution_with_ic": (
+        lambda x, w, p: check_convolution_with_ic(x, x, p, 0.0), 1.5, _CAP + 0.5, 2, None,
+        {"nan": ValueError, "over-cap": IntegerOrder, "history": GridMismatch},
     ),
     # the forms below take p as their degree, except the evaluation-point
     # form, which has none and takes it as the order of its spec
