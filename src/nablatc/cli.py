@@ -12,6 +12,8 @@ Exit codes: 0 success (and, for ``verify``, every identity passed),
 NT_TOLERANCE_SCALE that is not finite or below about 2.23e-297, where the
 smallest tolerance is no longer a normal float, unreadable inputs,
 unwritable outputs, grids too large to allocate), 3 numeric errors.
+``--out`` names a file, whose directory must exist; ``--outdir`` names a
+directory that the command makes with its parents, like ``mkdir -p``.
 Output files are written atomically; identical configurations and seeds
 produce byte-identical outputs.
 """
@@ -38,6 +40,7 @@ from .operators import (
     IntegerOrder,
     OperatorKind,
     OperatorSpec,
+    _stage,
     apply_operator,
     caputo_tempered,
     check_order,
@@ -109,13 +112,13 @@ def _load_weight(args: argparse.Namespace, grid: Grid) -> Weight:
 
 
 def _history(args: argparse.Namespace, kind: OperatorKind) -> int:
-    """``--history``, checked ``--order`` first; without it, what ``kind``
-    reads below the base: the integer stage ceil(order), none for the
-    single-sum form."""
+    """``--history``, checked ``--order`` first (the stage check leaves a
+    single-sum order alone); without it, what ``kind`` reads below the
+    base: the integer stage ceil(order), none for the single-sum form."""
     check_order(kind, args.order)
     if args.history is not None:
         return args.history
-    return 0 if kind is OperatorKind.GL else int(math.ceil(args.order))
+    return _stage(kind, args.order, None, None)
 
 
 def _load_spec(args: argparse.Namespace) -> tuple[Signal, OperatorSpec]:
@@ -310,26 +313,24 @@ def cmd_repro(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def nonneg_int(text: str) -> int:
-    """argparse type: an integer >= 0 (seeds, history lengths)."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer >= ``low``, else "must be ``what``"."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+    return parse
 
 
-def positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (horizon lengths)."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+#: argparse types: an integer >= 0 (seeds, history lengths), >= 1 (horizons)
+nonneg_int = _int_at_least(0, "a non-negative integer")
+positive_int = _int_at_least(1, "a positive integer")
 
 
 def finite(text: str) -> float:

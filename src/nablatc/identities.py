@@ -13,7 +13,7 @@ eps = 1e-7 (which carry O(eps) analytic error on top of rounding).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .operators import (
     apply_operator,
     causal_sum,
     caputo_tempered,
+    check_order,
     gl_tempered,
     nabla_at,
     nabla_n_tempered,
@@ -87,36 +88,25 @@ class IdentityReport:
     """Outcome of one identity check.
 
     For decay checkers the deviation field holds a dimensionless ratio
-    margin against tolerance 1.0 (documented on the checker).
+    margin against tolerance 1.0 (documented on the checker).  The three
+    numbers are stored as Python floats, and None params as ``{}``.
     """
 
     identity_id: str
     max_abs_dev: float
     argmax_k: float
     tolerance: float
-    params: dict = field(default_factory=dict)
+    params: dict | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_abs_dev", "argmax_k", "tolerance"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "params", self.params or {})
 
     @property
     def passed(self) -> bool:
         """``max_abs_dev <= tolerance``; a NaN deviation fails."""
         return bool(self.max_abs_dev <= self.tolerance)
-
-    @classmethod
-    def from_measurement(
-        cls,
-        identity_id: str,
-        max_abs_dev: float,
-        argmax_k: float,
-        tolerance: float,
-        params: dict | None = None,
-    ) -> "IdentityReport":
-        return cls(
-            identity_id=identity_id,
-            max_abs_dev=float(max_abs_dev),
-            argmax_k=float(argmax_k),
-            tolerance=float(tolerance),
-            params=params or {},
-        )
 
     @classmethod
     def from_devs(
@@ -136,7 +126,7 @@ class IdentityReport:
         devs = np.asarray(devs, dtype=np.float64)
         idx = int(np.argmax(devs)) if len(devs) else 0
         dev = float(devs[idx]) if len(devs) else 0.0
-        return cls.from_measurement(identity_id, dev, first_k + idx, tolerance, params)
+        return cls(identity_id, dev, first_k + idx, tolerance, params)
 
     def to_dict(self) -> dict:
         return {
@@ -262,7 +252,7 @@ def _series(x: np.ndarray, w: np.ndarray, h: int, degrees, basis) -> np.ndarray:
 
 
 def _gl_rl_prep(x, w, alpha):
-    _stage(OperatorKind.GL, alpha, x.grid, w)
+    # the difference-of-sum stage covers the single-sum one's weight checks
     n = _stage(OperatorKind.RL, alpha, x.grid, w)
     return (alpha,), (n,), {"alpha": alpha}
 
@@ -284,9 +274,8 @@ def check_gl_rl_agreement(
 
 
 def _rl_caputo_prep(x, w, alpha):
-    n = math.ceil(alpha)
     # the sum-of-difference form admits exactly what this one does
-    _stage(OperatorKind.RL, alpha, x.grid, w)
+    n = _stage(OperatorKind.RL, alpha, x.grid, w)
     return (alpha,), (n,), {"alpha": alpha}
 
 
@@ -309,10 +298,11 @@ def check_rl_caputo_correction(
 
 
 def _sum_composition_prep(x, w, alpha):
-    n = math.ceil(alpha)
+    # a finite order; integer ones are admitted, so n is ceil(alpha) itself
+    check_order(OperatorKind.GL, alpha)
     _stage(OperatorKind.GL, -alpha, x.grid, w)
     # the n-th difference of an operator output
-    _stage(OperatorKind.INTEGER_NABLA, n, None, w)
+    n = _stage(OperatorKind.INTEGER_NABLA, math.ceil(alpha), None, w)
     return (alpha,), (n,), {"alpha": alpha}
 
 
@@ -336,11 +326,10 @@ def check_sum_composition(
 
 
 def _difference_of_sum_prep(x, w, alpha):
-    n = math.ceil(alpha)
     _stage(OperatorKind.GL, -alpha, x.grid, w)
     # both differences of an operator output; the sum-of-difference form
     # admits exactly what this one does
-    _stage(OperatorKind.RL, alpha, None, w)
+    n = _stage(OperatorKind.RL, alpha, None, w)
     return (alpha,), (n,), {"alpha": alpha}
 
 
@@ -364,10 +353,9 @@ def check_difference_of_sum(
 
 
 def _sum_of_difference_prep(x, w, alpha, kind):
-    n = math.ceil(alpha)
     if kind not in ("rl", "caputo"):
         raise ValueError(f"kind must be 'rl' or 'caputo', got {kind!r}")
-    _stage(OperatorKind(kind), alpha, x.grid, w)
+    n = _stage(OperatorKind(kind), alpha, x.grid, w)
     # the difference-of-sum initial values, evaluated rather than assumed
     ivs = [rl_tempered_at_base(x, alpha - i - 1, w) for i in range(n)] if kind == "rl" else []
     return (alpha, np.array(ivs)), (n, kind), {"alpha": alpha}
@@ -408,17 +396,16 @@ def check_sum_of_difference(
 
 
 def _mixed_composition_prep(x, w, beta, n, outer):
-    m = math.ceil(beta)
-    if not (0 < beta < n) or beta == math.floor(beta):
+    # a NaN split passes this test and fails its stage below
+    if beta <= 0 or beta >= n or beta % 1 == 0:
         raise ValueError(f"split order must be non-integer in (0, {n}), got {beta}")
-    m2 = math.ceil(n - beta)
     if outer not in ("rl", "caputo"):
         raise ValueError(f"outer must be 'rl' or 'caputo', got {outer!r}")
     inner = OperatorKind.CAPUTO if outer == "rl" else OperatorKind.RL
     # each split: the inner form on x, then the outer one on its output
+    # (the second sets m = ceil(beta), m2 = ceil(n - beta))
     for first, second in ((beta, n - beta), (n - beta, beta)):
-        _stage(inner, first, x.grid, w)
-        _stage(OperatorKind(outer), second, None, w)
+        m2, m = _stage(inner, first, x.grid, w), _stage(OperatorKind(outer), second, None, w)
     _stage(OperatorKind.INTEGER_NABLA if outer == "rl" else OperatorKind.GL, n, x.grid, w)
     return (beta,), (n, outer, m, m2), {"beta": beta, "n": n}
 
@@ -468,12 +455,10 @@ def check_mixed_composition(
 
 
 def _taylor_remainder_prep(x, w, alpha, m):
-    n = math.ceil(alpha)
+    # also covers the base-point differences of the series, degrees m..n-1
+    n = _stage(OperatorKind.CAPUTO, alpha, x.grid, w)
     if not (0 <= m < alpha):
         raise ValueError(f"shift m must satisfy 0 <= m < alpha, got {m}")
-    for i in range(m, n):
-        _stage(None, i, x.grid, w, 0)
-    _stage(OperatorKind.CAPUTO, alpha, x.grid, w)
     _stage(OperatorKind.INTEGER_NABLA, m if m else n, x.grid, w)
     return (alpha,), (n, m), {"alpha": alpha, "m": m}
 
@@ -517,7 +502,7 @@ def check_taylor_remainder_forms(
 
 
 def _integer_defect_prep(x, w, n):
-    _stage(OperatorKind.GL, n, x.grid, w)
+    # the difference stage covers the single-sum one's weight checks
     return (), (_stage(OperatorKind.INTEGER_NABLA, n, x.grid, w),), {"n": n}
 
 
@@ -580,7 +565,7 @@ def _limit_report(
     params = dict(params)
     params["deviation_by_eps"] = {repr(e): d for e, d in zip(eps_seq, devs_by_eps)}
     params["monotone"] = monotone
-    return IdentityReport.from_measurement(identity_id, dev, argmax_k, tol, params)
+    return IdentityReport(identity_id, dev, argmax_k, tol, params)
 
 
 def check_order_limit_sum(x: Signal, w: Weight, tol: float = 1e-6) -> IdentityReport:
@@ -683,7 +668,7 @@ def check_uniform_convergence_exchange(
             argmax_k = x.grid.a + 1 + int(np.argmax(d))
         scale = max(scale, kappa * sup)
     tol = 1e-12 * max(1.0, scale)
-    return IdentityReport.from_measurement(
+    return IdentityReport(
         "uniform-convergence",
         max(margin, 0.0),
         argmax_k,
@@ -709,16 +694,10 @@ def check_leibniz(
     """
     if f.grid != g.grid:
         raise GridMismatch("product factors must share a grid")
-    h = f.grid.history
+    # the operator checks the stage and history that the expansion reads
+    lhs = apply_operator(Signal(f.grid, f.values * g.values), spec).body
+    devs = np.abs(lhs - _leibniz_rhs(f, g, spec))
     kind = spec.kind
-    if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) and h < spec.n:
-        raise InsufficientLags(
-            f"{kind.value} product rule needs history >= {spec.n}, grid has {h}"
-        )
-
-    fg = Signal(f.grid, f.values * g.values)
-    rhs = _leibniz_rhs(f, g, spec)
-    devs = np.abs(apply_operator(fg, spec).body - rhs)
     if kind is OperatorKind.INTEGER_NABLA:
         ident, params = "leibniz-integer", {"n": int(spec.order)}
     else:
@@ -802,7 +781,7 @@ def check_rl_caputo_asymptotics(
     The deviation reported is a dimensionless ratio margin: the largest of
     the decay ratios, against tolerance 1.0.
     """
-    n = math.ceil(alpha)
+    n = _stage(OperatorKind.RL, alpha, None, None)
     if mode == "large_k":
         N = x.grid.horizon
         if N < 4:
@@ -818,7 +797,7 @@ def check_rl_caputo_asymptotics(
         envelope = 10.0 * float(N) ** (n - 1 - alpha) * c_bound
         floor = 1e-300
         ratio = max(end / max(mid, floor), end / max(envelope, floor))
-        return IdentityReport.from_measurement(
+        return IdentityReport(
             "rl-caputo-decay-large-k",
             ratio,
             x.grid.a + N,
@@ -841,7 +820,7 @@ def check_rl_caputo_asymptotics(
         gaps.append(float(gap[-1]))  # same lattice point x.grid.a + 20
     floor = 1e-300
     ratio = max(gaps[1] / max(gaps[0], floor), gaps[2] / max(gaps[1], floor))
-    return IdentityReport.from_measurement(
+    return IdentityReport(
         "rl-caputo-decay-early-a",
         ratio,
         x.grid.a + 20,

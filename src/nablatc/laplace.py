@@ -19,7 +19,9 @@ import numpy as np
 from .errors import NablaError
 from .identities import IdentityReport
 from .operators import (
+    OperatorKind,
     _output,
+    _stage,
     caputo_tempered,
     causal_dot,
     causal_sum,
@@ -183,7 +185,7 @@ def transform_rule_gl_reports(
         lhs = nlt(y, s).value
         rhs = _rho(s, lam) ** alpha * nlt(x, s).value
         out.append(
-            IdentityReport.from_measurement(
+            IdentityReport(
                 "laplace-gl-rule",
                 abs(lhs - rhs),
                 x.grid.a,
@@ -225,7 +227,7 @@ def check_transform_rule_diff(
         ident = "laplace-diff-rule-int"
         params: dict = {"n": n}
     elif kind == "rl":
-        n = int(math.ceil(order))
+        n = _stage(OperatorKind.RL, order, x.grid, w)
         lhs = nlt(rl_tempered(x, order, w), s).value
         rhs = rho**order * X - scale * sum(
             rho**i * rl_tempered_at_base(x, order - i - 1, w) for i in range(n)
@@ -234,7 +236,7 @@ def check_transform_rule_diff(
         ident = "laplace-diff-rule-rl"
         params = {"alpha": order}
     elif kind == "caputo":
-        n = int(math.ceil(order))
+        n = _stage(OperatorKind.CAPUTO, order, x.grid, w)
         lhs = nlt(caputo_tempered(x, order, w), s).value
         iv = [nabla_n_tempered_at(x, i, w, 0) for i in range(n)]
         rhs = rho**order * X - scale * sum(
@@ -246,7 +248,7 @@ def check_transform_rule_diff(
     else:
         raise ValueError(f"kind must be 'int', 'rl' or 'caputo', got {kind!r}")
     params.update({"lambda": lam, "s": [complex(s).real, complex(s).imag]})
-    return IdentityReport.from_measurement(ident, dev, x.grid.a, tol, params)
+    return IdentityReport(ident, dev, x.grid.a, tol, params)
 
 
 def check_tempering_shift(
@@ -261,7 +263,7 @@ def check_tempering_shift(
     lhs = nlt(weighted, s).value
     s_shift = s + lam - lam * s
     rhs = (1.0 - lam) * nlt(x, s_shift).value
-    return IdentityReport.from_measurement(
+    return IdentityReport(
         "laplace-tempering-shift",
         abs(lhs - rhs),
         x.grid.a,
@@ -318,10 +320,8 @@ def check_convolution_with_ic(
         raise GridMismatch("both signals must share a grid")
     w = make_weight(x.grid, rate=lam)
     N = x.grid.horizon
-    is_int = order == math.floor(order)
-    n = int(order) if is_int else int(math.ceil(order))
-    if x.grid.history < n:
-        raise GridMismatch(f"boundary brackets need history >= {n}")
+    is_int = float(order).is_integer()  # False for NaN, which fails the Caputo stage
+    n = _stage(OperatorKind.INTEGER_NABLA if is_int else OperatorKind.CAPUTO, order, x.grid, w)
     iv_x = [nabla_n_tempered_at(x, i, w, 0) for i in range(n)]
     x_ops = [
         x.body if i == 0 else nabla_n_tempered(x, i, w).body for i in range(n)

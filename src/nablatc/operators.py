@@ -397,21 +397,12 @@ def _stencil(z: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-class _NonFiniteRows(NablaError):
-    """A stage of a stack of rows holds a non-finite value: the rows run
-    again one at a time, so that each raises its own error."""
-
-
 def _settled(body: np.ndarray) -> np.ndarray:
-    """``body``, a stage's values at offsets 1..N, once they are finite.
-
-    A 1-D body raises the :class:`NonFiniteSample` that its output signal
-    would raise, naming the first bad offset; a stack of rows (zero-padded
-    past each row's own N) raises :class:`_NonFiniteRows`."""
-    if body.ndim == 1:
-        _require_finite(body, 1)
-    elif not np.isfinite(body).all():
-        raise _NonFiniteRows("a stacked stage holds a non-finite value")
+    """``body``, a stage's values at offsets 1..N, once they are finite:
+    else the :class:`NonFiniteSample` that its output signal would raise,
+    naming the first bad offset of one row (a stack of rows reruns one row
+    at a time, so its own message is never shown)."""
+    _require_finite(body, 1)
     return body
 
 

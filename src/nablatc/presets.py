@@ -97,5 +97,8 @@ def preset_weight(name: str, grid: Grid) -> Weight:
     if name == "case1":
         return make_weight(grid, rate=1.0 - math.sqrt(2.0))
     if name.startswith("exp:"):
-        return make_weight(grid, rate=_spec_number(name, "exponential", name[4:]))
+        rate = _spec_number(name, "exponential", name[4:])
+        if rate == 1.0:
+            raise UnknownPreset(f"bad exponential spec {name!r}: rate 1 makes the weight zero")
+        return make_weight(grid, rate=rate)
     return make_weight(grid, fn=weight_case_fn(name, grid.a))

@@ -131,17 +131,21 @@ def _difference_stencils(t: int) -> np.ndarray:
     return table
 
 
+def _basis(kind: OperatorKind, order: float, n: int, i: int, N: int) -> np.ndarray:
+    """The degree-i base-point basis row at offsets 1..N: (k-a)^(i-order)
+    over Gamma(i-order+1), or over (i-n)! for the integer kind."""
+    if kind is OperatorKind.INTEGER_NABLA:
+        return rising_over_factorial_row(i - n, N)
+    return rising_over_gamma_row(i - order, i - order + 1, N)
+
+
 def _series_terms(
     x: Signal, w: Weight, kind: OperatorKind, order: float, n: int, K: int, N: int
 ) -> Iterator[np.ndarray]:
     """Terms ``basis_i(k) (w(a)/w(k)) d_i`` of the base-point series, for
     i from the integer stage (or 0) up to K, in ascending i."""
     i_lo = n if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) else 0
-    if kind is OperatorKind.INTEGER_NABLA:
-        basis = lambda i: rising_over_factorial_row(i - n, N)
-    else:
-        basis = lambda i: rising_over_gamma_row(i - order, i - order + 1, N)
-    return initial_value_terms(x, w, range(i_lo, K + 1), basis)
+    return initial_value_terms(x, w, range(i_lo, K + 1), lambda i: _basis(kind, order, n, i, N))
 
 
 def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
@@ -160,12 +164,8 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     # an overflowing sum makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
         series = sum(_series_terms(x, w, kind, order, n, K, N), np.zeros(N))
-        # remainder coefficient: (k-j+1)^(K-order)/Gamma(K-order+1), with
-        # the integer kind using (K-n)! in place of the Gamma
-        if kind is OperatorKind.INTEGER_NABLA:
-            coef = rising_over_factorial_row(K - int(spec.order), N)
-        else:
-            coef = rising_over_gamma_row(K - order, K - order + 1, N)
+        # the remainder coefficient at lag k-j is the degree-K basis row
+        coef = _basis(kind, order, n, K, N)
         u = nabla_n_tempered(x, K + 1, w)
         acc = causal_sum(coef, w.window(1, N) * u.body)
         body = series + acc / w.window(1, N)
@@ -232,8 +232,7 @@ def tempered_op_taylor_current(x: Signal, spec: OperatorSpec) -> Signal:
     """
     N = x.grid.horizon
     shift = _shift(spec)
-    if x.grid.history < shift:
-        raise InsufficientLags(f"sum-of-difference form needs history >= {shift}")
+    _stage(None, shift, x.grid, spec.weight, 0)
     return _output(x.grid.a, N, _point_series(x, spec, shift, N - 1 + shift))
 
 

@@ -42,6 +42,7 @@ from nablatc.laplace import (
     _two_prod,
 )
 from nablatc.operators import (
+    InsufficientHistory,
     InsufficientLags,
     OperatorKind,
     OperatorSpec,
@@ -276,7 +277,7 @@ def taylor_current_seq(x: Signal, spec: OperatorSpec) -> np.ndarray:
     N = x.grid.horizon
     shift = spec.n if spec.kind is OperatorKind.CAPUTO else 0
     if x.grid.history < shift:
-        raise InsufficientLags(f"sum-of-difference form needs history >= {shift}")
+        raise InsufficientHistory(f"order {shift} needs history >= {shift}")
     rows = tempered_diff_rows(x, w, N - 1 + shift)
     binom = binomial_coefficients(order - shift, N)
     body = np.zeros(N)

@@ -339,6 +339,21 @@ def test_repro_targets(tmp_path):
     assert "error_table.csv" in names
 
 
+def test_repro_outdir_is_made_with_its_parents(tmp_path):
+    outdir = tmp_path / "new" / "sub"
+    assert run(["repro", "fig2", "--outdir", str(outdir)]) == 0
+    assert len(os.listdir(outdir)) == 8
+
+
+def test_repro_outdir_onto_a_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["repro", "fig2", "--outdir", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nt: configuration error:") and err.count("\n") == 1
+    assert taken.read_text() == ""
+
+
 def test_repro_fig3_case1_column_identically_zero(tmp_path):
     outdir = str(tmp_path / "repro")
     run(["repro", "fig3", "--outdir", outdir])
@@ -522,6 +537,8 @@ def test_nonfinite_output_names_its_offset(tmp_path, capsys, argv, where):
     "argv",
     [
         ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k", "--weight", "exp:nan"],
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k", "--weight", "exp:1"],
+        ["solve", "--alpha", "0.5", "--mu", "-0.5", "--x0", "1", "--N", "10", "--weight", "exp:1"],
         ["eval", "--kind", "gl", "--order", "0.5", "--signal", "geom:nan"],
         ["eval", "--kind", "gl", "--order", "0.5", "--signal", "poly:1,nan"],
         ["verify", "--perturb", "nan"],
@@ -535,9 +552,9 @@ def test_nonfinite_output_names_its_offset(tmp_path, capsys, argv, where):
         ["taylor", "--kind", "caputo", "--order", "1.5", "--signal", "sin10k",
          "--rep", "initial", "--degree", "2", "--history", "3"],
     ],
-    ids=["weight-exp-nan", "signal-geom-nan", "signal-poly-nan", "perturb-nan",
-         "perturb-inf", "degree-future", "degree-initial", "future-integer-kind",
-         "initial-degree-at-stage"],
+    ids=["weight-exp-nan", "weight-exp-1", "solve-weight-exp-1", "signal-geom-nan",
+         "signal-poly-nan", "perturb-nan", "perturb-inf", "degree-future", "degree-initial",
+         "future-integer-kind", "initial-degree-at-stage"],
 )
 def test_bad_spec_or_option_value_is_one_line_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -36,7 +36,10 @@ def test_report_invariant_enforced():
         r = IdentityReport("x", dev, 0.0, 1.0)
         assert r.passed is passed
         assert r.to_dict()["pass"] is passed
-    assert IdentityReport.from_measurement("x", 2.0, 0.0, 1.0).passed is False
+    # the constructor stores the three numbers as floats, None params as {}
+    r = IdentityReport("x", np.float64(2.0), 0, 1, None)
+    assert r.passed is False and r.params == {}
+    assert [type(v) for v in (r.max_abs_dev, r.argmax_k, r.tolerance)] == [float] * 3
 
 
 def test_from_devs_reports_the_first_largest_deviation():

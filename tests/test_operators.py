@@ -23,7 +23,6 @@ from nablatc.laplace import check_convolution_with_ic, check_transform_rule_diff
 from nablatc.operators import (
     MAX_INTEGER_STAGE,
     InsufficientHistory,
-    InsufficientLags,
     IntegerOrder,
     OperatorKind,
     OperatorSpec,
@@ -605,38 +604,38 @@ _ENTRY_POINTS = {
     ),
     "check_rl_caputo_correction": (
         lambda x, w, p: check_rl_caputo_correction(x, p, w), 1.5, _CAP + 0.5, 2, 1,
-        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     # the sum composition admits integer orders, and reads no signal history
     "check_sum_composition": (
         lambda x, w, p: check_sum_composition(x, p, w), 1.5, _CAP + 0.5, 0, 1,
-        {"nan": ValueError, "over-cap": IntegerOrder, "weight-base": GridMismatch,
+        {"nan": IntegerOrder, "over-cap": IntegerOrder, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     "check_difference_of_sum": (
         lambda x, w, p: check_difference_of_sum(x, p, w), 1.5, _CAP + 0.5, 0, 1,
-        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "weight-base": GridMismatch, "weight-horizon": GridMismatch,
          "weight-history": InsufficientHistory},
     ),
     "check_sum_of_difference": (
         lambda x, w, p: check_sum_of_difference(x, p, w, "caputo"), 1.5, _CAP + 0.5, 2, 1,
-        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     "check_mixed_composition": (
         lambda x, w, p: check_mixed_composition(x, p, 2 if p < 2 else _CAP + 2, w, "rl"),
         0.5, _CAP + 0.5, 2, 1,
-        {"nan": ValueError, "integer": ValueError, "over-cap": IntegerOrder,
+        {"nan": IntegerOrder, "integer": ValueError, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     "check_taylor_remainder_forms": (
         lambda x, w, p: check_taylor_remainder_forms(x, p, w, 0), 1.5, _CAP + 0.5, 2, 1,
-        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
@@ -651,12 +650,12 @@ _ENTRY_POINTS = {
         lambda x, w, p: check_leibniz(x, x, OperatorSpec(OperatorKind.CAPUTO, p, w)),
         1.5, _CAP + 0.5, 2, 2,
         {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
-         "history": InsufficientLags, "weight-base": GridMismatch,
+         "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": GridMismatch},
     ),
     "check_rl_caputo_asymptotics": (
         lambda x, w, p: check_rl_caputo_asymptotics(x, p, w, "large_k"), 1.5, _CAP + 0.5, 2, 1,
-        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
@@ -665,12 +664,12 @@ _ENTRY_POINTS = {
     "check_transform_rule_diff": (
         lambda x, w, p: check_transform_rule_diff(x, "caputo", p, 0.0, 0.5),
         1.5, _CAP + 0.5, 2, None,
-        {"nan": ValueError, "integer": IntegerOrder, "over-cap": IntegerOrder,
+        {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory},
     ),
     "check_convolution_with_ic": (
         lambda x, w, p: check_convolution_with_ic(x, x, p, 0.0), 1.5, _CAP + 0.5, 2, None,
-        {"nan": ValueError, "over-cap": IntegerOrder, "history": GridMismatch},
+        {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory},
     ),
     # the forms below take p as their degree, except the evaluation-point
     # form, which has none and takes it as the order of its spec
@@ -689,8 +688,9 @@ _ENTRY_POINTS = {
             x, OperatorSpec(OperatorKind.CAPUTO, p, w)
         ),
         1.5, None, 2, 2,
-        {"nan": IntegerOrder, "integer": IntegerOrder, "history": InsufficientLags,
-         "weight-horizon": GridMismatch, "weight-history": GridMismatch},
+        {"nan": IntegerOrder, "integer": IntegerOrder, "history": InsufficientHistory,
+         "weight-base": GridMismatch, "weight-horizon": GridMismatch,
+         "weight-history": InsufficientHistory},
     ),
     # its difference rows read the weight as deep as the signal's history
     "tempered_op_taylor_future": (

@@ -61,7 +61,7 @@ def test_tolerance_scale_argument():
 
 
 def test_tag_leaves_input_report_unchanged():
-    report = IdentityReport.from_measurement("x", 0.0, 1.0, 1.0, {"alpha": 0.5, "instance": 0})
+    report = IdentityReport("x", 0.0, 1.0, 1.0, {"alpha": 0.5, "instance": 0})
     tagged = _tag(report, instance=3, n=2)
     assert report.params == {"alpha": 0.5, "instance": 0}
     assert list(tagged.params.items()) == [("alpha", 0.5), ("instance", 3), ("n", 2)]

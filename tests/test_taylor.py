@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nablatc.operators import OperatorKind, OperatorSpec, apply_operator, gl_tempered, nabla_n_tempered
+from nablatc.operators import (
+    InsufficientHistory,
+    OperatorKind,
+    OperatorSpec,
+    apply_operator,
+    gl_tempered,
+    nabla_n_tempered,
+)
 from nablatc.presets import preset_signal, preset_weight
 from nablatc.signals import Grid, make_signal_from_fn, make_weight
 from nablatc.taylor import (
@@ -181,7 +188,7 @@ def test_op_taylor_current_needs_history_for_caputo():
     g = Grid(0.0, 0, 8)
     x = preset_signal("sin10k", g)
     w = preset_weight("one", g)
-    with pytest.raises(InsufficientLags):
+    with pytest.raises(InsufficientHistory, match="order 1 needs history >= 1"):
         tempered_op_taylor_current(x, OperatorSpec(OperatorKind.CAPUTO, 0.5, w))
 
 
