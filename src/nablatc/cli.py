@@ -235,8 +235,7 @@ def cmd_laplace(args: argparse.Namespace) -> int:
         if rule == "gl":
             rep = check_transform_rule_gl(x, args.order, lam, s)
         else:
-            order = args.order if rule != "int" else int(args.order)
-            rep = check_transform_rule_diff(x, rule, order, lam, s)
+            rep = check_transform_rule_diff(x, rule, args.order, lam, s)
         payload = rep.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
@@ -270,19 +269,15 @@ def cmd_repro(args: argparse.Namespace) -> int:
     def emit(name: str, sig: Signal) -> None:
         write_signal_csv(os.path.join(outdir, name), sig)
 
-    if target == "fig1":
-        for wname, label in (("halfgeom", "vanishing"), ("halfgeom+eps", "shifted")):
+    if target in ("fig1", "fig2"):
+        if target == "fig1":
+            stems = (("halfgeom", "fig1_vanishing"), ("halfgeom+eps", "fig1_shifted"))
+        else:
+            stems = tuple((case, f"fig2_{case}") for case in REPRO_CASES)
+        for wname, stem in stems:
             w = preset_weight(wname, x0.grid)
             for alpha in REPRO_ALPHAS:
-                emit(
-                    f"fig1_{label}_{_alpha_label(alpha)}.csv",
-                    gl_tempered(x0, alpha, w),
-                )
-    elif target == "fig2":
-        for case in REPRO_CASES:
-            w = preset_weight(case, x0.grid)
-            for alpha in REPRO_ALPHAS:
-                emit(f"fig2_{case}_{_alpha_label(alpha)}.csv", gl_tempered(x0, alpha, w))
+                emit(f"{stem}_{_alpha_label(alpha)}.csv", gl_tempered(x0, alpha, w))
     elif target == "fig3":
         for alpha in REPRO_ALPHAS:
             base = gl_tempered(x0, alpha, preset_weight("case1", x0.grid)).body

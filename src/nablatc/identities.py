@@ -689,8 +689,8 @@ def check_leibniz(
 
     The integer form is a finite stencil; the fractional forms expand over
     all available lags, with the sum-of-difference form carrying an extra
-    base-point correction block.  The checker windows the evaluation so
-    every lag it touches lies on the stored grid.
+    base-point correction block.  The expansion reads the factors and the
+    weight no deeper below the base than the operator does.
     """
     if f.grid != g.grid:
         raise GridMismatch("product factors must share a grid")

@@ -20,8 +20,10 @@ from .errors import NablaError
 from .identities import IdentityReport
 from .operators import (
     OperatorKind,
+    OperatorSpec,
     _output,
     _stage,
+    apply_operator,
     caputo_tempered,
     causal_dot,
     causal_sum,
@@ -212,43 +214,38 @@ def check_transform_rule_diff(
     vanish under the base-point convention but are evaluated regardless),
     or ``"caputo"``.
     """
+    if kind not in ("int", "rl", "caputo"):
+        raise ValueError(f"kind must be 'int', 'rl' or 'caputo', got {kind!r}")
     _check_region(s, lam)
     w = make_weight(x.grid, rate=lam)
+    op = OperatorKind.INTEGER_NABLA if kind == "int" else OperatorKind(kind)
+    n = _stage(op, order, x.grid, w)
+    if kind == "int":
+        # an int exponent: a complex power rounds differently with a float one
+        order = n
     rho = _rho(s, lam)
     X = nlt(x, s).value
     scale = 1.0 / (1.0 - lam)
-    if kind == "int":
-        n = int(order)
-        lhs = nlt(nabla_n_tempered(x, n, w), s).value
-        iv = [nabla_n_tempered_at(x, i, w, 0) for i in range(n)]
-        rhs_a = rho**n * X - scale * sum(rho**i * iv[n - i - 1] for i in range(n))
-        rhs_b = rho**n * X - scale * sum(rho ** (n - i - 1) * iv[i] for i in range(n))
-        dev = max(abs(lhs - rhs_a), abs(lhs - rhs_b), abs(rhs_a - rhs_b))
-        ident = "laplace-diff-rule-int"
-        params: dict = {"n": n}
-    elif kind == "rl":
-        n = _stage(OperatorKind.RL, order, x.grid, w)
-        lhs = nlt(rl_tempered(x, order, w), s).value
+    lhs = nlt(apply_operator(x, OperatorSpec(op, order, w)), s).value
+    if kind == "rl":
         rhs = rho**order * X - scale * sum(
             rho**i * rl_tempered_at_base(x, order - i - 1, w) for i in range(n)
         )
-        dev = abs(lhs - rhs)
-        ident = "laplace-diff-rule-rl"
-        params = {"alpha": order}
-    elif kind == "caputo":
-        n = _stage(OperatorKind.CAPUTO, order, x.grid, w)
-        lhs = nlt(caputo_tempered(x, order, w), s).value
+    else:
         iv = [nabla_n_tempered_at(x, i, w, 0) for i in range(n)]
         rhs = rho**order * X - scale * sum(
             rho ** (order - i - 1) * iv[i] for i in range(n)
         )
-        dev = abs(lhs - rhs)
-        ident = "laplace-diff-rule-caputo"
-        params = {"alpha": order}
+    dev = abs(lhs - rhs)
+    if kind == "int":
+        # the sum of the caputo rule at order n, against its other ordering
+        rhs_a = rho**n * X - scale * sum(rho**i * iv[n - i - 1] for i in range(n))
+        dev = max(abs(lhs - rhs_a), dev, abs(rhs_a - rhs))
+        params: dict = {"n": n}
     else:
-        raise ValueError(f"kind must be 'int', 'rl' or 'caputo', got {kind!r}")
+        params = {"alpha": order}
     params.update({"lambda": lam, "s": [complex(s).real, complex(s).imag]})
-    return IdentityReport(ident, dev, x.grid.a, tol, params)
+    return IdentityReport(f"laplace-diff-rule-{kind}", dev, x.grid.a, tol, params)
 
 
 def check_tempering_shift(
@@ -322,18 +319,17 @@ def check_convolution_with_ic(
     N = x.grid.horizon
     is_int = float(order).is_integer()  # False for NaN, which fails the Caputo stage
     n = _stage(OperatorKind.INTEGER_NABLA if is_int else OperatorKind.CAPUTO, order, x.grid, w)
-    iv_x = [nabla_n_tempered_at(x, i, w, 0) for i in range(n)]
-    x_ops = [
-        x.body if i == 0 else nabla_n_tempered(x, i, w).body for i in range(n)
-    ]
+
+    def differences(v: Signal) -> tuple[list[float], list[np.ndarray]]:
+        """v's tempered differences of orders 0..n-1, at the base and on the window."""
+        at_base = [nabla_n_tempered_at(v, i, w, 0) for i in range(n)]
+        return at_base, [v.body] + [nabla_n_tempered(v, i, w).body for i in range(1, n)]
+
+    iv_x, x_ops = differences(x)
     if is_int:
         lhs = convolve(x, nabla_n_tempered(y, n, w)).body
         base = convolve(nabla_n_tempered(x, n, w), y).body
-        y_ops = [
-            y.body if j == 0 else nabla_n_tempered(y, j, w).body
-            for j in range(n)
-        ]
-        iv_y = [nabla_n_tempered_at(y, j, w, 0) for j in range(n)]
+        iv_y, y_ops = differences(y)
         bracket = np.zeros(N)
         for i in range(n):
             bracket += iv_x[i] * y_ops[n - i - 1] - x_ops[i] * iv_y[n - i - 1]

@@ -315,10 +315,11 @@ def tempered_diff_rows(x: Signal, w: Weight, max_order: int) -> np.ndarray:
     """Repeated backward differences of ``z = w*x`` on the evaluation window.
 
     ``rows[i, m-1]`` is ``nabla^i z`` at offset m, for i in 0..max_order and
-    m in 1..N; entries that would read below the stored history are NaN.
-    Values are in the weighted domain (not divided by ``w``).
+    m in 1..N; entries that would read below the shorter of the two stored
+    histories are NaN.  Values are in the weighted domain (not divided by
+    ``w``).
     """
-    h, N = x.grid.history, x.grid.horizon
+    h, N = min(x.grid.history, w.grid.history), x.grid.horizon
     cur = w.window(-h, N) * x.window(-h, N)  # row i starts at offset i - h
     rows = np.full((max_order + 1, N), np.nan)
     for i in range(max_order + 1):
@@ -468,9 +469,9 @@ def _caputo_values(x_low: np.ndarray, alpha, n: int, w_low: np.ndarray) -> np.nd
         return _settled(_tempered_single_sum(inner, alpha - n, w_low[..., n:]))
 
 
-def _output(grid_a: float, horizon: int, body: np.ndarray, out_history: int = 0) -> Signal:
-    vals = np.concatenate([np.zeros(out_history + 1), body])
-    return Signal._adopt(Grid(a=grid_a, history=out_history, horizon=horizon), vals)
+def _output(grid_a: float, horizon: int, body: np.ndarray) -> Signal:
+    vals = np.concatenate([np.zeros(1), body])
+    return Signal._adopt(Grid(a=grid_a, history=0, horizon=horizon), vals)
 
 
 def nabla_n(x: Signal, n: int) -> Signal:
@@ -557,30 +558,30 @@ def nabla_at(x: Signal, n: int, offset: int = 0) -> float:
     return _tempered_diff_at(x.values, x.grid.position(offset), np.ones(n + 1), n, n)
 
 
-def gl_tempered(x: Signal, alpha: float, w: Weight, *, out_history: int = 0) -> Signal:
+def gl_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     """Single-sum tempered difference/sum of any real order.
 
     ``y(k) = w^-1(k) sum_{i=0}^{k-a-1} c_i(alpha) w(k-i) x(k-i)`` with the
     differencing weights from :func:`nablatc.special.gl_coefficients`.
-    Order 0 reproduces the signal on the evaluation window.  History points
-    of the output, when requested via ``out_history``, hold the empty
-    partial sums of the same formula, which are zero.
+    Order 0 reproduces the signal on the evaluation window.  The output has
+    no history; at and below the base point the same formula is an empty
+    sum, so a composition that reads lower points extends it by zeros.
     """
     _stage(OperatorKind.GL, alpha, x.grid, w)
     N = x.grid.horizon
     body = _gl_values(x.window(1, N), alpha, w.window(1, N))
-    return _output(x.grid.a, N, body, out_history=out_history)
+    return _output(x.grid.a, N, body)
 
 
 def rl_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     """Difference-of-sum form: integer tempered difference of the order
     ``alpha - n`` tempered sum, with ``n = ceil(alpha)``.
 
-    The same two stages as ``nabla_n_tempered(gl_tempered(x, alpha - n,
-    w, out_history=n), n, w)``, bit for bit, run on arrays: the
-    intermediate sum is zero at and below the base point, and a
-    non-finite one raises the composition's error.  The weight's history
-    is checked before either stage runs.
+    The same two stages as ``nabla_n_tempered(u, n, w)``, bit for bit, run
+    on arrays, where ``u`` is ``gl_tempered(x, alpha - n, w)`` extended by
+    n zeros below the base point (its empty sums there): a non-finite
+    intermediate raises the composition's error.  The weight's history is
+    checked before either stage runs.
     """
     n = _stage(OperatorKind.RL, alpha, x.grid, w)
     N = x.grid.horizon

@@ -13,7 +13,7 @@ import csv
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -248,18 +248,17 @@ def make_weight(
     grid: Grid,
     *,
     rate: float | None = None,
-    values: Sequence[float] | None = None,
     fn: Callable[[float], float] | None = None,
 ) -> Weight:
-    """Build a weight from an exponential rate, explicit values, or a function.
+    """Build a weight from an exponential rate or a function (for explicit
+    values, construct :class:`Weight` directly).
 
-    Exactly one of ``rate``, ``values``, ``fn`` must be given.  The
-    exponential case ``w(k) = (1 - rate)^(k - a)`` is evaluated by repeated
-    multiplication so neighbouring samples stay exactly proportional.
+    Exactly one of ``rate`` and ``fn`` must be given.  The exponential case
+    ``w(k) = (1 - rate)^(k - a)`` is evaluated by repeated multiplication so
+    neighbouring samples stay exactly proportional.
     """
-    given = sum(x is not None for x in (rate, values, fn))
-    if given != 1:
-        raise ZeroWeight("make_weight needs exactly one of rate=, values=, fn=")
+    if (rate is None) == (fn is None):
+        raise ZeroWeight("make_weight needs exactly one of rate=, fn=")
     if rate is not None:
         if rate == 1.0:
             raise BadRate("exponential weight rate 1 is excluded")
@@ -275,11 +274,7 @@ def make_weight(
             below = vals[pos0::-1]
             np.divide.accumulate(below, out=below)
         return Weight(grid, vals)
-    if fn is not None:
-        vals = _sample(grid, fn)
-    else:
-        vals = np.asarray(values, dtype=np.float64)
-    return Weight(grid, vals)
+    return Weight(grid, _sample(grid, fn))
 
 
 def scale_weight(w: Weight, lam_scale: float) -> Weight:

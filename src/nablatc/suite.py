@@ -145,7 +145,7 @@ def _instance_weight(rng: np.random.Generator, grid: Grid, idx: int) -> Weight:
         return make_weight(grid, rate=float(rng.uniform(-1.0, 0.0)))
     mag = 10.0 ** float(rng.uniform(-3.0, 3.0))
     signs = rng.choice([-1.0, 1.0], size=grid.npoints)
-    return make_weight(grid, values=mag * signs)
+    return Weight(grid, mag * signs)
 
 
 def _core_instance(
@@ -305,53 +305,42 @@ def _run_leibniz(rng, ts):
     return out
 
 
-def _vs_direct(
-    identity_id: str,
-    rep: Signal,
-    x: Signal,
-    spec: OperatorSpec,
-    tol: float,
-    params: dict,
-) -> IdentityReport:
-    """A series representation ``rep`` of ``spec`` applied to ``x`` against
-    the direct operator, pointwise on the evaluation window."""
-    direct = apply_operator(x, spec)
-    devs = np.abs(rep.body - direct.body)
-    return IdentityReport.from_devs(identity_id, devs, x.grid.a + 1, tol, params)
+def _smooth(k: float) -> float:
+    return math.sin(0.6 * k) + 0.1 * k
+
+
+def _forms_vs_direct(ident, form, grid, pairs, cases, tol) -> list[IdentityReport]:
+    """The series representation ``form`` against the direct operator,
+    pointwise on the window, for every (signal, weight) name pair and every
+    case ``(kind, order)`` or ``(kind, order, K)``, K the form's degree.  A
+    case with a degree reports K, one without reports the signal."""
+    out = []
+    for sname, wname in pairs:
+        x = make_signal_from_fn(grid, _smooth) if sname == "smooth" else preset_signal(sname, grid)
+        w = preset_weight(wname, grid)
+        for kind, order, *degree in cases:
+            spec = OperatorSpec(kind, order, w)
+            rep = form(x, spec, *degree)
+            devs = np.abs(rep.body - apply_operator(x, spec).body)
+            label = {"K": degree[0]} if degree else {"signal": sname}
+            params = {"kind": kind.value, "order": order, **label, "weight": wname}
+            out.append(IdentityReport.from_devs(ident, devs, grid.a + 1, tol, params))
+    return out
 
 
 def _run_taylor_representations(rng, ts):
-    out = []
     tol = 1e-10 * ts
+    NABLA, GL, RL, CAPUTO = OperatorKind  # the members in definition order
 
-    # base-point representation with remainder, all kinds
-    grid = Grid(0.0, history=7, horizon=16)
-    # pairings keep the initial-value terms damped: growing weights place
-    # the ratio w(a)/w(k) against the growing basis, and the unit weight is
-    # paired with a slowly varying signal
-    pairings = [
-        ("sin10k", "case1"),
-        ("sin10k", "case3"),
-        ("sin10k", "exp:-0.5"),
-        ("smooth", "one"),
-    ]
-    for sname, wname in pairings:
-        if sname == "smooth":
-            x = make_signal_from_fn(grid, lambda k: math.sin(0.6 * k) + 0.1 * k)
-        else:
-            x = preset_signal(sname, grid)
-        w = preset_weight(wname, grid)
-        for kind, order, K in (
-            (OperatorKind.GL, 0.5, 5),
-            (OperatorKind.GL, -0.7, 4),
-            (OperatorKind.RL, 0.5, 5),
-            (OperatorKind.CAPUTO, 1.5, 5),
-            (OperatorKind.INTEGER_NABLA, 2.0, 5),
-        ):
-            spec = OperatorSpec(kind, order, w)
-            rep = tempered_op_taylor_initial(x, spec, K)
-            params = {"kind": kind.value, "order": order, "K": K, "weight": wname}
-            out.append(_vs_direct("taylor-op-initial", rep, x, spec, tol, params))
+    # base-point representation with remainder, all kinds; the pairings keep
+    # the initial-value terms damped: growing weights place the ratio
+    # w(a)/w(k) against the growing basis, and the unit weight is paired
+    # with a slowly varying signal
+    out = _forms_vs_direct(
+        "taylor-op-initial", tempered_op_taylor_initial, Grid(0.0, history=7, horizon=16),
+        [("sin10k", "case1"), ("sin10k", "case3"), ("sin10k", "exp:-0.5"), ("smooth", "one")],
+        [(GL, 0.5, 5), (GL, -0.7, 4), (RL, 0.5, 5), (CAPUTO, 1.5, 5), (NABLA, 2.0, 5)], tol,
+    )
 
     # reconstruction from base-point data is a finite identity
     for sname, K in (("sin10k", 3), ("poly:1,2,1", 4), ("geom:1.4", 3)):
@@ -364,46 +353,18 @@ def _run_taylor_representations(rng, ts):
         out.append(IdentityReport.from_devs(ident, devs, g2.a, tol, params))
 
     # evaluation-point representation: pairings with tame weighted differences
-    fams = [
-        ("sin10k", "case3"),
-        ("smooth", "exp:-1"),
-        ("poly:1,3,2", "one"),
-    ]
-    for sname, wname in fams:
-        g3 = Grid(0.0, history=2, horizon=24)
-        if sname == "smooth":
-            s = make_signal_from_fn(g3, lambda k: math.sin(0.6 * k) + 0.1 * k)
-        else:
-            s = preset_signal(sname, g3)
-        w = preset_weight(wname, g3)
-        for kind, order in (
-            (OperatorKind.GL, 0.5),
-            (OperatorKind.GL, -0.5),
-            (OperatorKind.RL, 1.5),
-            (OperatorKind.CAPUTO, 0.5),
-        ):
-            spec = OperatorSpec(kind, order, w)
-            rep = tempered_op_taylor_current(s, spec)
-            params = {
-                "kind": kind.value, "order": order, "signal": sname, "weight": wname
-            }
-            out.append(_vs_direct("taylor-op-current", rep, s, spec, tol, params))
+    out += _forms_vs_direct(
+        "taylor-op-current", tempered_op_taylor_current, Grid(0.0, history=2, horizon=24),
+        [("sin10k", "case3"), ("smooth", "exp:-1"), ("poly:1,3,2", "one")],
+        [(GL, 0.5), (GL, -0.5), (RL, 1.5), (CAPUTO, 0.5)], tol,
+    )
 
     # future/current-instant expansion with the double-sum residual
-    g4 = Grid(0.0, history=6, horizon=12)
-    s4 = preset_signal("sin10k", g4)
-    for wname in ("one", "exp:-1", "case3", "case4"):
-        w4 = preset_weight(wname, g4)
-        for kind, order, K in (
-            (OperatorKind.GL, 0.5, 4),
-            (OperatorKind.GL, -0.5, 2),
-            (OperatorKind.RL, 0.5, 4),
-            (OperatorKind.CAPUTO, 1.5, 3),
-        ):
-            spec = OperatorSpec(kind, order, w4)
-            rep = tempered_op_taylor_future(s4, spec, K)
-            params = {"kind": kind.value, "order": order, "K": K, "weight": wname}
-            out.append(_vs_direct("taylor-op-future", rep, s4, spec, tol, params))
+    out += _forms_vs_direct(
+        "taylor-op-future", tempered_op_taylor_future, Grid(0.0, history=6, horizon=12),
+        [("sin10k", wname) for wname in ("one", "exp:-1", "case3", "case4")],
+        [(GL, 0.5, 4), (GL, -0.5, 2), (RL, 0.5, 4), (CAPUTO, 1.5, 3)], tol,
+    )
 
     # all-pairs lag reconstruction from evaluation-point differences; exact
     # for signals whose difference tables stay in exact binary64 range
@@ -429,7 +390,7 @@ def _run_taylor_representations(rng, ts):
     for sname, wname in (("geom:2", "one"), ("geom:0.8", "one"), ("poly:1,2,1", "one")):
         s6 = preset_signal(sname, g6)
         w6 = preset_weight(wname, g6)
-        for kind, order in ((OperatorKind.GL, 0.5), (OperatorKind.CAPUTO, 0.5)):
+        for kind, order in ((GL, 0.5), (CAPUTO, 0.5)):
             sweep = taylor_series_initial(s6, OperatorSpec(kind, order, w6), 12)
             devs = np.asarray(sweep.deviations)
             degs = np.asarray(sweep.degrees)
@@ -456,6 +417,10 @@ def _run_taylor_representations(rng, ts):
 
 def _run_decay(rng, ts):
     del ts  # decay checks compare ratios against 1
+
+    def bumped(k: float) -> float:
+        return math.sin(10.0 * k) + 1.0
+
     # weights with |w(a)/w(k)| bounded away from underflow: for rapidly
     # growing weights the two-form gap sinks below rounding noise long
     # before the far end of the window and the ratio measures noise
@@ -463,21 +428,16 @@ def _run_decay(rng, ts):
     for wname in ("one", "case3", "case4"):
         grid = Grid(0.0, history=2, horizon=400)
         w = preset_weight(wname, grid)
-        x = make_signal_from_fn(grid, lambda k: math.sin(10.0 * k) + 1.0)
+        x = make_signal_from_fn(grid, bumped)
         for al in (0.5, 1.5):
             rep = check_rl_caputo_asymptotics(x, al, w, "large_k")
             out.append(_tag(rep, weight=wname))
     for wname in ("one", "case4"):
         grid = Grid(0.0, history=1, horizon=20)
         w = preset_weight(wname, grid)
-        x = make_signal_from_fn(grid, lambda k: math.sin(10.0 * k) + 1.0)
+        x = make_signal_from_fn(grid, bumped)
         rep = check_rl_caputo_asymptotics(
-            x,
-            0.5,
-            w,
-            "early_a",
-            x_fn=lambda k: math.sin(10.0 * k) + 1.0,
-            w_fn=weight_case_fn(wname, 0.0),
+            x, 0.5, w, "early_a", x_fn=bumped, w_fn=weight_case_fn(wname, 0.0)
         )
         out.append(_tag(rep, weight=wname))
     return out

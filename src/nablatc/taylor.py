@@ -33,7 +33,7 @@ from .operators import (
     nabla_n_tempered,
     tempered_diff_rows,
 )
-from .signals import Grid, Signal, Weight
+from .signals import Grid, Signal
 from .special import (
     binomial_coefficients,
     rising_over_factorial_row,
@@ -131,21 +131,25 @@ def _difference_stencils(t: int) -> np.ndarray:
     return table
 
 
-def _basis(kind: OperatorKind, order: float, n: int, i: int, N: int) -> np.ndarray:
+def _lowest_degree(spec: OperatorSpec) -> int:
+    """Lowest degree of the base-point series: the integer stage n for the
+    integer and ``caputo`` kinds, else 0."""
+    return spec.n if spec.kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) else 0
+
+
+def _basis(spec: OperatorSpec, i: int, N: int) -> np.ndarray:
     """The degree-i base-point basis row at offsets 1..N: (k-a)^(i-order)
     over Gamma(i-order+1), or over (i-n)! for the integer kind."""
-    if kind is OperatorKind.INTEGER_NABLA:
-        return rising_over_factorial_row(i - n, N)
-    return rising_over_gamma_row(i - order, i - order + 1, N)
+    if spec.kind is OperatorKind.INTEGER_NABLA:
+        return rising_over_factorial_row(i - spec.n, N)
+    return rising_over_gamma_row(i - spec.order, i - spec.order + 1, N)
 
 
-def _series_terms(
-    x: Signal, w: Weight, kind: OperatorKind, order: float, n: int, K: int, N: int
-) -> Iterator[np.ndarray]:
+def _series_terms(x: Signal, spec: OperatorSpec, K: int, N: int) -> Iterator[np.ndarray]:
     """Terms ``basis_i(k) (w(a)/w(k)) d_i`` of the base-point series, for
-    i from the integer stage (or 0) up to K, in ascending i."""
-    i_lo = n if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) else 0
-    return initial_value_terms(x, w, range(i_lo, K + 1), lambda i: _basis(kind, order, n, i, N))
+    i from its lowest degree up to K, in ascending i."""
+    degrees = range(_lowest_degree(spec), K + 1)
+    return initial_value_terms(x, spec.weight, degrees, lambda i: _basis(spec, i, N))
 
 
 def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
@@ -154,18 +158,17 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
 
     Exact identity; the result equals the direct operator pointwise.
     """
-    kind, order, w = spec.kind, spec.order, spec.weight
-    n = spec.n if kind is not OperatorKind.GL else 0
-    if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) and K <= n:
-        raise DegreeTooLow(f"{kind.value} representation needs degree K > {n}, got {K}")
+    w, lo = spec.weight, _lowest_degree(spec)
+    if lo and K <= lo:
+        raise DegreeTooLow(f"{spec.kind.value} representation needs degree K > {lo}, got {K}")
     # the remainder's (K+1)-th difference covers the series' at the base
     _stage(OperatorKind.INTEGER_NABLA, K + 1, x.grid, w)
     N = x.grid.horizon
     # an overflowing sum makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        series = sum(_series_terms(x, w, kind, order, n, K, N), np.zeros(N))
+        series = sum(_series_terms(x, spec, K, N), np.zeros(N))
         # the remainder coefficient at lag k-j is the degree-K basis row
-        coef = _basis(kind, order, n, K, N)
+        coef = _basis(spec, K, N)
         u = nabla_n_tempered(x, K + 1, w)
         acc = causal_sum(coef, w.window(1, N) * u.body)
         body = series + acc / w.window(1, N)
@@ -175,9 +178,7 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
 def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSweep:
     """Truncation sweep of the pure base-point series against the direct
     operator, for signals whose expansion actually converges there."""
-    kind = spec.kind
-    n = spec.n if kind is not OperatorKind.GL else 0
-    k_lo = (n if kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) else 0) + 1
+    k_lo = _lowest_degree(spec) + 1
     if K_max < k_lo:
         raise DegreeTooLow(f"sweep needs K_max >= {k_lo}, got {K_max}")
     # the history of the base-point form at degree K_max
@@ -189,8 +190,7 @@ def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSw
     series = np.zeros(N)
     degrees = []
     deviations = []
-    terms = _series_terms(x, spec.weight, kind, spec.order, n, K_max, N)
-    for i, term in enumerate(terms, k_lo - 1):
+    for i, term in enumerate(_series_terms(x, spec, K_max, N), k_lo - 1):
         series += term
         if i >= k_lo:
             degrees.append(i)

@@ -266,6 +266,18 @@ def test_leibniz_all_forms():
         assert r.passed, (kind, order, r.max_abs_dev)
 
 
+def test_leibniz_reads_the_weight_only_as_deep_as_its_operator():
+    # the factors keep three points of history, the weight only the one
+    # that both operators read
+    g = Grid(0.0, 3, 16)
+    f = make_signal_from_fn(g, lambda k: k)
+    y = make_signal_from_fn(g, lambda k: math.sin(10 * k))
+    w = make_weight(Grid(0.0, 1, 16), rate=0.25)
+    for kind, order in ((OperatorKind.INTEGER_NABLA, 1.0), (OperatorKind.CAPUTO, 1.5)):
+        r = check_leibniz(f, y, OperatorSpec(kind, order, w))
+        assert r.passed, (kind, r.max_abs_dev)
+
+
 def test_leibniz_factor_order_both_ways():
     # the expansion is asymmetric in (f, g); each orientation must match
     # the same direct product value

@@ -19,6 +19,7 @@ from nablatc.laplace import (
     ml_function,
     nlt,
 )
+from nablatc.operators import IntegerOrder
 from nablatc.presets import preset_signal, preset_weight
 from nablatc.signals import (
     Grid,
@@ -141,6 +142,12 @@ def test_transform_rule_diff_all_kinds():
             r = check_transform_rule_diff(x if lam != 0.25 else x2, kind, order, lam, s)
             assert r.passed, (kind, order, lam, r.max_abs_dev)
             assert r.max_abs_dev <= 1e-7
+
+
+def test_transform_rule_diff_int_rejects_a_fractional_order():
+    x = preset_signal("sin10k", Grid(0.0, 2, 40))
+    with pytest.raises(IntegerOrder):
+        check_transform_rule_diff(x, "int", 1.5, 0.1, 1.1)
 
 
 def test_tempering_shift_rule():

@@ -42,6 +42,7 @@ from nablatc.signals import (
     GridMismatch,
     NonFiniteSample,
     Signal,
+    Weight,
     make_signal_from_fn,
     make_weight,
     scale_weight,
@@ -424,7 +425,10 @@ def test_integer_difference_overflow_raises_without_warning(tempered):
 
 def rl_composed(x, alpha, w):
     n = math.ceil(alpha)
-    return nabla_n_tempered(gl_tempered(x, alpha - n, w, out_history=n), n, w)
+    u = gl_tempered(x, alpha - n, w)
+    # the inner sum is empty, so zero, at and below the base point
+    u = Signal(Grid(x.grid.a, n, x.grid.horizon), np.concatenate([np.zeros(n + 1), u.body]))
+    return nabla_n_tempered(u, n, w)
 
 
 def caputo_composed(x, alpha, w):
@@ -446,7 +450,7 @@ def _stage_weight(grid, kind, seed):
         lo, hi = (-1.0, 0.5) if seed % 2 else (1.5, 2.5)
         return make_weight(grid, rate=float(rng.uniform(lo, hi)))
     signs = rng.choice([-1.0, 1.0], grid.npoints)
-    return make_weight(grid, values=signs * 10.0 ** rng.uniform(-3.0, 3.0, grid.npoints))
+    return Weight(grid, signs * 10.0 ** rng.uniform(-3.0, 3.0, grid.npoints))
 
 
 @settings(max_examples=150, deadline=None)
@@ -525,12 +529,10 @@ def test_operator_outputs_are_read_only():
     w = make_weight(x.grid, rate=-0.1)
     outputs = [
         gl_tempered(x, 0.5, w),
-        gl_tempered(x, -0.5, w, out_history=2),
         rl_tempered(x, 1.5, w),
         caputo_tempered(x, 1.5, w),
         nabla_n_tempered(x, 2, w),
         nabla_n(x, 1),
-        gl_tempered(x, 0.5, w, out_history=3),
     ]
     for out in outputs:
         assert out.values.flags.writeable is False
@@ -645,13 +647,13 @@ _ENTRY_POINTS = {
          "weight-base": GridMismatch, "weight-horizon": GridMismatch,
          "weight-history": InsufficientHistory},
     ),
-    # the product rule reads the weight as deep as the signal's history
+    # the product rule reads the weight as deep as its operator does
     "check_leibniz": (
         lambda x, w, p: check_leibniz(x, x, OperatorSpec(OperatorKind.CAPUTO, p, w)),
-        1.5, _CAP + 0.5, 2, 2,
+        1.5, _CAP + 0.5, 2, 1,
         {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
-         "weight-horizon": GridMismatch, "weight-history": GridMismatch},
+         "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     "check_rl_caputo_asymptotics": (
         lambda x, w, p: check_rl_caputo_asymptotics(x, p, w, "large_k"), 1.5, _CAP + 0.5, 2, 1,
@@ -659,13 +661,18 @@ _ENTRY_POINTS = {
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
-    # these two build their weight on the signal's grid; the exchange
+    # these three build their weight on the signal's grid; the exchange
     # identity admits integer orders
     "check_transform_rule_diff": (
         lambda x, w, p: check_transform_rule_diff(x, "caputo", p, 0.0, 0.5),
         1.5, _CAP + 0.5, 2, None,
         {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory},
+    ),
+    "check_transform_rule_diff/int": (
+        lambda x, w, p: check_transform_rule_diff(x, "int", p, 0.0, 0.5),
+        2, _CAP + 1, 2, None,
+        {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory},
     ),
     "check_convolution_with_ic": (
         lambda x, w, p: check_convolution_with_ic(x, x, p, 0.0), 1.5, _CAP + 0.5, 2, None,
@@ -692,12 +699,12 @@ _ENTRY_POINTS = {
          "weight-base": GridMismatch, "weight-horizon": GridMismatch,
          "weight-history": InsufficientHistory},
     ),
-    # its difference rows read the weight as deep as the signal's history
+    # its residual's (K+1)-th difference reads the weight down to offset -K
     "tempered_op_taylor_future": (
-        _zero_spec_form(tempered_op_taylor_future), 3, _CAP, 4, 4,
+        _zero_spec_form(tempered_op_taylor_future), 3, _CAP, 4, 3,
         {"over-cap": IntegerOrder, "history": InsufficientHistory,
          "weight-base": GridMismatch, "weight-horizon": GridMismatch,
-         "weight-history": GridMismatch},
+         "weight-history": InsufficientHistory},
     ),
     "taylor_series_initial": (
         _zero_spec_form(taylor_series_initial), 3, _CAP + 1, 4, 3,

@@ -94,7 +94,7 @@ def test_weight_zero_rejected_anywhere():
     with pytest.raises(ZeroWeight):
         make_weight(g, fn=lambda k: k)  # zero at k = 0
     with pytest.raises(ZeroWeight):
-        make_weight(g, values=[1.0, 1.0, 1e-310, 1.0, 1.0])
+        Weight(g, [1.0, 1.0, 1e-310, 1.0, 1.0])
 
 
 def test_weight_rejection_names_the_horizon_cap():

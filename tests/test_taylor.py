@@ -210,6 +210,21 @@ def test_op_taylor_future_matches_direct():
             assert dev < 1e-10, (wname, kind, order, dev)
 
 
+def test_evaluation_point_forms_read_a_weight_shallower_than_the_signal():
+    # the difference rows stop at the shallower of the two histories, so
+    # the weight needs only what the series and the residual read
+    x = preset_signal("sin10k", Grid(0.0, 4, 6))
+    spec = OperatorSpec(OperatorKind.CAPUTO, 1.5, make_weight(Grid(0.0, 2, 6), rate=-0.1))
+    direct = apply_operator(x, spec).body
+    assert np.max(np.abs(tempered_op_taylor_current(x, spec).body - direct)) < 1e-12
+    # the residual's 4th difference reads the weight down to offset -3
+    with pytest.raises(InsufficientHistory, match="down to offset -3"):
+        tempered_op_taylor_future(x, spec, 3)
+    spec = OperatorSpec(OperatorKind.CAPUTO, 1.5, make_weight(Grid(0.0, 3, 6), rate=-0.1))
+    direct = apply_operator(x, spec).body
+    assert np.max(np.abs(tempered_op_taylor_future(x, spec, 3).body - direct)) < 1e-12
+
+
 @pytest.mark.parametrize("wname", ["one", "case3", "exp:-1", "case4"])
 @pytest.mark.parametrize("order", [1.0, 2.0, 3.0])
 def test_op_taylor_future_exact_at_integer_orders(wname, order):
