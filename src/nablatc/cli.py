@@ -16,6 +16,11 @@ unwritable outputs, grids too large to allocate), 3 numeric errors.
 directory that the command makes with its parents, like ``mkdir -p``.
 Output files are written atomically; identical configurations and seeds
 produce byte-identical outputs.
+
+``verify`` runs its groups in this process and, on Linux with more than
+one CPU and more than one group selected, in forked children (see
+``suite.run_suite``): the report is the same bytes either way, and each
+group's stderr line gives its wall time inside the process that ran it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -58,7 +62,7 @@ from .signals import (
     read_weight_csv,
     write_signal_csv,
 )
-from .suite import reports_to_json_dict, resolve_tolerance_scale, run_suite, select_groups
+from .suite import _run_groups, reports_to_json_dict, resolve_tolerance_scale, select_groups
 from .taylor import (
     tempered_op_taylor_current,
     tempered_op_taylor_future,
@@ -179,12 +183,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--only {args.only!r} matched no identity group")
     reports = []
     lines = []
-    for _, name, _ in selected:
-        start = time.perf_counter()
-        group = run_suite(
-            seed=args.seed, perturb=args.perturb, tolerance_scale=scale, groups=(name,)
-        )
-        lines.append(_group_line(name, group, time.perf_counter() - start))
+    for name, group, seconds in _run_groups(selected, args.seed, args.perturb, scale):
+        lines.append(_group_line(name, group, seconds))
         reports += group
     payload = reports_to_json_dict(reports, args.seed, scale, args.perturb)
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -8,18 +8,25 @@ window (growth in that ratio multiplies the rounding envelope), and
 evaluation-point expansions pair signals and weights whose weighted
 differences do not explode.
 
-Groups run in registry order with an independent deterministic stream per
-group, so filtering never changes the instances a group sees.
+Each group draws from an independent deterministic stream and reads no
+other group's results, so filtering never changes the instances a group
+sees, and the groups of one pass can run in forked processes: the reports
+come back in registry order whichever process ran them.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import sys
+import threading
+import time
+import warnings
 from dataclasses import replace
 from functools import partial
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -580,6 +587,142 @@ def select_groups(
     return selected
 
 
+def _run_group(
+    seed: int, entry: tuple[int, str, Callable], ts: float
+) -> tuple[list[IdentityReport], float]:
+    """The reports of one :func:`select_groups` entry, and its wall seconds."""
+    index, name, runner = entry
+    start = time.perf_counter()
+    reports = runner(np.random.default_rng([seed, index]), ts)
+    for r in reports:
+        # every report is new from this call's runner, with a params dict
+        # of its own, so the group key goes in last, in place
+        r.params.setdefault("group", name)
+    return reports, time.perf_counter() - start
+
+
+def _processes(selected: list) -> int:
+    """How many processes share a pass over ``selected``, the caller
+    included: one per CPU this process may run on, up to one per group.
+
+    A fork copies only the calling thread, so while any other Python
+    thread is alive (it may hold a lock the child would wait on forever)
+    the pass stays in-process, as it does off Linux.
+    """
+    if sys.platform != "linux" or len(selected) < 2 or threading.active_count() != 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(selected))
+
+
+def _drain(queue: int, selected: list, seed: int, ts: float) -> dict:
+    """Run the groups whose positions in ``selected`` this process takes
+    from the work queue, one byte each, until the queue is empty or a group
+    raises; the groups that finished, by position."""
+    done = {}
+    try:
+        while pos := os.read(queue, 1):
+            done[pos[0]] = _run_group(seed, selected[pos[0]], ts)
+    except Exception:
+        pass  # a group not returned is rerun in-process, where it raises
+    return done
+
+
+def _child(queue: int, sink: int, selected: list, seed: int, ts: float) -> NoReturn:
+    """A forked child's whole life: its share of the queue, pickled into
+    ``sink``.  It exits 0 only once every byte is written, and never
+    returns into the parent's stack (no atexit handlers, no stdio flush)."""
+    status = 1
+    try:
+        done = _drain(queue, selected, seed, ts)
+        with os.fdopen(sink, "wb") as out:
+            pickle.dump(done, out, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(selected: list, seed: int, ts: float, processes: int) -> dict:
+    """The groups of ``selected`` that this process and ``processes - 1``
+    forked children ran, by position, each with its wall seconds.
+
+    A group that raised, or whose child died, is missing.  Every child is
+    reaped before this returns or raises, and killed first if it raises.
+    """
+    queue, feed = os.pipe()
+    # one byte per position, handed out last first: the registry ends with
+    # its heaviest groups (laplace-rules, ml-solver), and the lighter ones
+    # it starts with then even out the processes' finishing times
+    os.write(feed, bytes(range(len(selected)))[::-1])
+    os.close(feed)
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    sent: dict[int, bytes] = {}
+    status: dict[int, int] = {}
+    try:
+        # text a buffer still holds would be written by every child too
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for _ in range(processes - 1):
+            result, sink = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns about any second OS thread, and
+                    # numpy's BLAS pool counts; raised as an error here, it
+                    # would leave a child that nothing reads
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(result)
+                os.close(sink)
+                break
+            if pid == 0:
+                _child(queue, sink, selected, seed, ts)
+            os.close(sink)
+            children[pid] = result
+        done = _drain(queue, selected, seed, ts)
+        # a full pass pickles to more than a pipe holds: read to EOF first
+        for pid, result in children.items():
+            with os.fdopen(result, "rb", closefd=False) as f:
+                sent[pid] = f.read()
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        for pid, result in children.items():
+            os.close(result)
+            status[pid] = os.waitpid(pid, 0)[1]
+    for pid, data in sent.items():
+        if status[pid] == 0:
+            done.update(pickle.loads(data))
+    return done
+
+
+def _run_groups(
+    selected: list, seed: int, perturb: float | None, ts: float
+) -> list[tuple[str, list[IdentityReport], float]]:
+    """``(name, reports, seconds)`` for every :func:`select_groups` entry in
+    ``selected``, in registry order, for a resolved tolerance scale ``ts``.
+
+    The groups run in this process and in forked children (see
+    :func:`_processes`), which inherit the fault injection through the
+    copied context.  Any group that no process returned runs again here,
+    in registry order, so a raising group surfaces exactly as in-process:
+    the earliest one wins, with its own class, message and traceback.
+    """
+    previous = set_fault_injection(perturb or 0.0)
+    try:
+        processes = _processes(selected)
+        done = _run_forked(selected, seed, ts, processes) if processes > 1 else {}
+        out = []
+        for pos, entry in enumerate(selected):
+            reports, seconds = done.get(pos) or _run_group(seed, entry, ts)
+            out.append((entry[1], reports, seconds))
+    finally:
+        set_fault_injection(previous)
+    return out
+
+
 def run_suite(
     seed: int = 0,
     only: str | None = None,
@@ -594,23 +737,14 @@ def run_suite(
     single-sum operator for the duration of the run, to demonstrate that
     the suite notices.  The tolerance scale defaults to the
     NT_TOLERANCE_SCALE environment variable (see
-    :func:`resolve_tolerance_scale`).
+    :func:`resolve_tolerance_scale`).  On Linux the groups are spread over
+    forked processes, one per available CPU; the reports and their order
+    are those of a pass in one process.
     """
     tolerance_scale = resolve_tolerance_scale(tolerance_scale)
     selected = select_groups(only, groups)
-    reports: list[IdentityReport] = []
-    previous = set_fault_injection(perturb or 0.0)
-    try:
-        for index, name, runner in selected:
-            rng = np.random.default_rng([seed, index])
-            for r in runner(rng, tolerance_scale):
-                # every report is new from this call's runner, with a params
-                # dict of its own, so the group key goes in last, in place
-                r.params.setdefault("group", name)
-                reports.append(r)
-    finally:
-        set_fault_injection(previous)
-    return reports
+    ran = _run_groups(selected, seed, perturb, tolerance_scale)
+    return [r for _, reports, _ in ran for r in reports]
 
 
 def reports_to_json_dict(

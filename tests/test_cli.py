@@ -177,6 +177,23 @@ def test_verify_prints_one_summary_line_per_group(tmp_path, capsys):
     assert open(out).read() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "forked"])
+def test_verify_numeric_error_is_the_first_groups(tmp_path, capfd, monkeypatch, cpus):
+    # every group overflows under this fault; a child's errors rerun in
+    # this process, where registry order picks the first group's, and no
+    # child writes to the terminal
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--perturb", "1e308", "--out", str(out)]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "nt: numeric error: signal contains non-finite samples from lattice offset 2: "
+        "this signal admits a horizon of at most 1 from its base point\n"
+    )
+    assert not out.exists()
+
+
 def test_verify_unknown_only_is_config_error(tmp_path):
     assert run(["verify", "--only", "bogus-identity", "--out",
                 str(tmp_path / "r.json")]) == 2
