@@ -47,7 +47,6 @@ from .operators import (
     _stage,
     apply_operator,
     caputo_tempered,
-    check_order,
     gl_tempered,
     rl_tempered,
 )
@@ -116,13 +115,11 @@ def _load_weight(args: argparse.Namespace, grid: Grid) -> Weight:
 
 
 def _history(args: argparse.Namespace, kind: OperatorKind) -> int:
-    """``--history``, checked ``--order`` first (the stage check leaves a
-    single-sum order alone); without it, what ``kind`` reads below the
-    base: the integer stage ceil(order), none for the single-sum form."""
-    check_order(kind, args.order)
-    if args.history is not None:
-        return args.history
-    return _stage(kind, args.order, None, None)
+    """``--history``, checked ``--order`` first; without it, what ``kind``
+    reads below the base: the integer stage ceil(order), none for the
+    single-sum form."""
+    n = _stage(kind, args.order, None, None)
+    return n if args.history is None else args.history
 
 
 def _load_spec(args: argparse.Namespace) -> tuple[Signal, OperatorSpec]:

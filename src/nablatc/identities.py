@@ -35,7 +35,6 @@ from .operators import (
     apply_operator,
     causal_sum,
     caputo_tempered,
-    check_order,
     gl_tempered,
     nabla_at,
     nabla_n_tempered,
@@ -147,14 +146,14 @@ class IdentityReport:
 class RowCheck(NamedTuple):
     """A core checker as two steps.
 
-    ``prep(x, w, *args)`` validates one instance as its one-row call would
-    and returns ``(orders, stages, params)``: its real orders (stacked into
-    one array each), its integer stages (shared by every row of a stack)
-    and its report params.  ``body(x, w, h, N, *orders, *stages)`` runs on
-    the values of x and w at offsets ``-h..N``, one row or a stack of rows
-    zero-padded past each row's own N (w padded with ones), and returns
-    ``(identity_id, devs, first)`` with ``devs[..., j]`` at offset
-    ``first + j``.
+    ``prep(x, w, *args)`` validates one instance and returns
+    ``(orders, stages, params)``: its real orders (stacked into one array
+    each), its integer stages (shared by every row of a stack) and its
+    report params.  ``body(x, w, h, N, *orders, *stages)`` runs on a stack
+    of rows, the values of x and w at offsets ``-h..N``, zero-padded past
+    each row's own N (w padded with ones), with ``N`` one horizon per row,
+    and returns ``(identity_id, devs, first)`` with ``devs[..., j]`` at
+    offset ``first + j``.
     """
 
     prep: Callable
@@ -163,7 +162,8 @@ class RowCheck(NamedTuple):
 
 def run_rows(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[IdentityReport]:
     """The reports of ``check`` on each ``(x, w, *args)`` of ``rows``, in
-    order, each equal to the one-row call on that instance bit for bit.
+    order, each equal to the call on that instance alone (a stack of one)
+    bit for bit.
 
     Rows that share their history and integer stages run as one stack, so
     each side of the identity runs once per stack through its own stage
@@ -176,39 +176,19 @@ def run_rows(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[Identit
             return _stacked(check, rows, tol)
         except Exception:
             # whatever failed (a later row's validation, a non-finite
-            # stage, a numpy warning raised as an error), the one-row calls
+            # stage, a numpy warning raised as an error), the stacks of one
             # below raise what the first failing row raises alone
             pass
-    return [_one_row(check, row, tol) for row in rows]
-
-
-def _lattice(x: Signal, w: Weight) -> tuple[np.ndarray, np.ndarray, int]:
-    """The values of x and w at offsets ``-h..N`` of x's grid, with ``h``
-    the longer of the two histories; below its own history x reads 0 and w
-    reads 1, entries that a validated instance never reads."""
-    if w.grid == x.grid:
-        return x.values, w.values, x.grid.history
-    h, N = max(x.grid.history, w.grid.history), x.grid.horizon
-    xv = np.zeros(h + 1 + N)
-    xv[h - x.grid.history :] = x.values
-    wv = np.ones(h + 1 + N)
-    wv[h - w.grid.history :] = w.window(-w.grid.history, N)
-    return xv, wv, h
-
-
-def _one_row(check: RowCheck, row: tuple, tol: float) -> IdentityReport:
-    x, w, *args = row
-    orders, stages, params = check.prep(x, w, *args)
-    xv, wv, h = _lattice(x, w)
-    ident, devs, first = check.body(xv, wv, h, x.grid.horizon, *orders, *stages)
-    return IdentityReport.from_devs(ident, devs, x.grid.a + first, tol, params)
+    return [_stacked(check, [row], tol)[0] for row in rows]
 
 
 def _stacked(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[IdentityReport]:
     preps = [check.prep(x, w, *args) for x, w, *args in rows]
-    lattices = [_lattice(x, w) for x, w, *_ in rows]
     stacks: dict[tuple, list[int]] = {}
-    for r, (prep, (_, _, h)) in enumerate(zip(preps, lattices)):
+    for r, ((xr, wr, *_), prep) in enumerate(zip(rows, preps)):
+        # the longer history: below its own, x reads 0 and w reads 1,
+        # entries that a validated instance never reads
+        h = max(xr.grid.history, wr.grid.history)
         stacks.setdefault((h, prep[1]), []).append(r)
     reports: list = [None] * len(rows)
     for (h, stages), members in stacks.items():
@@ -216,9 +196,10 @@ def _stacked(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[Identit
         x = np.zeros((len(members), h + 1 + int(N.max())))
         w = np.ones(x.shape)
         for j, r in enumerate(members):
-            xv, wv, _ = lattices[r]
-            x[j, : len(xv)] = xv
-            w[j, : len(wv)] = wv
+            xr, wr, *_ = rows[r]
+            n = xr.grid.horizon
+            x[j, h - xr.grid.history : h + 1 + n] = xr.values
+            w[j, h - wr.grid.history : h + 1 + n] = wr.window(-wr.grid.history, n)
         orders = [np.array(col) for col in zip(*(preps[r][0] for r in members))]
         ident, devs, first = check.body(x, w, h, N, *orders, *stages)
         for j, r in enumerate(members):
@@ -228,11 +209,9 @@ def _stacked(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[Identit
     return reports
 
 
-def _gamma_rows(q, d, N) -> np.ndarray:
-    """``rising_over_gamma_row(q, d, N)``, or for arrays ``q``, ``d`` and
-    ``N`` one such row per entry, zero past its own N."""
-    if np.ndim(N) == 0:
-        return rising_over_gamma_row(q, d, N)
+def _gamma_rows(q: np.ndarray, d: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """``rising_over_gamma_row(q[r], d[r], N[r])`` for each row r, zero
+    past its own N."""
     rows = np.zeros((len(N), int(N.max())))
     for r, (qr, dr, nr) in enumerate(zip(q.tolist(), d.tolist(), N.tolist())):
         rows[r, :nr] = rising_over_gamma_row(qr, dr, nr)
@@ -299,7 +278,6 @@ def check_rl_caputo_correction(
 
 def _sum_composition_prep(x, w, alpha):
     # a finite order; integer ones are admitted, so n is ceil(alpha) itself
-    check_order(OperatorKind.GL, alpha)
     _stage(OperatorKind.GL, -alpha, x.grid, w)
     # the n-th difference of an operator output
     n = _stage(OperatorKind.INTEGER_NABLA, math.ceil(alpha), None, w)

@@ -226,12 +226,17 @@ def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     one sequence per output row (a 1-D one is shared by every row):
     ``out[r, k] = sum_{i=0}^{k} c[r, i] z[r, k-i]``.  Both take the per-lag
     loop, one 2-D multiply and add per lag for every row at once, so each
-    row equals the 1-D call with that row bit for bit.  Output ``k`` of a
+    row equals the 1-D call with that row bit for bit; a stack of one row
+    is that 1-D call.  Output ``k`` of a
     row reads its lags ``i <= k`` only, so entries of ``c`` or ``z`` past
     a row's own length (stacked rows of different lengths, zero-padded)
     never reach that row's first outputs.
     """
-    if c.ndim > 1 or z.ndim > 1 or _EINSUM_FUSES or not np.isfinite(c[: len(z)]).all():
+    if c.ndim > 1 or z.ndim > 1:
+        if np.broadcast_shapes(c.shape[:-1], z.shape[:-1]) == (1,):
+            return causal_sum(c.reshape(-1), z.reshape(-1))[None]
+        return _causal_sum_by_lag(c, z)
+    if _EINSUM_FUSES or not np.isfinite(c[: len(z)]).all():
         return _causal_sum_by_lag(c, z)
     return _causal_sum_tiled(c, z)
 
@@ -317,15 +322,18 @@ def tempered_diff_rows(x: Signal, w: Weight, max_order: int) -> np.ndarray:
     ``rows[i, m-1]`` is ``nabla^i z`` at offset m, for i in 0..max_order and
     m in 1..N; entries that would read below the shorter of the two stored
     histories are NaN.  Values are in the weighted domain (not divided by
-    ``w``).
+    ``w``); one that overflows is non-finite, without a numpy warning, and
+    the caller's output rejects it.
     """
-    h, N = min(x.grid.history, w.grid.history), x.grid.horizon
+    # no entry reads below offset 1 - max_order
+    h, N = min(x.grid.history, w.grid.history, max_order), x.grid.horizon
     cur = w.window(-h, N) * x.window(-h, N)  # row i starts at offset i - h
     rows = np.full((max_order + 1, N), np.nan)
-    for i in range(max_order + 1):
-        lo = max(0, i - h - 1)  # first window index whose lags are stored
-        rows[i, lo:] = cur[lo + 1 + h - i :]
-        cur = cur[1:] - cur[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(max_order + 1):
+            lo = max(0, i - h - 1)  # first window index whose lags are stored
+            rows[i, lo:] = cur[lo + 1 + h - i :]
+            cur = cur[1:] - cur[:-1]
     return rows
 
 
@@ -340,20 +348,20 @@ def _stage(
     ``lowest_offset`` on, once these checks pass (the first to fail raises):
 
     1. the order, by :func:`check_order`: n is ceil(order) for an operator
-       ``kind``, and the order itself, which may also be 0, for a pointwise
-       difference (``kind`` None); GL has stage 0 and leaves its order to
-       :func:`gl_coefficients`;
+       ``kind`` (0 for GL, whose order only needs to be finite), and the
+       order itself, which may also be 0, for a pointwise difference
+       (``kind`` None);
     2. the history of the signal on ``grid``, unless None (an operator
        output is zero below its base): n points for an operator, one more
        than its difference reads, and what it reads for a pointwise one;
     3. the weight ``w``, unless None: the base point and horizon of
        ``grid`` (of its own grid when None), and history down to offset
        ``lowest_offset - n``."""
+    if kind or order != 0:
+        check_order(kind or OperatorKind.INTEGER_NABLA, order)
     if kind is OperatorKind.GL:
         n = need = 0
     else:
-        if kind or order != 0:
-            check_order(kind or OperatorKind.INTEGER_NABLA, order)
         n = math.ceil(order)
         need = n if kind else n - lowest_offset
     if grid is not None and grid.history < need:
@@ -401,8 +409,8 @@ def _stencil(z: np.ndarray, n: int) -> np.ndarray:
 def _settled(body: np.ndarray) -> np.ndarray:
     """``body``, a stage's values at offsets 1..N, once they are finite:
     else the :class:`NonFiniteSample` that its output signal would raise,
-    naming the first bad offset of one row (a stack of rows reruns one row
-    at a time, so its own message is never shown)."""
+    naming the first bad offset of a single row or a stack of one (a larger
+    stack reruns as stacks of one, so its own message is never shown)."""
     _require_finite(body, 1)
     return body
 
@@ -475,13 +483,10 @@ def _output(grid_a: float, horizon: int, body: np.ndarray) -> Signal:
 
 
 def nabla_n(x: Signal, n: int) -> Signal:
-    """n-th backward difference ``sum_i (-1)^i C(n,i) x(k-i)`` on the window."""
-    n = _stage(OperatorKind.INTEGER_NABLA, n, x.grid, None)
-    N = x.grid.horizon
-    # an overflowing sum makes a non-finite sample, which Signal rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _stencil(x.window(1 - n, N), n)
-    return _output(x.grid.a, N, out)
+    """n-th backward difference ``sum_i (-1)^i C(n,i) x(k-i)`` on the window:
+    :func:`nabla_n_tempered` under a unit weight, whose products ``1·x``
+    and closing division by 1 are exact."""
+    return nabla_n_tempered(x, n, Weight._adopt(x.grid, np.ones(x.grid.npoints)))
 
 
 def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
@@ -609,10 +614,11 @@ def rl_tempered_at_base(x: Signal, beta: float, w: Weight) -> float:
     the base point, so the closing integer difference combines only zeros:
     the initial value vanishes identically under this calculus's
     conventions.  Kept as a function so identity checkers evaluate the
-    convention instead of assuming it.
+    convention instead of assuming it.  A non-finite or integer order
+    raises :class:`IntegerOrder`.
     """
-    if beta == math.floor(beta):
-        raise IntegerOrder(f"fractional initial value needs non-integer order, got {beta}")
+    if not math.isfinite(beta) or beta == math.floor(beta):
+        raise IntegerOrder(f"initial value needs a finite non-integer order, got {beta}")
     return 0.0
 
 

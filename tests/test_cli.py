@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,6 +476,30 @@ def test_laplace_nonfinite_transform_is_numeric_error(capsys):
     assert captured.err.count("\n") == 1
 
 
+def _exits_cleanly(argv, env=None):
+    """Run ``nt argv`` in this process, with ``env`` added to the
+    environment, and check how it ended: exit 0 (or 1, ``verify``'s failed
+    checks), or exit 2 or 3 with exactly one ``nt: ...`` line on stderr, and
+    no warning either way.  A traceback surfaces as an uncaught exception."""
+    err = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ, env or {}))
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        stack.enter_context(contextlib.redirect_stderr(err))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejected an option
+            code = exc.code
+    assert not caught, [str(w.message) for w in caught]
+    if code in (2, 3):
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("nt: "), lines
+    else:
+        assert code == 0 or (code == 1 and argv[0] == "verify"), code
+
+
 orders = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.floats(min_value=-8.0, max_value=8.0),
@@ -492,7 +519,6 @@ orders = st.one_of(
 @example("taylor", "caputo", 1029.5)
 @example("laplace", "int", 1e6)
 def test_any_order_exits_cleanly(command, kind, order):
-    # runs in-process: a traceback would surface here as an uncaught exception
     with tempfile.TemporaryDirectory() as tmp:
         if command == "laplace":
             rule = "gl" if kind == "nabla" else kind
@@ -502,7 +528,96 @@ def test_any_order_exits_cleanly(command, kind, order):
             kind = "nabla" if kind == "int" else kind
             argv = [command, "--kind", kind, "--signal", "sin10k", "--N", "8",
                     "--out", os.path.join(tmp, "out.csv")]
-        assert run([*argv, f"--order={order!r}"]) in (0, 2, 3)
+        _exits_cleanly([*argv, f"--order={order!r}"])
+
+
+#: NaN, infinities, signed zeros, subnormal, tiny and huge values, and any
+#: float at all
+numbers = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, -1e-300,
+                     1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(min_value=-8.0, max_value=8.0),
+    st.floats(),
+)
+#: each number a command reads -> values it runs on; a case draws some of
+#: them from ``numbers`` instead
+TAME = {
+    "a": st.floats(-100.0, 100.0),
+    "order": st.sampled_from([0.5, 1.5, 2.0, -0.5]),
+    "alpha": st.floats(0.05, 0.95),
+    "mu": st.floats(-2.0, 0.5),
+    "x0": st.floats(-10.0, 10.0),
+    "s-re": st.floats(0.6, 1.4),
+    "s-im": st.floats(-0.3, 0.3),
+    "lambda": st.floats(-0.5, 0.5),
+    "perturb": st.floats(-1e-3, 1e-3),
+    "NT_TOLERANCE_SCALE": st.floats(0.1, 10.0),
+    "signal": st.floats(0.1, 2.0),  # the geom: ratio or a poly: coefficient
+    "weight": st.floats(-0.5, 0.5),  # the exp: rate
+}
+#: command -> the numbers of ``TAME`` that it reads
+READS = {
+    "eval": ("a", "order", "signal", "weight"),
+    "taylor": ("a", "order", "signal", "weight"),
+    "solve": ("a", "alpha", "mu", "x0", "weight"),
+    "laplace": ("a", "order", "s-re", "s-im", "lambda", "signal"),
+    "verify": ("perturb", "NT_TOLERANCE_SCALE"),
+}
+#: groups that --only selects alone, so that verify runs in this process
+ONE_GROUP = ("gl-rl-agree", "integer-defect", "uniform-convergence", "convolution")
+
+
+@st.composite
+def cli_cases(draw, tmp):
+    """``(argv, env)`` of one nt command: some of the numbers it reads come
+    from ``numbers``, and its sizes from ranges that allocate nothing large
+    (``verify`` runs one group, in this process)."""
+    command = draw(st.sampled_from(sorted(READS)))
+    wild = draw(st.sets(st.sampled_from(READS[command])))
+
+    def num(name):
+        return repr(draw(numbers if name in wild else TAME[name]))
+
+    def opt(name):
+        return f"--{name}={num(name)}"
+
+    out = ["--out", os.path.join(tmp, "out")]
+    if command == "verify":
+        group = draw(st.sampled_from(ONE_GROUP))
+        argv = ["verify", "--only", group, f"--seed={draw(st.integers(0, 3))}", *out]
+        return [*argv, opt("perturb")], {"NT_TOLERANCE_SCALE": num("NT_TOLERANCE_SCALE")}
+    form = draw(st.sampled_from(["one", "case1", "case2", "case3", "case4", "halfgeom", "exp"]))
+    weight = f"exp:{num('weight')}" if form == "exp" else form
+    N = f"--N={draw(st.integers(1, 48 if command == 'taylor' else 2000))}"
+    if command == "solve":
+        return ["solve", *map(opt, ("alpha", "mu", "x0", "a")), N, "--weight", weight, *out], {}
+    form = draw(st.sampled_from(["sin10k", "geom", "poly"]))
+    if form == "poly":
+        signal = "poly:" + ",".join(num("signal") for _ in range(draw(st.integers(1, 3))))
+    else:
+        signal = f"geom:{num('signal')}" if form == "geom" else form
+    argv = [command, "--signal", signal, opt("a"), opt("order"), N]
+    if draw(st.booleans()):
+        argv.append(f"--history={draw(st.integers(0, 3000))}")
+    if command == "laplace":
+        rule = draw(st.sampled_from([None, "gl", "rl", "caputo", "int"]))
+        argv += [opt("s-re"), opt("s-im")]
+        argv += [] if rule is None else ["--rule", rule]
+        return argv + ([opt("lambda")] if rule or draw(st.booleans()) else []), {}
+    kind = draw(st.sampled_from(["gl", "rl", "caputo", "nabla"]))
+    argv += ["--kind", kind, "--weight", weight, *out]
+    if command == "taylor":
+        rep = draw(st.sampled_from(["initial", "current", "future"]))
+        argv += ["--rep", rep, f"--degree={draw(st.integers(0, 1100))}"]
+    return argv, {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_option_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, env = data.draw(cli_cases(tmp))
+        _exits_cleanly(argv, env)
 
 
 @pytest.mark.parametrize(
@@ -654,6 +769,9 @@ def test_huge_order_prints_one_error_line(tmp_path):
         (["--rep", "future", "--degree", "5000"], 2),
         (["--rep", "initial", "--degree", "200"], 0),
         (["--rep", "future", "--degree", "400"], 0),
+        # the differences read only the history the degree needs, not the
+        # weight's 2^1001 at offset -1001, whose differences overflow
+        (["--rep", "future", "--degree", "43", "--history", "1001", "--weight", "halfgeom"], 0),
     ],
 )
 def test_taylor_degree_prints_no_warning(tmp_path, capsys, argv, code):

@@ -18,8 +18,14 @@ from nablatc.identities import (
     check_sum_composition,
     check_sum_of_difference,
     check_taylor_remainder_forms,
+    check_uniform_convergence_exchange,
 )
-from nablatc.laplace import check_convolution_with_ic, check_transform_rule_diff
+from nablatc.laplace import (
+    check_convolution_commutation,
+    check_convolution_with_ic,
+    check_transform_rule_diff,
+    check_transform_rule_gl,
+)
 from nablatc.operators import (
     MAX_INTEGER_STAGE,
     InsufficientHistory,
@@ -34,6 +40,7 @@ from nablatc.operators import (
     nabla_n_tempered,
     nabla_n_tempered_at,
     rl_tempered,
+    rl_tempered_at_base,
     set_fault_injection,
 )
 from nablatc.presets import preset_weight
@@ -524,6 +531,15 @@ def test_rl_caputo_overflow_errors_match_their_composition(kind, alpha, x_fn, wn
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 2.0, -1.0])
+def test_rl_initial_value_needs_finite_non_integer_order(beta):
+    # a non-finite order is no order at all, not a math.floor error
+    x = grid_and_signal(math.sin)
+    with pytest.raises(IntegerOrder):
+        rl_tempered_at_base(x, beta, ones_weight(x.grid))
+    assert rl_tempered_at_base(x, 1.5, ones_weight(x.grid)) == 0.0
+
+
 def test_operator_outputs_are_read_only():
     x = grid_and_signal(lambda k: math.sin(10 * k), history=2)
     w = make_weight(x.grid, rate=-0.1)
@@ -557,7 +573,7 @@ def _zero_spec_form(form, order=1.5):
 _ENTRY_POINTS = {
     "gl_tempered": (
         lambda x, w, p: gl_tempered(x, p, w), 0.5, None, 0, 0,
-        {"nan": NonFiniteSample, "weight-base": GridMismatch, "weight-horizon": GridMismatch},
+        {"nan": IntegerOrder, "weight-base": GridMismatch, "weight-horizon": GridMismatch},
     ),
     "rl_tempered": (
         lambda x, w, p: rl_tempered(x, p, w), 1.5, _CAP + 0.5, 2, 1,
@@ -677,6 +693,19 @@ _ENTRY_POINTS = {
     "check_convolution_with_ic": (
         lambda x, w, p: check_convolution_with_ic(x, x, p, 0.0), 1.5, _CAP + 0.5, 2, None,
         {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory},
+    ),
+    # single-sum checkers: any finite order, no history below the base
+    "check_uniform_convergence_exchange": (
+        lambda x, w, p: check_uniform_convergence_exchange([x], x, p, w), 0.5, None, 0, 0,
+        {"nan": IntegerOrder, "weight-base": GridMismatch, "weight-horizon": GridMismatch},
+    ),
+    "check_convolution_commutation": (
+        lambda x, w, p: check_convolution_commutation(x, x, p, 0.0), 0.5, None, 0, None,
+        {"nan": IntegerOrder},
+    ),
+    "check_transform_rule_gl": (
+        lambda x, w, p: check_transform_rule_gl(x, p, 0.0, 0.5), 0.5, None, 0, None,
+        {"nan": IntegerOrder},
     ),
     # the forms below take p as their degree, except the evaluation-point
     # form, which has none and takes it as the order of its spec
