@@ -721,13 +721,13 @@ def _leibniz_rhs(f: Signal, g: Signal, spec: OperatorSpec) -> np.ndarray:
     if kind is OperatorKind.CAPUTO:
         n = spec.n
         ratio = _base_ratio(w.window(0, N))
+        basis = [rising_over_gamma_row(i - alpha, i - alpha + 1, N) for i in range(n)]
         r_term = np.zeros(N)
         for j in range(n):
+            dfj = nabla_n_tempered_at(f, j, w, 0)
             for i in range(j, n):
-                dfj = nabla_n_tempered_at(f, j, w, 0)
                 dg = nabla_at(g, i - j, -j)
-                basis = rising_over_gamma_row(i - alpha, i - alpha + 1, N)
-                r_term += math.comb(i, j) * basis * ratio * (dfj * dg)
+                r_term += math.comb(i, j) * basis[i] * ratio * (dfj * dg)
         rhs = rhs - r_term
     return rhs
 

@@ -105,11 +105,11 @@ def _gamma_ratio3(num: float, den1: float, den2: float) -> float:
 
 def _check_resolved(q: float, d: float) -> None:
     # from 2**53 on, m + q rounds the unit shift m away, and every base of
-    # a row would give 1/Gamma(d)
-    if abs(q) >= 2.0**53 or abs(d) >= 2.0**53:
+    # a row would give 1/Gamma(d); a NaN fails the comparison too
+    if not (abs(q) < 2.0**53 and abs(d) < 2.0**53):
         raise DomainError(
-            f"Gamma-ratio arguments q = {q!r}, d = {d!r} are past 2**53 in "
-            "magnitude, where binary64 no longer resolves unit shifts"
+            f"Gamma-ratio arguments q = {q!r}, d = {d!r} are NaN or past 2**53 "
+            "in magnitude, where binary64 no longer resolves unit shifts"
         )
 
 
@@ -124,12 +124,15 @@ def rising_over_gamma(p: int, q: float, denom: float) -> float:
     operator identities rely on.
 
     Raises:
-        DomainError: when the numerator sits at an unresolvable pole, when
-            ``|q|`` or ``|denom|`` is 2**53 or more (or infinite), or when
-            the ratio overflows binary64.
+        DomainError: when the base is not an integer below 2**53 in
+            magnitude (NaN and infinities included), when the numerator
+            sits at an unresolvable pole, when ``q`` or ``denom`` is NaN or
+            2**53 or more in magnitude (or infinite), or when the ratio
+            overflows binary64.
     """
-    if p != int(p):
-        raise DomainError(f"rising function base must be an integer, got {p}")
+    # a NaN fails the comparison; a Python int past binary64 compares exactly
+    if not (abs(p) < 2.0**53 and float(p).is_integer()):
+        raise DomainError(f"rising function base must be an integer below 2**53, got {p}")
     _check_resolved(q, denom)
     return _gamma_ratio3(int(p) + q, float(int(p)), denom)
 
@@ -164,18 +167,14 @@ def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
     ``floor(m+q)`` and of ``floor(d)``, so the row is bit-identical to the
     per-point values (``lgamma(m)`` comes from one shared table of the same
     ``math.lgamma`` values).  A row holding a pole (some ``m+q`` or ``d`` a
-    nonpositive integer) or a NaN argument takes the per-point path and its
-    cancellation rules; ``|q|`` or ``|d|`` of 2**53 or more, or a value
-    past binary64, raises :class:`DomainError`, as the per-point function
-    does.
+    nonpositive integer) takes the per-point path and its cancellation
+    rules; a NaN ``q`` or ``d``, ``|q|`` or ``|d|`` of 2**53 or more, or a
+    value past binary64, raises :class:`DomainError`, as the per-point
+    function does.
     """
     _check_resolved(q, d)
     num = np.arange(1, N + 1) + q
-    if (
-        not (math.isfinite(q) and math.isfinite(d))
-        or _is_nonpositive_integer(d)
-        or ((num <= 0.0) & (num == np.floor(num))).any()
-    ):
+    if _is_nonpositive_integer(d) or ((num <= 0.0) & (num == np.floor(num))).any():
         return np.array([rising_over_gamma(m, q, d) for m in range(1, N + 1)])
     n = len(num)
     ln = np.fromiter(map(math.lgamma, num.tolist()), np.float64, n)

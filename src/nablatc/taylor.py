@@ -26,6 +26,7 @@ from .operators import (
     _signed_binomials,
     _stage,
     apply_operator,
+    causal_dot,
     causal_sum,
     initial_value_terms,
     nabla_at,
@@ -262,30 +263,25 @@ def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
 
 
 def _future_residual(wv: np.ndarray, kern_d: float, kdeg: int) -> np.ndarray:
-    """Residual of the future-instant form at offsets m = 1..N:
+    """Residual of the future-instant form at offsets m = 1..N, its double
+    sum over io and jo taken in exchanged order:
 
-        res(m) = sum_{io=2}^{m} wv(io) sum_{jo=2}^{io-kdeg} kern(m-jo+2) B(io-jo)
+        res(m) = sum_{jo=2}^{m-kdeg} kern(m-jo+2) G_m(jo),
+        G_m(jo) = sum_{io=jo+kdeg}^{m} wv(io) B(io-jo)
 
     with ``wv(io) = wv[io-1]``, the lag-window kernel
     ``kern(p) = p^(kern_d - 1)/Gamma(kern_d)`` and ``B(t) = (-1)^kdeg C(t, kdeg)``.
-    Both sums run in ascending order from 0.0, as the written-out loops do.
-    The kernel is one Gamma-ratio row and B one binomial row; the inner
-    sums are one 2-D pass per jo, the outer sum one pass per io.
+    ``G_m(jo)`` is ``G_{m-1}(jo) + wv(m) B(m-jo)``, from 0.0: one pass per m
+    extends it, and one :func:`causal_dot` adds res(m) in ascending jo.
     """
     N = len(wv)
-    kern = np.zeros(N + 1)  # kern[p] at base p = 1..N
-    kern[1:] = rising_over_gamma_row(kern_d - 1.0, kern_d, N)
-    bvals = np.zeros(N + 1)  # bvals[t] for t = kdeg..N
-    bvals[kdeg:] = [(-1.0) ** kdeg * math.comb(t, kdeg) for t in range(kdeg, N + 1)]
-    # inner[m, io] for outputs m and inner offsets io, both 0..N: pass jo
-    # adds its term wherever io >= lo = jo + kdeg (and m >= lo); only the
-    # entries with m >= io are read
-    inner = np.zeros((N + 1, N + 1))
-    for jo in range(2, N - kdeg + 1):
-        lo = jo + kdeg
-        terms = np.multiply.outer(kern[kdeg + 2 : N - jo + 3], bvals[kdeg : N - jo + 1])
-        inner[lo:, lo:] += terms
-    res = np.zeros(N + 1)
-    for io in range(2, N + 1):
-        res[io:] += wv[io - 1] * inner[io:, io]
-    return res[1:]
+    kern = rising_over_gamma_row(kern_d - 1.0, kern_d, N)  # kern[p-1] = kern(p)
+    # bvals[t-kdeg] = B(t) and g[jo-2] = G_m(jo), for the jo that reach N
+    bvals = np.array([(-1.0) ** kdeg * math.comb(t, kdeg) for t in range(kdeg, N - 1)])
+    g = np.zeros(len(bvals))
+    res = np.zeros(N)
+    for m in range(kdeg + 2, N + 1):
+        n = m - kdeg - 1  # jo = 2..m-kdeg, so t = m-jo runs from m-2 down to kdeg
+        g[:n] += wv[m - 1] * bvals[n - 1 :: -1]
+        res[m - 1] = causal_dot(g, kern[kdeg + 1 : m])
+    return res

@@ -13,7 +13,10 @@ the per-point Gamma-ratio row and the list-built lattice sampler are frozen
 copies of the one-call-per-point versions that the library's one-pass row
 and sampler replace, and the per-term loops of the Taylor forms, the
 product rule and the suite's instance signals are frozen copies of the
-loops that the library's row passes replace.  The same holds for the
+loops that the library's row passes replace.  The future-instant form's
+residual has two loops: its double sum as written, the reference the
+library is held to within a rounding bound, and the same sum exchanged,
+which the library follows byte for byte.  The same holds for the
 per-point tempered integer difference, the base-point reconstruction with
 one pointwise difference per point, and the initial-value series as the
 identity checkers wrote it inline, which the library's shared stencil and
@@ -293,9 +296,11 @@ def taylor_current_seq(x: Signal, spec: OperatorSpec) -> np.ndarray:
     return body
 
 
-def taylor_future_seq(x: Signal, spec: OperatorSpec, K: int) -> np.ndarray:
-    """Body of the evaluation-point expansion with its double-sum residual,
-    one Gamma ratio and one binomial per residual term."""
+def _future_parts_seq(x: Signal, spec: OperatorSpec, K: int):
+    """The future-instant form's point series at offsets 1..N, one Gamma
+    ratio per (m, i) term, and what its residual reads: ``wv = w v`` for
+    the (K+1)-th tempered difference v, the kernel's Gamma-ratio arguments
+    and the binomial degree."""
     kind, order, w = spec.kind, spec.order, spec.weight
     N = x.grid.horizon
     shift = spec.n if kind is OperatorKind.CAPUTO else 0
@@ -312,11 +317,18 @@ def taylor_future_seq(x: Signal, spec: OperatorSpec, K: int) -> np.ndarray:
                 * rows[i, m - 1]
             )
         body[m - 1] = acc / w.at(m)
-    kern_q, kern_d = shift - order - 1.0, shift - order
-    kdeg = K - shift
     v = nabla_n_tempered(x, K + 1, w)
     wv = w.window(1, N) * v.body
-    for m in range(1, N + 1):
+    return body, wv, shift - order - 1.0, shift - order, K - shift
+
+
+def taylor_future_seq(x: Signal, spec: OperatorSpec, K: int) -> np.ndarray:
+    """Body of the evaluation-point expansion with its double-sum residual
+    as written, outer sum over io, inner over jo, one Gamma ratio and one
+    binomial per residual term."""
+    w = spec.weight
+    body, wv, kern_q, kern_d, kdeg = _future_parts_seq(x, spec, K)
+    for m in range(1, len(body) + 1):
         res = 0.0
         for io in range(2, m + 1):
             s = 0.0
@@ -327,6 +339,26 @@ def taylor_future_seq(x: Signal, spec: OperatorSpec, K: int) -> np.ndarray:
                 bval = (-1.0) ** kdeg * math.comb(t, kdeg)
                 s += rising_over_gamma(m - jo + 2, kern_q, kern_d) * bval
             res += wv[io - 1] * s
+        body[m - 1] -= res / w.at(m)
+    return body
+
+
+def taylor_future_exchanged_seq(x: Signal, spec: OperatorSpec, K: int) -> np.ndarray:
+    """Body of the evaluation-point expansion with its double-sum residual
+    in exchanged order: at each m, first ``G(jo) += wv(m) B(m-jo)`` for every
+    jo, each G from 0.0, then ``res(m) = sum_jo kern(m-jo+2) G(jo)`` from
+    0.0, both in ascending jo = 2..m-kdeg; one Gamma ratio and one binomial
+    per term."""
+    w = spec.weight
+    body, wv, kern_q, kern_d, kdeg = _future_parts_seq(x, spec, K)
+    N = len(body)
+    g = [0.0] * (N + 1)  # g[jo]
+    for m in range(1, N + 1):
+        for jo in range(2, m - kdeg + 1):
+            g[jo] += wv[m - 1] * ((-1.0) ** kdeg * math.comb(m - jo, kdeg))
+        res = 0.0
+        for jo in range(2, m - kdeg + 1):
+            res += rising_over_gamma(m - jo + 2, kern_q, kern_d) * g[jo]
         body[m - 1] -= res / w.at(m)
     return body
 

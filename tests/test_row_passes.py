@@ -1,13 +1,15 @@
 """Byte equality of the row passes with the per-term loops they replace.
 
 The Taylor sweep, the evaluation-point roundtrip and form, the
-future-instant residual, the product-rule right-hand side, the suite's instance
-signals, the integer difference stencil, the base-point reconstruction and
-the initial-value series each add the same terms, in the same order, with
-the same roundings as the loops frozen in ``_sequential.py``; so do the vector-order
-``gl_coefficients`` and the 2-D ``causal_sum`` against their 1-D calls.
-Every comparison is on bytes.  The suite's own shapes are covered first,
-then drawn ones.
+future-instant residual (its sums exchanged), the product-rule right-hand
+side, the suite's instance signals, the integer difference stencil, the
+base-point reconstruction and the initial-value series each add the same
+terms, in the same order, with the same roundings as the loops frozen in
+``_sequential.py``; so do the vector-order ``gl_coefficients`` and the 2-D
+``causal_sum`` against their 1-D calls.
+Every comparison is on bytes, but one: the future-instant residual against
+its double sum as written, which it meets within a rounding bound.  The
+suite's own shapes are covered first, then drawn ones.
 """
 
 import math
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nablatc import suite
+from nablatc import operators, suite
 from nablatc.errors import NablaError
 from nablatc.identities import _leibniz_rhs, check_leibniz
 from nablatc.operators import (
@@ -51,6 +53,7 @@ from _sequential import (
     reconstruct_from_current_seq,
     reconstruct_initial_seq,
     taylor_current_seq,
+    taylor_future_exchanged_seq,
     taylor_future_seq,
     taylor_sweep_seq,
 )
@@ -237,23 +240,46 @@ def test_future_suite_shapes(wname, kind, order, K):
     spec = OperatorSpec(kind, order, preset_weight(wname, grid))
     x = preset_signal("sin10k", grid)
     got = tempered_op_taylor_future(x, spec, K).body
-    assert got.tobytes() == taylor_future_seq(x, spec, K).tobytes()
+    assert got.tobytes() == taylor_future_exchanged_seq(x, spec, K).tobytes()
+
+
+def test_future_residual_same_on_either_causal_dot_route(monkeypatch):
+    """The residual's per-point sums through the add.accumulate fallback
+    that the vecdot probe selects on builds where vecdot sums out of order."""
+    grid = Grid(0.0, history=5, horizon=60)
+    spec = OperatorSpec(OperatorKind.RL, 0.5, preset_weight("case4", grid))
+    x = preset_signal("sin10k", grid)
+    want = taylor_future_exchanged_seq(x, spec, 4).tobytes()
+    assert tempered_op_taylor_future(x, spec, 4).body.tobytes() == want
+    monkeypatch.setattr(operators, "_VECDOT_IN_ORDER", False)
+    assert tempered_op_taylor_future(x, spec, 4).body.tobytes() == want
+
+
+FUTURE_KINDS = st.sampled_from(
+    [
+        (OperatorKind.GL, 0.5),
+        (OperatorKind.GL, -1.5),
+        (OperatorKind.GL, 1.0),
+        (OperatorKind.RL, 0.3),
+        (OperatorKind.RL, 1.7),
+        (OperatorKind.CAPUTO, 0.5),
+        (OperatorKind.CAPUTO, 1.5),
+        (OperatorKind.CAPUTO, 2.5),
+    ]
+)
+
+
+def _future_case(kind, order, sname, wname, N, K, seed):
+    if kind is OperatorKind.CAPUTO:
+        K = max(K, math.ceil(order))
+    grid = Grid(0.5, history=K + 1, horizon=N)
+    spec = OperatorSpec(kind, order, preset_weight(wname, grid))
+    return _signal(grid, sname, seed), spec, K
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(
-        [
-            (OperatorKind.GL, 0.5),
-            (OperatorKind.GL, -1.5),
-            (OperatorKind.GL, 1.0),
-            (OperatorKind.RL, 0.3),
-            (OperatorKind.RL, 1.7),
-            (OperatorKind.CAPUTO, 0.5),
-            (OperatorKind.CAPUTO, 1.5),
-            (OperatorKind.CAPUTO, 2.5),
-        ]
-    ),
+    FUTURE_KINDS,
     st.sampled_from(SIGNALS),
     st.sampled_from(WEIGHTS),
     st.integers(min_value=1, max_value=18),
@@ -261,14 +287,54 @@ def test_future_suite_shapes(wname, kind, order, K):
     st.integers(min_value=0, max_value=99),
 )
 def test_future_sequential(kind_order, sname, wname, N, K, seed):
-    kind, order = kind_order
-    if kind is OperatorKind.CAPUTO:
-        K = max(K, math.ceil(order))
-    grid = Grid(0.5, history=K + 1, horizon=N)
-    spec = OperatorSpec(kind, order, preset_weight(wname, grid))
-    x = _signal(grid, sname, seed)
+    x, spec, K = _future_case(*kind_order, sname, wname, N, K, seed)
     got = _outcome(lambda: tempered_op_taylor_future(x, spec, K).body)
-    assert got == _outcome(lambda: taylor_future_seq(x, spec, K))
+    assert got == _outcome(lambda: taylor_future_exchanged_seq(x, spec, K))
+
+
+def _future_residual_magnitude(x, spec, K):
+    """E(m): the residual's double sum over |wv(io)| |kern(m-jo+2)| |B(io-jo)|,
+    over |w(m)|, at offsets m = 1..N."""
+    w = spec.weight
+    N = x.grid.horizon
+    shift = spec.n if spec.kind is OperatorKind.CAPUTO else 0
+    kdeg = K - shift
+    kern = np.abs(rising_over_gamma_row(shift - spec.order - 1.0, shift - spec.order, N))
+    wv = np.abs(w.window(1, N) * nabla_n_tempered(x, K + 1, w).body)
+    out = np.zeros(N)
+    for m in range(1, N + 1):
+        for io in range(2, m + 1):
+            for jo in range(2, io - kdeg + 1):
+                out[m - 1] += wv[io - 1] * kern[m - jo + 1] * math.comb(io - jo, kdeg)
+    return out / np.abs(w.window(1, N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    FUTURE_KINDS,
+    st.sampled_from(SIGNALS),
+    st.sampled_from(WEIGHTS),
+    st.integers(min_value=1, max_value=18),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=99),
+)
+@example((OperatorKind.RL, 0.5), "sin10k", "case4", 48, 4, 0)
+@example((OperatorKind.GL, -1.5), "poly:1,3,2", "case3", 48, 6, 0)
+def test_future_exchanged_sums_near_double_sum_as_written(kind_order, sname, wname, N, K, seed):
+    """The exchanged sums against the double sum as written: each output's
+    residual within 2 N u E(m), u = 2^-53, plus one rounding of the output
+    itself (the residual's last subtraction from the point series)."""
+    x, spec, K = _future_case(*kind_order, sname, wname, N, K, seed)
+    try:
+        got = tempered_op_taylor_future(x, spec, K).body
+    except NablaError:
+        with pytest.raises(NablaError):
+            taylor_future_seq(x, spec, K)
+        return
+    want = taylor_future_seq(x, spec, K)
+    bound = 2 * N * 2.0**-53 * _future_residual_magnitude(x, spec, K)
+    bound += np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    assert (np.abs(got - want) <= bound).all()
 
 
 # ---------------------------------------------------------------------------

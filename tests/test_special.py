@@ -64,6 +64,24 @@ def test_gamma_ratio_past_unit_resolution_is_domain_error(q, d):
         rising_over_gamma_row(q, d, 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rising_over_gamma(1, math.nan, 1.0),
+        lambda: rising_over_gamma(1, 0.5, math.nan),
+        lambda: rising_over_gamma(math.nan, 0.5, 1.0),  # the base
+        lambda: rising_over_gamma(math.inf, 0.5, 1.0),
+        lambda: rising_over_gamma(-math.inf, 0.5, 1.0),
+        lambda: rising_over_gamma(10**400, 0.5, 1.0),  # past binary64
+        lambda: rising_over_gamma_row(math.nan, 1.0, 3),
+        lambda: rising_over_gamma_row(0.5, math.nan, 3),
+    ],
+)
+def test_gamma_ratio_nan_infinite_or_unresolved_argument_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_gamma_ratio_just_below_unit_resolution_still_evaluates():
     q = 2.0**53 - 2.0
     row = rising_over_gamma_row(q, q + 1.0, 3)
