@@ -48,7 +48,7 @@ from .special import (
     binomial_coefficients,
     gl_coefficients,
     rising_over_factorial_row,
-    rising_over_gamma_row,
+    rising_over_gamma_rows,
 )
 
 __all__ = [
@@ -210,11 +210,15 @@ def _stacked(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[Identit
 
 
 def _gamma_rows(q: np.ndarray, d: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """``rising_over_gamma_row(q[r], d[r], N[r])`` for each row r, zero
-    past its own N."""
-    rows = np.zeros((len(N), int(N.max())))
-    for r, (qr, dr, nr) in enumerate(zip(q.tolist(), d.tolist(), N.tolist())):
-        rows[r, :nr] = rising_over_gamma_row(qr, dr, nr)
+    """``rising_over_gamma_row(q[..., r], d[..., r], N[r])`` for each row r
+    (and each leading index, as for one degree per leading index), zero
+    past its own N, from one batch of rows in C order."""
+    lengths = np.broadcast_to(N, q.shape)
+    rows = np.zeros(q.shape + (int(N.max()),))
+    flat = rows.reshape(-1, rows.shape[-1])
+    batch = rising_over_gamma_rows(q.ravel().tolist(), d.ravel().tolist(), lengths.ravel().tolist())
+    for r, row in enumerate(batch):
+        flat[r, : len(row)] = row
     return rows
 
 
@@ -261,8 +265,9 @@ def _rl_caputo_prep(x, w, alpha):
 def _rl_caputo_body(x, w, h, N, alpha, n):
     rl = _rl_values(x[..., h + 1 :], alpha, n, w[..., h + 1 - n :])
     cap = _caputo_values(x[..., h + 1 - n :], alpha, n, w[..., h + 1 - n :])
-    basis = lambda i: _gamma_rows(i - alpha, i - alpha + 1, N)
-    corr = _series(x, w, h, range(n), basis)
+    i = np.arange(n)[:, None]
+    basis = _gamma_rows(i - alpha, i - alpha + 1, N)  # one row per degree and instance
+    corr = _series(x, w, h, range(n), basis.__getitem__)
     return "rl-caputo-correction", np.abs(rl - (cap + corr)), 1
 
 
@@ -345,9 +350,10 @@ def _sum_of_difference_body(x, w, h, N, alpha, ivs, n, kind):
         v = _rl_values(x_body, alpha, n, w_low)
         ratio = _base_ratio(w, h)
         corr = np.zeros(ratio.shape)
+        i = np.arange(n)[:, None]
+        basis = _gamma_rows(alpha - i - 1, alpha - i, N)
         for i in range(n):
-            basis = _gamma_rows(alpha - i - 1, alpha - i, N)
-            corr += basis * ratio * ivs[..., i, None]
+            corr += basis[i] * ratio * ivs[..., i, None]
     else:
         v = _caputo_values(x[..., h + 1 - n :], alpha, n, w_low)
         L = x.shape[-1] - h - 1
@@ -721,7 +727,8 @@ def _leibniz_rhs(f: Signal, g: Signal, spec: OperatorSpec) -> np.ndarray:
     if kind is OperatorKind.CAPUTO:
         n = spec.n
         ratio = _base_ratio(w.window(0, N))
-        basis = [rising_over_gamma_row(i - alpha, i - alpha + 1, N) for i in range(n)]
+        q = [i - alpha for i in range(n)]
+        basis = rising_over_gamma_rows(q, [v + 1 for v in q], [N] * n)
         r_term = np.zeros(N)
         for j in range(n):
             dfj = nabla_n_tempered_at(f, j, w, 0)

@@ -435,49 +435,26 @@ def _dd_div_scalar(xh, xl, d):
     return _two_sum(q1, q2)
 
 
-def _ml_term_block(
-    i0: int,
-    r1: int,
-    al: float,
-    be: float,
-    mu: float,
-    horizon: int,
-    r0: int = 0,
-    chain: tuple[list[float], list[float]] | None = None,
+def _ml_factors(
+    i0: int, r0: int, r1: int, al: float, be: float, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``r0 .. r1 - 1`` of the double-width term block of block ``i0``:
-    T[r - r0, m - 1] = mu^i * prod_{j=1}^{m-1} (i al + be - 1 + j)/j, i = i0 + r.
+    """The mu-free factor table of rows ``r0 .. r1 - 1`` of block ``i0``,
+    one column per row: P[m - 1, r - r0] = prod_{j=1}^{m-1} (i al + be - 1 + j)/j,
+    i = i0 + r, as double-width (high, low) arrays.
 
     The factor product is the Gamma-ratio term of the kernel series with an
     integer lattice base, which also realizes its pole cancellations: a
     vanishing factor is exactly the zero the normalized ratio prescribes.
     Every factor is tabulated in one 2-D pass; only the cumulative product
     over m runs as a loop, one vectorised step per lattice offset.
-
-    Rows never mix: each takes the same elementwise operations whatever
-    range it is built in, and mu^t comes from one scalar chain from 1,
-    extended only as far as the rows built (``chain`` carries it between
-    calls).  So any split of a block into row ranges concatenates to the
-    whole block, ``r0 = 0, r1 = 256``, bit for bit.
     """
     n = r1 - r0
-    pw_h, pw_l = chain if chain is not None else ([1.0], [0.0])
     # past the divergence guard the raw terms may overflow; infinities
     # propagate to the guard, which raises before the values are used
     with np.errstate(over="ignore", invalid="ignore"):
         ivec = np.arange(i0 + r0, i0 + r1, dtype=np.float64)
         zh, zl = _two_prod(ivec, al)
         zh, zl = _dd_add(zh, zl, be - 1.0, 0.0)
-        # mu^t for the rows t, then mu^i0; block i0 scales the first by the
-        # second
-        h, l = pw_h[-1], pw_l[-1]
-        for _ in range(len(pw_h), max(i0, r1 - 1) + 1):
-            h, l = _dd_mul(h, l, mu, 0.0)
-            pw_h.append(h)
-            pw_l.append(l)
-        muh, mul = np.array(pw_h[r0:r1]), np.array(pw_l[r0:r1])
-        if i0:
-            muh, mul = _dd_mul(muh, mul, pw_h[i0], pw_l[i0])
         # row m - 1 of the factor table is (i al + be - 1 + (m - 1)) / (m - 1)
         d = np.arange(1.0, horizon)[:, None]
         fh, fl = _dd_div_scalar(*_dd_add(zh, zl, d, 0.0), d)
@@ -519,8 +496,70 @@ def _ml_term_block(
             sub(p, x, x)
             sub(q, t, e)
             add(x, e, err)
-        th, tl = _dd_mul(ph, pl, muh, mul)
-    return np.ascontiguousarray(th.T), np.ascontiguousarray(tl.T)
+    return ph, pl
+
+
+def _ml_powers(
+    i0: int, r0: int, r1: int, mu: float, chain: tuple[list[float], list[float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """mu^i for the rows ``r0 .. r1 - 1`` of block ``i0``, i = i0 + r, as
+    mu^r * mu^i0, both powers from ``chain``: the scalar chain of mu^t from
+    1, extended in place only as far as these rows need."""
+    pw_h, pw_l = chain
+    h, l = pw_h[-1], pw_l[-1]
+    for _ in range(len(pw_h), max(i0, r1 - 1) + 1):
+        h, l = _dd_mul(h, l, mu, 0.0)
+        pw_h.append(h)
+        pw_l.append(l)
+    muh, mul = np.array(pw_h[r0:r1]), np.array(pw_l[r0:r1])
+    if i0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            muh, mul = _dd_mul(muh, mul, pw_h[i0], pw_l[i0])
+    return muh, mul
+
+
+def _ml_term_block(
+    i0: int,
+    r1: int,
+    al: float,
+    be: float,
+    mu: float | Sequence[float],
+    horizon: int,
+    r0: int = 0,
+    chain: tuple[list[float], list[float]] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``r0 .. r1 - 1`` of the double-width term block of block ``i0``:
+    T[r - r0, m - 1] = mu^i * prod_{j=1}^{m-1} (i al + be - 1 + j)/j, i = i0 + r,
+    the factor table of :func:`_ml_factors` times the powers of
+    :func:`_ml_powers`.
+
+    ``mu`` may be a sequence of values, with ``chain`` one chain per value:
+    each row then holds every value's terms side by side, value-major,
+    scaled from one factor table.
+
+    Rows never mix: each takes the same elementwise operations whatever
+    range it is built in, and mu^t comes from one scalar chain from 1,
+    extended only as far as the rows built (``chain`` carries it between
+    calls).  So any split of a block into row ranges concatenates to the
+    whole block, ``r0 = 0, r1 = 256``, bit for bit.
+    """
+    if isinstance(mu, (int, float)):
+        mu, chain = [mu], None if chain is None else [chain]
+    chains = chain if chain is not None else [([1.0], [0.0]) for _ in mu]
+    n = r1 - r0
+    ph, pl = _ml_factors(i0, r0, r1, al, be, horizon)
+    pows = [_ml_powers(i0, r0, r1, m, c) for m, c in zip(mu, chains)]
+    # shapes (row, 1, offset) times (row, value, 1), a few rows at a time
+    # to keep the temporaries small
+    ph, pl = (np.ascontiguousarray(a.T)[:, None, :] for a in (ph, pl))
+    muh, mul = (np.stack(a, axis=-1)[..., None] for a in zip(*pows))
+    th = np.empty((n, len(mu), horizon))
+    tl = np.empty((n, len(mu), horizon))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(0, n, _ML_CHUNK):
+            rows = slice(c, c + _ML_CHUNK)
+            th[rows], tl[rows] = _dd_mul(ph[rows], pl[rows], muh[rows], mul[rows])
+    return th.reshape(n, -1), tl.reshape(n, -1)
 
 
 def ml_function(params: MLParams, horizon: int) -> Signal:
@@ -533,11 +572,42 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
     series alternates violently for negative mu at moderate horizons; a
     point whose largest term exceeds 1e17 * max(1, |F(k)|) has cancelled
     past what that arithmetic holds, and raises :class:`SeriesDiverged`.
+    This is :func:`_ml_functions` on a stack of one.
     """
+    return _ml_functions([params], horizon)[0]
+
+
+def _ml_functions(params: Sequence[MLParams], horizon: int) -> list[Signal]:
+    """:func:`ml_function` for each of ``params``, which share alpha and
+    beta: the kernels of all their mu values are summed as one stack, from
+    one factor table per term block.
+
+    Every lattice point of every mu is one point of the running sum, with
+    its own stop rule and guards, so each kernel is bit-identical to the
+    call with that mu alone.  If the stack raises :class:`SeriesDiverged`,
+    each mu reruns alone, in order, so the error is the first failing mu's
+    own.
+    """
+    try:
+        vals = _ml_values(params, horizon)
+    except SeriesDiverged:
+        if len(params) == 1:
+            raise
+        return [ml_function(p, horizon) for p in params]
+    return [Signal(Grid(0.0, 0, horizon), v) for v in vals]
+
+
+def _ml_values(params: Sequence[MLParams], horizon: int) -> np.ndarray:
+    """The kernels of :func:`_ml_functions`, one row of offsets 0..horizon
+    per mu; an error names a lattice offset but not its mu."""
     if horizon < 1:
         raise SeriesDiverged("kernel horizon must be >= 1")
-    al, be, mu = params.alpha, params.beta, params.mu
-    vals = np.zeros(horizon + 1)
+    al, be = params[0].alpha, params[0].beta
+    if any((p.alpha, p.beta) != (al, be) for p in params):
+        raise ValueError("a kernel stack shares one alpha and one beta")
+    mus = [p.mu for p in params]
+    # each mu's kernel at offsets 0..horizon
+    vals = np.zeros((len(mus), horizon + 1))
 
     # base point: the lattice base 0 puts a pole in Gamma(0), so a term
     # survives only where Gamma(i al + be - 1) has a pole to match it and
@@ -546,40 +616,46 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
     i = np.arange(64)
     q, d = i * al + be - 1.0, i * al + be
     matched = (q <= 0.0) & (q == np.floor(q)) & ~((d <= 0.0) & (d == np.floor(d)))
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in np.flatnonzero(matched).tolist():
-            # a numpy power: the bits of the Python one, inf past binary64
-            term = rising_over_gamma(0, i * al + be - 1.0, i * al + be)
-            total += np.float64(mu) ** i * term
-    if not math.isfinite(total):
-        raise SeriesDiverged(f"kernel series overflows at the base point (mu = {mu})")
-    vals[0] = total
+    terms = [
+        (i, rising_over_gamma(0, i * al + be - 1.0, i * al + be))
+        for i in np.flatnonzero(matched).tolist()
+    ]
+    for j, mu in enumerate(mus):
+        total = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, term in terms:
+                # a numpy power: the bits of the Python one, inf past binary64
+                total += np.float64(mu) ** i * term
+        if not math.isfinite(total):
+            raise SeriesDiverged(f"kernel series overflows at the base point (mu = {mu})")
+        vals[j, 0] = total
 
-    done = np.zeros(horizon, dtype=bool)
+    # the lattice points 1..horizon of each mu in turn, as one running sum
+    npts = len(mus) * horizon
+    done = np.zeros(npts, dtype=bool)
     # each point's sum at its stop term, and whether its last term was small
-    fin_h = np.zeros(horizon)
-    fin_l = np.zeros(horizon)
-    was_small = np.zeros((1, horizon), dtype=bool)
-    peak = np.zeros(horizon)
+    fin_h = np.zeros(npts)
+    fin_l = np.zeros(npts)
+    was_small = np.zeros((1, npts), dtype=bool)
+    peak = np.zeros(npts)
     # every point's running sum after each term of the current chunk; the
     # last row carries the sums into the next chunk
-    run_h = np.zeros((_ML_CHUNK, horizon))
-    run_l = np.zeros((_ML_CHUNK, horizon))
+    run_h = np.zeros((_ML_CHUNK, npts))
+    run_l = np.zeros((_ML_CHUNK, npts))
     rows = np.arange(_ML_CHUNK)[:, None]
     # step t reads row t - 1, which is row -1, the carried sums, at t = 0
     hs, ls = list(run_h), list(run_l)
     steps = list(zip(hs[-1:] + hs[:-1], ls[-1:] + ls[:-1], hs, ls))
-    s, bb, v, w, e = np.empty((5, horizon))
+    s, bb, v, w, e = np.empty((5, npts))
     add, sub = np.add, np.subtract
-    # mu^t, shared by every block's rows
-    chain = ([1.0], [0.0])
+    # mu^t for each mu, shared by every block's rows
+    chains = [([1.0], [0.0]) for _ in mus]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, _ML_MAX_TERMS, _ML_CHUNK):
             t0 = i % _ML_BLOCK
             if t0 == 0 or t0 == _ML_FIRST_ROWS:
                 r1 = _ML_FIRST_ROWS if t0 == 0 else _ML_BLOCK
-                th, tl = _ml_term_block(i - t0, r1, al, be, mu, horizon, t0, chain)
+                th, tl = _ml_term_block(i - t0, r1, al, be, mus, horizon, t0, chains)
                 r0 = t0
             ch = th[t0 - r0 : t0 - r0 + _ML_CHUNK]
             cl = tl[t0 - r0 : t0 - r0 + _ML_CHUNK]
@@ -618,7 +694,7 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
                 m_t, r_t = mag[t, idx], ref[t, idx]
                 worst = int(np.argmax(np.where(np.isfinite(m_t), m_t, np.inf) / r_t))
                 raise SeriesDiverged(
-                    f"kernel series diverging at lattice offset {idx[worst] + 1}"
+                    f"kernel series diverging at lattice offset {idx[worst] % horizon + 1}"
                 )
             peak = np.maximum(peak, np.where(live, mag, 0.0).max(axis=0))
             at = last[stopping]
@@ -629,15 +705,15 @@ def ml_function(params: MLParams, horizon: int) -> Signal:
                 break
         else:
             raise SeriesDiverged("kernel series did not settle within the term budget")
-    vals[1:] = fin_h + fin_l
-    lost = peak > _ML_CANCEL_MAX * np.maximum(1.0, np.abs(vals[1:]))
+    vals[:, 1:] = (fin_h + fin_l).reshape(len(mus), horizon)
+    lost = peak > _ML_CANCEL_MAX * np.maximum(1.0, np.abs(vals[:, 1:].ravel()))
     if lost.any():
         m = int(np.argmax(lost))
         raise SeriesDiverged(
             f"kernel series cancels terms up to {peak[m]:.3g} at lattice offset "
-            f"{m + 1}, beyond the {_ML_CANCEL_MAX:.0e} the compensated sum holds"
+            f"{m % horizon + 1}, beyond the {_ML_CANCEL_MAX:.0e} the compensated sum holds"
         )
-    return Signal(Grid(0.0, 0, horizon), vals)
+    return vals
 
 
 def fde_solve(

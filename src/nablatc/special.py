@@ -11,6 +11,7 @@ infinities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +25,7 @@ __all__ = [
     "GLCoefficientSeq",
     "rising_over_gamma",
     "rising_over_gamma_row",
+    "rising_over_gamma_rows",
     "rising_over_factorial_row",
     "gl_coefficients",
     "binomial_coefficients",
@@ -157,31 +159,86 @@ def _lgamma_1_to(N: int) -> np.ndarray:
     return table[:N]
 
 
-def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
-    """``[rising_over_gamma(m, q, d) for m = 1..N]``, evaluated one row at a
-    time.
+#: Points of :func:`rising_over_gamma_rows` evaluated per pass: each pass
+#: holds this many Python floats at once, however long the batch.
+_ROW_CHUNK = 4096
+
+
+def rising_over_gamma_rows(
+    q: Sequence[float], d: Sequence[float], lengths: Sequence[int]
+) -> list[np.ndarray]:
+    """``[rising_over_gamma_row(q[r], d[r], lengths[r]) for each row r]``,
+    evaluated as one batch.
 
     Each point takes the same sign-tracked log-Gamma terms as
     :func:`rising_over_gamma`: ``exp((lgamma(m+q) - lgamma(m)) - lgamma(d))``
     through ``math.exp``/``math.lgamma``, signed by the parity of
-    ``floor(m+q)`` and of ``floor(d)``, so the row is bit-identical to the
-    per-point values (``lgamma(m)`` comes from one shared table of the same
-    ``math.lgamma`` values).  A row holding a pole (some ``m+q`` or ``d`` a
-    nonpositive integer) takes the per-point path and its cancellation
-    rules; a NaN ``q`` or ``d``, ``|q|`` or ``|d|`` of 2**53 or more, or a
-    value past binary64, raises :class:`DomainError`, as the per-point
-    function does.
+    ``floor(m+q)`` and of ``floor(d)``, so every row is bit-identical to
+    the per-point values (``lgamma(m)`` comes from one shared table of the
+    same ``math.lgamma`` values).  The points of all rows run together, in
+    passes of ``_ROW_CHUNK`` points.  A row holding a pole (some ``m+q`` or
+    ``d`` a nonpositive integer) takes the per-point path and its
+    cancellation rules.  A NaN ``q`` or ``d``, ``|q|`` or ``|d|`` of 2**53
+    or more, or a value past binary64, raises :class:`DomainError`, as the
+    per-point function does; the batch is then rerun row by row, so the
+    error is the first failing row's own.
     """
-    _check_resolved(q, d)
+    try:
+        return _gamma_ratio_rows(q, d, lengths)
+    except DomainError:
+        if len(lengths) < 2:
+            raise
+        for row in zip(q, d, lengths):
+            _gamma_ratio_rows(*([v] for v in row))
+        raise
+
+
+def _gamma_ratio_rows(q, d, lengths) -> list[np.ndarray]:
+    for qr, dr in zip(q, d):
+        _check_resolved(qr, dr)
+    n = [int(v) for v in lengths]
+    out = np.empty(sum(n))
+    starts = [0, *itertools.accumulate(n)][:-1]
+    # the rows without a pole, evaluated together below: where each starts
+    # in ``out``, its q, lgamma(d), the sign of Gamma(d) and its length
+    regular = []
+    for qr, dr, s, nr in zip(q, d, starts, n):
+        # m + q (m >= 1) reaches a nonpositive integer only for q <= -1
+        if _is_nonpositive_integer(dr) or (qr <= -1.0 and _holds_pole(qr, nr)):
+            out[s : s + nr] = [rising_over_gamma(m, qr, dr) for m in range(1, nr + 1)]
+        else:
+            regular.append((s, qr, *_signed_loggamma(dr), nr))
+    at, qs, l2, s2, lens = np.array(regular, dtype=np.float64).reshape(-1, 5).T
+    at, lens = at.astype(np.intp), lens.astype(np.intp)
+    # where q > -1, every m + q is positive and the sign is Gamma(d)'s
+    signed = bool((qs <= -1.0).any())
+    l1 = _lgamma_1_to(int(lens.max(initial=0)))
+    ends = lens.cumsum()
+    begins = ends - lens
+    total = int(ends[-1]) if len(ends) else 0
+    for c in range(0, total, _ROW_CHUNK):
+        i = np.arange(c, min(c + _ROW_CHUNK, total))
+        r = ends.searchsorted(i, side="right")  # the row of each point
+        k = i - begins[r]  # its m - 1
+        num = (k + 1) + qs[r]
+        sign = s2[r]
+        if signed:
+            sign = np.where((num < 0.0) & (np.floor(num) % 2 == 1), -sign, sign)
+        ln = np.fromiter(map(math.lgamma, num.tolist()), np.float64, len(num))
+        out[at[r] + k] = sign * _exp(((ln - l1[k]) - l2[r]).tolist())
+    return [out[s : s + nr] for s, nr in zip(starts, n)]
+
+
+def _holds_pole(q: float, N: int) -> bool:
+    """Whether some m + q, m = 1..N, is a nonpositive integer."""
     num = np.arange(1, N + 1) + q
-    if _is_nonpositive_integer(d) or ((num <= 0.0) & (num == np.floor(num))).any():
-        return np.array([rising_over_gamma(m, q, d) for m in range(1, N + 1)])
-    n = len(num)
-    ln = np.fromiter(map(math.lgamma, num.tolist()), np.float64, n)
-    l1 = _lgamma_1_to(n)
-    l2, s2 = _signed_loggamma(d)
-    sign = np.where((num < 0.0) & (np.floor(num) % 2 == 1), -s2, s2)
-    return sign * _exp(((ln - l1) - l2).tolist())
+    return bool(((num <= 0.0) & (num == np.floor(num))).any())
+
+
+def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
+    """``[rising_over_gamma(m, q, d) for m = 1..N]``: :func:`rising_over_gamma_rows`
+    on a batch of one row."""
+    return rising_over_gamma_rows([q], [d], [N])[0]
 
 
 def rising_over_factorial_row(i: int, N: int) -> np.ndarray:

@@ -52,12 +52,12 @@ from .identities import (
 )
 from .laplace import (
     MLParams,
+    _ml_functions,
     check_convolution_commutation,
     check_convolution_with_ic,
     check_tempering_shift,
     check_transform_rule_diff,
     fde_solve,
-    ml_function,
     transform_rule_gl_reports,
 )
 from .operators import (
@@ -494,10 +494,12 @@ def _run_ml_solver(rng, ts):
     out = []
     grid = Grid(0.0, history=1, horizon=50)
     w = preset_weight("case1", grid)
+    mus = (-0.5, -0.2, 0.2, 0.5)
     for al in (0.3, 0.5, 0.7, 0.9):
-        for mu in (-0.5, -0.2, 0.2, 0.5):
+        # the kernels of one alpha as one stack over mu
+        kerns = _ml_functions([MLParams(al, 1.0, mu) for mu in mus], 50)
+        for mu, kern in zip(mus, kerns):
             sol = fde_solve(al, mu, w, 1.0, 50)
-            kern = ml_function(MLParams(al, 1.0, mu), 50)
             lhs = w.window(0, 50) * sol.values
             rhs = kern.values * (w.at(0) * 1.0)
             devs = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .special import (
     binomial_coefficients,
     rising_over_factorial_row,
     rising_over_gamma_row,
+    rising_over_gamma_rows,
 )
 
 __all__ = [
@@ -138,19 +139,20 @@ def _lowest_degree(spec: OperatorSpec) -> int:
     return spec.n if spec.kind in (OperatorKind.INTEGER_NABLA, OperatorKind.CAPUTO) else 0
 
 
-def _basis(spec: OperatorSpec, i: int, N: int) -> np.ndarray:
-    """The degree-i base-point basis row at offsets 1..N: (k-a)^(i-order)
-    over Gamma(i-order+1), or over (i-n)! for the integer kind."""
+def _basis(spec: OperatorSpec, degrees: range, N: int) -> Callable[[int], np.ndarray]:
+    """The base-point basis rows of ``degrees`` at offsets 1..N, as a
+    function of the degree: (k-a)^(i-order) over Gamma(i-order+1), built
+    as one batch of Gamma-ratio rows at the first call, or over (i-n)! for
+    the integer kind."""
     if spec.kind is OperatorKind.INTEGER_NABLA:
-        return rising_over_factorial_row(i - spec.n, N)
-    return rising_over_gamma_row(i - spec.order, i - spec.order + 1, N)
+        return lambda i: rising_over_factorial_row(i - spec.n, N)
 
+    @functools.cache
+    def rows() -> list[np.ndarray]:
+        q = [i - spec.order for i in degrees]
+        return rising_over_gamma_rows(q, [v + 1 for v in q], [N] * len(q))
 
-def _series_terms(x: Signal, spec: OperatorSpec, K: int, N: int) -> Iterator[np.ndarray]:
-    """Terms ``basis_i(k) (w(a)/w(k)) d_i`` of the base-point series, for
-    i from its lowest degree up to K, in ascending i."""
-    degrees = range(_lowest_degree(spec), K + 1)
-    return initial_value_terms(x, spec.weight, degrees, lambda i: _basis(spec, i, N))
+    return lambda i: rows()[i - degrees.start]
 
 
 def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
@@ -167,11 +169,12 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     N = x.grid.horizon
     # an overflowing sum makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        series = sum(_series_terms(x, spec, K, N), np.zeros(N))
+        degrees = range(lo, K + 1)
+        basis = _basis(spec, degrees, N)
+        series = sum(initial_value_terms(x, w, degrees, basis), np.zeros(N))
         # the remainder coefficient at lag k-j is the degree-K basis row
-        coef = _basis(spec, K, N)
         u = nabla_n_tempered(x, K + 1, w)
-        acc = causal_sum(coef, w.window(1, N) * u.body)
+        acc = causal_sum(basis(K), w.window(1, N) * u.body)
         body = series + acc / w.window(1, N)
     return _output(x.grid.a, N, body)
 
@@ -191,7 +194,8 @@ def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSw
     series = np.zeros(N)
     degrees = []
     deviations = []
-    for i, term in enumerate(_series_terms(x, spec, K_max, N), k_lo - 1):
+    span = range(k_lo - 1, K_max + 1)
+    for i, term in zip(span, initial_value_terms(x, spec.weight, span, _basis(spec, span, N))):
         series += term
         if i >= k_lo:
             degrees.append(i)
@@ -209,18 +213,19 @@ def _point_series(x: Signal, spec: OperatorSpec, shift: int, top: int) -> np.nda
     the terms C(order-shift, i-shift) (m-i+shift)^(i-order)/Gamma(i-order+1)
     nabla^i [w x](m) for i = shift..min(top, m-1+shift) (past that the base
     is not positive), in ascending i, one pass per i over the points it
-    reaches with its basis one Gamma-ratio row."""
+    reaches, with the basis rows of all i one batch of Gamma-ratio rows."""
     order, w = float(spec.order), spec.weight
     N = x.grid.horizon
     rows = tempered_diff_rows(x, w, top)
     binom = binomial_coefficients(order - shift, top - shift + 1)
     acc = np.zeros(N)
+    lags = range(min(top - shift, N - 1) + 1)  # lo = i - shift
+    q = [lo + shift - order for lo in lags]
     # an overflowing sum makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(shift, min(top, N - 1 + shift) + 1):
-            lo = i - shift
-            basis = rising_over_gamma_row(i - order, i - order + 1, N - lo)
-            acc[lo:] += binom[lo] * basis * rows[i, lo:]
+        bases = rising_over_gamma_rows(q, [v + 1 for v in q], [N - lo for lo in lags])
+        for lo, basis in zip(lags, bases):
+            acc[lo:] += binom[lo] * basis * rows[lo + shift, lo:]
         return acc / w.window(1, N)
 
 

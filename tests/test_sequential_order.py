@@ -22,6 +22,7 @@ from nablatc.laplace import (
     _ML_BLOCK,
     MLParams,
     SeriesDiverged,
+    _ml_functions,
     _ml_term_block,
     convolve,
     fde_solve,
@@ -308,6 +309,56 @@ def test_ml_function_row_passes_sequential(alpha, beta, mu, N, expect):
         assert [b[0] for b in built] == [0, 0, 256, 256, 512]
     elif expect is not None:
         assert got[0] is SeriesDiverged and expect in got[1]
+
+
+def _kernels(thunk):
+    """Each kernel's bytes, or the type and message raised."""
+    try:
+        return [k.values.tobytes() for k in thunk()]
+    except NablaError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "alphas, mus, N",
+    [
+        ((0.3, 0.5, 0.7, 0.9), (-0.5, -0.2, 0.2, 0.5), 50),  # the ml-solver pairs
+        (np.linspace(0.3, 0.9, 5).tolist(), np.linspace(-0.5, 0.5, 5).tolist(), 64),
+    ],
+    ids=["ml-solver", "relaxation-box"],
+)
+def test_ml_stack_matches_per_mu_kernels(alphas, mus, N):
+    """A stack over mu gives each mu's kernel bit for bit, from one term
+    block per row range for the whole stack."""
+    for alpha in alphas:
+        params = [MLParams(alpha, 1.0, mu) for mu in mus]
+        built = []
+
+        def recording_block(i0, r1, al, be, mu, horizon, r0, chain):
+            built.append((i0, r0, r1, len(mu)))
+            return _ml_term_block(i0, r1, al, be, mu, horizon, r0, chain)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laplace, "_ml_term_block", recording_block)
+            got = _kernels(lambda: _ml_functions(params, N))
+        assert got == _kernels(lambda: [ml_function(p, N) for p in params])
+        assert all(b[3] == len(mus) for b in built)
+        assert len(set(b[:3] for b in built)) == len(built)
+
+
+@pytest.mark.parametrize(
+    "mus",
+    [(0.2, -0.5, 0.5), (-0.5, 1.2), (0.5, 1.2, -0.5)],
+    ids=["cancels", "cancels-then-diverging", "diverging-then-cancels"],
+)
+def test_ml_stack_raises_the_first_failing_mus_error(mus):
+    # at N = 150, mu = -0.5 cancels past the compensated sum at offset 69,
+    # and mu = 1.2 diverges; the stack raises what the first of them raises
+    # alone, whichever term of the stack failed first
+    params = [MLParams(0.9, 1.0, mu) for mu in mus]
+    expected = _kernels(lambda: [ml_function(p, 150) for p in params])
+    assert expected[0] is SeriesDiverged
+    assert _kernels(lambda: _ml_functions(params, 150)) == expected
 
 
 finite = st.floats(min_value=-1e100, max_value=1e100)

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nablatc import special
 from nablatc.special import (
     DomainError,
     gl_coefficients,
     rising_over_gamma,
     rising_over_gamma_row,
+    rising_over_gamma_rows,
 )
 
 from _oracles import gl_coeff_ref, rising_ref
@@ -243,3 +245,77 @@ def test_lgamma_table_serves_rows_of_any_length_order(lengths, q):
             assert table[: len(before)].tobytes() == kept.tobytes()
     finally:
         special._LGAMMA_INT = saved
+
+
+#: Rows (q, d, length) of the batch tests: ragged, one of length 0, poles in
+#: m + q (cancelled by Gamma(d), or not), d at a pole, negative m + q of
+#: both signs, and rows long enough that the batch spans several passes.
+BATCH_ROWS = [
+    (0.5, 1.5, 20),
+    (0.5, 1.5, 0),
+    (-0.3, 0.7, 7),
+    (-3.0, -2.0, 10),  # m + q a pole for m <= 3, matched by Gamma(-2)
+    (0.5, -2.0, 10),  # 1/Gamma(-2) = 0 at every base
+    (-5.5, 0.25, 12),  # m + q negative and non-integer: alternating sign
+    (-5.5, -1.5, 12),
+    (2, 3.0, 1),  # an integer q
+    (1.25, 2.25, 4000),
+    (-0.75, 0.25, 5000),  # longer than one pass
+    (0.0, 1.0, 1),
+]
+
+
+def _rows_outcome(thunk):
+    try:
+        return [row.tobytes() for row in thunk()]
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_rising_over_gamma_rows_match_per_row(chunk, monkeypatch):
+    # passes of 1 or 7 points split the short rows anywhere
+    rows = BATCH_ROWS
+    if chunk is not None:
+        monkeypatch.setattr(special, "_ROW_CHUNK", chunk)
+        rows = [r for r in BATCH_ROWS if r[2] < 100]
+    assert sum(r[2] for r in rows) > 2 * special._ROW_CHUNK
+    q, d, lengths = zip(*rows)
+    got = _rows_outcome(lambda: rising_over_gamma_rows(q, d, lengths))
+    assert got == _rows_outcome(lambda: [rising_over_gamma_row(*row) for row in rows])
+    # and the per-point ratios, an independent route
+    per_point = [
+        np.array([rising_over_gamma(m, qr, dr) for m in range(1, n + 1)]).tobytes()
+        for qr, dr, n in rows
+    ]
+    assert got == per_point
+
+
+def test_rising_over_gamma_rows_of_an_empty_batch():
+    assert rising_over_gamma_rows([], [], []) == []
+
+
+OVERFLOWING = (1e15, 1e15 + 1.0, 30)  # the row's math.exp leaves binary64
+UNCANCELLED = (-4.0, 0.5, 10)  # Gamma(-3) at m = 1, cancelled by nothing
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0.5, 1.5, 5), (math.nan, 1.0, 3), OVERFLOWING],
+        [(0.5, 1.5, 5), (0.5, 2.0**53, 3)],
+        [(0.5, 1.5, 5), (0.5, -(2.0**60), 3)],
+        [(-3.0, -2.0, 10), OVERFLOWING],  # an overflowing row after a pole row
+        [OVERFLOWING, UNCANCELLED],  # the batch reaches the pole row first
+        [(0.5, 1.5, 5), UNCANCELLED, OVERFLOWING],
+        [OVERFLOWING, (math.nan, 1.0, 3)],
+    ],
+    ids=["nan-q", "huge-d", "huge-negative-d", "pole-then-overflow",
+         "overflow-then-pole", "pole-raises-first", "overflow-then-nan"],
+)
+def test_rising_over_gamma_rows_raise_the_first_failing_rows_error(rows):
+    q, d, lengths = zip(*rows)
+    got = _rows_outcome(lambda: rising_over_gamma_rows(q, d, lengths))
+    expected = _rows_outcome(lambda: [rising_over_gamma_row(*row) for row in rows])
+    assert isinstance(expected, tuple)
+    assert got == expected
