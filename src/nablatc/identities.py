@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import batched
 from .operators import (
     InsufficientLags,
     OperatorKind,
@@ -167,19 +168,12 @@ def run_rows(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[Identit
 
     Rows that share their history and integer stages run as one stack, so
     each side of the identity runs once per stack through its own stage
-    sequence.  When anything in the stacked pass fails, the rows run again
-    one at a time: the batch raises exactly the error of its first failing
-    row.
+    sequence.  When anything in the stacked pass fails (a later row's
+    validation, a non-finite stage, a numpy warning raised as an error),
+    the rows run again one at a time (:func:`batched`): the batch raises
+    exactly the error of its first failing row.
     """
-    if len(rows) > 1:
-        try:
-            return _stacked(check, rows, tol)
-        except Exception:
-            # whatever failed (a later row's validation, a non-finite
-            # stage, a numpy warning raised as an error), the stacks of one
-            # below raise what the first failing row raises alone
-            pass
-    return [_stacked(check, [row], tol)[0] for row in rows]
+    return batched(lambda stack: _stacked(check, stack, tol), rows)
 
 
 def _stacked(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[IdentityReport]:
@@ -586,6 +580,8 @@ def check_order_limit_diff(
     else:
         first = n + 1 if side == "at_n" else n
         op = rl_tempered
+    if N < first:
+        raise ValueError(f"{kind} {side} limit at n = {n} needs a horizon of at least {first}")
     sl = slice(first - 1, N)
 
     # the limit from below is the n-th difference, from above the (n-1)-th

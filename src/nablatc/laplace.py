@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NablaError
+from .errors import NablaError, batched
 from .identities import IdentityReport
 from .operators import (
     OperatorKind,
@@ -523,38 +523,34 @@ def _ml_term_block(
     r1: int,
     al: float,
     be: float,
-    mu: float | Sequence[float],
+    mus: Sequence[float],
     horizon: int,
     r0: int = 0,
-    chain: tuple[list[float], list[float]] | None = None,
+    chains: list[tuple[list[float], list[float]]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``r0 .. r1 - 1`` of the double-width term block of block ``i0``:
     T[r - r0, m - 1] = mu^i * prod_{j=1}^{m-1} (i al + be - 1 + j)/j, i = i0 + r,
     the factor table of :func:`_ml_factors` times the powers of
-    :func:`_ml_powers`.
-
-    ``mu`` may be a sequence of values, with ``chain`` one chain per value:
-    each row then holds every value's terms side by side, value-major,
-    scaled from one factor table.
+    :func:`_ml_powers`, for each mu of ``mus``: each row holds every mu's
+    terms side by side, mu-major, scaled from one factor table.
 
     Rows never mix: each takes the same elementwise operations whatever
-    range it is built in, and mu^t comes from one scalar chain from 1,
-    extended only as far as the rows built (``chain`` carries it between
-    calls).  So any split of a block into row ranges concatenates to the
-    whole block, ``r0 = 0, r1 = 256``, bit for bit.
+    range it is built in, and each mu^t comes from one scalar chain from 1,
+    extended only as far as the rows built (``chains``, one per mu, carry
+    them between calls).  So any split of a block into row ranges
+    concatenates to the whole block, ``r0 = 0, r1 = 256``, bit for bit.
     """
-    if isinstance(mu, (int, float)):
-        mu, chain = [mu], None if chain is None else [chain]
-    chains = chain if chain is not None else [([1.0], [0.0]) for _ in mu]
+    if chains is None:
+        chains = [([1.0], [0.0]) for _ in mus]
     n = r1 - r0
     ph, pl = _ml_factors(i0, r0, r1, al, be, horizon)
-    pows = [_ml_powers(i0, r0, r1, m, c) for m, c in zip(mu, chains)]
+    pows = [_ml_powers(i0, r0, r1, m, c) for m, c in zip(mus, chains)]
     # shapes (row, 1, offset) times (row, value, 1), a few rows at a time
     # to keep the temporaries small
     ph, pl = (np.ascontiguousarray(a.T)[:, None, :] for a in (ph, pl))
     muh, mul = (np.stack(a, axis=-1)[..., None] for a in zip(*pows))
-    th = np.empty((n, len(mu), horizon))
-    tl = np.empty((n, len(mu), horizon))
+    th = np.empty((n, len(mus), horizon))
+    tl = np.empty((n, len(mus), horizon))
     with np.errstate(over="ignore", invalid="ignore"):
         for c in range(0, n, _ML_CHUNK):
             rows = slice(c, c + _ML_CHUNK)
@@ -584,16 +580,11 @@ def _ml_functions(params: Sequence[MLParams], horizon: int) -> list[Signal]:
 
     Every lattice point of every mu is one point of the running sum, with
     its own stop rule and guards, so each kernel is bit-identical to the
-    call with that mu alone.  If the stack raises :class:`SeriesDiverged`,
-    each mu reruns alone, in order, so the error is the first failing mu's
-    own.
+    call with that mu alone.  If the stack raises, each mu reruns alone, in
+    order (:func:`batched`), so the error is the first failing mu's own; a
+    stack that mixes alpha or beta returns each mu's own kernel that way.
     """
-    try:
-        vals = _ml_values(params, horizon)
-    except SeriesDiverged:
-        if len(params) == 1:
-            raise
-        return [ml_function(p, horizon) for p in params]
+    vals = batched(lambda stack: _ml_values(stack, horizon), params)
     return [Signal(Grid(0.0, 0, horizon), v) for v in vals]
 
 

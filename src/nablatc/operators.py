@@ -327,9 +327,9 @@ def tempered_diff_rows(x: Signal, w: Weight, max_order: int) -> np.ndarray:
     """
     # no entry reads below offset 1 - max_order
     h, N = min(x.grid.history, w.grid.history, max_order), x.grid.horizon
-    cur = w.window(-h, N) * x.window(-h, N)  # row i starts at offset i - h
     rows = np.full((max_order + 1, N), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
+        cur = w.window(-h, N) * x.window(-h, N)  # row i starts at offset i - h
         for i in range(max_order + 1):
             lo = max(0, i - h - 1)  # first window index whose lags are stored
             rows[i, lo:] = cur[lo + 1 + h - i :]

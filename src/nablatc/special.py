@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NablaError
+from .errors import NablaError, batched
 
 __all__ = [
     "DomainError",
@@ -139,26 +139,6 @@ def rising_over_gamma(p: int, q: float, denom: float) -> float:
     return _gamma_ratio3(int(p) + q, float(int(p)), denom)
 
 
-#: ``lgamma(1..len)``, read-only.  :func:`_lgamma_1_to` grows it by binding
-#: a new, longer array, never by writing into this one, so a reader that
-#: holds the old array keeps valid values; it is as long as the longest
-#: row requested so far.
-_LGAMMA_INT = np.empty(0)
-_LGAMMA_INT.setflags(write=False)
-
-
-def _lgamma_1_to(N: int) -> np.ndarray:
-    """``[math.lgamma(m) for m = 1..N]`` as a read-only array."""
-    global _LGAMMA_INT
-    table = _LGAMMA_INT
-    if len(table) < N:
-        more = np.fromiter(map(math.lgamma, range(len(table) + 1, N + 1)), np.float64)
-        table = np.concatenate([table, more])
-        table.setflags(write=False)
-        _LGAMMA_INT = table
-    return table[:N]
-
-
 #: Points of :func:`rising_over_gamma_rows` evaluated per pass: each pass
 #: holds this many Python floats at once, however long the batch.
 _ROW_CHUNK = 4096
@@ -174,35 +154,28 @@ def rising_over_gamma_rows(
     :func:`rising_over_gamma`: ``exp((lgamma(m+q) - lgamma(m)) - lgamma(d))``
     through ``math.exp``/``math.lgamma``, signed by the parity of
     ``floor(m+q)`` and of ``floor(d)``, so every row is bit-identical to
-    the per-point values (``lgamma(m)`` comes from one shared table of the
-    same ``math.lgamma`` values).  The points of all rows run together, in
-    passes of ``_ROW_CHUNK`` points.  A row holding a pole (some ``m+q`` or
-    ``d`` a nonpositive integer) takes the per-point path and its
-    cancellation rules.  A NaN ``q`` or ``d``, ``|q|`` or ``|d|`` of 2**53
-    or more, or a value past binary64, raises :class:`DomainError`, as the
-    per-point function does; the batch is then rerun row by row, so the
-    error is the first failing row's own.
+    the per-point values (``lgamma(m)`` is taken once per batch, from the
+    same ``math.lgamma``).  The points of all rows run together, in passes
+    of ``_ROW_CHUNK`` points.  A row holding a pole (some ``m+q`` or ``d`` a
+    nonpositive integer) takes the per-point path and its cancellation
+    rules.  A NaN ``q`` or ``d``, ``|q|`` or ``|d|`` of 2**53 or more, or a
+    value past binary64, raises :class:`DomainError`, as the per-point
+    function does; a failed batch reruns row by row (:func:`batched`), so
+    the error is the first failing row's own.
     """
-    try:
-        return _gamma_ratio_rows(q, d, lengths)
-    except DomainError:
-        if len(lengths) < 2:
-            raise
-        for row in zip(q, d, lengths):
-            _gamma_ratio_rows(*([v] for v in row))
-        raise
+    return batched(_gamma_ratio_rows, list(zip(q, d, lengths)))
 
 
-def _gamma_ratio_rows(q, d, lengths) -> list[np.ndarray]:
-    for qr, dr in zip(q, d):
+def _gamma_ratio_rows(rows: Sequence[tuple[float, float, int]]) -> list[np.ndarray]:
+    for qr, dr, _ in rows:
         _check_resolved(qr, dr)
-    n = [int(v) for v in lengths]
+    n = [int(nr) for _, _, nr in rows]
     out = np.empty(sum(n))
     starts = [0, *itertools.accumulate(n)][:-1]
     # the rows without a pole, evaluated together below: where each starts
     # in ``out``, its q, lgamma(d), the sign of Gamma(d) and its length
     regular = []
-    for qr, dr, s, nr in zip(q, d, starts, n):
+    for (qr, dr, _), s, nr in zip(rows, starts, n):
         # m + q (m >= 1) reaches a nonpositive integer only for q <= -1
         if _is_nonpositive_integer(dr) or (qr <= -1.0 and _holds_pole(qr, nr)):
             out[s : s + nr] = [rising_over_gamma(m, qr, dr) for m in range(1, nr + 1)]
@@ -210,9 +183,8 @@ def _gamma_ratio_rows(q, d, lengths) -> list[np.ndarray]:
             regular.append((s, qr, *_signed_loggamma(dr), nr))
     at, qs, l2, s2, lens = np.array(regular, dtype=np.float64).reshape(-1, 5).T
     at, lens = at.astype(np.intp), lens.astype(np.intp)
-    # where q > -1, every m + q is positive and the sign is Gamma(d)'s
-    signed = bool((qs <= -1.0).any())
-    l1 = _lgamma_1_to(int(lens.max(initial=0)))
+    top = int(lens.max(initial=0))
+    l1 = np.fromiter(map(math.lgamma, range(1, top + 1)), np.float64, top)
     ends = lens.cumsum()
     begins = ends - lens
     total = int(ends[-1]) if len(ends) else 0
@@ -221,9 +193,7 @@ def _gamma_ratio_rows(q, d, lengths) -> list[np.ndarray]:
         r = ends.searchsorted(i, side="right")  # the row of each point
         k = i - begins[r]  # its m - 1
         num = (k + 1) + qs[r]
-        sign = s2[r]
-        if signed:
-            sign = np.where((num < 0.0) & (np.floor(num) % 2 == 1), -sign, sign)
+        sign = np.where((num < 0.0) & (np.floor(num) % 2 == 1), -s2[r], s2[r])
         ln = np.fromiter(map(math.lgamma, num.tolist()), np.float64, len(num))
         out[at[r] + k] = sign * _exp(((ln - l1[k]) - l2[r]).tolist())
     return [out[s : s + nr] for s, nr in zip(starts, n)]
@@ -268,19 +238,13 @@ class GLCoefficientSeq:
         return self.coeffs.shape[-1]
 
 
-#: Orders and lengths inside which the coefficients cannot overflow:
-#: |c_i| <= Gamma(i + |order|) / (Gamma(|order|) i!), below 1e227 there.
-_BOUNDED_ORDER = 40.0
-_BOUNDED_LENGTH = 10**7
-
-
 def gl_coefficients(order: float | Sequence[float], length: int) -> GLCoefficientSeq:
     """Generate fractional differencing weights by the multiplicative recurrence.
 
     The recurrence is O(1) per term and never touches a Gamma pole, unlike
-    the closed-form Gamma ratio it equals.  Past ``|order| = 40`` (or ten
-    million terms) the weights may overflow to infinities, without a numpy
-    warning; callers reject the non-finite result.
+    the closed-form Gamma ratio it equals.  At large orders or lengths the
+    weights may overflow to infinities, without a numpy warning; callers
+    reject the non-finite result.
 
     ``order`` may be a 1-D sequence of orders: the result then holds one
     row per order, each row bit-identical to the call with that order alone
@@ -291,27 +255,16 @@ def gl_coefficients(order: float | Sequence[float], length: int) -> GLCoefficien
     # the scalar test first: np.ndim alone costs more than the short
     # sequences most callers ask for
     rows = not isinstance(order, (int, float)) and np.ndim(order) == 1
-    if rows:
-        orders = np.asarray(order, dtype=np.float64)
-        ratio_order = orders[:, None]
-        top = float(np.abs(orders).max(initial=0.0))
-        shape = (len(orders), length)
-    else:
-        ratio_order = order
-        top = abs(order)
-        shape = (length,)
-    c = np.empty(shape, dtype=np.float64)
+    ratio_order = np.asarray(order, dtype=np.float64)[:, None] if rows else order
+    c = np.empty((len(order), length) if rows else (length,), dtype=np.float64)
     if length:
         c[..., 0] = 1.0
         i = np.arange(1.0, length)
         c[..., 1:] = (i - 1.0 - ratio_order) / i
         # multiply.accumulate runs strictly left to right along each row:
         # c_i = c_{i-1} * ratio_i
-        if top <= _BOUNDED_ORDER and length <= _BOUNDED_LENGTH:
+        with np.errstate(over="ignore", invalid="ignore"):
             np.multiply.accumulate(c, axis=-1, out=c)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply.accumulate(c, axis=-1, out=c)
     return GLCoefficientSeq(coeffs=c)
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NablaError
 from .operators import (
     InsufficientLags,
     OperatorKind,
@@ -34,8 +34,9 @@ from .operators import (
     nabla_n_tempered,
     tempered_diff_rows,
 )
-from .signals import Grid, Signal
+from .signals import Grid, NonFiniteSample, Signal, _first_bad
 from .special import (
+    DomainError,
     binomial_coefficients,
     rising_over_factorial_row,
     rising_over_gamma_row,
@@ -239,7 +240,35 @@ def tempered_op_taylor_current(x: Signal, spec: OperatorSpec) -> Signal:
     N = x.grid.horizon
     shift = _shift(spec)
     _stage(None, shift, x.grid, spec.weight, 0)
-    return _output(x.grid.a, N, _point_series(x, spec, shift, N - 1 + shift))
+    try:
+        body = _point_series(x, spec, shift, N - 1 + shift)
+    except DomainError as err:
+        raise _first_failure(x, spec, shift, err) from None
+    return _output(x.grid.a, N, body)
+
+
+def _first_failure(x: Signal, spec: OperatorSpec, shift: int, err: DomainError) -> NablaError:
+    """The error of the evaluation-point form on ``x``, whose Gamma-ratio
+    basis raised ``err``, naming the first lattice offset that fails.
+
+    The form on a shorter horizon M takes the prefix of this basis that
+    reaches offsets 1..M, so whether it is finite is monotone in M, and a
+    bisection finds the longest horizon with a finite basis; a form on the
+    way that holds a non-finite sample names the first failing offset."""
+    good, bad = 0, x.grid.horizon
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        prefix = Signal(Grid(x.grid.a, x.grid.history, mid), x.window(-x.grid.history, mid))
+        try:
+            _output(x.grid.a, mid, _point_series(prefix, spec, shift, mid - 1 + shift))
+            good = mid
+        except DomainError as shorter:
+            bad, err = mid, shorter
+        except NonFiniteSample as earlier:
+            return earlier
+    if bad == 1:  # no horizon helps
+        return err
+    return DomainError(f"{err}" + _first_bad(bad, np.ones(1, dtype=bool), "signal"))
 
 
 def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:

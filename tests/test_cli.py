@@ -567,11 +567,15 @@ READS = {
 ONE_GROUP = ("gl-rl-agree", "integer-defect", "uniform-convergence", "convolution")
 
 
+#: stands for the output path in the argv of ``cli_cases``
+OUT = "<out>"
+
+
 @st.composite
-def cli_cases(draw, tmp):
-    """``(argv, env)`` of one nt command: some of the numbers it reads come
-    from ``numbers``, and its sizes from ranges that allocate nothing large
-    (``verify`` runs one group, in this process)."""
+def cli_cases(draw):
+    """``(argv, env)`` of one nt command, writing to ``OUT``: some of the
+    numbers it reads come from ``numbers``, and its sizes from ranges that
+    allocate nothing large (``verify`` runs one group, in this process)."""
     command = draw(st.sampled_from(sorted(READS)))
     wild = draw(st.sets(st.sampled_from(READS[command])))
 
@@ -581,7 +585,7 @@ def cli_cases(draw, tmp):
     def opt(name):
         return f"--{name}={num(name)}"
 
-    out = ["--out", os.path.join(tmp, "out")]
+    out = ["--out", OUT]
     if command == "verify":
         group = draw(st.sampled_from(ONE_GROUP))
         argv = ["verify", "--only", group, f"--seed={draw(st.integers(0, 3))}", *out]
@@ -613,11 +617,15 @@ def cli_cases(draw, tmp):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_any_option_exits_cleanly(data):
+@given(cli_cases())
+# the weighted product w·x of the evaluation-point forms overflows
+@example((["taylor", "--signal", "geom:1.7976931348623157e+308", "--a=0.0", "--order=0.5",
+           "--N=1", "--kind", "gl", "--weight", "case1", "--rep", "current", "--degree=0",
+           "--out", OUT], {}))
+def test_any_option_exits_cleanly(case):
+    argv, env = case
     with tempfile.TemporaryDirectory() as tmp:
-        argv, env = data.draw(cli_cases(tmp))
-        _exits_cleanly(argv, env)
+        _exits_cleanly([os.path.join(tmp, "out") if a == OUT else a for a in argv], env)
 
 
 @pytest.mark.parametrize(
@@ -798,6 +806,23 @@ def test_huge_taylor_order_is_numeric_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("nt: numeric error:") and err.count("\n") == 1
     assert "2**53" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight, first", [("one", 677), ("case4", 693)])
+def test_current_form_past_the_gamma_ratio_range_names_its_first_bad_offset(
+    tmp_path, capsys, weight, first
+):
+    # from N = 1031 on a basis value of the order-0.5 form leaves binary64;
+    # the sums overflow earlier, at the offset a horizon of 1030 names
+    out = tmp_path / "x.csv"
+    assert run(["taylor", "--kind", "rl", "--order", "0.5", "--signal", "sin10k",
+                "--weight", weight, "--N", "1100", "--rep", "current", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"nt: numeric error: signal contains non-finite samples from lattice offset {first}: "
+        f"this signal admits a horizon of at most {first - 1} from its base point\n"
+    )
     assert not out.exists()
 
 

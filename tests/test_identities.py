@@ -20,7 +20,7 @@ from nablatc.identities import (
     check_uniform_convergence_exchange,
 )
 from nablatc.operators import OperatorKind, OperatorSpec
-from nablatc.presets import preset_weight, weight_case_fn
+from nablatc.presets import preset_signal, preset_weight, weight_case_fn
 from nablatc.signals import Grid, Signal, make_signal_from_fn, make_weight, scale_weight
 
 RNG = np.random.default_rng(987)
@@ -222,6 +222,18 @@ def test_rl_limit_excludes_short_window():
     target = nabla_n_tempered(x, n, w).body
     assert abs(lhs[0] - target[0]) > 1e-3  # genuinely excluded point
     assert check_order_limit_diff(x, w, n, "at_n", "rl").passed
+
+
+@pytest.mark.parametrize(
+    "N, n, side, first",
+    [(1, 1, "at_n", 2), (1, 2, "at_n", 3), (1, 2, "at_n_minus_1", 2), (2, 2, "at_n", 3)],
+)
+def test_rl_limit_window_past_the_horizon_is_one_line_error(N, n, side, first):
+    # the difference-of-sum window starts at offset n + 1 (or n), past N
+    g = Grid(0.0, 3, N)
+    x = preset_signal("sin10k", g)
+    with pytest.raises(ValueError, match=f"needs a horizon of at least {first}$"):
+        check_order_limit_diff(x, preset_weight("case4", g), n, side, "rl")
 
 
 def test_uniform_convergence_bound():

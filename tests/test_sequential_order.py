@@ -232,7 +232,7 @@ def test_ml_base_point_sequential(alpha, beta, mu):
 @example(0, 1.0, 1.0, 0.0, 1)
 def test_ml_term_block_matches_pinned_copy(i0, alpha, beta, mu, N):
     # the tabulated block against the frozen column-by-column construction
-    got = _ml_term_block(i0, _ML_BLOCK, alpha, beta, mu, N)
+    got = _ml_term_block(i0, _ML_BLOCK, alpha, beta, [mu], N)
     ref = ml_term_block_seq(i0, _ML_BLOCK, alpha, beta, mu, N)
     assert [a.shape for a in got] == [a.shape for a in ref]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
@@ -253,11 +253,11 @@ def test_ml_term_block_matches_pinned_copy(i0, alpha, beta, mu, N):
 def test_ml_term_block_row_ranges_concatenate(i0, cuts, shared, alpha, beta, mu, N):
     """Any split of a block into row ranges, built in ascending order with or
     without a shared mu^t chain, concatenates to the whole block."""
-    whole = _ml_term_block(i0, _ML_BLOCK, alpha, beta, mu, N)
+    whole = _ml_term_block(i0, _ML_BLOCK, alpha, beta, [mu], N)
     edges = [0, *sorted(set(cuts)), _ML_BLOCK]
-    chain = ([1.0], [0.0]) if shared else None
+    chains = [([1.0], [0.0])] if shared else None
     parts = [
-        _ml_term_block(i0, r1, alpha, beta, mu, N, r0, chain)
+        _ml_term_block(i0, r1, alpha, beta, [mu], N, r0, chains)
         for r0, r1 in zip(edges, edges[1:])
     ]
     for k in (0, 1):
@@ -359,6 +359,14 @@ def test_ml_stack_raises_the_first_failing_mus_error(mus):
     expected = _kernels(lambda: [ml_function(p, 150) for p in params])
     assert expected[0] is SeriesDiverged
     assert _kernels(lambda: _ml_functions(params, 150)) == expected
+
+
+def test_ml_stack_of_mixed_alphas_equals_the_single_calls():
+    # the stack shares no alpha, so it runs each kernel alone
+    params = [MLParams(al, 1.0, mu) for al, mu in ((0.3, -0.5), (0.9, 0.2), (0.3, 0.5))]
+    expected = _kernels(lambda: [ml_function(p, 40) for p in params])
+    assert isinstance(expected, list)
+    assert _kernels(lambda: _ml_functions(params, 40)) == expected
 
 
 finite = st.floats(min_value=-1e100, max_value=1e100)

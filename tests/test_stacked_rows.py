@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nablatc import identities, suite
-from nablatc.errors import NablaError
+from nablatc.errors import NablaError, batched
 from nablatc.identities import (
     GL_RL_AGREE,
     MIXED_COMPOSITION,
@@ -166,6 +166,36 @@ def test_batch_raises_the_first_failing_rows_error():
     first = _error_of(lambda: check_gl_rl_agreement(rows[1][0], 0.45, rows[1][1]))
     assert "non-finite" in first[1]
     assert _error_of(lambda: run_rows(GL_RL_AGREE, rows, 1e-11)) == first
+
+
+def test_batched_replays_a_failed_batch_one_item_at_a_time():
+    calls = []
+
+    def run(items):
+        calls.append(list(items))
+        if len(items) > 1 and "mixed" in items:
+            raise RuntimeError("the batch fails as a whole")
+        for item in items:
+            if item.startswith("bad"):
+                raise ValueError(item)
+        return [item.upper() for item in items]
+
+    assert batched(run, ["a", "b"]) == ["A", "B"] and calls == [["a", "b"]]
+    # a batch that fails only as a whole returns each item's own result
+    calls.clear()
+    assert batched(run, ["a", "mixed"]) == ["A", "MIXED"]
+    assert calls == [["a", "mixed"], ["a"], ["mixed"]]
+    # the first failing item's own error, and nothing run past it
+    calls.clear()
+    with pytest.raises(ValueError, match="^bad1$"):
+        batched(run, ["a", "bad1", "bad2", "c"])
+    assert calls == [["a", "bad1", "bad2", "c"], ["a"], ["bad1"]]
+    # one-item and empty batches are not rerun
+    calls.clear()
+    with pytest.raises(ValueError, match="^bad0$"):
+        batched(run, ["bad0"])
+    assert batched(run, []) == []
+    assert calls == [["bad0"], []]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from nablatc.operators import (
 )
 from nablatc.presets import preset_signal, preset_weight
 from nablatc.signals import Grid, make_signal_from_fn, make_weight
+from nablatc.special import DomainError
 from nablatc.taylor import (
     DegreeTooLow,
     InsufficientLags,
@@ -190,6 +191,20 @@ def test_op_taylor_current_needs_history_for_caputo():
     w = preset_weight("one", g)
     with pytest.raises(InsufficientHistory, match="order 1 needs history >= 1"):
         tempered_op_taylor_current(x, OperatorSpec(OperatorKind.CAPUTO, 0.5, w))
+
+
+def test_op_taylor_current_names_where_its_basis_overflows():
+    # a sum order of -1e15 puts a basis value past binary64 from k - a = 23
+    # on, while the form on the shorter horizons is finite
+    g = Grid(0.0, 0, 30)
+    x = preset_signal("sin10k", g)
+    spec = OperatorSpec(OperatorKind.GL, -1e15, preset_weight("one", g))
+    with pytest.raises(DomainError) as exc:
+        tempered_op_taylor_current(x, spec)
+    assert str(exc.value) == (
+        "a Gamma ratio overflows binary64 (math.exp range) from lattice offset 23: "
+        "this signal admits a horizon of at most 22 from its base point"
+    )
 
 
 def test_op_taylor_future_matches_direct():
