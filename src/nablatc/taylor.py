@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NablaError
+from .errors import ConfigError
 from .operators import (
     InsufficientLags,
     OperatorKind,
@@ -167,17 +167,21 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
         raise DegreeTooLow(f"{spec.kind.value} representation needs degree K > {lo}, got {K}")
     # the remainder's (K+1)-th difference covers the series' at the base
     _stage(OperatorKind.INTEGER_NABLA, K + 1, x.grid, w)
-    N = x.grid.horizon
-    # an overflowing sum makes a non-finite sample, which Signal rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        degrees = range(lo, K + 1)
-        basis = _basis(spec, degrees, N)
-        series = sum(initial_value_terms(x, w, degrees, basis), np.zeros(N))
-        # the remainder coefficient at lag k-j is the degree-K basis row
-        u = nabla_n_tempered(x, K + 1, w)
-        acc = causal_sum(basis(K), w.window(1, N) * u.body)
-        body = series + acc / w.window(1, N)
-    return _output(x.grid.a, N, body)
+
+    def form(x: Signal) -> Signal:
+        N = x.grid.horizon
+        # an overflowing sum makes a non-finite sample, which Signal rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            degrees = range(lo, K + 1)
+            basis = _basis(spec, degrees, N)
+            series = sum(initial_value_terms(x, w, degrees, basis), np.zeros(N))
+            # the remainder coefficient at lag k-j is the degree-K basis row
+            u = nabla_n_tempered(x, K + 1, w)
+            acc = causal_sum(basis(K), w.window(1, N) * u.body)
+            body = series + acc / w.window(1, N)
+        return _output(x.grid.a, N, body)
+
+    return _located(form, x)
 
 
 def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSweep:
@@ -237,38 +241,42 @@ def tempered_op_taylor_current(x: Signal, spec: OperatorSpec) -> Signal:
     For the sum-of-difference kind the lag range extends n points deeper,
     which is why that form needs history n.
     """
-    N = x.grid.horizon
     shift = _shift(spec)
     _stage(None, shift, x.grid, spec.weight, 0)
+
+    def form(x: Signal) -> Signal:
+        N = x.grid.horizon
+        return _output(x.grid.a, N, _point_series(x, spec, shift, N - 1 + shift))
+
+    return _located(form, x)
+
+
+def _located(form: Callable[[Signal], Signal], x: Signal) -> Signal:
+    """``form(x)``, where a Gamma-ratio basis that leaves binary64 raises
+    an error naming the first lattice offset that fails.
+
+    ``form`` on the prefix of ``x`` with a shorter horizon M takes the
+    prefix of each basis row that reaches offsets 1..M, so whether the
+    basis is finite is monotone in M, and a bisection finds the longest
+    horizon with a finite basis; a form on the way that holds a non-finite
+    sample names the first failing offset."""
     try:
-        body = _point_series(x, spec, shift, N - 1 + shift)
+        return form(x)
     except DomainError as err:
-        raise _first_failure(x, spec, shift, err) from None
-    return _output(x.grid.a, N, body)
-
-
-def _first_failure(x: Signal, spec: OperatorSpec, shift: int, err: DomainError) -> NablaError:
-    """The error of the evaluation-point form on ``x``, whose Gamma-ratio
-    basis raised ``err``, naming the first lattice offset that fails.
-
-    The form on a shorter horizon M takes the prefix of this basis that
-    reaches offsets 1..M, so whether it is finite is monotone in M, and a
-    bisection finds the longest horizon with a finite basis; a form on the
-    way that holds a non-finite sample names the first failing offset."""
+        first_err = err
     good, bad = 0, x.grid.horizon
     while bad - good > 1:
         mid = (good + bad) // 2
-        prefix = Signal(Grid(x.grid.a, x.grid.history, mid), x.window(-x.grid.history, mid))
         try:
-            _output(x.grid.a, mid, _point_series(prefix, spec, shift, mid - 1 + shift))
+            form(Signal(Grid(x.grid.a, x.grid.history, mid), x.window(-x.grid.history, mid)))
             good = mid
         except DomainError as shorter:
-            bad, err = mid, shorter
+            bad, first_err = mid, shorter
         except NonFiniteSample as earlier:
-            return earlier
+            raise earlier from None
     if bad == 1:  # no horizon helps
-        return err
-    return DomainError(f"{err}" + _first_bad(bad, np.ones(1, dtype=bool), "signal"))
+        raise first_err from None
+    raise DomainError(f"{first_err}" + _first_bad(bad, np.ones(1, dtype=bool), "signal")) from None
 
 
 def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
@@ -285,15 +293,19 @@ def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
         raise DegreeTooLow(f"sum-of-difference form needs degree K >= {spec.n}")
     # the residual's (K+1)-th difference; the rows check the weight they read
     _stage(OperatorKind.INTEGER_NABLA, K + 1, x.grid, None)
-    N = x.grid.horizon
     shift = _shift(spec)
-    body = _point_series(x, spec, shift, K)
-    # an overflowing sum makes a non-finite sample, which Signal rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = nabla_n_tempered(x, K + 1, w)
-        res = _future_residual(w.window(1, N) * v.body, shift - spec.order, K - shift)
-        body -= res / w.window(1, N)
-    return _output(x.grid.a, N, body)
+
+    def form(x: Signal) -> Signal:
+        N = x.grid.horizon
+        body = _point_series(x, spec, shift, K)
+        # an overflowing sum makes a non-finite sample, which Signal rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = nabla_n_tempered(x, K + 1, w)
+            res = _future_residual(w.window(1, N) * v.body, shift - spec.order, K - shift)
+            body -= res / w.window(1, N)
+        return _output(x.grid.a, N, body)
+
+    return _located(form, x)
 
 
 def _future_residual(wv: np.ndarray, kern_d: float, kdeg: int) -> np.ndarray:

@@ -205,6 +205,8 @@ def causal_sum_seq(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``out[k] = sum_{i<=k} c[i] z[k-i]``, one scalar accumulator per point,
     ascending lag."""
     out = np.empty(len(z))
+    # Python floats round like float64 scalars and add about 6x faster
+    c, z = np.asarray(c, float).tolist(), np.asarray(z, float).tolist()
     for k in range(len(z)):
         acc = 0.0
         for i in range(k + 1):

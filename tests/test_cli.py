@@ -826,6 +826,25 @@ def test_current_form_past_the_gamma_ratio_range_names_its_first_bad_offset(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rep, first", [("future", 1014), ("initial", 12)])
+def test_degree_1000_forms_past_the_gamma_ratio_range_name_their_first_bad_offset(
+    tmp_path, capsys, rep, first
+):
+    # at N = 1100 the degree-1000 basis leaves binary64, which a bare
+    # Gamma-ratio error reported; the shorter horizons give finite bases,
+    # and the sums overflow at the offset the message names
+    out = tmp_path / "x.csv"
+    assert run(["taylor", "--kind", "gl", "--order", "0.5", "--signal", "poly:1", "--weight", "one",
+                "--N", "1100", "--rep", rep, "--degree", "1000", "--history", "1001",
+                "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"nt: numeric error: signal contains non-finite samples from lattice offset {first}: "
+        f"this signal admits a horizon of at most {first - 1} from its base point\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rep", [["--rep", "current"], ["--rep", "initial", "--history", "7"]], ids=["current", "initial"]
 )

@@ -9,7 +9,10 @@ equal their per-point copies there.  Error cases must raise the same
 exception with the same message.
 """
 
+import itertools
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from nablatc.laplace import (
     fde_solve,
     ml_function,
 )
-from nablatc.operators import causal_sum
+from nablatc.operators import _SPLIT_FROM, causal_sum
 from nablatc.presets import preset_weight
 from nablatc.signals import Grid, NonFiniteSample, Signal, ZeroWeight, _sample, make_weight
 from nablatc.special import gl_coefficients, rising_over_gamma_row
@@ -423,20 +426,107 @@ def _marked(values, marks):
 @example(512, 0, 3, -0.0, 1.0, [], [(7, np.inf)])
 @example(513, 30, 4, 1.0, 1.0, [(1, np.nan)], [(512, -np.inf), (3, np.nan)])
 @example(513, 30, 5, 1.0, 1.0, [(540, np.inf)], [])  # non-finite c past len(z)
+# around the horizon where the tiles spread over threads, one range per CPU
+@example(_SPLIT_FROM - 1, 0, 6, 1.0, 1.0, [], [(1500, -0.0)])
+@example(_SPLIT_FROM, 3, 7, 1.0, 1.0, [], [(2047, np.nan), (300, -0.0)])
+@example(_SPLIT_FROM + 1, 0, 8, 1.0, 1.0, [], [(2048, np.inf)])  # the last output's own tile
+@example(_SPLIT_FROM + 300, 0, 9, -0.0, 1.0, [], [])  # -0.0 terms summing to +0.0
+@example(5000, 10, 10, 1.0, 1.0, [(4999, -0.0)], [(1790, np.inf), (3600, -np.inf), (4000, np.nan)])
 def test_causal_sum_tiles_sequential(n, extra, seed, c_scale, z_scale, c_marks, z_marks):
     """Both kernels (one einsum per tile, and the per-lag loop taken on a
     numpy whose einsum fuses multiply-add) against the scalar loop, across
     tile edges, with ``c`` longer than ``z`` and non-finite, signed-zero and
-    overflowing terms."""
+    overflowing terms, and with the tiles spread over 1, 2 and 4 CPUs."""
     rng = np.random.default_rng(seed)
     c = _marked(rng.standard_normal(n + extra) * c_scale, c_marks)
     z = _marked(rng.standard_normal(n) * z_scale, z_marks)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _canonical_nan_bytes(causal_sum_seq(c, z))
-        for fuses in (False, True):
+        for fuses, cpus in itertools.product((False, True), (1, 2, 4)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(operators, "_EINSUM_FUSES", fuses)
+                mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
                 assert _canonical_nan_bytes(causal_sum(c, z)) == expected
+
+
+def _terms(n):
+    return np.random.default_rng(n).standard_normal((2, n))
+
+
+def _spread_call(monkeypatch, n, cpus, fail_from=None):
+    """``causal_sum`` on ``n`` random terms with ``cpus`` CPUs in the
+    affinity mask; returns its outcome, the ``(lo, hi, thread)`` of every
+    tile range run, and the threads alive before and after.  A range
+    starting at ``fail_from`` or above raises ``ArithmeticError``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    tiles = operators._causal_sum_tiles
+    ranges = []
+
+    def recorded(c, zp, out, lo, hi):
+        ranges.append((lo, hi, threading.get_ident()))
+        if fail_from is not None and lo >= fail_from:
+            raise ArithmeticError(f"range from {lo}")
+        tiles(c, zp, out, lo, hi)
+
+    monkeypatch.setattr(operators, "_causal_sum_tiles", recorded)
+    before = threading.active_count()
+    try:
+        outcome = causal_sum(*_terms(n))
+    except ArithmeticError as exc:
+        outcome = exc
+    return outcome, sorted(ranges), before, threading.active_count()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("n", [_SPLIT_FROM - 1, _SPLIT_FROM, 5000])
+def test_causal_sum_tile_ranges(monkeypatch, n, cpus):
+    """From ``_SPLIT_FROM`` on, the tiles split into one range per CPU,
+    the caller's first and each further one on a thread of its own, whole
+    tiles apart from the last output's; no thread outlives the call."""
+    if operators._EINSUM_FUSES:
+        pytest.skip("this numpy's einsum fuses multiply-add: the per-lag loop runs")
+    out, ranges, before, after = _spread_call(monkeypatch, n, cpus)
+    assert after == before
+    parts = cpus if n >= _SPLIT_FROM else 1
+    assert len(ranges) == parts
+    # the caller runs the first range, helpers the rest (a finished
+    # helper's ident may be reused by the next)
+    assert [t == threading.get_ident() for _, _, t in ranges] == [True] + [False] * (parts - 1)
+    bounds = [lo for lo, _, _ in ranges] + [n]
+    assert [(lo, hi) for lo, hi, _ in ranges] == list(zip(bounds, bounds[1:]))
+    assert all(b % operators._TILE == 0 for b in bounds[:-1])
+    assert out.tobytes() == operators._causal_sum_by_lag(*_terms(n)).tobytes()
+
+
+@pytest.mark.parametrize("fail_from", [0, 1])
+def test_causal_sum_range_error_reaches_the_caller(monkeypatch, fail_from):
+    """An error in the caller's own range, or in a helper's, is raised by
+    ``causal_sum`` after every helper has been joined."""
+    if operators._EINSUM_FUSES:
+        pytest.skip("this numpy's einsum fuses multiply-add: the per-lag loop runs")
+    out, ranges, before, after = _spread_call(monkeypatch, 5000, 4, fail_from)
+    assert isinstance(out, ArithmeticError)
+    assert after == before
+    assert len(ranges) == 4
+    # the caller's own error first, else the first helper's to fail
+    helpers = [f"range from {lo}" for lo, _, _ in ranges[1:]]
+    assert str(out) in (["range from 0"] if fail_from == 0 else helpers)
+
+
+def test_causal_sum_runs_ranges_without_threads(monkeypatch):
+    """Where no thread can be started, the caller runs every range: the
+    same bits."""
+    if operators._EINSUM_FUSES:
+        pytest.skip("this numpy's einsum fuses multiply-add: the per-lag loop runs")
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out, ranges, before, after = _spread_call(monkeypatch, 5000, 4)
+    assert after == before
+    assert len(ranges) == 4 and {t for _, _, t in ranges} == {threading.get_ident()}
+    assert out.tobytes() == operators._causal_sum_by_lag(*_terms(5000)).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 37, 301])
