@@ -25,7 +25,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -464,15 +464,41 @@ def _stage(
 
 @functools.lru_cache(maxsize=16)
 def _signed_binomials(n: int) -> np.ndarray:
-    """``(-1)^i C(n, i)`` for i = 0..n, cached: one shared read-only array
-    per order."""
+    """``(-1)^i C(n, i)`` for i = 0..n, cached: one shared read-only array per order."""
     # C(n, i) by the exact integer recurrence: a row of math.comb is O(n^2)
     comb = [1]
     for i in range(n):
         comb.append(comb[-1] * (n - i) // (i + 1))
-    coef = np.array([(-1) ** i * c for i, c in enumerate(comb)], dtype=np.float64)
+    coef = np.array(comb, dtype=np.float64)
+    coef[1::2] *= -1.0  # an exact negation of each rounded odd entry
     coef.setflags(write=False)
     return coef
+
+
+@functools.lru_cache(maxsize=32)
+def _difference_table(K: int) -> np.ndarray:
+    """Row i: nabla^i's ``(-1)^j C(i, j)``, j = 0..K, zero past j = i; read-only."""
+    table = np.zeros((K + 1, K + 1))
+    row = [1]  # exact integers, rounded once as in _signed_binomials; Pascal's rule
+    for i in range(K + 1):
+        table[i, : i + 1] = row
+        row = [a - b for a, b in zip(row + [0], [0] + row)]
+    table.setflags(write=False)
+    return table
+
+
+def _differences_at(x: np.ndarray, px: int, w: np.ndarray | None, pw: int, table: np.ndarray):
+    """``w^-1 nabla^i [w x]`` at the point of ``x[..., px]`` and ``w[..., pw]``
+    for each row i of ``table`` (as in :func:`_difference_table`), per row of
+    x (one row or a stack): ``(c_l·w)·x`` added from 0.0 in ascending lag l
+    by one ``np.add.accumulate``, then one division by w (both skipped, being
+    exact, under ``w`` None); a zero c_l past lag i adds ±0.  Callers check
+    the history and hold the ``np.errstate``."""
+    L = table.shape[-1]
+    c = table if w is None else table * w[..., None, pw + 1 - L : pw + 1][..., ::-1]
+    # 0.0 + gives a sum of zeros the sign it has when started from 0.0
+    d = 0.0 + np.add.accumulate(c * x[..., None, px + 1 - L : px + 1][..., ::-1], axis=-1)[..., -1]
+    return d if w is None else d / w[..., pw : pw + 1]
 
 
 def _stencil(z: np.ndarray, n: int) -> np.ndarray:
@@ -579,18 +605,6 @@ def nabla_n_tempered(x: Signal, n: int, w: Weight) -> Signal:
     return _output(x.grid.a, N, out)
 
 
-def _tempered_diff_at(x: np.ndarray, px: int, w: np.ndarray, pw: int, n: int):
-    """``w^-1 nabla^n [w x]`` at the lattice point of ``x[..., px]`` and
-    ``w[..., pw]``, one value per row: the terms ``(c_i·w)·x`` added from
-    0.0 in ascending lag, then one division by w."""
-    coef = _signed_binomials(n)
-    xt, wt = x.T, w.T  # wt[k] is a scalar for one row, a column for a stack
-    acc = 0.0
-    for i in range(n + 1):
-        acc += coef[i] * wt[pw - i] * xt[px - i]
-    return acc / wt[pw]
-
-
 def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
     """Pointwise ``w^-1 nabla^n [w x]`` at a single lattice offset.
 
@@ -598,26 +612,21 @@ def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
     tempered difference at the base point are extracted.
     """
     n = _stage(None, n, x.grid, w, offset)
-    return _tempered_diff_at(
-        x.values, x.grid.position(offset), w.values, w.grid.position(offset), n
-    )
+    px, pw = x.grid.position(offset), w.grid.position(offset)
+    return _differences_at(x.values, px, w.values, pw, _signed_binomials(n)[None])[0]
 
 
 def _initial_value_terms(
-    x: np.ndarray,
-    px: int,
-    w: np.ndarray,
-    pw: int,
-    degrees: Iterable[int],
-    basis: Callable[[int], np.ndarray],
+    x: np.ndarray, px: int, w: np.ndarray, pw: int,
+    degrees: Sequence[int], basis: Callable[[int], np.ndarray],
 ) -> Iterator[np.ndarray]:
     """:func:`initial_value_terms` on arrays, one row or a stack of rows:
     entry ``px`` of x and entry ``pw`` of w sit at the base point, and w
     ends at offset N."""
+    d = _differences_at(x, px, w, pw, _difference_table(max(degrees, default=0)))
     ratio = _base_ratio(w, pw)
     for i in degrees:
-        d_i = _tempered_diff_at(x, px, w, pw, i)
-        yield basis(i) * ratio * d_i[..., None]
+        yield basis(i) * ratio * d[..., i : i + 1]
 
 
 def initial_value_terms(
@@ -639,10 +648,11 @@ def _base_ratio(w: np.ndarray, h: int = 0) -> np.ndarray:
 
 def nabla_at(x: Signal, n: int, offset: int = 0) -> float:
     """Pointwise untempered n-th backward difference at a lattice offset:
-    :func:`nabla_n_tempered_at` under a unit weight, whose products
-    ``(c_i·1)·x`` and closing division by 1 are exact."""
+    :func:`nabla_n_tempered_at` under a unit weight, without its exact
+    products ``(c_i·1)·x`` and closing division by 1."""
     n = _stage(None, n, x.grid, None, offset)
-    return _tempered_diff_at(x.values, x.grid.position(offset), np.ones(n + 1), n, n)
+    px = x.grid.position(offset)
+    return _differences_at(x.values, px, None, 0, _signed_binomials(n)[None])[0]
 
 
 def gl_tempered(x: Signal, alpha: float, w: Weight) -> Signal:

@@ -213,8 +213,11 @@ def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
 
 def rising_over_factorial_row(i: int, N: int) -> np.ndarray:
     """``m^(i)/i! = C(m+i-1, i)`` for m = 1..N (integer i >= 0), exact
-    integer binomials rounded once to binary64."""
-    return np.array([float(math.comb(m + i - 1, i)) for m in range(1, N + 1)])
+    integer binomials rounded once to binary64 (:class:`DomainError` past it)."""
+    try:
+        return np.array([float(math.comb(m + i - 1, i)) for m in range(1, N + 1)])
+    except OverflowError:
+        raise DomainError(f"binomial C({N + i - 1}, {i}) overflows binary64") from None
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ checkable against the direct evaluations pointwise.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +21,8 @@ from .operators import (
     InsufficientLags,
     OperatorKind,
     OperatorSpec,
+    _difference_table,
+    _differences_at,
     _output,
     _signed_binomials,
     _stage,
@@ -29,7 +30,6 @@ from .operators import (
     causal_dot,
     causal_sum,
     initial_value_terms,
-    nabla_at,
     nabla_n,
     nabla_n_tempered,
     tempered_diff_rows,
@@ -78,7 +78,7 @@ def taylor_initial(x: Signal, K: int) -> np.ndarray:
         raise DegreeTooLow(f"degree must be >= 0, got {K}")
     # K + 1 points of history, as the remainder of reconstruct_initial asks
     _stage(None, K, x.grid, None, -1)
-    coeffs = np.array([nabla_at(x, i, 0) for i in range(K + 1)])
+    coeffs = _differences_at(x.values, x.grid.history, None, 0, _difference_table(K))
     coeffs.setflags(write=False)
     return coeffs
 
@@ -93,11 +93,12 @@ def reconstruct_initial(x: Signal, K: int) -> Signal:
     N = x.grid.horizon
     out = np.zeros(N + 1)  # offsets 0..N
     out[0] = coeffs[0]  # only the i=0 basis survives at the anchor
-    for i in range(K + 1):
-        out[1:] += rising_over_factorial_row(i, N) * coeffs[i]
-    # remainder: sum_{j=1}^{m} ((m-j+1)^(K)/K!) * nabla^{K+1} x(j)
-    dKp1 = nabla_n(x, K + 1).body
-    out[1:] += causal_sum(rising_over_factorial_row(K, N), dKp1)
+    with np.errstate(over="ignore", invalid="ignore"):  # Signal rejects an overflow
+        for i in range(K + 1):
+            out[1:] += rising_over_factorial_row(i, N) * coeffs[i]
+        # remainder: sum_{j=1}^{m} ((m-j+1)^(K)/K!) * nabla^{K+1} x(j)
+        dKp1 = nabla_n(x, K + 1).body
+        out[1:] += causal_sum(rising_over_factorial_row(K, N), dKp1)
     return Signal(Grid(x.grid.a, 0, N), out)
 
 
@@ -111,27 +112,13 @@ def reconstruct_from_current(x: Signal, k_offset: int, j_offset: int) -> float:
     t = k_offset - j_offset
     if k_offset - t < -x.grid.history:
         raise InsufficientLags("expansion reaches below the stored grid")
-    # r[j] = x at offset k - j; row i of the table holds the stencil of
-    # nabla^i, so d[i] is nabla_at(x, i, k): its terms added in ascending j
-    pos = x.grid.position(k_offset)
-    r = x.values[pos - t : pos + 1][::-1]
-    d = 0.0 + np.add.accumulate(_difference_stencils(t) * r, axis=1)[:, -1]
+    # d[i] is nabla_at(x, i, k), for i = 0..t
+    d = _differences_at(x.values, x.grid.position(k_offset), None, 0, _difference_table(t))
     acc = 0.0
     # (j-k)^(i)/i! = (-1)^i C(t, i)
     for b, di in zip(_signed_binomials(t).tolist(), d.tolist()):
         acc += b * di
     return acc
-
-
-@functools.lru_cache(maxsize=32)
-def _difference_stencils(t: int) -> np.ndarray:
-    """Row i: the coefficients ``(-1)^j C(i, j)`` of nabla^i, j = 0..t
-    (zero past j = i); read-only."""
-    table = np.zeros((t + 1, t + 1))
-    for i in range(t + 1):
-        table[i, : i + 1] = _signed_binomials(i)
-    table.setflags(write=False)
-    return table
 
 
 def _lowest_degree(spec: OperatorSpec) -> int:
@@ -323,7 +310,7 @@ def _future_residual(wv: np.ndarray, kern_d: float, kdeg: int) -> np.ndarray:
     N = len(wv)
     kern = rising_over_gamma_row(kern_d - 1.0, kern_d, N)  # kern[p-1] = kern(p)
     # bvals[t-kdeg] = B(t) and g[jo-2] = G_m(jo), for the jo that reach N
-    bvals = np.array([(-1.0) ** kdeg * math.comb(t, kdeg) for t in range(kdeg, N - 1)])
+    bvals = (-1.0) ** kdeg * rising_over_factorial_row(kdeg, N - 1 - kdeg)
     g = np.zeros(len(bvals))
     res = np.zeros(N)
     for m in range(kdeg + 2, N + 1):

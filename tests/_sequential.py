@@ -20,7 +20,10 @@ which the library follows byte for byte.  The same holds for the
 per-point tempered integer difference, the base-point reconstruction with
 one pointwise difference per point, and the initial-value series as the
 identity checkers wrote it inline, which the library's shared stencil and
-series generator replace.  The independent, high-precision references live
+series generator replace; and for the pointwise difference itself, one
+scalar loop per degree, which the library's one accumulation over every
+degree at a point replaces (every reference here that needs a pointwise
+difference calls that loop).  The independent, high-precision references live
 in ``_oracles.py``.
 """
 
@@ -49,11 +52,10 @@ from nablatc.operators import (
     InsufficientLags,
     OperatorKind,
     OperatorSpec,
+    _stage,
     apply_operator,
     causal_sum,
-    nabla_at,
     nabla_n_tempered,
-    nabla_n_tempered_at,
     tempered_diff_rows,
 )
 from nablatc.signals import BadRate, Grid, GridMismatch, Signal, Weight, make_signal_from_fn
@@ -225,6 +227,33 @@ def causal_dot_seq(c: np.ndarray, z: np.ndarray) -> float:
     return acc
 
 
+def tempered_diff_at_seq(x: np.ndarray, px: int, w: np.ndarray, pw: int, n: int):
+    """``w^-1 nabla^n [w x]`` at the lattice point of ``x[..., px]`` and
+    ``w[..., pw]``, one value per row: the terms ``(c_i·w)·x``, with
+    ``c_i = (-1)^i C(n, i)`` (the exact integer rounded alone), added from
+    0.0 in ascending lag, then one division by w; one call per degree."""
+    xt, wt = x.T, w.T  # wt[k] is a scalar for one row, a column for a stack
+    acc, comb = 0.0, 1  # comb = C(n, i)
+    for i in range(n + 1):
+        acc += (-1.0) ** i * comb * wt[pw - i] * xt[px - i]
+        comb = comb * (n - i) // (i + 1)
+    return acc / wt[pw]
+
+
+def nabla_n_tempered_at_seq(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
+    """``nabla_n_tempered_at`` (the same checks) by :func:`tempered_diff_at_seq`."""
+    n = _stage(None, n, x.grid, w, offset)
+    px, pw = x.grid.position(offset), w.grid.position(offset)
+    return tempered_diff_at_seq(x.values, px, w.values, pw, n)
+
+
+def nabla_at_seq(x: Signal, n: int, offset: int = 0) -> float:
+    """``nabla_at`` (the same checks) by :func:`tempered_diff_at_seq` under
+    a unit weight."""
+    n = _stage(None, n, x.grid, None, offset)
+    return tempered_diff_at_seq(x.values, x.grid.position(offset), np.ones(n + 1), n, n)
+
+
 def rising_over_gamma_row_seq(q: float, d: float, N: int) -> np.ndarray:
     """``[rising_over_gamma(m, q, d) for m = 1..N]``, one Gamma-ratio
     evaluation per point."""
@@ -252,7 +281,7 @@ def taylor_sweep_seq(x: Signal, spec: OperatorSpec, K_max: int) -> list[float]:
     for K in range(k_lo, K_max + 1):
         series = np.zeros(N)
         for i in range(i_lo, K + 1):
-            d_i = nabla_n_tempered_at(x, i, w, 0)
+            d_i = nabla_n_tempered_at_seq(x, i, w, 0)
             if kind is OperatorKind.INTEGER_NABLA:
                 basis = rising_over_factorial_row(i - n, N)
             else:
@@ -272,7 +301,7 @@ def reconstruct_from_current_seq(x: Signal, k_offset: int, j_offset: int) -> flo
         raise InsufficientLags("expansion reaches below the stored grid")
     acc = 0.0
     for i in range(t + 1):
-        acc += (-1.0) ** i * math.comb(t, i) * nabla_at(x, i, k_offset)
+        acc += (-1.0) ** i * math.comb(t, i) * nabla_at_seq(x, i, k_offset)
     return acc
 
 
@@ -379,7 +408,7 @@ def leibniz_rhs_seq(f: Signal, g: Signal, spec: OperatorSpec) -> np.ndarray:
             acc = 0.0
             for i in range(nn + 1):
                 df = frows[i, m - 1] / w.at(m)
-                dg = nabla_at(g, nn - i, m - i)
+                dg = nabla_at_seq(g, nn - i, m - i)
                 acc += math.comb(nn, i) * df * dg
             rhs[m - 1] = acc
         return rhs
@@ -402,8 +431,8 @@ def leibniz_rhs_seq(f: Signal, g: Signal, spec: OperatorSpec) -> np.ndarray:
         r_term = np.zeros(N)
         for j in range(spec.n):
             for i in range(j, spec.n):
-                df = nabla_n_tempered_at(f, j, w, 0)
-                dg = nabla_at(g, i - j, -j)
+                df = nabla_n_tempered_at_seq(f, j, w, 0)
+                dg = nabla_at_seq(g, i - j, -j)
                 basis = rising_over_gamma_row(i - alpha, i - alpha + 1, N)
                 r_term += math.comb(i, j) * basis * ratio * (df * dg)
         rhs = rhs - r_term
@@ -447,12 +476,12 @@ def reconstruct_initial_seq(x: Signal, K: int) -> np.ndarray:
     """Values of the degree-K base-point reconstruction at offsets 0..N,
     with one pointwise difference per coefficient and per remainder point."""
     N = x.grid.horizon
-    coeffs = [nabla_at(x, i, 0) for i in range(K + 1)]
+    coeffs = [nabla_at_seq(x, i, 0) for i in range(K + 1)]
     out = np.zeros(N + 1)
     out[0] = coeffs[0]
     for i in range(K + 1):
         out[1:] += rising_over_factorial_row(i, N) * coeffs[i]
-    dKp1 = np.array([nabla_at(x, K + 1, m) for m in range(1, N + 1)])
+    dKp1 = np.array([nabla_at_seq(x, K + 1, m) for m in range(1, N + 1)])
     out[1:] += causal_sum(rising_over_factorial_row(K, N), dKp1)
     return out
 
@@ -461,7 +490,7 @@ def initial_value_series_seq(x: Signal, w: Weight, degrees, basis) -> np.ndarray
     """``sum_i basis(i)(k) (w(a)/w(k)) d_i`` over ``degrees`` in order, one
     scalar accumulator per point, as the identity checkers wrote it inline."""
     N = x.grid.horizon
-    terms = [(basis(i), nabla_n_tempered_at(x, i, w, 0)) for i in degrees]
+    terms = [(basis(i), nabla_n_tempered_at_seq(x, i, w, 0)) for i in degrees]
     out = np.empty(N)
     for m in range(1, N + 1):
         acc = 0.0

@@ -846,6 +846,28 @@ def test_degree_1000_forms_past_the_gamma_ratio_range_name_their_first_bad_offse
 
 
 @pytest.mark.parametrize(
+    "kind, order, rep, first", [("nabla", "1", "initial", 538), ("gl", "250.5", "future", 838)]
+)
+def test_degree_300_binomial_rows_past_binary64_name_their_first_bad_offset(
+    tmp_path, capsys, kind, order, rep, first
+):
+    # at N = 2000 a degree-300 binomial row leaves binary64 (the integer
+    # kind's basis C(m+i-1, i), the future residual's C(t, 300)), which
+    # ended in an OverflowError traceback; the shorter horizons give finite
+    # rows, and the sums overflow at the offset the message names
+    out = tmp_path / "x.csv"
+    assert run(["taylor", "--kind", kind, "--order", order, "--signal", "poly:1", "--weight", "one",
+                "--N", "2000", "--rep", rep, "--degree", "300", "--history", "301",
+                "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"nt: numeric error: signal contains non-finite samples from lattice offset {first}: "
+        f"this signal admits a horizon of at most {first - 1} from its base point\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "rep", [["--rep", "current"], ["--rep", "initial", "--history", "7"]], ids=["current", "initial"]
 )
 def test_gamma_ratio_overflow_is_numeric_error(tmp_path, rep):

@@ -39,6 +39,7 @@ from nablatc.special import gl_coefficients, rising_over_factorial_row, rising_o
 from nablatc.taylor import (
     reconstruct_from_current,
     reconstruct_initial,
+    taylor_initial,
     taylor_series_initial,
     tempered_op_taylor_current,
     tempered_op_taylor_future,
@@ -49,6 +50,8 @@ from _sequential import (
     initial_value_series_seq,
     instance_signal_seq,
     leibniz_rhs_seq,
+    nabla_at_seq,
+    nabla_n_tempered_at_seq,
     nabla_n_tempered_seq,
     reconstruct_from_current_seq,
     reconstruct_initial_seq,
@@ -56,6 +59,7 @@ from _sequential import (
     taylor_future_exchanged_seq,
     taylor_future_seq,
     taylor_sweep_seq,
+    tempered_diff_at_seq,
 )
 
 
@@ -544,6 +548,9 @@ def test_integer_stencil_sequential(n, N, extra, wspec, sname, seed):
     got = _outcome(lambda: [nabla_at(x, n, m) for m in range(-extra, N + 1)])
     offsets = range(-extra, N + 1)
     assert got == _outcome(lambda: [nabla_n_tempered_at(x, n, ones, m) for m in offsets])
+    assert got == _outcome(lambda: [nabla_at_seq(x, n, m) for m in offsets])
+    got = _outcome(lambda: [nabla_n_tempered_at(x, n, w, m) for m in offsets])
+    assert got == _outcome(lambda: [nabla_n_tempered_at_seq(x, n, w, m) for m in offsets])
 
 
 @settings(max_examples=100, deadline=None)
@@ -588,3 +595,93 @@ def test_initial_value_series_sequential(lo, hi, N, extra, wspec, sname, order, 
     degrees = range(lo, hi)
     got = _outcome(lambda: sum(initial_value_terms(x, w, degrees, basis), np.zeros(N)))
     assert got == _outcome(lambda: initial_value_series_seq(x, w, degrees, basis))
+
+
+# ---------------------------------------------------------------------------
+# pointwise differences: every degree at one point from one accumulation
+# ---------------------------------------------------------------------------
+
+
+def _pointwise_case(case, K, rows, seed):
+    """x and w with K + 3 points each (one row, or a stack of ``rows``),
+    the point of the differences at position K + 1."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, K + 3) if rows else (K + 3,)
+    x = rng.standard_normal(shape)
+    w = rng.uniform(0.5, 2.0, shape)
+    if case == "negative-weight":
+        # w x is -0.0 at the point, and d_0 = (0.0 + -0.0) / w = -0.0
+        w = -w
+        x[..., K + 1] = 0.0
+    elif case == "overflow":
+        # c_l w past binary64 at some lags of the high degrees: inf there,
+        # NaN where infinities of both signs meet or meet x = 0
+        w[..., : K + 2 : 2] = 1e306
+        x[..., K - 1 : K] = 0.0
+    return x, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "negative-weight", "overflow"]),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=99),
+)
+@example("random", 0, 0, 0)
+@example("random", 1, 2, 0)
+@example("random", 12, 3, 0)
+@example("random", 792, 0, 0)
+@example("random", 792, 2, 1)
+@example("negative-weight", 0, 0, 0)
+@example("negative-weight", 12, 2, 0)
+@example("overflow", 12, 0, 0)
+@example("overflow", 12, 3, 0)
+@example("overflow", 792, 0, 0)
+def test_pointwise_differences_every_degree_sequential(case, K, rows, seed):
+    # every degree 0..K of the one accumulation against one scalar loop per
+    # degree, tempered and untempered, bit for bit (signs of zero, and the
+    # infinities and NaNs of an overflowing c * w, included)
+    x, w = _pointwise_case(case, K, rows, seed)
+    p = K + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = operators._difference_table(K)
+        tempered = operators._differences_at(x, p, w, p, table)
+        untempered = operators._differences_at(x, p, None, 0, table)
+        loops = [
+            np.stack([tempered_diff_at_seq(x, p, v, p, i) for i in range(K + 1)], -1)
+            for v in (w, np.ones(w.shape))
+        ]
+    for got, want in zip((tempered, untempered), loops):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert np.isfinite(untempered).all()
+    if case == "negative-weight":
+        assert np.signbit(tempered[..., 0]).all() and not np.signbit(untempered[..., 0]).any()
+    if case == "overflow" and K >= 12:
+        assert not np.isfinite(tempered).all()
+    elif case != "overflow":
+        assert np.isfinite(tempered).all()
+
+
+@pytest.mark.parametrize("K", [0, 1, 12, 792])
+def test_taylor_initial_sequential(K):
+    grid = Grid(0.0, history=K + 1, horizon=2)
+    x = _signal(grid, "random", K)
+    got = taylor_initial(x, K)
+    assert got.tobytes() == np.array([nabla_at_seq(x, i, 0) for i in range(K + 1)]).tobytes()
+
+
+def test_signed_binomial_rows_are_the_exact_binomials():
+    # the rows converted once and their odd entries negated, and the rows of
+    # the difference table: the same bits as each signed integer rounded
+    # alone, up to the largest finite row, and +0.0 past a row's own lags
+    top = operators.MAX_INTEGER_STAGE
+    table = operators._difference_table(top)
+    row = [1]  # C(n, i) for i = 0..n, by Pascal's rule
+    for n in range(top + 1):
+        signed = np.array([-c if i % 2 else c for i, c in enumerate(row)], float).tobytes()
+        assert operators._signed_binomials(n).tobytes() == signed
+        assert table[n, : n + 1].tobytes() == signed
+        assert table[n, n + 1 :].tobytes() == bytes(8 * (top - n))
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]

@@ -54,6 +54,14 @@ def test_degree_zero_is_the_telescoping_sum():
     np.testing.assert_allclose(rec.values, x.window(0, 15), atol=1e-13)
 
 
+def test_reconstruction_past_binary64_raises_without_a_warning():
+    # at K = 300 the binomials C(m+299, 300) leave binary64 below N = 2000;
+    # the sums that overflow first must not warn (warnings fail this run)
+    x = preset_signal("sin10k", Grid(0.0, 301, 2000))
+    with pytest.raises(DomainError, match="overflows binary64"):
+        reconstruct_initial(x, 300)
+
+
 def test_op_taylor_initial_matches_direct():
     g = Grid(0.0, 7, 16)
     x = preset_signal("sin10k", g)
