@@ -9,8 +9,9 @@ defining formula, which is zero (the zero-extension convention).
 
 Every lagged inner sum goes through :func:`causal_sum`, which accumulates
 each output in ascending lag order with two roundings per term (one numpy
-einsum per tile of outputs, the tiles of a long sum spread over the
-process's CPUs, or a per-lag loop where einsum would round differently),
+einsum per tile of outputs for one row or a stack of rows, the tiles of a
+long sum spread over the process's CPUs, or a per-lag loop where einsum
+would round differently),
 so results are identical run to run and equal to sequential evaluation.
 :func:`causal_dot` computes one such output alone, for recurrences that
 need each output before the next.
@@ -169,24 +170,28 @@ def _causal_sum_by_lag(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
-def _causal_sum_tiles(c: np.ndarray, zp: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+def _causal_sum_tiles(ct: np.ndarray, zp: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
     """Write outputs ``lo .. hi-1`` of the tiled sum into ``out``, one
-    einsum per tile; ``lo`` is a multiple of ``_TILE``, and ``zp`` is
-    ``z`` behind ``min(N, _TILE) - 1`` zeros."""
-    N = len(out)
+    einsum per tile for every row; ``lo`` is a multiple of ``_TILE``.
+    ``ct``, ``zp`` and ``out`` hold one column per row: ``ct`` the
+    coefficients, ``zp`` the sequence behind ``min(N, _TILE) - 1`` zeros."""
+    N, R = out.shape
     pad = len(zp) - N
     step = zp.itemsize
     for k0 in range(lo, hi, _TILE):
         L = min(_TILE, N - k0)
         nl = k0 + L
-        # V[i, t] = z[k0 + t - i] for lags i < nl; zero where k0 + t < i.
-        # A view of zp: row i starts at zp[pad + k0 - i], so the lowest
-        # element read, zp[pad + 1 - L] at i = nl - 1, t = 0, is in range
+        # V[r, i, t] = z[r, k0 + t - i] for lags i < nl; zero where
+        # k0 + t < i.  A view of zp: lag i starts at zp[pad + k0 - i], so
+        # the lowest entry read, zp[pad + 1 - L] at i = nl - 1, t = 0, is
+        # in range
         V = np.ndarray(
-            (nl, L), np.float64, buffer=zp, offset=(pad + k0) * step, strides=(-step, step)
+            (R, nl, L), np.float64, buffer=zp, offset=(pad + k0) * R * step,
+            strides=(step, -R * step, R * step),
         )
-        # order="F": outputs t innermost, lags i outermost and ascending
-        np.einsum("i,ik->k", c[:nl], V, out=out[k0 : k0 + L], order="F")
+        # order="F": rows r innermost (a single row drops out, leaving the
+        # outputs t), then t, lags i outermost and ascending
+        np.einsum("ri,rik->rk", ct[:nl].T, V, out=out[k0 : k0 + L].T, order="F")
 
 
 #: Horizon from which :func:`causal_sum` spreads its tiles over threads.
@@ -199,8 +204,20 @@ def _causal_sum_tiles(c: np.ndarray, zp: np.ndarray, out: np.ndarray, lo: int, h
 _SPLIT_FROM = 2048
 
 
+#: CPUs that one :func:`causal_sum` may spread over in the current context,
+#: where its caller already spreads work over the process's CPUs (a forked
+#: ``nt verify`` pass sets each process's share); None: all of them.
+_cpu_share: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "nablatc_cpu_share", default=None
+)
+
+
 def _cpus() -> int:
-    """CPUs this process may run on; 1 where the OS does not say."""
+    """CPUs a sum may use: the context's share, else those this process
+    may run on (1 where the OS does not say)."""
+    share = _cpu_share.get()
+    if share is not None:
+        return share
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else 1
 
@@ -223,11 +240,16 @@ def _tile_ranges(N: int) -> list[tuple[int, int]]:
 
 
 def _causal_sum_tiled(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    N = len(z)
-    out = np.empty(N)
+    N = z.shape[-1]
+    rows = np.broadcast_shapes(c.shape[:-1], z.shape[:-1]) if c.ndim > 1 or z.ndim > 1 else ()
+    R = rows[0] if rows else 1
+    # (N, R) buffers, seen transposed: row r of c, z and out is column r,
+    # so the rows of one lag and output are contiguous; zp[pad + j] = z[:, j]
+    ct, out = np.empty((N, R)), np.empty((N, R))
     pad = max(min(N, _TILE) - 1, 0)
-    zp = np.zeros(pad + N)
-    zp[pad:] = z  # zp[pad + j] = z[j]
+    zp = np.zeros((pad + N, R))
+    ct.T[...] = c[..., :N]
+    zp[pad:].T[...] = z
     own, *rest = _tile_ranges(N)
     # Each further range runs on a thread of its own, which lives only
     # inside this call.  Every output is the same einsum call whichever
@@ -238,7 +260,7 @@ def _causal_sum_tiled(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     def helper(lo: int, hi: int) -> None:
         try:
-            _causal_sum_tiles(c, zp, out, lo, hi)
+            _causal_sum_tiles(ct, zp, out, lo, hi)
         except BaseException as exc:  # raised again in the caller
             errors.append(exc)
 
@@ -253,31 +275,35 @@ def _causal_sum_tiled(c: np.ndarray, z: np.ndarray) -> np.ndarray:
                 continue
             threads.append(t)
         for lo, hi in mine:
-            _causal_sum_tiles(c, zp, out, lo, hi)
+            _causal_sum_tiles(ct, zp, out, lo, hi)
     finally:
         for t in threads:
             t.join()
     if errors:
         raise errors[0]
-    return out
+    return np.ascontiguousarray(out.T) if rows else out[:, 0]
 
 
-def _einsum_fuses() -> bool:
+def _einsum_fuses(rows: int = 0) -> bool:
     """Whether the tiled einsum rounds ``acc + c*z`` once (fused
-    multiply-add) instead of twice.
+    multiply-add) instead of twice: the 1-D kernel, or with ``rows`` the
+    stacked one on that many rows.
 
     Probed on ``-1 + a*a`` with ``a = 1 + 2^-30``: two roundings give
-    2^-29, a fused multiply-add 2^-29 + 2^-60.  37 outputs reach both the
-    vector body and the scalar tail of einsum's inner loop.
+    2^-29, a fused multiply-add 2^-29 + 2^-60.  37 outputs, or 37 rows,
+    reach both the vector body and the scalar tail of einsum's inner loop.
     """
     a = 1.0 + 2.0**-30
     z = np.tile([a, -1.0], 19)[:37]
     c = np.zeros(37)
     c[:2] = 1.0, a
+    if rows:
+        c, z = np.tile(c[:2], (rows, 1)), np.tile(z[:2], (rows, 1))
     return not np.array_equal(_causal_sum_tiled(c, z), _causal_sum_by_lag(c, z))
 
 
 _EINSUM_FUSES = _einsum_fuses()
+_STACKED_EINSUM_FUSES = _einsum_fuses(rows=37)
 
 
 def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -298,27 +324,34 @@ def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     whose einsum fuses multiply-add.
 
     From ``_SPLIT_FROM`` outputs on, the tiles are split into one range of
-    whole tiles per CPU in ``os.sched_getaffinity(0)``, of about equal
-    work; the caller runs the first and a thread per further CPU the
-    others, all joined before the call returns or raises.  Each tile is
-    the same einsum call whichever thread makes it, so the bits do not
-    depend on the number of threads.
+    whole tiles per CPU, of about equal work: the CPUs in
+    ``os.sched_getaffinity(0)``, or the share a forked ``nt verify`` pass
+    gives each of its processes.  The caller runs the first range and a
+    thread per further CPU the others, all joined before the call returns
+    or raises.  Each tile is the same einsum call whichever thread makes
+    it, so the bits do not depend on the number of threads.
 
     A 2-D ``c`` holds one coefficient row per output row, and a 2-D ``z``
     one sequence per output row (a 1-D one is shared by every row):
-    ``out[r, k] = sum_{i=0}^{k} c[r, i] z[r, k-i]``.  Both take the per-lag
-    loop, one 2-D multiply and add per lag for every row at once, so each
-    row equals the 1-D call with that row bit for bit; a stack of one row
-    is that 1-D call.  Output ``k`` of a
-    row reads its lags ``i <= k`` only, so entries of ``c`` or ``z`` past
-    a row's own length (stacked rows of different lengths, zero-padded)
-    never reach that row's first outputs.
+    ``out[r, k] = sum_{i=0}^{k} c[r, i] z[r, k-i]``.  The same tiles, one
+    einsum per tile for every row at once: rows innermost and contiguous
+    (``c``, ``z`` and the output are held one column per row), then the
+    outputs, lags outermost and ascending.  So every output still starts
+    from +0.0 and adds its terms in ascending lag, two roundings each, and
+    each row equals the 1-D call with that row bit for bit; a stack of one
+    row is that 1-D call.  Rows innermost is another einsum inner loop than
+    the 1-D call's, probed on its own: the per-lag loop (one 2-D multiply
+    and add per lag for every row) runs instead where that one fuses
+    multiply-add, and where ``c[..., :len(z)]`` holds a non-finite entry.
+    Output ``k`` of a row reads its lags ``i <= k`` only, so entries of
+    ``c`` or ``z`` past a row's own length (stacked rows of different
+    lengths, zero-padded) never reach that row's first outputs.
     """
-    if c.ndim > 1 or z.ndim > 1:
-        if np.broadcast_shapes(c.shape[:-1], z.shape[:-1]) == (1,):
-            return causal_sum(c.reshape(-1), z.reshape(-1))[None]
-        return _causal_sum_by_lag(c, z)
-    if _EINSUM_FUSES or not np.isfinite(c[: len(z)]).all():
+    stacked = c.ndim > 1 or z.ndim > 1
+    if stacked and np.broadcast_shapes(c.shape[:-1], z.shape[:-1]) == (1,):
+        return causal_sum(c.reshape(-1), z.reshape(-1))[None]
+    fuses = _STACKED_EINSUM_FUSES if stacked else _EINSUM_FUSES
+    if fuses or not np.isfinite(c[..., : z.shape[-1]]).all():
         return _causal_sum_by_lag(c, z)
     return _causal_sum_tiled(c, z)
 

@@ -241,7 +241,7 @@ def make_signal_from_fn(grid: Grid, f: Callable[[float], float]) -> Signal:
             "sampled function returned a non-finite value"
             + _first_bad(-grid.history, ~finite, "function")
         )
-    return Signal(grid, vals)
+    return Signal._adopt(grid, vals)
 
 
 def make_weight(
@@ -273,8 +273,8 @@ def make_weight(
             np.multiply.accumulate(vals[pos0:], out=vals[pos0:])
             below = vals[pos0::-1]
             np.divide.accumulate(below, out=below)
-        return Weight(grid, vals)
-    return Weight(grid, _sample(grid, fn))
+        return Weight._adopt(grid, vals)
+    return Weight._adopt(grid, _sample(grid, fn))
 
 
 def scale_weight(w: Weight, lam_scale: float) -> Weight:

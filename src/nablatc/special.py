@@ -213,9 +213,16 @@ def rising_over_gamma_row(q: float, d: float, N: int) -> np.ndarray:
 
 def rising_over_factorial_row(i: int, N: int) -> np.ndarray:
     """``m^(i)/i! = C(m+i-1, i)`` for m = 1..N (integer i >= 0), exact
-    integer binomials rounded once to binary64 (:class:`DomainError` past it)."""
+    integer binomials rounded once to binary64 (:class:`DomainError` past it).
+
+    The binomials come from the exact integer recurrence
+    ``C(m+i, i) = C(m+i-1, i) (m+i) / m`` from ``C(i, i) = 1``, each point
+    converted to binary64 once: the bits of ``math.comb`` per point."""
+    exact = [1] * N
+    for m in range(1, N):
+        exact[m] = exact[m - 1] * (m + i) // m
     try:
-        return np.array([float(math.comb(m + i - 1, i)) for m in range(1, N + 1)])
+        return np.fromiter(map(float, exact), np.float64, N)
     except OverflowError:
         raise DomainError(f"binomial C({N + i - 1}, {i}) overflows binary64") from None
 

@@ -24,8 +24,8 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import replace
 from functools import partial
+from itertools import repeat
 from typing import Callable, NoReturn
 
 import numpy as np
@@ -63,6 +63,8 @@ from .laplace import (
 from .operators import (
     OperatorKind,
     OperatorSpec,
+    _cpu_share,
+    _cpus,
     apply_operator,
     set_fault_injection,
 )
@@ -102,65 +104,76 @@ def _instance_signal(rng: np.random.Generator, grid: Grid, idx: int) -> Signal:
     # one (r up to 1.03) by about 6.6 at the longest horizon, 1.03**64
     fam = idx % 4
     if fam == 0:
-        return Signal(grid, rng.standard_normal(grid.npoints))
-    a = grid.a
+        return Signal._adopt(grid, rng.standard_normal(grid.npoints))
+    k = grid.k_values()
     if fam == 1:
-        return _float_signal(grid, lambda k: math.sin(10.0 * k))
+        return Signal._adopt(grid, _libm(math.sin, 10.0 * k))
     if fam == 2:
         c0, c1, c2, c3 = rng.uniform(-2.0, 2.0, size=4).tolist()
-        span = grid.horizon
-
-        def cubic(k: float) -> float:
-            t = (k - a) / span
-            # the terms in ascending power, added left to right from 0: not
-            # sum(), which compensates float sums from Python 3.12 on
-            return 0 + c0 * t**0 + c1 * t**1 + c2 * t**2 + c3 * t**3
-
-        return _float_signal(grid, cubic)
+        t = (k - grid.a) / grid.horizon
+        # the cubic in ascending power, added left to right from 0 (t**0
+        # is 1.0 for every t): the scalar 0 + c0*t**0 + c1*t**1 + ...
+        # at every point, each power Python's own
+        vals = 0.0 + c0 * 1.0 + c1 * _libm(pow, t, 1)
+        vals += c2 * _libm(pow, t, 2)
+        vals += c3 * _libm(pow, t, 3)
+        return Signal._adopt(grid, vals)
     r = float(rng.uniform(0.75, 1.03))
-    return _float_signal(grid, lambda k: r ** (k - a))
+    return Signal._adopt(grid, _libm(partial(pow, r), k - grid.a))
 
 
-def _float_signal(grid: Grid, f: Callable[[float], float]) -> Signal:
-    return Signal(grid, _float_values(grid, f))
+def _libm(f: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
+    """``f(x_j, *args)`` for every entry of ``x``, passed as a Python float.
 
-
-def _float_values(grid: Grid, f: Callable[[float], float]) -> np.ndarray:
-    """``f`` at every lattice point, passed as a Python float.
-
-    Python floats go through the same IEEE operations (and the same libm
-    calls) as numpy float64 scalars, at a fraction of the call cost.  What
-    they do not share is overflow: a Python power raises instead of giving
-    inf, so this is for functions that stay finite on the grid.
+    numpy does the IEEE-exact steps of the instance families on whole
+    arrays; each libm call (``math.sin``, a power) runs per point as the
+    scalar expression makes it, since numpy's own vectorised ``sin`` and
+    ``power`` may round differently.  A Python power raises instead of
+    giving inf, so this is for functions that stay finite on the grid.
     """
-    return np.fromiter(map(f, grid.k_values().tolist()), np.float64, grid.npoints)
+    points = x.tolist()
+    return np.fromiter(map(f, points, *map(repeat, args)), np.float64, len(points))
+
+
+#: The signs of the random-sign weight family, indexed by a 0/1 draw.
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def _instance_weight(rng: np.random.Generator, grid: Grid, idx: int) -> Weight:
     fam = idx % 7
-    if fam in (1, 3):
-        # case2 and case4 sampled on Python floats: |pi^(k - a)| stays
-        # finite on suite grids (horizon <= 64, history <= 3), so the values
-        # are preset_weight's bit for bit
-        name = f"case{fam + 1}"
-        return Weight(grid, _float_values(grid, weight_case_fn(name, grid.a)))
-    if fam < 4:
+    if fam in (0, 2):
         return preset_weight(f"case{fam + 1}", grid)
+    if fam in (1, 3):
+        # presets.weight_case_fn's case2 and case4 on every point: |pi^(k - a)|
+        # stays finite on suite grids (horizon <= 64, history <= 3), so the
+        # values are preset_weight's bit for bit
+        k, a = grid.k_values(), grid.a
+        if fam == 1:
+            return Weight._adopt(grid, -_libm(partial(pow, math.pi), k - a))
+        phase = k * math.pi / 2.0 - a * math.pi / 2.0 + math.pi / 4.0
+        return Weight._adopt(grid, _libm(math.sin, phase))
     if fam == 4:
-        return preset_weight("one", grid)
+        return Weight._adopt(grid, np.ones(grid.npoints))  # preset "one"
     if fam == 5:
         return make_weight(grid, rate=float(rng.uniform(-1.0, 0.0)))
     mag = 10.0 ** float(rng.uniform(-3.0, 3.0))
-    signs = rng.choice([-1.0, 1.0], size=grid.npoints)
-    return Weight(grid, mag * signs)
+    # rng.choice([-1.0, 1.0], size=n) draws these integers
+    signs = _SIGNS[rng.integers(0, 2, size=grid.npoints)]
+    return Weight._adopt(grid, mag * signs)
+
+
+def _round3(u: float) -> float:
+    """``u`` to 3 decimals as numpy rounds it, ``rint(u * 1000) / 1000``:
+    ties to even, and a result of zero keeps the sign of ``u``."""
+    y = u * 1000.0
+    return math.copysign(round(y), y) / 1000.0
 
 
 def _core_instance(
     rng: np.random.Generator, idx: int, history: int, n_max: int = 64
 ) -> tuple[Signal, Weight]:
     N = int(rng.integers(8, n_max + 1))
-    a = float(np.float64(rng.uniform(-4.0, 4.0)).round(3))
-    grid = Grid(a, history=history, horizon=N)
+    grid = Grid(_round3(rng.uniform(-4.0, 4.0)), history=history, horizon=N)
     return _instance_signal(rng, grid, idx), _instance_weight(rng, grid, idx // 4)
 
 
@@ -174,14 +187,19 @@ def _horizon_cap(alpha: float, above_one: int = 32) -> int:
 def _tag(r: IdentityReport, **extra) -> IdentityReport:
     """A copy of ``r`` whose params also hold ``extra`` (a new key goes
     last, an existing one keeps its place)."""
-    return replace(r, params={**r.params, **extra})
+    params = {**r.params, **extra}
+    return IdentityReport(r.identity_id, r.max_abs_dev, r.argmax_k, r.tolerance, params)
 
 
 def _tagged(check: RowCheck, rows: list[tuple], ts: float) -> list[IdentityReport]:
     """``check`` on the stacked ``rows``, each report tagged with its
     instance index."""
     reports = run_rows(check, rows, TOL_EXACT * ts)
-    return [_tag(r, instance=i) for i, r in enumerate(reports)]
+    for i, r in enumerate(reports):
+        # every report is new from run_rows, with the params dict of its
+        # own prep call, so the key goes in last, in place (as in _run_group)
+        r.params["instance"] = i
+    return reports
 
 
 def _alpha_instances(
@@ -616,26 +634,31 @@ def _processes(selected: list) -> int:
     return min(len(os.sched_getaffinity(0)), len(selected))
 
 
-def _drain(queue: int, selected: list, seed: int, ts: float) -> dict:
+def _drain(queue: int, selected: list, seed: int, ts: float, share: int) -> dict:
     """Run the groups whose positions in ``selected`` this process takes
     from the work queue, one byte each, until the queue is empty or a group
-    raises; the groups that finished, by position."""
+    raises; the groups that finished, by position.  Meanwhile a causal sum
+    spreads over at most ``share`` CPUs: the other processes of the pass
+    keep the rest busy (the bits do not depend on the split)."""
     done = {}
+    token = _cpu_share.set(share)
     try:
         while pos := os.read(queue, 1):
             done[pos[0]] = _run_group(seed, selected[pos[0]], ts)
     except Exception:
         pass  # a group not returned is rerun in-process, where it raises
+    finally:
+        _cpu_share.reset(token)
     return done
 
 
-def _child(queue: int, sink: int, selected: list, seed: int, ts: float) -> NoReturn:
+def _child(queue: int, sink: int, selected: list, seed: int, ts: float, share: int) -> NoReturn:
     """A forked child's whole life: its share of the queue, pickled into
     ``sink``.  It exits 0 only once every byte is written, and never
     returns into the parent's stack (no atexit handlers, no stdio flush)."""
     status = 1
     try:
-        done = _drain(queue, selected, seed, ts)
+        done = _drain(queue, selected, seed, ts, share)
         with os.fdopen(sink, "wb") as out:
             pickle.dump(done, out, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -649,7 +672,11 @@ def _run_forked(selected: list, seed: int, ts: float, processes: int) -> dict:
 
     A group that raised, or whose child died, is missing.  Every child is
     reaped before this returns or raises, and killed first if it raises.
+    Each process spreads a long causal sum over its own share of the CPUs
+    only, so no sum starts threads that can only time-share with the
+    other processes.
     """
+    share = max(_cpus() // processes, 1)
     queue, feed = os.pipe()
     # one byte per position, handed out last first: the registry ends with
     # its heaviest groups (laplace-rules, ml-solver), and the lighter ones
@@ -677,10 +704,10 @@ def _run_forked(selected: list, seed: int, ts: float, processes: int) -> dict:
                 os.close(sink)
                 break
             if pid == 0:
-                _child(queue, sink, selected, seed, ts)
+                _child(queue, sink, selected, seed, ts, share)
             os.close(sink)
             children[pid] = result
-        done = _drain(queue, selected, seed, ts)
+        done = _drain(queue, selected, seed, ts, share)
         # a full pass pickles to more than a pipe holds: read to EOF first
         for pid, result in children.items():
             with os.fdopen(result, "rb", closefd=False) as f:

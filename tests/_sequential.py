@@ -13,7 +13,10 @@ the per-point Gamma-ratio row and the list-built lattice sampler are frozen
 copies of the one-call-per-point versions that the library's one-pass row
 and sampler replace, and the per-term loops of the Taylor forms, the
 product rule and the suite's instance signals are frozen copies of the
-loops that the library's row passes replace.  The future-instant form's
+loops that the library's row passes replace.  So are the suite's instance
+draws as they were made one lambda call per point (which the draws on
+whole arrays replace) and the row of binomials with one ``math.comb`` per
+point (which an exact integer recurrence replaces).  The future-instant form's
 residual has two loops: its double sum as written, the reference the
 library is held to within a rounding bound, and the same sum exchanged,
 which the library follows byte for byte.  The same holds for the
@@ -58,7 +61,16 @@ from nablatc.operators import (
     nabla_n_tempered,
     tempered_diff_rows,
 )
-from nablatc.signals import BadRate, Grid, GridMismatch, Signal, Weight, make_signal_from_fn
+from nablatc.presets import preset_weight, weight_case_fn
+from nablatc.signals import (
+    BadRate,
+    Grid,
+    GridMismatch,
+    Signal,
+    Weight,
+    make_signal_from_fn,
+    make_weight,
+)
 from nablatc.special import (
     DomainError,
     GLCoefficientSeq,
@@ -455,6 +467,69 @@ def instance_signal_seq(rng: np.random.Generator, grid: Grid, idx: int) -> Signa
         )
     r = float(rng.uniform(0.75, 1.03))
     return make_signal_from_fn(grid, lambda k: r ** (k - grid.a))
+
+
+def _float_values_seq(grid: Grid, f) -> np.ndarray:
+    """``f`` at every lattice point, one Python-float call per point."""
+    return np.fromiter(map(f, grid.k_values().tolist()), np.float64, grid.npoints)
+
+
+def instance_signal_floats_seq(rng: np.random.Generator, grid: Grid, idx: int) -> Signal:
+    """The suite's instance signal with the sampled families evaluated on
+    Python floats, one lambda call per point."""
+    fam = idx % 4
+    if fam == 0:
+        return Signal(grid, rng.standard_normal(grid.npoints))
+    a = grid.a
+    if fam == 1:
+        return Signal(grid, _float_values_seq(grid, lambda k: math.sin(10.0 * k)))
+    if fam == 2:
+        c0, c1, c2, c3 = rng.uniform(-2.0, 2.0, size=4).tolist()
+        span = grid.horizon
+
+        def cubic(k: float) -> float:
+            t = (k - a) / span
+            return 0 + c0 * t**0 + c1 * t**1 + c2 * t**2 + c3 * t**3
+
+        return Signal(grid, _float_values_seq(grid, cubic))
+    r = float(rng.uniform(0.75, 1.03))
+    return Signal(grid, _float_values_seq(grid, lambda k: r ** (k - a)))
+
+
+def instance_weight_seq(rng: np.random.Generator, grid: Grid, idx: int) -> Weight:
+    """The suite's instance weight: the presets' own constructions, the
+    case2 and case4 functions one call per point, and ``rng.choice`` signs."""
+    fam = idx % 7
+    if fam in (1, 3):
+        name = f"case{fam + 1}"
+        return Weight(grid, _float_values_seq(grid, weight_case_fn(name, grid.a)))
+    if fam < 4:
+        return preset_weight(f"case{fam + 1}", grid)
+    if fam == 4:
+        return preset_weight("one", grid)
+    if fam == 5:
+        return make_weight(grid, rate=float(rng.uniform(-1.0, 0.0)))
+    mag = 10.0 ** float(rng.uniform(-3.0, 3.0))
+    signs = rng.choice([-1.0, 1.0], size=grid.npoints)
+    return Weight(grid, mag * signs)
+
+
+def core_instance_seq(
+    rng: np.random.Generator, idx: int, history: int, n_max: int = 64
+) -> tuple[Signal, Weight]:
+    """The suite's core instance, its base point rounded by numpy."""
+    N = int(rng.integers(8, n_max + 1))
+    a = float(np.float64(rng.uniform(-4.0, 4.0)).round(3))
+    grid = Grid(a, history=history, horizon=N)
+    return instance_signal_floats_seq(rng, grid, idx), instance_weight_seq(rng, grid, idx // 4)
+
+
+def rising_over_factorial_row_seq(i: int, N: int) -> np.ndarray:
+    """``C(m+i-1, i)`` for m = 1..N, one ``math.comb`` per point."""
+    try:
+        return np.array([float(math.comb(m + i - 1, i)) for m in range(1, N + 1)])
+    except OverflowError:
+        raise DomainError(f"binomial C({N + i - 1}, {i}) overflows binary64") from None
 
 
 def nabla_n_tempered_seq(x: Signal, n: int, w: Weight) -> np.ndarray:

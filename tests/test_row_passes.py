@@ -35,7 +35,12 @@ from nablatc.operators import (
 )
 from nablatc.presets import preset_signal, preset_weight
 from nablatc.signals import Grid, Signal
-from nablatc.special import gl_coefficients, rising_over_factorial_row, rising_over_gamma_row
+from nablatc.special import (
+    DomainError,
+    gl_coefficients,
+    rising_over_factorial_row,
+    rising_over_gamma_row,
+)
 from nablatc.taylor import (
     reconstruct_from_current,
     reconstruct_initial,
@@ -47,6 +52,7 @@ from nablatc.taylor import (
 
 from _sequential import (
     causal_sum_seq,
+    core_instance_seq,
     initial_value_series_seq,
     instance_signal_seq,
     leibniz_rhs_seq,
@@ -55,6 +61,7 @@ from _sequential import (
     nabla_n_tempered_seq,
     reconstruct_from_current_seq,
     reconstruct_initial_seq,
+    rising_over_factorial_row_seq,
     taylor_current_seq,
     taylor_future_exchanged_seq,
     taylor_future_seq,
@@ -430,29 +437,56 @@ def _canonical_nan_bytes(a):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=120),
     st.integers(min_value=1, max_value=300),
     st.integers(min_value=0, max_value=5),
+    st.sampled_from(["rows", "shared c", "shared z"]),
+    st.booleans(),
+    st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from([1.0, 1e-300, 1e300]),
     st.lists(st.sampled_from([np.inf, -np.inf, np.nan, -0.0]), max_size=3),
+    st.lists(st.sampled_from([np.inf, -np.inf, np.nan, -0.0]), max_size=3),
 )
-def test_causal_sum_rows_match_1d_calls(rows, n, extra, seed, scale, marks):
+@example(37, 2, 0, "rows", False, False, 0, 1.0, [], [])  # the probe's shape
+@example(120, 300, 5, "rows", True, False, 1, 1.0, [-0.0], [-0.0, np.nan])
+@example(120, 257, 0, "shared z", False, False, 2, 1.0, [np.inf], [])  # the per-lag loop
+@example(64, 256, 1, "shared c", True, True, 3, -0.0, [], [-np.inf])
+@example(1, 1, 0, "shared c", False, False, 4, 1.0, [], [])
+@example(3, operators._SPLIT_FROM + 50, 0, "rows", True, False, 5, 1.0, [], [])  # threads
+def test_causal_sum_rows_match_1d_calls(
+    rows, n, extra, shared, ragged, fuses, seed, scale, c_marks, z_marks
+):
     """Each row of a 2-D ``causal_sum`` against the 1-D call on that row
-    (einsum tiles or the per-lag loop) and the scalar loop, across tile
-    edges and with non-finite, signed-zero and overflowing coefficients."""
+    (einsum tiles or the per-lag loop) and the scalar loop, on both stacked
+    routes (one einsum per tile, and the per-lag loop taken on a numpy whose
+    stacked einsum fuses multiply-add), across tile edges: rows of their own
+    lengths zero-padded to the stack's, a 1-D ``c`` or ``z`` shared by every
+    row, and non-finite, signed-zero and overflowing terms."""
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((rows, n + extra)) * scale
-    for v in marks:
-        c[rng.integers(rows), rng.integers(n + extra)] = v
-    z = rng.standard_normal(n)
-    with np.errstate(over="ignore", invalid="ignore"):
+    z = rng.standard_normal((rows, n))
+    for marks, a in ((c_marks, c), (z_marks, z)):
+        for v in marks:
+            a[rng.integers(rows), rng.integers(a.shape[1])] = v
+    lengths = rng.integers(1, n + 1, size=rows) if ragged else np.full(rows, n)
+    for r, m in enumerate(lengths):
+        z[r, m:] = 0.0  # a row's output k reads z up to k only
+    if shared == "shared c":
+        c = c[0]
+    elif shared == "shared z":
+        z, lengths = z[0], np.full(rows, lengths[0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_STACKED_EINSUM_FUSES", fuses)
         out = causal_sum(c, z)
         assert out.shape == (rows, n)
-        for r in range(rows):
-            expected = _canonical_nan_bytes(causal_sum(c[r], z))
-            assert _canonical_nan_bytes(out[r]) == expected
-            assert _canonical_nan_bytes(causal_sum_seq(c[r], z)) == expected
+        for r, m in enumerate(lengths.tolist()):
+            cr = c if c.ndim == 1 else c[r]
+            zr = (z if z.ndim == 1 else z[r])[:m]
+            expected = _canonical_nan_bytes(causal_sum(cr, zr))
+            assert _canonical_nan_bytes(out[r, :m]) == expected
+            if r in (0, rows - 1):  # the scalar loop is slow on long stacks
+                assert _canonical_nan_bytes(causal_sum_seq(cr, zr)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +519,78 @@ def test_core_instance_base_point_is_np_round(seed, n_max):
     rng = np.random.default_rng(seed)
     rng.integers(8, n_max + 1)
     assert x.grid.a == float(np.round(rng.uniform(-4.0, 4.0), 3))
+
+
+class _BasePoints:
+    """A generator whose base-point draws (``uniform(-4.0, 4.0)``) return
+    the given values in turn where one is not None; the stream advances as
+    it would."""
+
+    def __init__(self, seed, bases):
+        self._rng = np.random.default_rng(seed)
+        self._bases = iter(bases)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        u = self._rng.uniform(low, high, size)
+        if (low, high, size) == (-4.0, 4.0, None):
+            base = next(self._bases)
+            return u if base is None else base
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+#: Draws rounded to 3 decimals at and next to their ties, and signed zeros:
+#: ties go to even, and a zero keeps the sign of the draw.
+BOUNDARY_DRAWS = [
+    0.0005, -0.0005, 0.0015, -0.0015, 0.0025, -0.0025, 0.00049999999999999, -0.00049999999999999,
+    0.0005000000000001, -0.0005000000000001, 0.0, -0.0, 1e-300, -1e-300, 3.9995, -3.9995,
+    3.9994999999999998, -3.9994999999999998, 1.0005, -1.0005, 2.0025, -2.0025,
+]
+
+
+def _drawn(draw, seed, bases, count):
+    """``count`` core instances from one stream, as ``draw`` makes them:
+    each grid, values in ``float.hex``, and the stream's state after."""
+    rng = _BasePoints(seed, bases)
+    out = []
+    for i in range(count):
+        history, n_max = 1 + i % 3, (16, 32, 64)[i % 3]
+        x, w = draw(rng, i, history, n_max)
+        values = [[v.hex() for v in s.values.tolist()] for s in (x, w)]
+        out.append((type(x), type(w), x.grid.a.hex(), x.grid, w.grid, *values))
+    return out, rng._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_instance_draws_match_frozen_draws(seed):
+    """1,000 core instances per seed: every signal and weight family, grids
+    and values as the point-by-point draws made them, bit for bit, with
+    base points drawn at the rounding's ties among them; the stream ends
+    in the same state."""
+    bases = [BOUNDARY_DRAWS[(i // 3) % len(BOUNDARY_DRAWS)] if i % 3 == 0 else None for i in range(1000)]
+    got = _drawn(suite._core_instance, seed, bases, 1000)
+    expected = _drawn(core_instance_seq, seed, bases, 1000)
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(BOUNDARY_DRAWS), st.floats(min_value=-4.0, max_value=4.0)))
+def test_base_point_rounding_is_numpy_round(u):
+    assert suite._round3(u).hex() == float(np.float64(u).round(3)).hex()
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 3, 7, 50, 151, 300])
+def test_binomial_row_matches_math_comb(i):
+    """The exact integer recurrence against one ``math.comb`` per point,
+    rounded once each, up to N = 600 and past binary64 (the same error)."""
+    for N in (0, 1, 2, 30, 299, 600, 2000 if i == 300 else 1):
+        assert _outcome(lambda: rising_over_factorial_row(i, N)) == _outcome(
+            lambda: rising_over_factorial_row_seq(i, N)
+        )
+    with pytest.raises(DomainError, match=r"^binomial C\(2299, 300\) overflows binary64$"):
+        rising_over_factorial_row(300, 2000)
 
 
 @pytest.mark.parametrize("index", [0, 2, 6])

@@ -542,6 +542,13 @@ def test_einsum_probe(n):
     odd = operators._causal_sum_tiled(c, np.tile([a, -1.0], n)[:n])[1::2]
     if not fuses:
         assert (odd == two_roundings).all()
+    # the stacked kernel, n rows of the same two terms: rows innermost
+    stacked = operators._einsum_fuses(rows=37)
+    assert isinstance(stacked, bool)
+    assert stacked == operators._STACKED_EINSUM_FUSES
+    rows = operators._causal_sum_tiled(np.tile([1.0, a], (n, 1)), np.tile([a, -1.0], (n, 1)))
+    if not stacked:
+        assert (rows[:, 1] == two_roundings).all()
 
 
 def test_vecdot_probe():

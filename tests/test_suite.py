@@ -255,3 +255,32 @@ def test_fork_deprecation_warning_stays_quiet(forks, monkeypatch, action):
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
     _assert_no_children()
     assert _json(reports, 8) == _group_by_group(8, SMALL)
+
+
+def test_forked_pass_sums_on_its_share_of_cpus(forks, monkeypatch, tmp_path):
+    # each process of a forked pass, the caller too, spreads a causal sum
+    # over its share of the CPUs only: two CPUs, two processes, one range
+    parent = os.getpid()
+
+    def ranges(name, runner):
+        def run(rng, ts):
+            if os.getpid() == parent:
+                deadline = time.monotonic() + 30
+                while not any(tmp_path.iterdir()) and time.monotonic() < deadline:
+                    time.sleep(0.01)  # until the child has taken a group
+            else:
+                (tmp_path / name).touch()
+            params = {"pid": os.getpid(), "ranges": operators._tile_ranges(3000)}
+            return [IdentityReport("tile-ranges", 0.0, 0.0, 1.0, params)]
+
+        return run
+
+    _wrap_runners(monkeypatch, ranges)
+    assert len(operators._tile_ranges(3000)) == 2
+    reports = run_suite(seed=0, groups=SMALL)
+    assert forks == [1]
+    _assert_no_children()
+    assert {r.params["pid"] == parent for r in reports} == {True, False}
+    assert [r.params["ranges"] for r in reports] == [[(0, 3000)]] * len(SMALL)
+    # the caller's own share ends with the pass
+    assert len(operators._tile_ranges(3000)) == 2
