@@ -186,43 +186,30 @@ def _stacked(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[Identit
         stacks.setdefault((h, prep[1]), []).append(r)
     reports: list = [None] * len(rows)
     for (h, stages), members in stacks.items():
-        xs = [rows[r][0] for r in members]
-        ws = [rows[r][1] for r in members]
-        N = np.array([xr.grid.horizon for xr in xs])
-        width = h + 1 + int(N.max())
-        x = _padded(0.0, width, [(h - xr.grid.history, xr.values) for xr in xs])
-        w = _padded(
-            1.0, width,
-            [(h - wr.grid.history, wr.values[: wr.grid.history + 1 + n]) for wr, n in zip(ws, N.tolist())],
-        )
+        N = np.array([rows[r][0].grid.horizon for r in members])
+        x = np.zeros((len(members), h + 1 + int(N.max())))
+        w = np.ones(x.shape)
+        for j, r in enumerate(members):
+            xr, wr, *_ = rows[r]
+            n = xr.grid.horizon
+            x[j, h - xr.grid.history : h + 1 + n] = xr.values
+            w[j, h - wr.grid.history : h + 1 + n] = wr.window(-wr.grid.history, n)
         orders = [np.array(col) for col in zip(*(preps[r][0] for r in members))]
         ident, devs, first = check.body(x, w, h, N, *orders, *stages)
         # each row's largest deviation over its own N - first + 1 entries,
-        # as IdentityReport.from_devs finds it: the padding reads -inf, which
-        # no deviation (not even NaN) loses to, and an empty row reports 0
-        # at its first point
+        # as IdentityReport.from_devs finds it (the first largest, a NaN
+        # first): past them, and in one more column, every row reads -inf,
+        # which any deviation beats; an empty row reports 0 at its first point
         lengths = N - first + 1
-        own = np.arange(devs.shape[-1]) < lengths[:, None]
-        devs = np.where(own, devs, -np.inf)
-        at = np.argmax(devs, axis=-1)
-        dev = np.where(lengths > 0, devs[np.arange(len(members)), at], 0.0)
-        for r, xr, d, j in zip(members, xs, dev.tolist(), at.tolist()):
-            first_k = xr.grid.a + first
+        W = devs.shape[-1]
+        own = np.full((len(members), W + 1), -np.inf)
+        np.copyto(own[:, :W], devs, where=np.arange(W) < lengths[:, None])
+        at = own.argmax(axis=-1)
+        dev = np.where(lengths > 0, own[np.arange(len(members)), at], 0.0)
+        for r, d, j in zip(members, dev.tolist(), at.tolist()):
+            first_k = rows[r][0].grid.a + first
             reports[r] = IdentityReport(ident, d, first_k + j, tol, preps[r][2])
     return reports
-
-
-def _padded(fill: float, width: int, parts: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Rows of ``width`` entries of ``fill``, row j holding the values of
-    ``parts[j] = (start, values)`` from column ``start`` on."""
-    out = np.full((len(parts), width), fill)
-    lengths = np.array([len(v) for _, v in parts])
-    starts = np.array([s for s, _ in parts]) + width * np.arange(len(parts))
-    # the flat index of every value: its row's start plus its place in the row
-    ends = np.cumsum(lengths)
-    at = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
-    out.ravel()[at] = np.concatenate([v for _, v in parts])
-    return out
 
 
 def _gamma_rows(q: np.ndarray, d: np.ndarray, N: np.ndarray) -> np.ndarray:

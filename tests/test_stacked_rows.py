@@ -20,6 +20,7 @@ from nablatc.errors import NablaError, batched
 from nablatc.identities import (
     GL_RL_AGREE,
     MIXED_COMPOSITION,
+    IdentityReport,
     check_gl_rl_agreement,
     check_mixed_composition,
     run_rows,
@@ -119,6 +120,24 @@ def test_rows_of_different_weight_grids_and_stages():
     stacked = run_rows(MIXED_COMPOSITION, rows, 1e-11)
     for (x, w, beta, n, outer), rep in zip(rows, stacked):
         assert rep == check_mixed_composition(x, beta, n, w, outer)
+
+
+def test_rows_with_empty_comparison_windows():
+    # n = 2 on a horizon of 1: the window {a+n, ..., a+N} is empty, which
+    # reports 0 at a + n, in a stack of its own and beside a longer row
+    def row(a, N):
+        g = Grid(a, history=2, horizon=N)
+        return preset_signal("sin10k", g), preset_weight("case4", g), 0.5, 2, "rl"
+
+    empty = [row(0.25, 1), row(-1.5, 1)]
+    longer = row(1.0, 9)
+    for rows in (empty, [empty[0], longer, empty[1]]):
+        reports = run_rows(MIXED_COMPOSITION, rows, 1e-11)
+        for (x, w, beta, n, outer), rep in zip(rows, reports):
+            assert rep == check_mixed_composition(x, beta, n, w, outer)
+            if x.grid.horizon < n:
+                params = {"beta": beta, "n": n}
+                assert rep == IdentityReport("mixed-composition-rl", 0.0, x.grid.a + n, 1e-11, params)
 
 
 # ---------------------------------------------------------------------------
