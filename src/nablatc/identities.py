@@ -202,10 +202,10 @@ def _stacked(check: RowCheck, rows: Sequence[tuple], tol: float) -> list[Identit
         # which any deviation beats; an empty row reports 0 at its first point
         lengths = N - first + 1
         W = devs.shape[-1]
-        own = np.full((len(members), W + 1), -np.inf)
-        np.copyto(own[:, :W], devs, where=np.arange(W) < lengths[:, None])
-        at = own.argmax(axis=-1)
-        dev = np.where(lengths > 0, own[np.arange(len(members)), at], 0.0)
+        padded = np.full((len(members), W + 1), -np.inf)
+        np.copyto(padded[:, :W], devs, where=np.arange(W) < lengths[:, None])
+        at = padded.argmax(axis=-1)
+        dev = np.where(lengths > 0, padded[np.arange(len(members)), at], 0.0)
         for r, d, j in zip(members, dev.tolist(), at.tolist()):
             first_k = rows[r][0].grid.a + first
             reports[r] = IdentityReport(ident, d, first_k + j, tol, preps[r][2])
