@@ -111,9 +111,9 @@ def _instance_signal(rng: np.random.Generator, grid: Grid, idx: int) -> Signal:
     if fam == 2:
         c0, c1, c2, c3 = rng.uniform(-2.0, 2.0, size=4).tolist()
         t = (k - grid.a) / grid.horizon
-        # the cubic in ascending power, added left to right from 0 (t**0
-        # is 1.0 for every t): the scalar 0 + c0*t**0 + c1*t**1 + ...
-        # at every point, each power Python's own
+        # the scalar 0 + c0*t**0 + c1*t**1 + c2*t**2 + c3*t**3 at every
+        # point: the terms added left to right from 0, t**0 is 1.0 for
+        # every t, and each other power is Python's float power
         vals = 0.0 + c0 * 1.0 + c1 * _libm(pow, t, 1)
         vals += c2 * _libm(pow, t, 2)
         vals += c3 * _libm(pow, t, 3)
