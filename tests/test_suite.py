@@ -264,12 +264,11 @@ def test_forked_pass_sums_on_its_share_of_cpus(forks, monkeypatch, tmp_path):
 
     def ranges(name, runner):
         def run(rng, ts):
-            if os.getpid() == parent:
-                deadline = time.monotonic() + 30
-                while not any(tmp_path.iterdir()) and time.monotonic() < deadline:
-                    time.sleep(0.01)  # until the child has taken a group
-            else:
-                (tmp_path / name).touch()
+            me, other = ("caller", "child") if os.getpid() == parent else ("child", "caller")
+            (tmp_path / me).touch()
+            deadline = time.monotonic() + 30
+            while not (tmp_path / other).exists() and time.monotonic() < deadline:
+                time.sleep(0.01)  # until each process has taken a group
             params = {"pid": os.getpid(), "ranges": operators._tile_ranges(3000)}
             return [IdentityReport("tile-ranges", 0.0, 0.0, 1.0, params)]
 
