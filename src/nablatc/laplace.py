@@ -22,10 +22,10 @@ from .operators import (
     OperatorKind,
     OperatorSpec,
     _output,
+    _in_order_dot,
     _stage,
     apply_operator,
     caputo_tempered,
-    causal_dot,
     causal_sum,
     gl_tempered,
     nabla_n_tempered,
@@ -507,8 +507,22 @@ def _ml_powers(
     1, extended in place only as far as these rows need."""
     pw_h, pw_l = chain
     h, l = pw_h[-1], pw_l[-1]
+    # the Dekker halves _two_prod splits mu into, taken once for the chain
+    bb = _SPLIT * mu
+    bhi = bb - (bb - mu)
+    blo = mu - bhi
     for _ in range(len(pw_h), max(i0, r1 - 1) + 1):
-        h, l = _dd_mul(h, l, mu, 0.0)
+        # (h, l) = _dd_mul(h, l, mu, 0.0), written out: the same operations
+        # in the same order, h * 0.0 included (it keeps the sign of a zero
+        # and turns an infinite h into NaN)
+        p = h * mu
+        aa = _SPLIT * h
+        ahi = aa - (aa - h)
+        alo = h - ahi
+        q = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + h * 0.0 + l * mu
+        h = p + q
+        bb = h - p
+        l = (p - (h - bb)) + (q - bb)
         pw_h.append(h)
         pw_l.append(l)
     muh, mul = np.array(pw_h[r0:r1]), np.array(pw_l[r0:r1])
@@ -603,13 +617,18 @@ def _ml_values(params: Sequence[MLParams], horizon: int) -> np.ndarray:
     # base point: the lattice base 0 puts a pole in Gamma(0), so a term
     # survives only where Gamma(i al + be - 1) has a pole to match it and
     # Gamma(i al + be) has none; every other term is exactly 0 and is
-    # skipped (adding it to a sum that started from +0.0 changes nothing)
+    # skipped (adding it to a sum that started from +0.0 changes nothing).
+    # The match i al + be = 1 lies at i = (1 - be)/al, which may be 64 or
+    # more: the mask runs over i < 64 and the three i around it.
     i = np.arange(64)
+    top = (1.0 - float(be)) / float(al)
+    if 63.0 <= top < 2.0**53:
+        i = np.union1d(i, np.arange(int(top) - 1, int(top) + 2))
     q, d = i * al + be - 1.0, i * al + be
     matched = (q <= 0.0) & (q == np.floor(q)) & ~((d <= 0.0) & (d == np.floor(d)))
     terms = [
         (i, rising_over_gamma(0, i * al + be - 1.0, i * al + be))
-        for i in np.flatnonzero(matched).tolist()
+        for i in i[matched].tolist()
     ]
     for j, mu in enumerate(mus):
         total = 0.0
@@ -720,8 +739,9 @@ def fde_solve(
     satisfies ``w(k) x(k) = F(mu, k, a) w(a) x(a)`` with the Mittag-Leffler
     kernel F.
 
-    Each step's inner sum is one :func:`~nablatc.operators.causal_dot` call:
-    one ``np.vecdot`` over the coefficients and the reversed buffer of
+    Each step's inner sum is one call of the summation route of
+    :func:`~nablatc.operators.causal_dot`, chosen once per solve: one
+    ``np.vecdot`` over ``c[1:m]`` and the reversed view of the buffer of
     ``z(j) - z(a)``, adding the terms in ascending lag order with two
     roundings apiece, so the result equals the scalar loop bit for bit.
     Where the import-time probe finds that vecdot sums otherwise, each step
@@ -737,20 +757,20 @@ def fde_solve(
     if w.grid.horizon < N:
         raise GridMismatch(f"weight horizon {w.grid.horizon} < requested {N}")
     c = gl_coefficients(alpha, N).coeffs
-    z = np.empty(N + 1)
-    z[0] = w.at(0) * x_a
     # the step scalars are Python floats: the same binary64 operations as
     # numpy's scalars, without their dispatch
-    z0 = float(z[0])
+    z0 = float(w.at(0) * x_a)
     one_minus_mu = 1.0 - float(mu)
+    dot = _in_order_dot()
     # lag[j] = z(j) - z(a) for j >= 1, so step m's terms c_i lag[m-i],
-    # i = 1..m-1, are the one-output causal sum of c[1:m] against lag[1:m]
+    # i = 1..m-1, are the dot of c[1:m] with lag[m-1:0:-1]
     lag = np.empty(N + 1)
+    z = [z0]
     # an overflowing step makes a non-finite sample, which Signal rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, N + 1):
-            zm = (z0 - float(causal_dot(c[1:m], lag[1:m]))) / one_minus_mu
-            z[m] = zm
+            zm = (z0 - float(dot(c[1:m], lag[m - 1 : 0 : -1]))) / one_minus_mu
+            z.append(zm)
             lag[m] = zm - z0
-        x_vals = z / w.window(0, N)
+        x_vals = np.array(z) / w.window(0, N)
     return Signal(Grid(w.grid.a, 0, N), x_vals)

@@ -365,21 +365,14 @@ _vecdot = getattr(np, "vecdot", None)
 _ORDER_PROBE_TERMS = 2**14
 
 
-def _causal_dot_vecdot(c: np.ndarray, z: np.ndarray) -> float:
-    n = len(z)
-    # a reversed operand has no BLAS stride, so vecdot runs numpy's plain
-    # dot loop: one accumulator from 0.0, terms in ascending i, a product
-    # and a sum rounded apiece, the whole core dimension in one call
-    return _vecdot(c if len(c) == n else c[:n], z[::-1])
-
-
-def _causal_dot_accumulate(c: np.ndarray, z: np.ndarray) -> float:
-    n = len(z)
-    if not n:
+def _dot_accumulate(c: np.ndarray, zr: np.ndarray) -> float:
+    """``np.vecdot(c, zr)`` summed in order without vecdot: ``c`` and the
+    reversed history ``zr`` of equal length."""
+    if not len(zr):
         return 0.0
     # add.accumulate adds strictly left to right, so its last entry is the
     # ascending-lag sequential sum
-    return 0.0 + np.add.accumulate(np.multiply(c[:n], z[::-1]))[-1]
+    return 0.0 + np.add.accumulate(np.multiply(c, zr))[-1]
 
 
 def _vecdot_in_order() -> bool:
@@ -399,16 +392,30 @@ def _vecdot_in_order() -> bool:
     a = 1.0 + 2.0**-30
     c = np.array([0.0, 1.0, a])[1:]
     z = np.array([0.0, a, -1.0])[1:]
-    if _causal_dot_vecdot(c, z) != 2.0**-29:
+    if _vecdot(c, z[::-1]) != 2.0**-29:
         return False
     n = _ORDER_PROBE_TERMS
     c = np.ones(n + 1)[1:]
     z = np.ones(n + 1)[1:]
     z[-1], z[0] = 2.0**53, -(2.0**53)  # the first and the last term
-    return bool(_causal_dot_vecdot(c, z) == 0.0)
+    return bool(_vecdot(c, z[::-1]) == 0.0)
 
 
 _VECDOT_IN_ORDER = _vecdot_in_order()
+
+
+def _in_order_dot() -> Callable[[np.ndarray, np.ndarray], float]:
+    """The route of :func:`causal_dot`, for a caller that makes many calls:
+    ``_in_order_dot()(c[:n], z[::-1])`` equals ``causal_dot(c, z)`` bit for
+    bit, ``n = len(z)``.
+
+    The caller cuts ``c`` to length and reverses the history itself (a
+    view), so each call is the one ``np.vecdot`` with no wrapper between, or
+    the ``np.add.accumulate`` fallback where the probe finds vecdot out of
+    order.  The route is read when this function is called, not on each call
+    of the function it returns.
+    """
+    return _vecdot if _VECDOT_IN_ORDER else _dot_accumulate
 
 
 def causal_dot(c: np.ndarray, z: np.ndarray) -> float:
@@ -420,15 +427,17 @@ def causal_dot(c: np.ndarray, z: np.ndarray) -> float:
     equals the sequential scalar loop bit for bit (an empty sum is 0.0).
     ``c`` needs at least ``len(z)`` entries.
 
-    One ``np.vecdot`` call over ``c`` and the reversed view of ``z``.  An
+    One ``np.vecdot`` call over ``c`` and the reversed view of ``z``; a
+    reversed operand has no BLAS stride, so vecdot runs numpy's plain dot
+    loop: one accumulator from 0.0, terms in ascending i, a product and a
+    sum rounded apiece, the whole core dimension in one call.  An
     import-time probe checks that it sums in order with two roundings on
     this numpy build (see :func:`_vecdot_in_order`).  Where it does not, or
     numpy predates vecdot, one ``np.multiply`` and one ``np.add.accumulate``
     give the same bits, more slowly.
     """
-    if _VECDOT_IN_ORDER:
-        return _causal_dot_vecdot(c, z)
-    return _causal_dot_accumulate(c, z)
+    n = len(z)
+    return _in_order_dot()(c if len(c) == n else c[:n], z[::-1])
 
 
 def tempered_diff_rows(x: Signal, w: Weight, max_order: int) -> np.ndarray:

@@ -155,7 +155,8 @@ def ml_values_seq(params: MLParams, horizon: int) -> np.ndarray:
     vals = np.zeros(horizon + 1)
 
     total = 0.0
-    for i in range(64):
+    # every term whose Gamma(i al + be - 1) may hold a pole, and at least 64
+    for i in range(max(64, math.floor((1.0 - be) / al) + 1)):
         term = rising_over_gamma(0, i * al + be - 1.0, i * al + be)
         total += mu**i * term
     vals[0] = total

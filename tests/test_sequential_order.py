@@ -127,11 +127,17 @@ def test_fde_solve_sequential(alpha, mu, x_a, N, weight):
     assert got == _outcome(lambda: fde_values_seq(alpha, mu, w, x_a, N).values)
 
 
-def _alternating_causal_dot(c, z):
-    # steps with an even number of terms take the fallback route
-    if len(z) % 2:
-        return operators.causal_dot(c, z)
-    return operators._causal_dot_accumulate(c, z)
+def _alternating_dot():
+    """A route that alternates from call to call: steps with an even number
+    of terms take the fallback, the others the probe-selected route."""
+    selected = operators._in_order_dot()
+
+    def dot(c, zr):
+        if len(zr) % 2:
+            return selected(c, zr)
+        return operators._dot_accumulate(c, zr)
+
+    return dot
 
 
 @pytest.mark.parametrize("route", ["default", "fallback", "mixed"])
@@ -151,13 +157,15 @@ def _alternating_causal_dot(c, z):
 def test_fde_solve_routes_sequential(route, alpha, mu, x_a, N, weight):
     """The solver against the scalar loop with the vecdot route, with the
     multiply-and-accumulate fallback the probe selects where vecdot sums
-    otherwise, and with the two routes alternating from step to step."""
+    otherwise, and with the two routes alternating from step to step (the
+    solver takes its route from ``operators._in_order_dot`` once per
+    solve)."""
     w = preset_weight(weight, Grid(0.0, 0, N))
     with pytest.MonkeyPatch.context() as mp:
         if route == "fallback":
             mp.setattr(operators, "_VECDOT_IN_ORDER", False)
         elif route == "mixed":
-            mp.setattr(laplace, "causal_dot", _alternating_causal_dot)
+            mp.setattr(laplace, "_in_order_dot", _alternating_dot)
         got = _outcome(lambda: fde_solve(alpha, mu, w, x_a, N).values)
     assert got == _outcome(lambda: fde_values_seq(alpha, mu, w, x_a, N).values)
 
@@ -221,6 +229,64 @@ def test_ml_base_point_sequential(alpha, beta, mu):
     if got != ref:
         assert isinstance(ref, bytes)
         assert got[0] is SeriesDiverged and "cancels" in got[1]
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, mu, i_star",
+    [(0.0625, -2.0, -0.9, 48), (0.0625, -5.0, -0.9, 96), (0.25, -20.0, -0.95, 84)],
+)
+def test_ml_base_point_past_the_first_64_terms(alpha, beta, mu, i_star):
+    """The matched term i* = (1 - beta)/alpha of the base point is mu^i*,
+    below i = 64 and past it alike."""
+    params = MLParams(alpha, beta, mu)
+    got = ml_function(params, 3).values
+    assert got[0].hex() == (mu**i_star).hex()
+    assert got.tobytes() == ml_values_seq(params, 3).tobytes()
+    assert got[0] == pytest.approx({48: 6.3627e-3, 96: 4.0484e-5, 84: 1.3452e-2}[i_star], rel=1e-4)
+
+
+def test_ml_base_point_overflow_past_the_first_64_terms():
+    # 2000^96 is past binary64
+    with pytest.raises(SeriesDiverged, match="overflows at the base point"):
+        ml_function(MLParams(0.0625, -5.0, 2000.0), 3)
+
+
+#: mu values of the power chain: signed zeros, the smallest subnormal,
+#: powers that underflow and overflow, |mu| just below 1, and 1e300, whose
+#: Dekker split overflows so that the low parts are NaN
+_CHAIN_MUS = [0.0, -0.0, 5e-324, 1e-300, -1e-300, 0.5, -0.5, 1.0 - 2.0**-53,
+              -(1.0 - 2.0**-53), 1.5, -1.5, 1e300]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("mu", _CHAIN_MUS, ids=float.hex)
+def test_ml_powers_match_per_step_dd_mul(mu):
+    """The written-out mu^t chain of ``_ml_powers`` against a chain of one
+    ``_dd_mul(h, l, mu, 0.0)`` per step, as float.hex.  Row ranges cross
+    the first pass's 96 rows and the block's 256, at i0 = 0, 256 and 512,
+    on one chain extended call by call and on fresh chains that start at a
+    later block."""
+    ref_h, ref_l = [1.0], [0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2 * _ML_BLOCK):
+            h, l = laplace._dd_mul(ref_h[-1], ref_l[-1], mu, 0.0)
+            ref_h.append(h)
+            ref_l.append(l)
+        ranges = [(i0, r0, r1) for i0 in (0, 256, 512) for r0, r1 in ((0, 96), (96, 256))]
+        runs = [ranges, [(256, 0, 96)], [(512, 90, 256)], [(0, 0, 256), (512, 0, 97)]]
+        for run in runs:
+            chain = ([1.0], [0.0])
+            for i0, r0, r1 in run:
+                got = laplace._ml_powers(i0, r0, r1, mu, chain)
+                want = np.array(ref_h[r0:r1]), np.array(ref_l[r0:r1])
+                if i0:
+                    want = laplace._dd_mul(*want, ref_h[i0], ref_l[i0])
+                assert [_hex(a) for a in got] == [_hex(a) for a in want]
+            n = len(chain[0])
+            assert (_hex(chain[0]), _hex(chain[1])) == (_hex(ref_h[:n]), _hex(ref_l[:n]))
 
 
 @settings(max_examples=60, deadline=None)
