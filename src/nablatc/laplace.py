@@ -513,8 +513,8 @@ def _ml_powers(
     blo = mu - bhi
     for _ in range(len(pw_h), max(i0, r1 - 1) + 1):
         # (h, l) = _dd_mul(h, l, mu, 0.0), written out: the same operations
-        # in the same order, h * 0.0 included (it keeps the sign of a zero
-        # and turns an infinite h into NaN)
+        # in the same order, the h * 0.0 of mu's zero low part included, so
+        # each step gives _dd_mul's bits by construction
         p = h * mu
         aa = _SPLIT * h
         ahi = aa - (aa - h)
@@ -627,8 +627,8 @@ def _ml_values(params: Sequence[MLParams], horizon: int) -> np.ndarray:
     q, d = i * al + be - 1.0, i * al + be
     matched = (q <= 0.0) & (q == np.floor(q)) & ~((d <= 0.0) & (d == np.floor(d)))
     terms = [
-        (i, rising_over_gamma(0, i * al + be - 1.0, i * al + be))
-        for i in i[matched].tolist()
+        (k, rising_over_gamma(0, k * al + be - 1.0, k * al + be))
+        for k in i[matched].tolist()
     ]
     for j, mu in enumerate(mus):
         total = 0.0

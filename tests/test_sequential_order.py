@@ -232,17 +232,21 @@ def test_ml_base_point_sequential(alpha, beta, mu):
 
 
 @pytest.mark.parametrize(
-    "alpha, beta, mu, i_star",
-    [(0.0625, -2.0, -0.9, 48), (0.0625, -5.0, -0.9, 96), (0.25, -20.0, -0.95, 84)],
+    "alpha, beta, mu, i_star, value",
+    [
+        (0.0625, -2.0, -0.9, 48, 6.3627e-3),
+        (0.0625, -5.0, -0.9, 96, 4.0484e-5),
+        (0.25, -20.0, -0.95, 84, 1.3452e-2),
+    ],
 )
-def test_ml_base_point_past_the_first_64_terms(alpha, beta, mu, i_star):
+def test_ml_base_point_past_the_first_64_terms(alpha, beta, mu, i_star, value):
     """The matched term i* = (1 - beta)/alpha of the base point is mu^i*,
     below i = 64 and past it alike."""
     params = MLParams(alpha, beta, mu)
     got = ml_function(params, 3).values
     assert got[0].hex() == (mu**i_star).hex()
+    assert got[0] == pytest.approx(value, rel=1e-4)
     assert got.tobytes() == ml_values_seq(params, 3).tobytes()
-    assert got[0] == pytest.approx({48: 6.3627e-3, 96: 4.0484e-5, 84: 1.3452e-2}[i_star], rel=1e-4)
 
 
 def test_ml_base_point_overflow_past_the_first_64_terms():
@@ -254,8 +258,10 @@ def test_ml_base_point_overflow_past_the_first_64_terms():
 #: mu values of the power chain: signed zeros, the smallest subnormal,
 #: powers that underflow and overflow, |mu| just below 1, and 1e300, whose
 #: Dekker split overflows so that the low parts are NaN
-_CHAIN_MUS = [0.0, -0.0, 5e-324, 1e-300, -1e-300, 0.5, -0.5, 1.0 - 2.0**-53,
-              -(1.0 - 2.0**-53), 1.5, -1.5, 1e300]
+_CHAIN_MUS = [
+    0.0, -0.0, 5e-324, 1e-300, -1e-300, 0.5, -0.5,
+    1.0 - 2.0**-53, -(1.0 - 2.0**-53), 1.5, -1.5, 1e300,
+]
 
 
 def _hex(values):
