@@ -507,7 +507,8 @@ def _ml_powers(
     1, extended in place only as far as these rows need."""
     pw_h, pw_l = chain
     h, l = pw_h[-1], pw_l[-1]
-    # the Dekker halves _two_prod splits mu into, taken once for the chain
+    # the Dekker halves _two_prod splits mu into, taken once per call
+    # rather than once per power
     bb = _SPLIT * mu
     bhi = bb - (bb - mu)
     blo = mu - bhi
