@@ -4,7 +4,7 @@ Subcommands: ``eval`` (apply an operator to a signal, write CSV),
 ``verify`` (run the identity suite, write a JSON report), ``taylor``
 (evaluate an operator through one of its series representations),
 ``laplace`` (transform evaluation and transform-rule checks), ``solve``
-(the tempered relaxation-equation stepper), and ``repro`` (emit the
+(the tempered relaxation-equation solver), and ``repro`` (emit the
 reference experiment datasets).
 
 Exit codes: 0 success (and, for ``verify``, every identity passed),

@@ -189,9 +189,16 @@ def _causal_sum_tiles(ct: np.ndarray, zp: np.ndarray, out: np.ndarray, lo: int, 
             (R, nl, L), np.float64, buffer=zp, offset=(pad + k0) * R * step,
             strides=(step, -R * step, R * step),
         )
-        # order="F": rows r innermost (a single row drops out, leaving the
-        # outputs t), then t, lags i outermost and ascending
-        np.einsum("ri,rik->rk", ct[:nl].T, V, out=out[k0 : k0 + L].T, order="F")
+        _lag_einsum(ct[:nl].T, V, out[k0 : k0 + L].T)
+
+
+def _lag_einsum(s: np.ndarray, V: np.ndarray, out: np.ndarray) -> None:
+    """``out[r, t] = sum_i s[r, i] V[r, i, t]`` in one einsum, the call that
+    :data:`_EINSUM_FUSES` (one row) and :data:`_STACKED_EINSUM_FUSES`
+    probe: one scalar per row and lag, rows r innermost (a single row drops
+    out, leaving the outputs t), then t, lags i outermost and ascending,
+    each output from 0.0."""
+    np.einsum("ri,rik->rk", s, V, out=out, order="F")
 
 
 #: Horizon from which :func:`causal_sum` spreads its tiles over threads.

@@ -19,7 +19,10 @@ whole arrays replace) and the row of binomials with one ``math.comb`` per
 point (which an exact integer recurrence replaces).  The future-instant form's
 residual has two loops: its double sum as written, the reference the
 library is held to within a rounding bound, and the same sum exchanged,
-which the library follows byte for byte.  The same holds for the
+which the library follows byte for byte.  So has the relaxation solver:
+the ascending-lag stepper (``fde_values_seq``), an accuracy reference, and
+the blocked solve's own loops (``fde_values_blocked_seq``), which the
+library follows byte for byte.  The same holds for the
 per-point tempered integer difference, the base-point reconstruction with
 one pointwise difference per point, and the initial-value series as the
 identity checkers wrote it inline, which the library's shared stencil and
@@ -33,10 +36,12 @@ in ``_oracles.py``.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from nablatc.laplace import (
+    _FDE_BLOCK,
     _ML_BLOCK,
     _ML_BLOWUP_REL,
     _ML_MAX_TERMS,
@@ -155,10 +160,11 @@ def ml_values_seq(params: MLParams, horizon: int) -> np.ndarray:
     vals = np.zeros(horizon + 1)
 
     total = 0.0
-    # every term whose Gamma(i al + be - 1) may hold a pole, and at least 64
+    # every i up to (1 - be)/al, and at least 64: the term survives where
+    # i al + be = 1 holds exactly for the binary64 inputs, and is mu^i
     for i in range(max(64, math.floor((1.0 - be) / al) + 1)):
-        term = rising_over_gamma(0, i * al + be - 1.0, i * al + be)
-        total += mu**i * term
+        if i * Fraction(al) + Fraction(be) == 1:
+            total += np.float64(mu) ** i
     vals[0] = total
 
     done = np.zeros(horizon, dtype=bool)
@@ -197,7 +203,9 @@ def ml_values_seq(params: MLParams, horizon: int) -> np.ndarray:
 def fde_values_seq(
     alpha: float, mu: float, w: Weight, x_a: float, N: int
 ) -> Signal:
-    """Solver with the scalar ascending-lag inner loop."""
+    """The relaxation equation stepped one z(m) at a time, each inner sum
+    a scalar loop in ascending lag: the accuracy reference of the blocked
+    ``fde_solve``, not its bits."""
     if not (0.0 < alpha < 1.0):
         raise SeriesDiverged(f"solver order must lie in (0, 1), got {alpha}")
     if abs(1.0 - mu) < 1e-12:
@@ -214,6 +222,48 @@ def fde_values_seq(
         z[m] = (z[0] - acc) / (1.0 - mu)
     x_vals = z / w.window(0, N)
     return Signal(Grid(w.grid.a, 0, N), x_vals)
+
+
+def fde_values_blocked_seq(
+    alpha: float, mu: float, w: Weight, x_a: float, N: int
+) -> Signal:
+    """``fde_solve``'s blocked solve as scalar loops, each sum from 0.0 in
+    the einsum's order: the recurrence of h, the first column of one
+    block's inverse; per block of ``_FDE_BLOCK`` steps from m0, the history
+    ``r(t) = mu z(a) - sum_{j=1}^{m0-1} c[j+t] u(m0-j)`` in ascending j and
+    the block ``u(m0+t) = sum_{s<=t} r(s) h[t-s]`` in ascending s."""
+    if not (0.0 < alpha < 1.0):
+        raise SeriesDiverged(f"solver order must lie in (0, 1), got {alpha}")
+    if abs(1.0 - mu) < 1e-12:
+        raise SingularStep(f"per-step coefficient 1 - mu vanishes (mu = {mu})")
+    if w.grid.horizon < N:
+        raise GridMismatch(f"weight horizon {w.grid.horizon} < requested {N}")
+    c = gl_coefficients_seq(alpha, N).coeffs.tolist()
+    z0 = float(w.at(0) * x_a)
+    a = 1.0 - mu
+    B = min(_FDE_BLOCK, N)
+    h = [1.0 / a]
+    for t in range(1, B):
+        acc = 0.0
+        for s in range(1, t + 1):
+            acc += c[s] * h[t - s]
+        h.append(-acc / a)
+    u = [0.0] * (N + 1)
+    for m0 in range(1, N + 1, B):
+        L = min(B, N + 1 - m0)
+        r = []
+        for t in range(L):
+            acc = 0.0
+            for j in range(1, m0):
+                acc += c[j + t] * u[m0 - j]
+            r.append(mu * z0 - acc)
+        for t in range(L):
+            acc = 0.0
+            for s in range(t + 1):
+                acc += r[s] * h[t - s]
+            u[m0 + t] = acc
+    z = np.array([z0] + [z0 + v for v in u[1:]])
+    return Signal(Grid(w.grid.a, 0, N), z / w.window(0, N))
 
 
 def causal_sum_seq(c: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -622,6 +622,9 @@ def cli_cases(draw):
 @example((["taylor", "--signal", "geom:1.7976931348623157e+308", "--a=0.0", "--order=0.5",
            "--N=1", "--kind", "gl", "--weight", "case1", "--rep", "current", "--degree=0",
            "--out", OUT], {}))
+# |1 - s| is past binary64, where abs of a complex raises
+@example((["laplace", "--signal", "sin10k", "--a=0.0", "--order=nan", "--N=1",
+           "--s-re=1.7976931348623157e+308", "--s-im=1.7976931348623157e+308"], {}))
 def test_any_option_exits_cleanly(case):
     argv, env = case
     with tempfile.TemporaryDirectory() as tmp:

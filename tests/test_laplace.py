@@ -65,6 +65,19 @@ def test_nlt_flags_divergent_region():
     assert not ev.converged
 
 
+def test_nlt_modulus_past_binary64():
+    # abs of a complex with finite parts raises OverflowError past binary64
+    g = Grid(0.0, 0, 5)
+    x = Signal(g, np.ones(g.npoints))
+    big = 1.7976931348623157e308
+    ev = nlt(Signal(Grid(0.0, 0, 1), np.ones(2)), complex(big, big))
+    assert ev.terms_used == 1 and not ev.converged
+    with pytest.raises(SeriesDiverged, match="partial sum overflows after 1 terms"):
+        nlt(x, complex(big, big))
+    with pytest.raises(RegionOfConvergence, match=r"\|s-1\| = inf"):
+        check_transform_rule_gl(x, 0.5, 0.1, complex(big, big))
+
+
 def test_nlt_invariant():
     g = Grid(0.0, 0, 400)
     x = make_signal_from_fn(g, lambda k: math.sin(10 * k))
@@ -352,6 +365,13 @@ def test_fde_rejects_bad_parameters():
         fde_solve(1.5, 0.1, w, 1.0, 10)
     with pytest.raises(SingularStep):
         fde_solve(0.5, 1.0 + 1e-13, w, 1.0, 10)
+    # the horizon is checked at entry, as one GridMismatch
+    with pytest.raises(GridMismatch, match="grid horizon must be >= 1, got 0"):
+        fde_solve(0.5, 0.1, w, 1.0, 0)
+    with pytest.raises(GridMismatch, match="grid horizon must be >= 1, got -1"):
+        fde_solve(0.5, 0.1, w, 1.0, -1)
+    with pytest.raises(GridMismatch, match="solver horizon must be an integer, got 2.5"):
+        fde_solve(0.5, 0.1, w, 1.0, 2.5)
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,7 @@ from _sequential import (
     causal_dot_seq,
     causal_sum_seq,
     exp_weight_seq,
+    fde_values_blocked_seq,
     fde_values_seq,
     gl_coefficients_seq,
     ml_term_block_seq,
@@ -110,6 +111,10 @@ def test_exponential_weight_overflow_raises():
 
 WEIGHTS = ("one", "case1", "case3", "case4", "exp:0.01", "exp:-0.02")
 
+#: The einsum routes of ``fde_solve``: as the import-time probe found
+#: (einsum, unless this build fuses multiply-add) and the per-lag fallback.
+EINSUM_FUSES = [operators._EINSUM_FUSES, True]
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -121,14 +126,25 @@ WEIGHTS = ("one", "case1", "case3", "case4", "exp:0.01", "exp:-0.02")
 )
 @example(0.5, 0.0, -0.0, 5, "one")  # every inner term is -0.0; their sum must be +0.0
 @example(0.999, 0.95, 1.0, 300, "one")  # grows past binary64: NonFiniteSample
+@example(0.6, -0.3, 1.3, 63, "case4")  # one block short of full
+@example(0.6, -0.3, 1.3, 64, "case4")  # one full block
+@example(0.6, -0.3, 1.3, 65, "case4")  # a second block of one step
+@example(0.6, 0.4, -0.7, 128, "exp:0.01")  # two full blocks
+@example(0.6, 0.4, -0.7, 129, "exp:0.01")  # a third block of one step
 def test_fde_solve_sequential(alpha, mu, x_a, N, weight):
+    """The blocked solve against its scalar loops, with the einsums and
+    with the per-lag fallback that replaces them where einsum fuses
+    multiply-add."""
     w = preset_weight(weight, Grid(0.0, 0, N))
-    got = _outcome(lambda: fde_solve(alpha, mu, w, x_a, N).values)
-    assert got == _outcome(lambda: fde_values_seq(alpha, mu, w, x_a, N).values)
+    want = _outcome(lambda: fde_values_blocked_seq(alpha, mu, w, x_a, N).values)
+    for fuses in EINSUM_FUSES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_EINSUM_FUSES", fuses)
+            assert _outcome(lambda: fde_solve(alpha, mu, w, x_a, N).values) == want
 
 
 def _alternating_dot():
-    """A route that alternates from call to call: steps with an even number
+    """A route that alternates from call to call: sums with an even number
     of terms take the fallback, the others the probe-selected route."""
     selected = operators._in_order_dot()
 
@@ -151,23 +167,93 @@ def _alternating_dot():
 )
 @example(0.5, 0.0, -0.0, 5, "one")  # every inner term is -0.0
 @example(0.5, 0.0, 0.0, 5, "one")
-@example(0.5, 1.5, 0.0, 5, "case4")  # 1 - mu < 0: z(1) is -0.0
+@example(0.5, 1.5, 0.0, 5, "case4")  # 1 - mu < 0: mu z(a) is -0.0
 @example(0.3, 1.5, -0.0, 40, "exp:-0.02")
 @example(0.999, 0.95, 1.0, 300, "one")  # grows past binary64: NonFiniteSample
+@example(0.3, 1.5, 0.8, 63, "case1")  # h alternates in sign; block bounds
+@example(0.3, 1.5, 0.8, 64, "case1")
+@example(0.3, 1.5, 0.8, 65, "case1")
+@example(0.7, -0.4, 1.3, 128, "case3")
+@example(0.7, -0.4, 1.3, 129, "case3")
 def test_fde_solve_routes_sequential(route, alpha, mu, x_a, N, weight):
-    """The solver against the scalar loop with the vecdot route, with the
+    """The solver against its scalar loops with the vecdot route, with the
     multiply-and-accumulate fallback the probe selects where vecdot sums
-    otherwise, and with the two routes alternating from step to step (the
+    otherwise, and with the two routes alternating from call to call (the
     solver takes its route from ``operators._in_order_dot`` once per
-    solve)."""
+    solve): the route of h's recurrence, and under the per-lag fallback
+    that of the history sums as well."""
     w = preset_weight(weight, Grid(0.0, 0, N))
+    want = _outcome(lambda: fde_values_blocked_seq(alpha, mu, w, x_a, N).values)
+    for fuses in EINSUM_FUSES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_EINSUM_FUSES", fuses)
+            if route == "fallback":
+                mp.setattr(operators, "_VECDOT_IN_ORDER", False)
+            elif route == "mixed":
+                mp.setattr(laplace, "_in_order_dot", _alternating_dot)
+            assert _outcome(lambda: fde_solve(alpha, mu, w, x_a, N).values) == want
+
+
+@pytest.mark.parametrize("fuses", EINSUM_FUSES, ids=["probed", "fused"])
+@pytest.mark.parametrize("x_a", [0.0, -0.0], ids=["+0", "-0"])
+@pytest.mark.parametrize("mu", [0.0, -0.3, 1.5])
+def test_fde_solve_signed_zero_start(fuses, x_a, mu):
+    """x(a) = +-0.0: x(a) comes back as w(a) x(a) / w(a), so with its sign;
+    every later z(k) = z(a) + u(k), with u(k) a sum from 0.0, is +0.0
+    whatever the sign of x(a), and x(k) = +0.0 / w(k).  (The ascending-lag
+    stepper's z(k) was -0.0 for x(a) = -0.0 and mu < 1.)"""
+    N = 130
+    w = preset_weight("case4", Grid(0.0, 0, N))
     with pytest.MonkeyPatch.context() as mp:
-        if route == "fallback":
-            mp.setattr(operators, "_VECDOT_IN_ORDER", False)
-        elif route == "mixed":
-            mp.setattr(laplace, "_in_order_dot", _alternating_dot)
-        got = _outcome(lambda: fde_solve(alpha, mu, w, x_a, N).values)
-    assert got == _outcome(lambda: fde_values_seq(alpha, mu, w, x_a, N).values)
+        mp.setattr(operators, "_EINSUM_FUSES", fuses)
+        x = fde_solve(0.4, mu, w, x_a, N).values
+    wv = w.window(0, N)
+    assert x[0].hex() == (wv[0] * x_a / wv[0]).hex()
+    assert math.copysign(1.0, x[0]) == math.copysign(1.0, x_a)
+    assert _hex(x[1:]) == _hex(0.0 / wv[1:])
+
+
+#: Error bounds against a 40-digit solution of the same system, in units
+#: of m u max(|z(m)|, |z(a)|), u = 2^-53: over the grid of
+#: test_fde_solve_accuracy the blocked solve reached 0.83 of them, the
+#: ascending-lag stepper 2.12 (at alpha 0.99, mu 0.2).
+_FDE_ERR_UNITS = 2.0
+_FDE_SEQ_ERR_UNITS = 3.0
+
+
+def _fde_reference(alpha, mu, N):
+    """z(0..N) of the solver's system with z(a) = 1, in 40-digit arithmetic
+    on the binary64 coefficients c_i, so the error is the solve's own."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(float(v)) for v in gl_coefficients(alpha, N).coeffs]
+        a, rhs = 1 - mpmath.mpf(mu), mpmath.mpf(mu)
+        u = [mpmath.mpf(0)]
+        for m in range(1, N + 1):
+            u.append((rhs - mpmath.fsum(c[i] * u[m - i] for i in range(1, m))) / a)
+        return [1 + v for v in u]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.3, 0.6, 0.9, 0.99])
+@pytest.mark.parametrize("mu", [-0.9, -0.3, 0.2, 0.6, 1.5, 2.0])
+def test_fde_solve_accuracy(alpha, mu):
+    """The blocked solve within its bound of a 40-digit solution, and the
+    ascending-lag stepper (``fde_values_seq``) within the sum of both
+    solvers' bounds of the blocked one, at N = 300 (blocks of 64 end at
+    64, 128, 192 and 256)."""
+    import mpmath
+
+    N = 300
+    w = preset_weight("one", Grid(0.0, 0, N))
+    ref = _fde_reference(alpha, mu, N)
+    # w = 1, so z = x; m u max(|z(m)|, |z(a)|) per point, on the reference
+    unit = np.arange(N + 1) * 2.0**-53 * np.maximum(np.abs(np.array(ref, dtype=float)), 1.0)
+    z = fde_solve(alpha, mu, w, 1.0, N).values
+    z_seq = fde_values_seq(alpha, mu, w, 1.0, N).values
+    err = np.array([float(abs(mpmath.mpf(float(v)) - r)) for v, r in zip(z, ref)])
+    assert np.all(err <= _FDE_ERR_UNITS * unit)
+    assert np.all(np.abs(z - z_seq) <= (_FDE_ERR_UNITS + _FDE_SEQ_ERR_UNITS) * unit)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -253,6 +339,52 @@ def test_ml_base_point_overflow_past_the_first_64_terms():
     # 2000^96 is past binary64
     with pytest.raises(SeriesDiverged, match="overflows at the base point"):
         ml_function(MLParams(0.0625, -5.0, 2000.0), 3)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, mu, want",
+    [
+        # 3 * 0.1 + -0.3 rounds to 5.55e-17 and 13 * 0.1 + -0.3 to 1, but
+        # no integer i gives i al + be = 1 for these binary64 values
+        (0.1, -0.3, 0.01, 0.0),
+        # i al + be rounds to 1 for every i < 64; it is 1 only at i = 0
+        (1e-19, 1.0, 0.5, 1.0),
+        (0.5, 1.0, -0.3, 1.0),
+        (0.5, 1.0, -0.0, 1.0),
+        (0.0625, -5.0, -0.9, (-0.9) ** 96),
+        (0.0625, -2.0, -0.9, (-0.9) ** 48),
+        # i = 1: (-0.0)^1 = -0.0, and the sum from 0.0 is +0.0
+        (0.5, 0.5, -0.0, 0.0),
+        (0.75, -1.25, -0.5, -0.125),
+    ],
+)
+def test_ml_base_point_exact_match(alpha, beta, mu, want):
+    """F(0) is mu^i at the one integer i >= 0 with i alpha + beta = 1 in
+    exact arithmetic on the binary64 inputs, and +0.0 where there is none."""
+    got = ml_function(MLParams(alpha, beta, mu), 3).values[0]
+    assert got.hex() == float(want).hex()
+
+
+@pytest.mark.parametrize(
+    "mu, i",
+    [
+        (-1.0, 2**53 + 1),
+        (-1.0, 2**2000 + 1),
+        (-1.0, 2**2000),
+        (-(1.0 - 2.0**-53), 2**53 + 1),
+        (1.0 - 2.0**-53, 2**53 + 1),
+        (-0.5, 2**70 + 1),
+        (-2.0, 2**70 + 1),
+    ],
+)
+def test_ml_int_power_keeps_the_parity_of_large_i(mu, i):
+    """From 2^53 on, float(i) may round i to the other parity, and past
+    binary64 it raises: mu^i is |mu|^i with i's sign."""
+    with np.errstate(over="ignore"):
+        got = laplace._int_power(mu, i)
+        mag = float(np.float64(abs(mu)) ** float(min(i, 2**1023)))
+    assert got == (-mag if mu < 0 and i % 2 else mag)
+    assert abs(got) == mag
 
 
 #: mu values of the power chain: signed zeros, the smallest subnormal,
