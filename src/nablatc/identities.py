@@ -5,6 +5,12 @@ returns an :class:`IdentityReport` with the largest absolute deviation, the
 lattice point where it occurred, and a pass flag at the checker's
 tolerance.  Checkers are pure functions: same inputs, same report.
 
+The eight core identities are :class:`RowCheck` constants (``GL_RL_AGREE``
+through ``INTEGER_DEFECT``), run by :func:`run_rows` on a list of
+``(x, w, *args)`` rows; one instance is ``run_rows(CHECK, [(x, w, *args)],
+tol)[0]``, and each row of a longer list equals that one-row call bit for
+bit.  The other identities have a ``check_*`` function each.
+
 Tolerance convention: 1e-11 for exact finite identities (only rounding
 separates the two sides), 1e-5 for order-limit checks evaluated at
 eps = 1e-7 (which carry O(eps) analytic error on top of rounding).
@@ -59,14 +65,14 @@ __all__ = [
     "IdentityReport",
     "RowCheck",
     "run_rows",
-    "check_gl_rl_agreement",
-    "check_rl_caputo_correction",
-    "check_sum_composition",
-    "check_difference_of_sum",
-    "check_sum_of_difference",
-    "check_mixed_composition",
-    "check_taylor_remainder_forms",
-    "check_integer_defect",
+    "GL_RL_AGREE",
+    "RL_CAPUTO_CORRECTION",
+    "SUM_COMPOSITION",
+    "DIFFERENCE_OF_SUM",
+    "SUM_OF_DIFFERENCE",
+    "MIXED_COMPOSITION",
+    "TAYLOR_REMAINDER",
+    "INTEGER_DEFECT",
     "check_order_limit_sum",
     "check_order_limit_diff",
     "check_uniform_convergence_exchange",
@@ -249,14 +255,9 @@ def _gl_rl_body(x, w, h, N, alpha, n):
     return "gl-rl-agree", np.abs(gl - rl), 1
 
 
+#: Rows ``(x, w, alpha)``: the single-sum form against the
+#: difference-of-sum form, pointwise.
 GL_RL_AGREE = RowCheck(_gl_rl_prep, _gl_rl_body)
-
-
-def check_gl_rl_agreement(
-    x: Signal, alpha: float, w: Weight, tol: float = TOL_EXACT
-) -> IdentityReport:
-    """Single-sum form against the difference-of-sum form, pointwise."""
-    return run_rows(GL_RL_AGREE, [(x, w, alpha)], tol)[0]
 
 
 def _rl_caputo_prep(x, w, alpha):
@@ -274,14 +275,9 @@ def _rl_caputo_body(x, w, h, N, alpha, n):
     return "rl-caputo-correction", np.abs(rl - (cap + corr)), 1
 
 
+#: Rows ``(x, w, alpha)``: difference-of-sum equals sum-of-difference plus
+#: the initial-value series.
 RL_CAPUTO_CORRECTION = RowCheck(_rl_caputo_prep, _rl_caputo_body)
-
-
-def check_rl_caputo_correction(
-    x: Signal, alpha: float, w: Weight, tol: float = TOL_EXACT
-) -> IdentityReport:
-    """Difference-of-sum equals sum-of-difference plus the initial-value series."""
-    return run_rows(RL_CAPUTO_CORRECTION, [(x, w, alpha)], tol)[0]
 
 
 def _sum_composition_prep(x, w, alpha):
@@ -300,15 +296,9 @@ def _sum_composition_body(x, w, h, N, alpha, n):
     return "sum-composition", np.abs(lhs - rhs), 1
 
 
+#: Rows ``(x, w, alpha)``: the order -alpha sum equals the n-th tempered
+#: difference of the order -(alpha+n) sum.
 SUM_COMPOSITION = RowCheck(_sum_composition_prep, _sum_composition_body)
-
-
-def check_sum_composition(
-    x: Signal, alpha: float, w: Weight, tol: float = TOL_EXACT
-) -> IdentityReport:
-    """Order -alpha sum equals the n-th tempered difference of the
-    order -(alpha+n) sum."""
-    return run_rows(SUM_COMPOSITION, [(x, w, alpha)], tol)[0]
 
 
 def _difference_of_sum_prep(x, w, alpha):
@@ -327,15 +317,9 @@ def _difference_of_sum_body(x, w, h, N, alpha, n):
     return "diff-of-sum", np.maximum(d_rl, d_cap), 1
 
 
+#: Rows ``(x, w, alpha)``: applying either fractional difference to the
+#: order -alpha sum reproduces the signal.
 DIFFERENCE_OF_SUM = RowCheck(_difference_of_sum_prep, _difference_of_sum_body)
-
-
-def check_difference_of_sum(
-    x: Signal, alpha: float, w: Weight, tol: float = TOL_EXACT
-) -> IdentityReport:
-    """Applying either fractional difference to the order -alpha sum
-    reproduces the signal."""
-    return run_rows(DIFFERENCE_OF_SUM, [(x, w, alpha)], tol)[0]
 
 
 def _sum_of_difference_prep(x, w, alpha, kind):
@@ -365,21 +349,14 @@ def _sum_of_difference_body(x, w, h, N, alpha, ivs, n, kind):
     return f"sum-of-diff-{kind}", np.abs(lhs - (x_body - corr)), 1
 
 
+#: Rows ``(x, w, alpha, kind)``: the order -alpha sum of a fractional
+#: difference reproduces the signal minus its initial-value series.
+#:
+#: ``kind`` selects which difference: ``"rl"`` uses difference-of-sum
+#: initial values (which vanish under the base-point convention, evaluated
+#: rather than assumed), ``"caputo"`` uses the integer tempered
+#: differences at the base.
 SUM_OF_DIFFERENCE = RowCheck(_sum_of_difference_prep, _sum_of_difference_body)
-
-
-def check_sum_of_difference(
-    x: Signal, alpha: float, w: Weight, kind: str, tol: float = TOL_EXACT
-) -> IdentityReport:
-    """Order -alpha sum of a fractional difference reproduces the signal
-    minus its initial-value series.
-
-    ``kind`` selects which difference: ``"rl"`` uses difference-of-sum
-    initial values (which vanish under the base-point convention, evaluated
-    rather than assumed), ``"caputo"`` uses the integer tempered
-    differences at the base.
-    """
-    return run_rows(SUM_OF_DIFFERENCE, [(x, w, alpha, kind)], tol)[0]
 
 
 def _mixed_composition_prep(x, w, beta, n, outer):
@@ -419,21 +396,15 @@ def _mixed_composition_body(x, w, h, N, beta, n, outer, m, m2):
     return f"mixed-composition-{outer}", devs, n
 
 
+#: Rows ``(x, w, beta, n, outer)``: split-order compositions of the two
+#: fractional differences, ``outer`` (``"rl"`` or ``"caputo"``) outside.
+#:
+#: With the difference-of-sum form outside, both splits collapse to the
+#: n-th tempered difference; with the sum-of-difference form outside they
+#: collapse to the integer-order single-sum operator.  The splits that
+#: route an integer difference through a zero-extended intermediate only
+#: close from offset n on, so the comparison window is {a+n, ..., a+N}.
 MIXED_COMPOSITION = RowCheck(_mixed_composition_prep, _mixed_composition_body)
-
-
-def check_mixed_composition(
-    x: Signal, beta: float, n: int, w: Weight, outer: str, tol: float = TOL_EXACT
-) -> IdentityReport:
-    """Split-order compositions of the two fractional differences.
-
-    With the difference-of-sum form outside, both splits collapse to the
-    n-th tempered difference; with the sum-of-difference form outside they
-    collapse to the integer-order single-sum operator.  The splits that
-    route an integer difference through a zero-extended intermediate only
-    close from offset n on, so the comparison window is {a+n, ..., a+N}.
-    """
-    return run_rows(MIXED_COMPOSITION, [(x, w, beta, n, outer)], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +443,14 @@ def _taylor_remainder_body(x, w, h, N, alpha, n, m):
     return ident, devs, 1
 
 
+#: Rows ``(x, w, alpha, m)``: reconstruction of the m-th tempered
+#: difference from base-point data plus a weighted remainder sum over the
+#: fractional difference.
+#:
+#: ``m = 0`` reconstructs the signal itself and additionally checks the
+#: integer-remainder variant (remainder driven by the n-th tempered
+#: difference instead of the fractional one).
 TAYLOR_REMAINDER = RowCheck(_taylor_remainder_prep, _taylor_remainder_body)
-
-
-def check_taylor_remainder_forms(
-    x: Signal, alpha: float, w: Weight, m: int, tol: float = TOL_EXACT
-) -> IdentityReport:
-    """Reconstruction of the m-th tempered difference from base-point data
-    plus a weighted remainder sum over the fractional difference.
-
-    ``m = 0`` reconstructs the signal itself and additionally checks the
-    integer-remainder variant (remainder driven by the n-th tempered
-    difference instead of the fractional one).
-    """
-    return run_rows(TAYLOR_REMAINDER, [(x, w, alpha, m)], tol)[0]
 
 
 def _integer_defect_prep(x, w, n):
@@ -508,15 +473,10 @@ def _integer_defect_body(x, w, h, N, n):
     return "integer-defect", np.abs(d - expected), 1
 
 
+#: Rows ``(x, w, n)``: the integer single-sum operator minus the plain
+#: tempered difference equals the missing-stencil boundary sum, and
+#: vanishes from offset n+1 on.
 INTEGER_DEFECT = RowCheck(_integer_defect_prep, _integer_defect_body)
-
-
-def check_integer_defect(
-    x: Signal, n: int, w: Weight, tol: float = TOL_EXACT
-) -> IdentityReport:
-    """The integer single-sum operator minus the plain tempered difference
-    equals the missing-stencil boundary sum, and vanishes from offset n+1 on."""
-    return run_rows(INTEGER_DEFECT, [(x, w, n)], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +739,7 @@ def check_rl_caputo_asymptotics(
         gap = np.abs(rl_tempered(x, alpha, w).body - caputo_tempered(x, alpha, w).body)
         end = float(gap[N - 1])
         mid = float(gap[N // 2 - 1])
-        # left to right from 0, as in check_integer_defect
+        # left to right from 0, as in _integer_defect_body
         d_sum = 0.0
         for i in range(n):
             d_sum += abs(nabla_n_tempered_at(x, i, w, 0))

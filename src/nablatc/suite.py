@@ -191,75 +191,67 @@ def _tag(r: IdentityReport, **extra) -> IdentityReport:
     return IdentityReport(r.identity_id, r.max_abs_dev, r.argmax_k, r.tolerance, params)
 
 
-def _tagged(check: RowCheck, rows: list[tuple], ts: float) -> list[IdentityReport]:
-    """``check`` on the stacked ``rows``, each report tagged with its
-    instance index."""
-    reports = run_rows(check, rows, TOL_EXACT * ts)
-    for i, r in enumerate(reports):
-        # every report is new from run_rows, with the params dict of its
-        # own prep call, so the key goes in last, in place (as in _run_group)
-        r.params["instance"] = i
-    return reports
-
-
-def _alpha_instances(
-    rng: np.random.Generator,
-    ts: float,
-    check: RowCheck,
-    lo: float = 0.05,
-    hi: float = 1.95,
-    cap: int = 64,
-    extra: tuple = (),
-) -> list[IdentityReport]:
-    """``check`` on every core instance ``(x, w, alpha, *extra)``, tagged
-    with its index.  Each instance draws its order from [lo, hi] first,
-    then its signal and weight on a horizon of at most
-    ``_horizon_cap(alpha, cap)``; all are drawn before any is checked."""
-    rows = []
-    for i in range(CORE_INSTANCES):
-        al = _alpha(rng, lo, hi)
-        x, w = _core_instance(rng, i, history=2, n_max=_horizon_cap(al, cap))
-        rows.append((x, w, al, *extra))
-    return _tagged(check, rows, ts)
-
-
 # ---------------------------------------------------------------------------
 # group runners
 # ---------------------------------------------------------------------------
 
 
-def _run_sum_of_diff(rng, ts):
+def _alpha_row(lo: float = 0.05, cap: int = 64, extra: tuple = ()) -> Callable:
+    """The drawer of α-instances ``(x, w, alpha, *extra)``: the order from
+    [lo, 1.95] first, then the signal and weight on a horizon of at most
+    ``_horizon_cap(alpha, cap)``."""
+
+    def draw(rng: np.random.Generator, i: int) -> tuple:
+        al = _alpha(rng, lo)
+        x, w = _core_instance(rng, i, history=2, n_max=_horizon_cap(al, cap))
+        return x, w, al, *extra
+
+    return draw
+
+
+def _mixed_row(rng: np.random.Generator, i: int) -> tuple:
+    n = 1 + i % 2
+    beta = _alpha(rng, 0.05, n - 0.05)
+    x, w = _core_instance(rng, i, history=n)
+    return x, w, beta, n, "rl" if (i // 2) % 2 == 0 else "caputo"
+
+
+def _integer_row(rng: np.random.Generator, i: int) -> tuple:
+    n = 1 + i % 3
+    return *_core_instance(rng, i, history=n), n
+
+
+def _core_group(rng, ts, check: RowCheck, draws: tuple) -> list[IdentityReport]:
+    """``check`` on ``CORE_INSTANCES`` rows ``draw(rng, i)`` of each drawer
+    in turn, each report tagged with its index within its drawer; a
+    drawer's rows are all drawn before any of them is checked."""
     out = []
-    for kind in ("rl", "caputo"):
-        out += _alpha_instances(rng, ts, SUM_OF_DIFFERENCE, extra=(kind,))
+    for draw in draws:
+        rows = [draw(rng, i) for i in range(CORE_INSTANCES)]
+        reports = run_rows(check, rows, TOL_EXACT * ts)
+        for i, r in enumerate(reports):
+            # every report is new from run_rows, with the params dict of its
+            # own prep call, so the key goes in last, in place (as in _run_group)
+            r.params["instance"] = i
+        out += reports
     return out
 
 
-def _run_mixed_composition(rng, ts):
-    rows = []
-    for i in range(CORE_INSTANCES):
-        n = 1 + i % 2
-        beta = _alpha(rng, 0.05, n - 0.05)
-        x, w = _core_instance(rng, i, history=n)
-        outer = "rl" if (i // 2) % 2 == 0 else "caputo"
-        rows.append((x, w, beta, n, outer))
-    return _tagged(MIXED_COMPOSITION, rows, ts)
-
-
-def _run_taylor_remainder(rng, ts):
-    out = []
-    for m, lo, cap in ((0, 0.05, 32), (1, 1.05, 64)):
-        out += _alpha_instances(rng, ts, TAYLOR_REMAINDER, lo, cap=cap, extra=(m,))
-    return out
-
-
-def _run_integer_defect(rng, ts):
-    rows = []
-    for i in range(CORE_INSTANCES):
-        n = 1 + i % 3
-        x, w = _core_instance(rng, i, history=n)
-        rows.append((x, w, n))
-    return _tagged(INTEGER_DEFECT, rows, ts)
+#: The core battery, one row per group: its name, its checker, and the
+#: drawers ``draw(rng, i) -> (x, w, *args)`` of its instances.
+_CORE: tuple[tuple, ...] = (
+    ("gl-rl-agree", GL_RL_AGREE, _alpha_row()),
+    ("rl-caputo-correction", RL_CAPUTO_CORRECTION, _alpha_row()),
+    ("sum-composition", SUM_COMPOSITION, _alpha_row(cap=16)),
+    ("diff-of-sum", DIFFERENCE_OF_SUM, _alpha_row()),
+    ("sum-of-diff", SUM_OF_DIFFERENCE, _alpha_row(extra=("rl",)), _alpha_row(extra=("caputo",))),
+    ("mixed-composition", MIXED_COMPOSITION, _mixed_row),
+    (
+        "taylor-remainder", TAYLOR_REMAINDER,
+        _alpha_row(cap=32, extra=(0,)), _alpha_row(1.05, extra=(1,)),
+    ),
+    ("integer-defect", INTEGER_DEFECT, _integer_row),
+)
 
 
 def _run_order_limits(rng, ts):
@@ -547,15 +539,9 @@ def _run_ml_solver(rng, ts):
     return out
 
 
-GROUPS: tuple[tuple[str, Callable], ...] = (
-    ("gl-rl-agree", partial(_alpha_instances, check=GL_RL_AGREE)),
-    ("rl-caputo-correction", partial(_alpha_instances, check=RL_CAPUTO_CORRECTION)),
-    ("sum-composition", partial(_alpha_instances, check=SUM_COMPOSITION, cap=16)),
-    ("diff-of-sum", partial(_alpha_instances, check=DIFFERENCE_OF_SUM)),
-    ("sum-of-diff", _run_sum_of_diff),
-    ("mixed-composition", _run_mixed_composition),
-    ("taylor-remainder", _run_taylor_remainder),
-    ("integer-defect", _run_integer_defect),
+GROUPS: tuple[tuple[str, Callable], ...] = tuple(
+    (name, partial(_core_group, check=check, draws=draws)) for name, check, *draws in _CORE
+) + (
     ("order-limit", _run_order_limits),
     ("uniform-convergence", _run_uniform_convergence),
     ("leibniz", _run_leibniz),
@@ -567,7 +553,7 @@ GROUPS: tuple[tuple[str, Callable], ...] = (
 )
 
 #: Groups exercised by the seeded-random basic-relations battery.
-CORE_GROUPS = tuple(name for name, _ in GROUPS[:8])
+CORE_GROUPS = tuple(name for name, *_ in _CORE)
 
 
 def resolve_tolerance_scale(scale: float | None = None) -> float:
@@ -596,7 +582,14 @@ def select_groups(
     only: str | None = None, groups: tuple[str, ...] | None = None
 ) -> list[tuple[int, str, Callable]]:
     """The ``(index, name, runner)`` entries of :data:`GROUPS` that
-    :func:`run_suite` runs for ``only`` and ``groups``, in registry order."""
+    :func:`run_suite` runs for ``only`` and ``groups``, in registry order.
+
+    Raises:
+        ConfigError: if ``groups`` names a group that is not registered.
+    """
+    unknown = [g for g in groups or () if g not in dict(GROUPS)]
+    if unknown:
+        raise ConfigError(f"unknown suite groups: {', '.join(unknown)}")
     selected = []
     for index, (name, runner) in enumerate(GROUPS):
         if groups is not None and name not in groups:

@@ -4,26 +4,32 @@ import numpy as np
 import pytest
 
 from nablatc.identities import (
+    DIFFERENCE_OF_SUM,
+    GL_RL_AGREE,
+    INTEGER_DEFECT,
+    MIXED_COMPOSITION,
+    RL_CAPUTO_CORRECTION,
+    SUM_COMPOSITION,
+    SUM_OF_DIFFERENCE,
+    TAYLOR_REMAINDER,
+    TOL_EXACT,
     IdentityReport,
-    check_difference_of_sum,
-    check_gl_rl_agreement,
-    check_integer_defect,
     check_leibniz,
-    check_mixed_composition,
     check_order_limit_diff,
     check_order_limit_sum,
     check_rl_caputo_asymptotics,
-    check_rl_caputo_correction,
-    check_sum_composition,
-    check_sum_of_difference,
-    check_taylor_remainder_forms,
     check_uniform_convergence_exchange,
+    run_rows,
 )
 from nablatc.operators import OperatorKind, OperatorSpec
 from nablatc.presets import preset_signal, preset_weight, weight_case_fn
 from nablatc.signals import Grid, Signal, make_signal_from_fn, make_weight, scale_weight
 
 RNG = np.random.default_rng(987)
+
+
+def one_row(check, x, w, *args, tol=TOL_EXACT):
+    return run_rows(check, [(x, w, *args)], tol)[0]
 
 
 def sin_signal(a=0.0, history=2, N=32):
@@ -67,14 +73,14 @@ def test_from_devs_argmax_is_first_k_plus_index(first_k):
 def test_difference_of_sum_recovers_signal():
     x = sin_signal()
     w = preset_weight("case4", x.grid)
-    r = check_difference_of_sum(x, 0.5, w)
+    r = one_row(DIFFERENCE_OF_SUM, x, w, 0.5)
     assert r.passed and r.max_abs_dev < 1e-11
 
 
 def test_difference_of_sum_zero_signal():
     g = Grid(0.0, 2, 16)
     x = Signal(g, np.zeros(g.npoints))
-    r = check_difference_of_sum(x, 0.5, preset_weight("case2", g))
+    r = one_row(DIFFERENCE_OF_SUM, x, preset_weight("case2", g), 0.5)
     assert r.max_abs_dev == 0.0
 
 
@@ -82,14 +88,14 @@ def test_difference_of_sum_exponential_weight_order_three_halves():
     # short horizon: the rate-0.5 weight amplifies rounding by 2**horizon
     g = Grid(0.0, 2, 10)
     x = make_signal_from_fn(g, lambda k: math.sin(10 * k))
-    r = check_difference_of_sum(x, 1.5, make_weight(g, rate=0.5), tol=1e-10)
+    r = one_row(DIFFERENCE_OF_SUM, x, make_weight(g, rate=0.5), 1.5, tol=1e-10)
     assert r.passed
 
 
 def test_sum_of_difference_constant_caputo():
     g = Grid(0.0, 1, 20)
     x = Signal(g, np.ones(g.npoints))
-    r = check_sum_of_difference(x, 0.5, preset_weight("one", g), "caputo")
+    r = one_row(SUM_OF_DIFFERENCE, x, preset_weight("one", g), 0.5, "caputo")
     assert r.max_abs_dev < 1e-14
 
 
@@ -99,7 +105,7 @@ def test_sum_of_difference_random_instances():
     w = preset_weight("case2", g)
     for kind in ("rl", "caputo"):
         for alpha in (0.5, 1.5):
-            r = check_sum_of_difference(x, alpha, w, kind)
+            r = one_row(SUM_OF_DIFFERENCE, x, w, alpha, kind)
             assert r.passed, (kind, alpha, r.max_abs_dev)
 
 
@@ -107,7 +113,7 @@ def test_sum_of_difference_linear_signal_order_three_halves():
     # degree-one signal: the i=1 initial value enters the correction
     g = Grid(0.0, 2, 8)
     x = make_signal_from_fn(g, lambda k: k)
-    r = check_sum_of_difference(x, 1.5, preset_weight("one", g), "caputo")
+    r = one_row(SUM_OF_DIFFERENCE, x, preset_weight("one", g), 1.5, "caputo")
     assert r.passed
 
 
@@ -116,7 +122,7 @@ def test_mixed_compositions_close_to_integer_forms():
     w = preset_weight("case4", x.grid)
     for outer in ("rl", "caputo"):
         for beta, n in ((0.5, 1), (0.5, 2), (1.5, 2)):
-            r = check_mixed_composition(x, beta, n, w, outer)
+            r = one_row(MIXED_COMPOSITION, x, w, beta, n, outer)
             assert r.passed, (outer, beta, n, r.max_abs_dev)
 
 
@@ -127,7 +133,7 @@ def test_zero_initial_data_makes_the_two_differences_agree():
     vals[: g.position(0) + 1] = 0.0
     x = Signal(g, vals)
     w = preset_weight("case1", g)
-    r = check_rl_caputo_correction(x, 1.5, w)
+    r = one_row(RL_CAPUTO_CORRECTION, x, w, 1.5)
     assert r.passed
     from nablatc.operators import caputo_tempered, rl_tempered
 
@@ -139,14 +145,14 @@ def test_taylor_remainder_base_polynomial_exact():
     # degree n-1 signal: the fractional remainder vanishes termwise
     g = Grid(0.0, 2, 16)
     x = make_signal_from_fn(g, lambda k: 2.0 + 3.0 * k)
-    r = check_taylor_remainder_forms(x, 1.5, preset_weight("one", g), 0)
+    r = one_row(TAYLOR_REMAINDER, x, preset_weight("one", g), 1.5, 0)
     assert r.max_abs_dev < 1e-12
 
 
 def test_taylor_remainder_shifted():
     x = sin_signal(N=20)
     w = preset_weight("case1", x.grid)
-    r = check_taylor_remainder_forms(x, 1.7, w, 1)
+    r = one_row(TAYLOR_REMAINDER, x, w, 1.7, 1)
     assert r.passed
 
 
@@ -154,7 +160,7 @@ def test_integer_defect_checker():
     x = sin_signal(N=12, history=3)
     w = preset_weight("case4", x.grid)
     for n in (1, 2, 3):
-        assert check_integer_defect(x, n, w).passed
+        assert one_row(INTEGER_DEFECT, x, w, n).passed
 
 
 def test_order_limit_sum_zero_signal():
@@ -360,8 +366,8 @@ def test_asymptotics_early_base():
 def test_checkers_deterministic():
     x = sin_signal(N=16)
     w = preset_weight("case2", x.grid)
-    r1 = check_difference_of_sum(x, 0.5, w)
-    r2 = check_difference_of_sum(x, 0.5, w)
+    r1 = one_row(DIFFERENCE_OF_SUM, x, w, 0.5)
+    r2 = one_row(DIFFERENCE_OF_SUM, x, w, 0.5)
     assert r1 == r2
 
 
@@ -370,9 +376,9 @@ def test_pass_invariant_under_weight_scaling():
     w = preset_weight("case1", x.grid)
     for lam in (2.0, -1.0, 0.125):
         ws = scale_weight(w, lam)
-        assert check_gl_rl_agreement(x, 0.5, ws).passed
-        assert check_sum_composition(x, 0.5, ws).passed
-        assert check_difference_of_sum(x, 1.5, ws).passed
+        assert one_row(GL_RL_AGREE, x, ws, 0.5).passed
+        assert one_row(SUM_COMPOSITION, x, ws, 0.5).passed
+        assert one_row(DIFFERENCE_OF_SUM, x, ws, 1.5).passed
 
 
 def test_seeded_battery_on_reference_weight_families():
@@ -383,6 +389,6 @@ def test_seeded_battery_on_reference_weight_families():
         x = Signal(g, rng.standard_normal(g.npoints))
         w = preset_weight(f"case{i % 4 + 1}", g)
         alpha = float(rng.uniform(0.1, 0.9))
-        assert check_gl_rl_agreement(x, alpha, w).passed
-        assert check_difference_of_sum(x, alpha, w).passed
-        assert check_sum_of_difference(x, alpha, w, "caputo").passed
+        assert one_row(GL_RL_AGREE, x, w, alpha).passed
+        assert one_row(DIFFERENCE_OF_SUM, x, w, alpha).passed
+        assert one_row(SUM_OF_DIFFERENCE, x, w, alpha, "caputo").passed

@@ -8,17 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nablatc.identities import (
-    check_difference_of_sum,
-    check_gl_rl_agreement,
-    check_integer_defect,
+    DIFFERENCE_OF_SUM,
+    GL_RL_AGREE,
+    INTEGER_DEFECT,
+    MIXED_COMPOSITION,
+    RL_CAPUTO_CORRECTION,
+    SUM_COMPOSITION,
+    SUM_OF_DIFFERENCE,
+    TAYLOR_REMAINDER,
+    TOL_EXACT,
     check_leibniz,
-    check_mixed_composition,
     check_rl_caputo_asymptotics,
-    check_rl_caputo_correction,
-    check_sum_composition,
-    check_sum_of_difference,
-    check_taylor_remainder_forms,
     check_uniform_convergence_exchange,
+    run_rows,
 )
 from nablatc.laplace import (
     check_convolution_commutation,
@@ -568,6 +570,10 @@ def _zero_spec_form(form, order=1.5):
     return lambda x, w, p: form(x, OperatorSpec(OperatorKind.CAPUTO, order, w), p)
 
 
+def one_row(check, x, w, *args):
+    return run_rows(check, [(x, w, *args)], TOL_EXACT)[0]
+
+
 #: entry point -> (call(x, w, p), a good p, p past the integer-stage cap,
 #: the signal history and the weight history it needs, {bad input: error})
 _ENTRY_POINTS = {
@@ -614,51 +620,52 @@ _ENTRY_POINTS = {
          "weight-base": GridMismatch, "weight-horizon": GridMismatch,
          "weight-history": InsufficientHistory},
     ),
+    # the eight core RowCheck constants, each on one row
     "check_gl_rl_agreement": (
-        lambda x, w, p: check_gl_rl_agreement(x, p, w), 1.5, _CAP + 0.5, 2, 1,
+        lambda x, w, p: one_row(GL_RL_AGREE, x, w, p), 1.5, _CAP + 0.5, 2, 1,
         {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     "check_rl_caputo_correction": (
-        lambda x, w, p: check_rl_caputo_correction(x, p, w), 1.5, _CAP + 0.5, 2, 1,
+        lambda x, w, p: one_row(RL_CAPUTO_CORRECTION, x, w, p), 1.5, _CAP + 0.5, 2, 1,
         {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     # the sum composition admits integer orders, and reads no signal history
     "check_sum_composition": (
-        lambda x, w, p: check_sum_composition(x, p, w), 1.5, _CAP + 0.5, 0, 1,
+        lambda x, w, p: one_row(SUM_COMPOSITION, x, w, p), 1.5, _CAP + 0.5, 0, 1,
         {"nan": IntegerOrder, "over-cap": IntegerOrder, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     "check_difference_of_sum": (
-        lambda x, w, p: check_difference_of_sum(x, p, w), 1.5, _CAP + 0.5, 0, 1,
+        lambda x, w, p: one_row(DIFFERENCE_OF_SUM, x, w, p), 1.5, _CAP + 0.5, 0, 1,
         {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "weight-base": GridMismatch, "weight-horizon": GridMismatch,
          "weight-history": InsufficientHistory},
     ),
     "check_sum_of_difference": (
-        lambda x, w, p: check_sum_of_difference(x, p, w, "caputo"), 1.5, _CAP + 0.5, 2, 1,
+        lambda x, w, p: one_row(SUM_OF_DIFFERENCE, x, w, p, "caputo"), 1.5, _CAP + 0.5, 2, 1,
         {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     "check_mixed_composition": (
-        lambda x, w, p: check_mixed_composition(x, p, 2 if p < 2 else _CAP + 2, w, "rl"),
+        lambda x, w, p: one_row(MIXED_COMPOSITION, x, w, p, 2 if p < 2 else _CAP + 2, "rl"),
         0.5, _CAP + 0.5, 2, 1,
         {"nan": IntegerOrder, "integer": ValueError, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     "check_taylor_remainder_forms": (
-        lambda x, w, p: check_taylor_remainder_forms(x, p, w, 0), 1.5, _CAP + 0.5, 2, 1,
+        lambda x, w, p: one_row(TAYLOR_REMAINDER, x, w, p, 0), 1.5, _CAP + 0.5, 2, 1,
         {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     "check_integer_defect": (
-        lambda x, w, p: check_integer_defect(x, p, w), 2, _CAP + 1, 2, 1,
+        lambda x, w, p: one_row(INTEGER_DEFECT, x, w, p), 2, _CAP + 1, 2, 1,
         {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory,
          "weight-base": GridMismatch, "weight-horizon": GridMismatch,
          "weight-history": InsufficientHistory},

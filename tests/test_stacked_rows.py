@@ -20,9 +20,8 @@ from nablatc.errors import NablaError, batched
 from nablatc.identities import (
     GL_RL_AGREE,
     MIXED_COMPOSITION,
+    TOL_EXACT,
     IdentityReport,
-    check_gl_rl_agreement,
-    check_mixed_composition,
     run_rows,
 )
 from nablatc.laplace import check_transform_rule_gl, transform_rule_gl_reports
@@ -119,7 +118,7 @@ def test_rows_of_different_weight_grids_and_stages():
         rows.append((x, preset_weight("case4", wg), beta, n, outer))
     stacked = run_rows(MIXED_COMPOSITION, rows, 1e-11)
     for (x, w, beta, n, outer), rep in zip(rows, stacked):
-        assert rep == check_mixed_composition(x, beta, n, w, outer)
+        assert rep == run_rows(MIXED_COMPOSITION, [(x, w, beta, n, outer)], TOL_EXACT)[0]
 
 
 def test_rows_with_empty_comparison_windows():
@@ -134,7 +133,7 @@ def test_rows_with_empty_comparison_windows():
     for rows in (empty, [empty[0], longer, empty[1]]):
         reports = run_rows(MIXED_COMPOSITION, rows, 1e-11)
         for (x, w, beta, n, outer), rep in zip(rows, reports):
-            assert rep == check_mixed_composition(x, beta, n, w, outer)
+            assert rep == run_rows(MIXED_COMPOSITION, [(x, w, beta, n, outer)], TOL_EXACT)[0]
             if x.grid.horizon < n:
                 params = {"beta": beta, "n": n}
                 assert rep == IdentityReport("mixed-composition-rl", 0.0, x.grid.a + n, 1e-11, params)
@@ -168,7 +167,7 @@ def test_batch_raises_its_bad_rows_own_error():
     rows = _instances(6)
     x, w = _overflowing(*rows[3][:2])
     rows[3] = (x, w, 0.45)
-    expected = _error_of(lambda: check_gl_rl_agreement(x, 0.45, w))
+    expected = _error_of(lambda: run_rows(GL_RL_AGREE, [rows[3]], TOL_EXACT))
     assert "lattice offset 3" in expected[1]
     assert _error_of(lambda: run_rows(GL_RL_AGREE, rows, 1e-11)) == expected
 
@@ -178,11 +177,11 @@ def test_batch_raises_the_first_failing_rows_error():
     x, w = _overflowing(*rows[4][:2])
     rows[4] = (x, w, 0.45)
     rows[1] = (rows[1][0], rows[1][1], 1.0)  # an integer order: IntegerOrder
-    first = _error_of(lambda: check_gl_rl_agreement(rows[1][0], 1.0, rows[1][1]))
+    first = _error_of(lambda: run_rows(GL_RL_AGREE, [rows[1]], TOL_EXACT))
     assert _error_of(lambda: run_rows(GL_RL_AGREE, rows, 1e-11)) == first
     # the other way round: the overflow comes first
     rows[1], rows[4] = rows[4], rows[1]
-    first = _error_of(lambda: check_gl_rl_agreement(rows[1][0], 0.45, rows[1][1]))
+    first = _error_of(lambda: run_rows(GL_RL_AGREE, [rows[1]], TOL_EXACT))
     assert "non-finite" in first[1]
     assert _error_of(lambda: run_rows(GL_RL_AGREE, rows, 1e-11)) == first
 

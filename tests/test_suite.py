@@ -1,20 +1,51 @@
+import importlib
 import json
 import os
+import pkgutil
 import threading
 import time
 import warnings
 
 import pytest
 
+import nablatc
 from nablatc import operators, suite
+from nablatc.errors import ConfigError
 from nablatc.identities import IdentityReport
 from nablatc.suite import CORE_GROUPS, GROUPS, _tag, reports_to_json_dict, run_suite
 
 
 def test_group_registry_covers_core():
+    assert all(len(entry) == 2 for entry in GROUPS)
     names = [name for name, _ in GROUPS]
-    for g in CORE_GROUPS:
-        assert g in names
+    assert CORE_GROUPS == tuple(names[:8])
+    # the shape of a pass at seed 0, which no platform bit can move
+    reports = run_suite(seed=0)
+    by_group = {name: [r for r in reports if r.params["group"] == name] for name in names}
+    counts = [len(group) for group in by_group.values()]
+    assert counts == [100, 100, 100, 100, 200, 100, 200, 100, 36, 3, 32, 60, 8, 39, 28, 18]
+    assert len(reports) == 1224
+    for name in CORE_GROUPS:
+        # each drawer tags its own rows 0..99, in order
+        tags = [r.params["instance"] for r in by_group[name]]
+        assert tags == list(range(100)) * (len(tags) // 100)
+    ids = {name: [r.identity_id for r in by_group[name]] for name in CORE_GROUPS}
+    assert ids["sum-of-diff"] == ["sum-of-diff-rl"] * 100 + ["sum-of-diff-caputo"] * 100
+    assert ids["taylor-remainder"] == (
+        ["taylor-remainder-base"] * 100 + ["taylor-remainder-shifted"] * 100
+    )
+
+
+def test_unknown_group_name_is_a_config_error():
+    # a dropped name would run nothing, and report no failures
+    with pytest.raises(ConfigError, match="unknown suite groups: diff-of-sun$"):
+        run_suite(groups=("diff-of-sum", "diff-of-sun"))
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(nablatc.__path__)])
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(f"nablatc.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_suite_deterministic():
