@@ -346,7 +346,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_grid_args(p: argparse.ArgumentParser, default_n: int = 100) -> None:
     p.add_argument("--signal", required=True, help="built-in name or CSV path")
-    p.add_argument("--weight", default="one", help="built-in name or CSV path")
     p.add_argument("--a", type=finite, default=0.0, help="base point")
     p.add_argument("--N", type=positive_int, default=default_n, help="horizon length")
     p.add_argument(
@@ -367,12 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=sorted(KINDS), required=True)
     p.add_argument("--order", type=float, required=True)
     _add_grid_args(p)
+    p.add_argument("--weight", default="one", help="built-in name or CSV path")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("taylor", help="evaluate an operator via a series representation")
     p.add_argument("--kind", choices=sorted(KINDS), required=True)
     p.add_argument("--order", type=float, required=True)
     _add_grid_args(p, default_n=16)
+    p.add_argument("--weight", default="one", help="built-in name or CSV path")
     p.add_argument("--rep", choices=("initial", "current", "future"), default="current")
     p.add_argument("--degree", type=nonneg_int, default=5, help="expansion degree K")
     p.add_argument("--out", required=True)

@@ -269,7 +269,8 @@ def check_tempering_shift(
 ) -> IdentityReport:
     """Multiplying a signal by the exponential weight shifts the transform
     argument: ``(1-lambda) X(s + lambda - lambda s)``."""
-    if abs(s - 1.0) >= 1.0 or abs(s - 1.0) * abs(1.0 - lam) >= 1.0:
+    d = _cabs(s - 1.0)
+    if d >= 1.0 or d * abs(1.0 - lam) >= 1.0:
         raise RegionOfConvergence("s outside the shifted convergence disk")
     w = make_weight(x.grid, rate=lam)
     weighted = Signal(x.grid, w.values * x.values)
@@ -635,6 +636,8 @@ def _ml_functions(params: Sequence[MLParams], horizon: int) -> list[Signal]:
 def _ml_values(params: Sequence[MLParams], horizon: int) -> np.ndarray:
     """The kernels of :func:`_ml_functions`, one row of offsets 0..horizon
     per mu; an error names a lattice offset but not its mu."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise SeriesDiverged(f"kernel horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise SeriesDiverged("kernel horizon must be >= 1")
     al, be = params[0].alpha, params[0].beta
@@ -783,7 +786,7 @@ def fde_solve(
     sign of mu z(a).  Against a 40-digit solution of the same system at
     N = 300, alpha from 0.01 to 0.99 and mu from -0.9 to 2, the error of
     z(m) stayed within 0.83 m u max(|z(m)|, |z(a)|), u = 2^-53 (the tests
-    hold it to 2); the ascending-lag stepper reached 2.12.
+    hold it to 2).
     """
     if not (0.0 < alpha < 1.0):
         raise SeriesDiverged(f"solver order must lie in (0, 1), got {alpha}")

@@ -211,20 +211,8 @@ def _lag_einsum(s: np.ndarray, V: np.ndarray, out: np.ndarray) -> None:
 _SPLIT_FROM = 2048
 
 
-#: CPUs that one :func:`causal_sum` may spread over in the current context,
-#: where its caller already spreads work over the process's CPUs (a forked
-#: ``nt verify`` pass sets each process's share); None: all of them.
-_cpu_share: contextvars.ContextVar[int | None] = contextvars.ContextVar(
-    "nablatc_cpu_share", default=None
-)
-
-
 def _cpus() -> int:
-    """CPUs a sum may use: the context's share, else those this process
-    may run on (1 where the OS does not say)."""
-    share = _cpu_share.get()
-    if share is not None:
-        return share
+    """CPUs this process may run on (1 where the OS does not say)."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else 1
 
@@ -331,12 +319,12 @@ def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     whose einsum fuses multiply-add.
 
     From ``_SPLIT_FROM`` outputs on, the tiles are split into one range of
-    whole tiles per CPU, of about equal work: the CPUs in
-    ``os.sched_getaffinity(0)``, or the share a forked ``nt verify`` pass
-    gives each of its processes.  The caller runs the first range and a
-    thread per further CPU the others, all joined before the call returns
-    or raises.  Each tile is the same einsum call whichever thread makes
-    it, so the bits do not depend on the number of threads.
+    whole tiles per CPU in ``os.sched_getaffinity(0)``, of about equal
+    work.  The caller runs the first range and a thread per further CPU
+    the others, all joined before the call returns or raises (in a forked
+    ``nt verify`` pass each process splits alike, and its threads
+    time-share with the other processes).  Each tile is the same einsum call whichever thread
+    makes it, so the bits do not depend on the number of threads.
 
     A 2-D ``c`` holds one coefficient row per output row, and a 2-D ``z``
     one sequence per output row (a 1-D one is shared by every row):

@@ -63,7 +63,6 @@ from .laplace import (
 from .operators import (
     OperatorKind,
     OperatorSpec,
-    _cpu_share,
     _cpus,
     apply_operator,
     set_fault_injection,
@@ -624,34 +623,29 @@ def _processes(selected: list) -> int:
     """
     if sys.platform != "linux" or len(selected) < 2 or threading.active_count() != 1:
         return 1
-    return min(len(os.sched_getaffinity(0)), len(selected))
+    return min(_cpus(), len(selected))
 
 
-def _drain(queue: int, selected: list, seed: int, ts: float, share: int) -> dict:
+def _drain(queue: int, selected: list, seed: int, ts: float) -> dict:
     """Run the groups whose positions in ``selected`` this process takes
     from the work queue, one byte each, until the queue is empty or a group
-    raises; the groups that finished, by position.  Meanwhile a causal sum
-    spreads over at most ``share`` CPUs: the other processes of the pass
-    keep the rest busy (the bits do not depend on the split)."""
+    raises; the groups that finished, by position."""
     done = {}
-    token = _cpu_share.set(share)
     try:
         while pos := os.read(queue, 1):
             done[pos[0]] = _run_group(seed, selected[pos[0]], ts)
     except Exception:
         pass  # a group not returned is rerun in-process, where it raises
-    finally:
-        _cpu_share.reset(token)
     return done
 
 
-def _child(queue: int, sink: int, selected: list, seed: int, ts: float, share: int) -> NoReturn:
+def _child(queue: int, sink: int, selected: list, seed: int, ts: float) -> NoReturn:
     """A forked child's whole life: its share of the queue, pickled into
     ``sink``.  It exits 0 only once every byte is written, and never
     returns into the parent's stack (no atexit handlers, no stdio flush)."""
     status = 1
     try:
-        done = _drain(queue, selected, seed, ts, share)
+        done = _drain(queue, selected, seed, ts)
         with os.fdopen(sink, "wb") as out:
             pickle.dump(done, out, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -665,11 +659,7 @@ def _run_forked(selected: list, seed: int, ts: float, processes: int) -> dict:
 
     A group that raised, or whose child died, is missing.  Every child is
     reaped before this returns or raises, and killed first if it raises.
-    Each process spreads a long causal sum over its own share of the CPUs
-    only, so no sum starts threads that can only time-share with the
-    other processes.
     """
-    share = max(_cpus() // processes, 1)
     queue, feed = os.pipe()
     # one byte per position, handed out last first: the registry ends with
     # its heaviest groups (laplace-rules, ml-solver), and the lighter ones
@@ -697,10 +687,10 @@ def _run_forked(selected: list, seed: int, ts: float, processes: int) -> dict:
                 os.close(sink)
                 break
             if pid == 0:
-                _child(queue, sink, selected, seed, ts, share)
+                _child(queue, sink, selected, seed, ts)
             os.close(sink)
             children[pid] = result
-        done = _drain(queue, selected, seed, ts, share)
+        done = _drain(queue, selected, seed, ts)
         # a full pass pickles to more than a pipe holds: read to EOF first
         for pid, result in children.items():
             with os.fdopen(result, "rb", closefd=False) as f:

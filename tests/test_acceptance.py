@@ -180,7 +180,7 @@ def test_criterion_7_laplace(suite_results):
 
 
 def test_criterion_8_solver_vs_kernel(suite_results):
-    """Stepper and kernel series agree across the order/rate grid; the
+    """Solver and kernel series agree across the order/rate grid; the
     zero-rate trajectory is exactly the weighted constant."""
     by_group, _ = suite_results
     reports = by_group["ml-solver"]

@@ -308,6 +308,22 @@ def test_laplace_rule_with_initial_conditions(capsys):
     ) == 2
 
 
+def test_weight_option_only_where_it_is_read(tmp_path, capsys):
+    # laplace reads no weight, so --weight is an unknown option there
+    with pytest.raises(SystemExit) as exc:
+        run(["laplace", "--signal", "sin10k", "--N", "64", "--s-re", "0.9",
+             "--weight", "case2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nt: configuration error:") and err.count("\n") == 1
+    assert "--weight" in err
+    for command in ("eval", "taylor"):
+        out = tmp_path / f"{command}.csv"
+        assert run([command, "--kind", "gl", "--order", "0.5", "--signal", "sin10k",
+                    "--N", "16", "--weight", "case2", "--out", str(out)]) == 0
+        assert out.exists()
+
+
 @pytest.mark.parametrize("order", ["0.5", "1029", "1e6"])
 def test_laplace_gl_rule_reads_no_history_by_default(capsys, order):
     # the single-sum rule runs as with --history 0 at any order

@@ -76,6 +76,9 @@ def test_nlt_modulus_past_binary64():
         nlt(x, complex(big, big))
     with pytest.raises(RegionOfConvergence, match=r"\|s-1\| = inf"):
         check_transform_rule_gl(x, 0.5, 0.1, complex(big, big))
+    for s in (complex(big, big), complex(-big, -big)):
+        with pytest.raises(RegionOfConvergence, match="shifted convergence disk"):
+            check_tempering_shift(x, 0.1, s)
 
 
 def test_nlt_invariant():
@@ -304,6 +307,12 @@ def test_ml_base_point_overflow_is_series_diverged():
     # the one surviving term, i = 62, overflows itself
     with pytest.raises(SeriesDiverged, match="base point"):
         ml_function(MLParams(0.5, -30.0, 1e6), 5)
+
+
+@pytest.mark.parametrize("horizon", [2.5, 3.0, True, "4"])
+def test_ml_non_integer_horizon_is_one_line_error(horizon):
+    with pytest.raises(SeriesDiverged, match=r"^kernel horizon must be an integer, got "):
+        ml_function(MLParams(0.5, 1.0, -0.3), horizon)
 
 
 def test_ml_cancellation_guard():
