@@ -41,6 +41,7 @@ from .laplace import (
     nlt,
 )
 from .operators import (
+    InsufficientHistory,
     IntegerOrder,
     OperatorKind,
     OperatorSpec,
@@ -427,8 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, UnknownPreset, IntegerOrder, OSError) as exc:
-        # a bad order (checked before any work), an unreadable input or an
+    except (ConfigError, UnknownPreset, IntegerOrder, InsufficientHistory, OSError) as exc:
+        # a bad order (checked before any work), a --history short of what
+        # the form reads (its default covers it), an unreadable input or an
         # unwritable output path is configuration
         print(f"nt: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -37,7 +37,15 @@ from .operators import (
     rl_tempered_at_base,
 )
 from .signals import Grid, GridMismatch, NonFiniteSample, Signal, Weight, make_weight
-from .special import gl_coefficients
+from .special import (
+    _SPLIT,
+    _dd_add,
+    _dd_div_scalar,
+    _dd_mul,
+    _split,
+    _two_prod,
+    gl_coefficients,
+)
 
 __all__ = [
     "LaplaceEval",
@@ -411,50 +419,6 @@ _ML_BLOWUP_REL = 1e12
 #: k = 69.
 _ML_CANCEL_MAX = 1e17
 
-# ---------------------------------------------------------------------------
-# Compensated double-width arithmetic (arrays of value/error pairs).  The
-# kernel series alternates through terms many orders of magnitude above its
-# O(1) sum, so a plain binary64 accumulation loses the answer; error-free
-# transforms keep ~1e-31 of the largest term through products and sums.
-# ---------------------------------------------------------------------------
-
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    aa = _SPLIT * a
-    ahi = aa - (aa - a)
-    alo = a - ahi
-    bb = _SPLIT * b
-    bhi = bb - (bb - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    return _two_sum(s, e + xl + yl)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    return _two_sum(p, e + xh * yl + xl * yh)
-
-
-def _dd_div_scalar(xh, xl, d):
-    q1 = xh / d
-    p, e = _two_prod(q1, d)
-    q2 = ((xh - p) - e + xl) / d
-    return _two_sum(q1, q2)
-
-
 def _ml_factors(
     i0: int, r0: int, r1: int, al: float, be: float, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -480,9 +444,7 @@ def _ml_factors(
         fh, fl = _dd_div_scalar(*_dd_add(zh, zl, d, 0.0), d)
         # the Dekker halves _two_prod splits its second operand into, taken
         # once for the whole table
-        fb = _SPLIT * fh
-        fhi = fb - (fb - fh)
-        flo = fh - fhi
+        fhi, flo = _split(fh)
         ph = np.empty((horizon, n))
         pl = np.empty((horizon, n))
         ph[0], pl[0] = 1.0, 0.0
@@ -491,8 +453,8 @@ def _ml_factors(
         mult, add, sub = np.multiply, np.add, np.subtract
         steps = zip(ph[:-1], pl[:-1], fh, fl, fhi, flo, ph[1:], pl[1:])
         for a, a_l, b, b_l, bhi, blo, s, err in steps:
-            # (s, err) = _dd_mul(a, a_l, b, b_l), written out into reused
-            # buffers: the same operations in the same order
+            # (s, err) = special._dd_mul(a, a_l, b, b_l), written out into
+            # reused buffers: the same operations in the same order
             mult(a, b, p)
             mult(split, a, aa)
             sub(aa, a, t)
@@ -529,13 +491,11 @@ def _ml_powers(
     h, l = pw_h[-1], pw_l[-1]
     # the Dekker halves _two_prod splits mu into, taken once per call
     # rather than once per power
-    bb = _SPLIT * mu
-    bhi = bb - (bb - mu)
-    blo = mu - bhi
+    bhi, blo = _split(mu)
     for _ in range(len(pw_h), max(i0, r1 - 1) + 1):
-        # (h, l) = _dd_mul(h, l, mu, 0.0), written out: the same operations
-        # in the same order, the h * 0.0 of mu's zero low part included, so
-        # each step gives _dd_mul's bits by construction
+        # (h, l) = special._dd_mul(h, l, mu, 0.0), written out: the same
+        # operations in the same order, the h * 0.0 of mu's zero low part
+        # included, so each step gives _dd_mul's bits by construction
         p = h * mu
         aa = _SPLIT * h
         ahi = aa - (aa - h)
@@ -696,7 +656,7 @@ def _ml_values(params: Sequence[MLParams], horizon: int) -> np.ndarray:
             ch = th[t0 - r0 : t0 - r0 + _ML_CHUNK]
             cl = tl[t0 - r0 : t0 - r0 + _ML_CHUNK]
             for (xh, xl, sh, sl), yh, yl in zip(steps, ch, cl):
-                # (sh, sl) = _dd_add(xh, xl, yh, yl), written out into
+                # (sh, sl) = special._dd_add(xh, xl, yh, yl), written out into
                 # reused buffers: the same operations in the same order
                 add(xh, yh, s)
                 sub(s, xh, bb)

@@ -126,6 +126,12 @@ def _first_bad(first_offset: int, bad: np.ndarray, what: str) -> str:
         # no horizon helps: name the failing offset nearest the base
         nearest = offsets[offsets <= 0][-1]
         return f" at lattice offset {nearest}, at or below the base point"
+    if first == 1:
+        # a horizon is at least 1, so none helps here either
+        return (
+            " at lattice offset 1, the first point past the base point, "
+            "which every horizon reaches"
+        )
     return (
         f" from lattice offset {first}: this {what} admits a horizon of at "
         f"most {first - 1} from its base point"

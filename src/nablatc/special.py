@@ -283,3 +283,52 @@ def binomial_coefficients(order: float, length: int) -> np.ndarray:
     weights with their ``(-1)^i`` sign removed (an exact sign flip)."""
     signs = np.where(np.arange(length) % 2, -1.0, 1.0)
     return gl_coefficients(order, length).coeffs * signs
+
+
+# ---------------------------------------------------------------------------
+# Compensated double-width arithmetic (arrays of value/error pairs).  The
+# Mittag-Leffler kernel series alternates through terms many orders of
+# magnitude above its O(1) sum, so plain binary64 loses the answer; error-free
+# transforms keep ~1e-31 of the largest term through products and sums.
+# ---------------------------------------------------------------------------
+
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
+
+
+def _split(a):
+    """Dekker's split of ``a``: ``hi + lo == a`` exactly, each half of at most
+    26 significant bits, so ``hi * hi`` is exact.  Past |a| ~ 1.339e300,
+    ``_SPLIT * a`` overflows and both halves are NaN."""
+    aa = _SPLIT * a
+    hi = aa - (aa - a)
+    return hi, a - hi
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a, b):
+    p = a * b
+    ahi, alo = _split(a)
+    bhi, blo = _split(b)
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def _dd_add(xh, xl, yh, yl):
+    s, e = _two_sum(xh, yh)
+    return _two_sum(s, e + xl + yl)
+
+
+def _dd_mul(xh, xl, yh, yl):
+    p, e = _two_prod(xh, yh)
+    return _two_sum(p, e + xh * yl + xl * yh)
+
+
+def _dd_div_scalar(xh, xl, d):
+    q1 = xh / d
+    p, e = _two_prod(q1, d)
+    q2 = ((xh - p) - e + xl) / d
+    return _two_sum(q1, q2)

@@ -1,14 +1,17 @@
 """Seeded verification suite.
 
-Runs every identity checker over seeded random instances and returns the
-reports; the CLI serializes them to JSON.  Instance families are chosen so
-that each identity is numerically well-conditioned at its stated tolerance:
-weights keep ``|w(j)/w(k)|`` bounded by a small constant on the evaluation
-window (growth in that ratio multiplies the rounding envelope), and
-evaluation-point expansions pair signals and weights whose weighted
-differences do not explode.
+Runs every identity checker and returns the reports; the CLI serializes
+them to JSON.  The core groups and ``convolution`` draw their instances
+from the seed; ``order-limit``, ``uniform-convergence``, ``leibniz``,
+``taylor-representations``, ``rl-caputo-decay``, ``laplace-rules`` and
+``ml-solver`` run fixed instances, the same for every seed.  Instance
+families are chosen so that each identity is numerically well-conditioned
+at its stated tolerance: weights keep ``|w(j)/w(k)|`` bounded by a small
+constant on the evaluation window (growth in that ratio multiplies the
+rounding envelope), and evaluation-point expansions pair signals and
+weights whose weighted differences do not explode.
 
-Each group draws from an independent deterministic stream and reads no
+Each group gets an independent deterministic stream and reads no
 other group's results, so filtering never changes the instances a group
 sees, and the groups of one pass can run in forked processes: the reports
 come back in registry order whichever process ran them.

@@ -50,10 +50,6 @@ from nablatc.laplace import (
     MLParams,
     SeriesDiverged,
     SingularStep,
-    _dd_add,
-    _dd_div_scalar,
-    _dd_mul,
-    _two_prod,
 )
 from nablatc.operators import (
     InsufficientHistory,
@@ -79,6 +75,10 @@ from nablatc.signals import (
 from nablatc.special import (
     DomainError,
     GLCoefficientSeq,
+    _dd_add,
+    _dd_div_scalar,
+    _dd_mul,
+    _two_prod,
     binomial_coefficients,
     gl_coefficients,
     rising_over_factorial_row,

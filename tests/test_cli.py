@@ -94,6 +94,28 @@ def test_exit_code_config_error(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, history, need",
+    [
+        (["eval", "--kind", "rl", "--order", "0.5"], "0", "order 0.5 needs history >= 1"),
+        (["taylor", "--kind", "gl", "--order", "0.5", "--rep", "initial", "--degree", "5"],
+         "2", "order 6 needs history >= 6"),
+        (["eval", "--kind", "caputo", "--order", "1.5", "--weight", "case4"],
+         "1", "order 1.5 needs history >= 2"),
+    ],
+    ids=["eval-rl", "taylor-initial", "eval-caputo"],
+)
+def test_short_history_is_one_line_exit_2(tmp_path, capsys, argv, history, need):
+    # only --history sets a grid short of what the form reads: without it
+    # the grid covers the form
+    out = tmp_path / "o.csv"
+    argv = [*argv, "--signal", "sin10k", "--N", "10", "--out", str(out)]
+    assert run([*argv, "--history", history]) == 2
+    assert capsys.readouterr().err == f"nt: configuration error: {need}\n"
+    assert not out.exists()
+    assert run(argv) == 0
+
+
 def test_exit_code_numeric_error(tmp_path):
     out = str(tmp_path / "x.csv")
     # rate-0.5 weight underflows the zero threshold at this horizon
@@ -682,8 +704,15 @@ def test_bad_numeric_option_is_one_line_exit_2(tmp_path, capsys, argv, option):
         (["solve", "--alpha", "0.5", "--mu", "0.99", "--x0", "1e300", "--N", "400"],
          "signal contains non-finite samples from lattice offset 5: "
          "this signal admits a horizon of at most 4 from its base point"),
+        # offset 1 fails: no horizon of at least 1 avoids it
+        (["eval", "--kind", "gl", "--order", "0.5", "--signal", "poly:1e308,1e308", "--N", "10"],
+         "sampled function returned a non-finite value at lattice offset 1, "
+         "the first point past the base point, which every horizon reaches"),
+        (["eval", "--kind", "nabla", "--order", "1029", "--signal", "sin10k", "--N", "10"],
+         "signal contains non-finite samples at lattice offset 1, "
+         "the first point past the base point, which every horizon reaches"),
     ],
-    ids=["eval-case2", "solve-overflow"],
+    ids=["eval-case2", "solve-overflow", "poly-offset-1", "nabla-offset-1"],
 )
 def test_nonfinite_output_names_its_offset(tmp_path, capsys, argv, where):
     out = tmp_path / "out.csv"

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nablatc import laplace, operators, presets
+from nablatc import laplace, operators, presets, special
 from nablatc.errors import NablaError
 from nablatc.laplace import (
     _ML_BLOCK,
@@ -403,14 +403,14 @@ def _hex(values):
 @pytest.mark.parametrize("mu", _CHAIN_MUS, ids=float.hex)
 def test_ml_powers_match_per_step_dd_mul(mu):
     """The written-out mu^t chain of ``_ml_powers`` against a chain of one
-    ``_dd_mul(h, l, mu, 0.0)`` per step, as float.hex.  Row ranges cross
-    the first pass's 96 rows and the block's 256, at i0 = 0, 256 and 512,
-    on one chain extended call by call and on fresh chains that start at a
-    later block."""
+    ``special._dd_mul(h, l, mu, 0.0)`` per step, as float.hex.  Row ranges
+    cross the first pass's 96 rows and the block's 256, at i0 = 0, 256 and
+    512, on one chain extended call by call and on fresh chains that start
+    at a later block."""
     ref_h, ref_l = [1.0], [0.0]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2 * _ML_BLOCK):
-            h, l = laplace._dd_mul(ref_h[-1], ref_l[-1], mu, 0.0)
+            h, l = special._dd_mul(ref_h[-1], ref_l[-1], mu, 0.0)
             ref_h.append(h)
             ref_l.append(l)
         ranges = [(i0, r0, r1) for i0 in (0, 256, 512) for r0, r1 in ((0, 96), (96, 256))]
@@ -421,7 +421,7 @@ def test_ml_powers_match_per_step_dd_mul(mu):
                 got = laplace._ml_powers(i0, r0, r1, mu, chain)
                 want = np.array(ref_h[r0:r1]), np.array(ref_l[r0:r1])
                 if i0:
-                    want = laplace._dd_mul(*want, ref_h[i0], ref_l[i0])
+                    want = special._dd_mul(*want, ref_h[i0], ref_l[i0])
                 assert [_hex(a) for a in got] == [_hex(a) for a in want]
             n = len(chain[0])
             assert (_hex(chain[0]), _hex(chain[1])) == (_hex(ref_h[:n]), _hex(ref_l[:n]))

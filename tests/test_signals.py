@@ -89,6 +89,22 @@ def test_nonfinite_sample_names_its_offset():
         Signal(g, vals)
 
 
+def test_first_bad_offset_one_admits_no_horizon():
+    # a horizon is at least 1, so a sequence that fails at offset 1 names
+    # that offset and no horizon cap
+    g = Grid(a=0.0, history=1, horizon=4)
+    tail = r"at lattice offset 1, the first point past the base point, which every horizon reaches$"
+    with pytest.raises(NonFiniteSample, match=r"^sampled function returned a non-finite value " + tail):
+        make_signal_from_fn(g, lambda k: math.inf if k >= 1.0 else 1.0)
+    vals = np.ones(g.npoints)
+    vals[g.position(1)] = math.nan
+    vals[g.position(3)] = math.nan
+    with pytest.raises(NonFiniteSample, match=r"^signal contains non-finite samples " + tail):
+        Signal(g, vals)
+    with pytest.raises(ZeroWeight, match=r"^weight magnitude below \S+ " + tail):
+        Weight(g, [1.0, 1.0, 1e-310, 1.0, 1.0, 1.0])
+
+
 def test_weight_zero_rejected_anywhere():
     g = Grid(a=0.0, history=1, horizon=3)
     with pytest.raises(ZeroWeight):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -303,3 +304,60 @@ def test_rising_over_gamma_rows_raise_the_first_failing_rows_error(rows):
     expected = _rows_outcome(lambda: [rising_over_gamma_row(*row) for row in rows])
     assert isinstance(expected, tuple)
     assert got == expected
+
+
+# The error-free transforms, checked exactly in rational arithmetic.  Each
+# operand is 0 or m * 2**e, m an integer below 2**53 in magnitude and e in
+# [-400, 400]: every part of a split and of a product is then a multiple of
+# 2**-800 below 2**906, so nothing overflows or underflows.
+_OPERAND = st.builds(math.ldexp, st.integers(-(2**53 - 1), 2**53 - 1), st.integers(-400, 400))
+_PAIRS = st.lists(st.tuples(_OPERAND, _OPERAND), min_size=1, max_size=8)
+
+
+def _on_floats_and_arrays(fn, *columns):
+    """``fn`` on each row of ``columns`` as Python floats, then once on the
+    columns as arrays: (row, result) for both, as Python floats."""
+    arrays = fn(*map(np.array, columns))
+    for i, row in enumerate(zip(*columns)):
+        yield row, fn(*row)
+        yield row, tuple(float(x[i]) for x in arrays)
+
+
+def _significant_bits(x):
+    n = abs(x).as_integer_ratio()[0]
+    return (n // (n & -n)).bit_length() if n else 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PAIRS)
+def test_two_sum_is_exact(pairs):
+    for (a, b), (s, e) in _on_floats_and_arrays(special._two_sum, *zip(*pairs)):
+        assert s == a + b
+        assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PAIRS)
+def test_two_prod_is_exact(pairs):
+    for (a, b), (p, e) in _on_floats_and_arrays(special._two_prod, *zip(*pairs)):
+        assert p == a * b
+        assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_OPERAND, min_size=1, max_size=8))
+def test_split_halves_are_exact(values):
+    for (a,), (hi, lo) in _on_floats_and_arrays(special._split, values):
+        assert Fraction(hi) + Fraction(lo) == Fraction(a)
+        assert Fraction(hi * hi) == Fraction(hi) ** 2
+        assert _significant_bits(hi) <= 26 and _significant_bits(lo) <= 26
+
+
+def test_split_overflows_past_its_range():
+    # _SPLIT * a leaves binary64 past |a| = 1.797e308 / (2**27 + 1) ~ 1.339e300
+    hi, lo = special._split(1.339e300)
+    assert hi + lo == 1.339e300
+    assert all(map(math.isnan, special._split(1.34e300)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, lo = special._split(np.array([1.34e300, -1.34e300]))
+    assert np.isnan(hi).all() and np.isnan(lo).all()
