@@ -38,7 +38,6 @@ from .operators import (
     nabla_n_tempered,
     nabla_n_tempered_at,
     rl_tempered,
-    rl_tempered_at_base,
 )
 from .identities import IdentityReport
 from .laplace import LaplaceEval, MLParams, convolve, fde_solve, ml_function, nlt

@@ -213,10 +213,14 @@ def cmd_laplace(args: argparse.Namespace) -> int:
     s = complex(args.s_re, args.s_im)
     rule = args.rule
     if rule is None:
+        if args.lam is not None or args.order is not None:
+            raise ConfigError("--lambda and --order need --rule")
         history = args.history or 0
     elif args.lam is None:
         raise ConfigError("--rule needs --lambda")
     else:
+        if args.order is None:
+            args.order = 0.5
         history = _history(args, RULE_KINDS[rule])
     x = _load_signal(args, history)
     if rule is None:
@@ -405,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-im", type=finite, default=0.0)
     p.add_argument("--rule", choices=("gl", "rl", "caputo", "int"), default=None)
     p.add_argument("--lambda", dest="lam", type=finite, default=None)
-    p.add_argument("--order", type=float, default=0.5)
+    p.add_argument("--order", type=float, default=None)  # 0.5 under --rule
 
     p = sub.add_parser("repro", help="emit the reference experiment datasets")
     p.add_argument("target", choices=("fig1", "fig2", "fig3", "fig4", "error-table"))

@@ -47,7 +47,6 @@ from .operators import (
     nabla_n_tempered,
     nabla_n_tempered_at,
     rl_tempered,
-    rl_tempered_at_base,
     tempered_diff_rows,
 )
 from .signals import Grid, GridMismatch, Signal, Weight, make_signal_from_fn, make_weight
@@ -289,10 +288,8 @@ def _sum_composition_prep(x, w, alpha):
 
 
 def _sum_composition_body(x, w, h, N, alpha, n):
-    x_body, w_body = x[..., h + 1 :], w[..., h + 1 :]
-    lhs = _gl_values(x_body, -alpha, w_body)
-    inner = _gl_values(x_body, -alpha - n, w_body)
-    rhs = _nabla_values(_zero_extended(inner, n), n, w[..., h + 1 - n :])
+    lhs = _gl_values(x[..., h + 1 :], -alpha, w[..., h + 1 :])
+    rhs = _rl_values(x[..., h + 1 :], -alpha, n, w[..., h + 1 - n :])
     return "sum-composition", np.abs(lhs - rhs), 1
 
 
@@ -326,35 +323,28 @@ def _sum_of_difference_prep(x, w, alpha, kind):
     if kind not in ("rl", "caputo"):
         raise ValueError(f"kind must be 'rl' or 'caputo', got {kind!r}")
     n = _stage(OperatorKind(kind), alpha, x.grid, w)
-    # the difference-of-sum initial values, evaluated rather than assumed
-    ivs = [rl_tempered_at_base(x, alpha - i - 1, w) for i in range(n)] if kind == "rl" else []
-    return (alpha, np.array(ivs)), (n, kind), {"alpha": alpha}
+    return (alpha,), (n, kind), {"alpha": alpha}
 
 
-def _sum_of_difference_body(x, w, h, N, alpha, ivs, n, kind):
+def _sum_of_difference_body(x, w, h, N, alpha, n, kind):
     x_body, w_low = x[..., h + 1 :], w[..., h + 1 - n :]
     if kind == "rl":
         v = _rl_values(x_body, alpha, n, w_low)
-        ratio = _base_ratio(w, h)
-        corr = np.zeros(ratio.shape)
-        i = np.arange(n)[:, None]
-        basis = _gamma_rows(alpha - i - 1, alpha - i, N)
-        for i in range(n):
-            corr += basis[i] * ratio * ivs[..., i, None]
+        rhs = x_body
     else:
         v = _caputo_values(x[..., h + 1 - n :], alpha, n, w_low)
         L = x.shape[-1] - h - 1
-        corr = _series(x, w, h, range(n), lambda i: rising_over_factorial_row(i, L))
+        rhs = x_body - _series(x, w, h, range(n), lambda i: rising_over_factorial_row(i, L))
     lhs = _gl_values(v, -alpha, w_low[..., n:])
-    return f"sum-of-diff-{kind}", np.abs(lhs - (x_body - corr)), 1
+    return f"sum-of-diff-{kind}", np.abs(lhs - rhs), 1
 
 
 #: Rows ``(x, w, alpha, kind)``: the order -alpha sum of a fractional
 #: difference reproduces the signal minus its initial-value series.
 #:
-#: ``kind`` selects which difference: ``"rl"`` uses difference-of-sum
-#: initial values (which vanish under the base-point convention, evaluated
-#: rather than assumed), ``"caputo"`` uses the integer tempered
+#: ``kind`` selects which difference: ``"rl"`` has no series, its
+#: difference-of-sum initial values being empty sums under the
+#: zero-extension convention; ``"caputo"`` sums the integer tempered
 #: differences at the base.
 SUM_OF_DIFFERENCE = RowCheck(_sum_of_difference_prep, _sum_of_difference_body)
 

@@ -52,7 +52,6 @@ __all__ = [
     "nabla_at",
     "gl_tempered",
     "rl_tempered",
-    "rl_tempered_at_base",
     "caputo_tempered",
     "apply_operator",
     "set_fault_injection",
@@ -566,31 +565,6 @@ def _zero_extended(body: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([np.zeros(body.shape[:-1] + (n,)), body], axis=-1)
 
 
-def _tempered_stencil(x_low: np.ndarray, n: int, w_low: np.ndarray) -> np.ndarray:
-    """The integer-difference stage ``w^-1 nabla^n [w x]`` on the window
-    1..N, from ``x_low`` and ``w_low``, the values of x and w at offsets
-    1-n..N (one row each, or a stack of rows): c·(w·x) summed by
-    :func:`_stencil`, then one division by w.  Callers hold the
-    ``np.errstate`` that lets an overflow through to :func:`_settled`."""
-    out = _stencil(w_low * x_low, n)
-    out /= w_low[..., n:]
-    return out
-
-
-def _tempered_single_sum(x_body: np.ndarray, alpha, w_body: np.ndarray) -> np.ndarray:
-    """The single-sum stage ``w^-1 sum_i c_i(alpha) [w x](k-i)`` on the
-    window 1..N, from ``x_body`` and ``w_body``, the values of x and w at
-    offsets 1..N, plus the fault hook's perturbation.  For a stack of rows,
-    ``alpha`` holds one order per row.  Callers hold the ``np.errstate``,
-    as for :func:`_tempered_stencil`."""
-    c = gl_coefficients(alpha, x_body.shape[-1]).coeffs
-    body = causal_sum(c, w_body * x_body) / w_body
-    fault = _fault_eps.get()
-    if fault:
-        body += fault
-    return body
-
-
 # The operators' stage sequences on arrays: one row (the public operators)
 # or a stack of rows (the identity battery).  An overflow inside a stage
 # makes non-finite values without a numpy warning, and _settled rejects them
@@ -598,28 +572,39 @@ def _tempered_single_sum(x_body: np.ndarray, alpha, w_body: np.ndarray) -> np.nd
 
 
 def _gl_values(x_body: np.ndarray, alpha, w_body: np.ndarray) -> np.ndarray:
+    """The single-sum stage ``w^-1 sum_i c_i(alpha) [w x](k-i)`` on the
+    window 1..N, from ``x_body`` and ``w_body``, the values of x and w at
+    offsets 1..N, plus the fault hook's perturbation.  For a stack of rows,
+    ``alpha`` holds one order per row."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _settled(_tempered_single_sum(x_body, alpha, w_body))
+        c = gl_coefficients(alpha, x_body.shape[-1]).coeffs
+        body = causal_sum(c, w_body * x_body) / w_body
+        fault = _fault_eps.get()
+        if fault:
+            body += fault
+        return _settled(body)
 
 
 def _nabla_values(x_low: np.ndarray, n: int, w_low: np.ndarray) -> np.ndarray:
+    """The integer-difference stage ``w^-1 nabla^n [w x]`` on the window
+    1..N, from ``x_low`` and ``w_low``, the values of x and w at offsets
+    1-n..N: c·(w·x) summed by :func:`_stencil`, then one division by w."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _settled(_tempered_stencil(x_low, n, w_low))
+        out = _stencil(w_low * x_low, n)
+        out /= w_low[..., n:]
+        return _settled(out)
 
 
 def _rl_values(x_body: np.ndarray, alpha, n: int, w_low: np.ndarray) -> np.ndarray:
     """Order ``alpha - n`` sum, then the n-th difference of its zero
     extension; ``w_low`` holds w at offsets 1-n..N."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = _settled(_tempered_single_sum(x_body, alpha - n, w_low[..., n:]))
-        return _settled(_tempered_stencil(_zero_extended(inner, n), n, w_low))
+    inner = _gl_values(x_body, alpha - n, w_low[..., n:])
+    return _nabla_values(_zero_extended(inner, n), n, w_low)
 
 
 def _caputo_values(x_low: np.ndarray, alpha, n: int, w_low: np.ndarray) -> np.ndarray:
     """The n-th difference, then its order ``alpha - n`` sum."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = _settled(_tempered_stencil(x_low, n, w_low))
-        return _settled(_tempered_single_sum(inner, alpha - n, w_low[..., n:]))
+    return _gl_values(_nabla_values(x_low, n, w_low), alpha - n, w_low[..., n:])
 
 
 def _output(grid_a: float, horizon: int, body: np.ndarray) -> Signal:
@@ -715,7 +700,9 @@ def rl_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     on arrays, where ``u`` is ``gl_tempered(x, alpha - n, w)`` extended by
     n zeros below the base point (its empty sums there): a non-finite
     intermediate raises the composition's error.  The weight's history is
-    checked before either stage runs.
+    checked before either stage runs.  Those empty sums are its initial
+    values ``nabla^(alpha-i-1) x(a)``: no transform rule, identity or
+    convolution bracket of this library carries a term for them.
     """
     n = _stage(OperatorKind.RL, alpha, x.grid, w)
     N = x.grid.horizon
@@ -734,21 +721,6 @@ def caputo_tempered(x: Signal, alpha: float, w: Weight) -> Signal:
     N = x.grid.horizon
     body = _caputo_values(x.window(1 - n, N), alpha, n, w.window(1 - n, N))
     return _output(x.grid.a, N, body)
-
-
-def rl_tempered_at_base(x: Signal, beta: float, w: Weight) -> float:
-    """Initial value of the difference-of-sum operator at the base point.
-
-    For any order, the inner fractional sum is an empty sum at and below
-    the base point, so the closing integer difference combines only zeros:
-    the initial value vanishes identically under this calculus's
-    conventions.  Kept as a function so identity checkers evaluate the
-    convention instead of assuming it.  A non-finite or integer order
-    raises :class:`IntegerOrder`.
-    """
-    if not math.isfinite(beta) or beta == math.floor(beta):
-        raise IntegerOrder(f"initial value needs a finite non-integer order, got {beta}")
-    return 0.0
 
 
 def apply_operator(x: Signal, spec: OperatorSpec) -> Signal:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .operators import (
+    InsufficientHistory,
     InsufficientLags,
     OperatorKind,
     OperatorSpec,
@@ -29,12 +30,13 @@ from .operators import (
     apply_operator,
     causal_dot,
     causal_sum,
+    check_order,
     initial_value_terms,
     nabla_n,
     nabla_n_tempered,
     tempered_diff_rows,
 )
-from .signals import Grid, NonFiniteSample, Signal, _first_bad
+from .signals import Grid, NonFiniteSample, Signal, Weight, _first_bad
 from .special import (
     DomainError,
     binomial_coefficients,
@@ -143,6 +145,15 @@ def _basis(spec: OperatorSpec, degrees: range, N: int) -> Callable[[int], np.nda
     return lambda i: rows()[i - degrees.start]
 
 
+def _closing_stage(x: Signal, K: int, w: Weight | None) -> None:
+    """The checks of the (K+1)-th difference that closes a degree-K form, in
+    :func:`_stage`'s order, with a short history named by the degree."""
+    check_order(OperatorKind.INTEGER_NABLA, K + 1)
+    if x.grid.history < K + 1:
+        raise InsufficientHistory(f"degree {K} needs history >= {K + 1}")
+    _stage(OperatorKind.INTEGER_NABLA, K + 1, x.grid, w)
+
+
 def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     """Base-point representation: initial-value series plus weighted
     remainder sum driven by the (K+1)-th tempered difference.
@@ -153,7 +164,7 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     if lo and K <= lo:
         raise DegreeTooLow(f"{spec.kind.value} representation needs degree K > {lo}, got {K}")
     # the remainder's (K+1)-th difference covers the series' at the base
-    _stage(OperatorKind.INTEGER_NABLA, K + 1, x.grid, w)
+    _closing_stage(x, K, w)
 
     def form(x: Signal) -> Signal:
         N = x.grid.horizon
@@ -279,7 +290,7 @@ def tempered_op_taylor_future(x: Signal, spec: OperatorSpec, K: int) -> Signal:
     if kind is OperatorKind.CAPUTO and K < spec.n:
         raise DegreeTooLow(f"sum-of-difference form needs degree K >= {spec.n}")
     # the residual's (K+1)-th difference; the rows check the weight they read
-    _stage(OperatorKind.INTEGER_NABLA, K + 1, x.grid, None)
+    _closing_stage(x, K, None)
     shift = _shift(spec)
 
     def form(x: Signal) -> Signal:

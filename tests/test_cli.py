@@ -99,11 +99,13 @@ def test_exit_code_config_error(tmp_path):
     [
         (["eval", "--kind", "rl", "--order", "0.5"], "0", "order 0.5 needs history >= 1"),
         (["taylor", "--kind", "gl", "--order", "0.5", "--rep", "initial", "--degree", "5"],
-         "2", "order 6 needs history >= 6"),
+         "2", "degree 5 needs history >= 6"),
+        (["taylor", "--kind", "rl", "--order", "0.5", "--rep", "future", "--degree", "4"],
+         "2", "degree 4 needs history >= 5"),
         (["eval", "--kind", "caputo", "--order", "1.5", "--weight", "case4"],
          "1", "order 1.5 needs history >= 2"),
     ],
-    ids=["eval-rl", "taylor-initial", "eval-caputo"],
+    ids=["eval-rl", "taylor-initial", "taylor-future", "eval-caputo"],
 )
 def test_short_history_is_one_line_exit_2(tmp_path, capsys, argv, history, need):
     # only --history sets a grid short of what the form reads: without it
@@ -316,6 +318,26 @@ def test_laplace_rule_requires_lambda():
         ["laplace", "--signal", "sin10k", "--N", "100", "--s-re", "0.9",
          "--rule", "gl"]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--lambda", "0.3"], ["--order", "7"], ["--lambda", "0.3", "--order", "7"]],
+    ids=["lambda", "order", "both"],
+)
+def test_laplace_rule_options_need_a_rule(capsys, extra):
+    # a transform value reads neither option, so giving one is an error
+    argv = ["laplace", "--signal", "sin10k", "--N", "64", "--s-re", "0.9"]
+    assert run([*argv, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "nt: configuration error: --lambda and --order need --rule\n"
+    assert captured.out == ""
+    # under a rule, --order defaults to 0.5
+    assert run([*argv, "--rule", "rl", "--lambda", "0.3"]) == 0
+    default = capsys.readouterr().out
+    assert json.loads(default)["params"]["alpha"] == 0.5
+    assert run([*argv, "--rule", "rl", "--lambda", "0.3", "--order", "0.5"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_laplace_rule_with_initial_conditions(capsys):
@@ -638,16 +660,19 @@ def cli_cases(draw):
         signal = "poly:" + ",".join(num("signal") for _ in range(draw(st.integers(1, 3))))
     else:
         signal = f"geom:{num('signal')}" if form == "geom" else form
-    argv = [command, "--signal", signal, opt("a"), opt("order"), N]
+    argv = [command, "--signal", signal, opt("a"), N]
     if draw(st.booleans()):
         argv.append(f"--history={draw(st.integers(0, 3000))}")
     if command == "laplace":
         rule = draw(st.sampled_from([None, "gl", "rl", "caputo", "int"]))
         argv += [opt("s-re"), opt("s-im")]
-        argv += [] if rule is None else ["--rule", rule]
-        return argv + ([opt("lambda")] if rule or draw(st.booleans()) else []), {}
+        if rule is None:  # --order and --lambda apply only to a rule
+            return argv, {}
+        # without --order, a rule checks order 0.5
+        order = [opt("order")] if draw(st.booleans()) else []
+        return argv + ["--rule", rule, *order, opt("lambda")], {}
     kind = draw(st.sampled_from(["gl", "rl", "caputo", "nabla"]))
-    argv += ["--kind", kind, "--weight", weight, *out]
+    argv += [opt("order"), "--kind", kind, "--weight", weight, *out]
     if command == "taylor":
         rep = draw(st.sampled_from(["initial", "current", "future"]))
         argv += ["--rep", rep, f"--degree={draw(st.integers(0, 1100))}"]
@@ -660,8 +685,11 @@ def cli_cases(draw):
 @example((["taylor", "--signal", "geom:1.7976931348623157e+308", "--a=0.0", "--order=0.5",
            "--N=1", "--kind", "gl", "--weight", "case1", "--rep", "current", "--degree=0",
            "--out", OUT], {}))
+# the tail bound of a sample near the largest float is past binary64
+@example((["laplace", "--signal", "poly:1.7976931348623157e+308", "--a=0.0", "--N=2",
+           "--s-re=0.75", "--s-im=0.5"], {}))
 # |1 - s| is past binary64, where abs of a complex raises
-@example((["laplace", "--signal", "sin10k", "--a=0.0", "--order=nan", "--N=1",
+@example((["laplace", "--signal", "sin10k", "--a=0.0", "--N=1",
            "--s-re=1.7976931348623157e+308", "--s-im=1.7976931348623157e+308"], {}))
 def test_any_option_exits_cleanly(case):
     argv, env = case

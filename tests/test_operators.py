@@ -42,7 +42,6 @@ from nablatc.operators import (
     nabla_n_tempered,
     nabla_n_tempered_at,
     rl_tempered,
-    rl_tempered_at_base,
     set_fault_injection,
 )
 from nablatc.presets import preset_weight
@@ -531,15 +530,6 @@ def test_rl_caputo_overflow_errors_match_their_composition(kind, alpha, x_fn, wn
         with pytest.raises(NonFiniteSample) as got:
             fused(x, alpha, w)
     assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 2.0, -1.0])
-def test_rl_initial_value_needs_finite_non_integer_order(beta):
-    # a non-finite order is no order at all, not a math.floor error
-    x = grid_and_signal(math.sin)
-    with pytest.raises(IntegerOrder):
-        rl_tempered_at_base(x, beta, ones_weight(x.grid))
-    assert rl_tempered_at_base(x, 1.5, ones_weight(x.grid)) == 0.0
 
 
 def test_operator_outputs_are_read_only():
