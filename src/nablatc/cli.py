@@ -34,12 +34,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, NablaError
-from .laplace import (
-    check_transform_rule_diff,
-    check_transform_rule_gl,
-    fde_solve,
-    nlt,
-)
+from .laplace import fde_solve, nlt, transform_rule_reports
 from .operators import (
     InsufficientHistory,
     IntegerOrder,
@@ -234,11 +229,7 @@ def cmd_laplace(args: argparse.Namespace) -> int:
         }
     else:
         lam = args.lam or 0.0  # a --lambda of -0 reports as 0.0
-        if rule == "gl":
-            rep = check_transform_rule_gl(x, args.order, lam, s)
-        else:
-            rep = check_transform_rule_diff(x, rule, args.order, lam, s)
-        payload = rep.to_dict()
+        payload = transform_rule_reports(x, rule, args.order, lam, (s,))[0].to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 

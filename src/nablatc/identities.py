@@ -9,7 +9,9 @@ The eight core identities are :class:`RowCheck` constants (``GL_RL_AGREE``
 through ``INTEGER_DEFECT``), run by :func:`run_rows` on a list of
 ``(x, w, *args)`` rows; one instance is ``run_rows(CHECK, [(x, w, *args)],
 tol)[0]``, and each row of a longer list equals that one-row call bit for
-bit.  The other identities have a ``check_*`` function each.
+bit.  ``GL_RL_AGREE`` and ``SUM_COMPOSITION`` share one body, the order-q
+single sum against the difference-of-sum form, at q = alpha and q = -alpha.
+The other identities have a ``check_*`` function each.
 
 Tolerance convention: 1e-11 for exact finite identities (only rounding
 separates the two sides), 1e-5 for order-limit checks evaluated at
@@ -18,6 +20,7 @@ eps = 1e-7 (which carry O(eps) analytic error on top of rounding).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -248,21 +251,16 @@ def _gl_rl_prep(x, w, alpha):
     return (alpha,), (n,), {"alpha": alpha}
 
 
-def _gl_rl_body(x, w, h, N, alpha, n):
-    gl = _gl_values(x[..., h + 1 :], alpha, w[..., h + 1 :])
-    rl = _rl_values(x[..., h + 1 :], alpha, n, w[..., h + 1 - n :])
-    return "gl-rl-agree", np.abs(gl - rl), 1
+def _agreement_body(ident, x, w, h, N, q, n):
+    """The order-q single sum against the n-th difference of the order q - n sum."""
+    gl = _gl_values(x[..., h + 1 :], q, w[..., h + 1 :])
+    rl = _rl_values(x[..., h + 1 :], q, n, w[..., h + 1 - n :])
+    return ident, np.abs(gl - rl), 1
 
 
 #: Rows ``(x, w, alpha)``: the single-sum form against the
 #: difference-of-sum form, pointwise.
-GL_RL_AGREE = RowCheck(_gl_rl_prep, _gl_rl_body)
-
-
-def _rl_caputo_prep(x, w, alpha):
-    # the sum-of-difference form admits exactly what this one does
-    n = _stage(OperatorKind.RL, alpha, x.grid, w)
-    return (alpha,), (n,), {"alpha": alpha}
+GL_RL_AGREE = RowCheck(_gl_rl_prep, functools.partial(_agreement_body, "gl-rl-agree"))
 
 
 def _rl_caputo_body(x, w, h, N, alpha, n):
@@ -275,8 +273,8 @@ def _rl_caputo_body(x, w, h, N, alpha, n):
 
 
 #: Rows ``(x, w, alpha)``: difference-of-sum equals sum-of-difference plus
-#: the initial-value series.
-RL_CAPUTO_CORRECTION = RowCheck(_rl_caputo_prep, _rl_caputo_body)
+#: the initial-value series (the two forms admit the same inputs).
+RL_CAPUTO_CORRECTION = RowCheck(_gl_rl_prep, _rl_caputo_body)
 
 
 def _sum_composition_prep(x, w, alpha):
@@ -284,18 +282,12 @@ def _sum_composition_prep(x, w, alpha):
     _stage(OperatorKind.GL, -alpha, x.grid, w)
     # the n-th difference of an operator output
     n = _stage(OperatorKind.INTEGER_NABLA, math.ceil(alpha), None, w)
-    return (alpha,), (n,), {"alpha": alpha}
-
-
-def _sum_composition_body(x, w, h, N, alpha, n):
-    lhs = _gl_values(x[..., h + 1 :], -alpha, w[..., h + 1 :])
-    rhs = _rl_values(x[..., h + 1 :], -alpha, n, w[..., h + 1 - n :])
-    return "sum-composition", np.abs(lhs - rhs), 1
+    return (-alpha,), (n,), {"alpha": alpha}
 
 
 #: Rows ``(x, w, alpha)``: the order -alpha sum equals the n-th tempered
-#: difference of the order -(alpha+n) sum.
-SUM_COMPOSITION = RowCheck(_sum_composition_prep, _sum_composition_body)
+#: difference of the order -(alpha+n) sum: the agreement at q = -alpha.
+SUM_COMPOSITION = RowCheck(_sum_composition_prep, functools.partial(_agreement_body, "sum-composition"))
 
 
 def _difference_of_sum_prep(x, w, alpha):

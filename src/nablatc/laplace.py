@@ -1,8 +1,8 @@
 """Transform-domain machinery.
 
 A truncated evaluation of the lattice Laplace-type transform
-``X(s) = sum_{j>=1} (1-s)^(j-1) x(a+j)``, the transform rules for
-exponentially tempered operators, the lattice convolution and its exchange
+``X(s) = sum_{j>=1} (1-s)^(j-1) x(a+j)``, one transform rule for every
+kind of exponentially tempered operator, the lattice convolution and its exchange
 identities (checked in the time domain, where both sides are exact finite
 sums), the discrete Mittag-Leffler kernel, and the time-stepping solver for
 the scalar tempered fractional relaxation equation.
@@ -54,8 +54,7 @@ __all__ = [
     "SingularStep",
     "nlt",
     "check_transform_rule_gl",
-    "transform_rule_gl_reports",
-    "check_transform_rule_diff",
+    "transform_rule_reports",
     "check_tempering_shift",
     "convolve",
     "check_convolution_commutation",
@@ -184,87 +183,63 @@ def check_transform_rule_gl(
     tol: float = 1e-7,
 ) -> IdentityReport:
     """Transform of the exponentially tempered single-sum operator equals
-    ``((s - lambda)/(1 - lambda))^alpha`` times the transform of the signal.
-
-    The signal must be bounded; the rule is checked strictly inside
-    ``|s-1| < min(1, |1-lambda|)``.
-    """
-    return transform_rule_gl_reports(x, alpha, lam, (s,), tol=tol)[0]
+    ``((s - lambda)/(1 - lambda))^alpha`` times the transform of the signal:
+    ``transform_rule_reports(x, "gl", alpha, lam, (s,), tol=tol)[0]``."""
+    return transform_rule_reports(x, "gl", alpha, lam, (s,), tol=tol)[0]
 
 
-def transform_rule_gl_reports(
+def transform_rule_reports(
     x: Signal,
-    alpha: float,
+    kind: str,
+    order: float,
     lam: float,
     s_points: Sequence[complex],
     *,
     tol: float = 1e-7,
 ) -> list[IdentityReport]:
-    """:func:`check_transform_rule_gl` at each of ``s_points``, in order,
-    with one single-sum output shared by all of them."""
-    out = []
-    y = None
+    """The transform rule of one tempered operator at each of ``s_points``,
+    in order: its output's transform is ``rho^order X(s)``, ``rho = (s -
+    lambda)/(1 - lambda)``, less ``(1-lambda)^-1 sum_{i<n} rho^(order-i-1)
+    nabla^i x(a)``, a polynomial that is empty for ``kind`` ``"gl"`` (any
+    finite order) and ``"rl"`` (its initial values are empty sums), and is
+    also checked in its other ordering for ``"int"``; ``"caputo"`` is the
+    fourth kind.  The signal must be bounded, and every point strictly
+    inside ``|s-1| < min(1, |1-lambda|)``.
+
+    The regions are checked first, then the order and history.  One weight,
+    operator output and set of initial values serve every point, each point
+    taking the output's transform before ``X(s)``.
+    """
+    if kind not in ("gl", "int", "rl", "caputo"):
+        raise ValueError(f"kind must be 'gl', 'int', 'rl' or 'caputo', got {kind!r}")
     for s in s_points:
         _check_region(s, lam)
-        if y is None:
-            y = gl_tempered(x, alpha, make_weight(x.grid, rate=lam))
-        lhs = nlt(y, s).value
-        rhs = _rho(s, lam) ** alpha * nlt(x, s).value
-        out.append(
-            IdentityReport(
-                "laplace-gl-rule",
-                abs(lhs - rhs),
-                x.grid.a,
-                tol,
-                {"alpha": alpha, "lambda": lam, "s": [s.real, s.imag]},
-            )
-        )
-    return out
-
-
-def check_transform_rule_diff(
-    x: Signal,
-    kind: str,
-    order: float,
-    lam: float,
-    s: complex,
-    *,
-    tol: float = 1e-7,
-) -> IdentityReport:
-    """Transform rules with initial-condition polynomials.
-
-    ``kind`` is ``"int"`` (both orderings of the initial-value sum are
-    checked against each other as well), ``"rl"`` (no initial-value sum:
-    its initial values are empty sums under the zero-extension convention),
-    or ``"caputo"``.
-    """
-    if kind not in ("int", "rl", "caputo"):
-        raise ValueError(f"kind must be 'int', 'rl' or 'caputo', got {kind!r}")
-    _check_region(s, lam)
     w = make_weight(x.grid, rate=lam)
     op = OperatorKind.INTEGER_NABLA if kind == "int" else OperatorKind(kind)
     n = _stage(op, order, x.grid, w)
     if kind == "int":
         # an int exponent: a complex power rounds differently with a float one
         order = n
-    rho = _rho(s, lam)
-    X = nlt(x, s).value
+    y = apply_operator(x, OperatorSpec(op, order, w))
+    iv = [nabla_n_tempered_at(x, i, w, 0) for i in range(n)] if kind in ("int", "caputo") else []
     scale = 1.0 / (1.0 - lam)
-    lhs = nlt(apply_operator(x, OperatorSpec(op, order, w)), s).value
-    rhs = rho**order * X
-    if kind != "rl":
-        iv = [nabla_n_tempered_at(x, i, w, 0) for i in range(n)]
-        rhs -= scale * sum(rho ** (order - i - 1) * iv[i] for i in range(n))
-    dev = abs(lhs - rhs)
-    if kind == "int":
-        # the sum of the caputo rule at order n, against its other ordering
-        rhs_a = rho**n * X - scale * sum(rho**i * iv[n - i - 1] for i in range(n))
-        dev = max(abs(lhs - rhs_a), dev, abs(rhs_a - rhs))
-        params: dict = {"n": n}
-    else:
-        params = {"alpha": order}
-    params.update({"lambda": lam, "s": [complex(s).real, complex(s).imag]})
-    return IdentityReport(f"laplace-diff-rule-{kind}", dev, x.grid.a, tol, params)
+    ident = "laplace-gl-rule" if kind == "gl" else f"laplace-diff-rule-{kind}"
+    out = []
+    for s in s_points:
+        rho = _rho(s, lam)
+        lhs = nlt(y, s).value
+        X = nlt(x, s).value
+        rhs = rho**order * X
+        if iv:
+            rhs -= scale * sum(rho ** (order - i - 1) * iv[i] for i in range(n))
+        dev = abs(lhs - rhs)
+        if kind == "int":
+            rhs_a = rho**n * X - scale * sum(rho**i * iv[n - i - 1] for i in range(n))
+            dev = max(abs(lhs - rhs_a), dev, abs(rhs_a - rhs))
+        params = {"n": n} if kind == "int" else {"alpha": order}
+        params.update({"lambda": lam, "s": [complex(s).real, complex(s).imag]})
+        out.append(IdentityReport(ident, dev, x.grid.a, tol, params))
+    return out
 
 
 def check_tempering_shift(

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import NablaError
-from .signals import Grid, GridMismatch, Signal, Weight, _require_finite
+from .signals import Grid, GridMismatch, NonFiniteSample, Signal, Weight, _require_finite
 from .special import gl_coefficients
 
 __all__ = [
@@ -528,13 +528,24 @@ def _differences_at(x: np.ndarray, px: int, w: np.ndarray | None, pw: int, table
     for each row i of ``table`` (as in :func:`_difference_table`), per row of
     x (one row or a stack): ``(c_l·w)·x`` added from 0.0 in ascending lag l
     by one ``np.add.accumulate``, then one division by w (both skipped, being
-    exact, under ``w`` None); a zero c_l past lag i adds ±0.  Callers check
-    the history and hold the ``np.errstate``."""
+    exact, under ``w`` None); a zero c_l past lag i adds ±0.  A difference
+    past binary64 is non-finite, without a numpy warning.  Callers check the
+    history."""
     L = table.shape[-1]
-    c = table if w is None else table * w[..., None, pw + 1 - L : pw + 1][..., ::-1]
-    # 0.0 + gives a sum of zeros the sign it has when started from 0.0
-    d = 0.0 + np.add.accumulate(c * x[..., None, px + 1 - L : px + 1][..., ::-1], axis=-1)[..., -1]
-    return d if w is None else d / w[..., pw : pw + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = table if w is None else table * w[..., None, pw + 1 - L : pw + 1][..., ::-1]
+        # 0.0 + gives a sum of zeros the sign it has when started from 0.0
+        d = 0.0 + np.add.accumulate(c * x[..., None, px + 1 - L : px + 1][..., ::-1], axis=-1)[..., -1]
+        return d if w is None else d / w[..., pw : pw + 1]
+
+
+def _pointwise(x: np.ndarray, px: int, w: np.ndarray | None, pw: int, table: np.ndarray):
+    """:func:`_differences_at` on one row, once every difference is finite:
+    else :class:`NonFiniteSample`, as the window forms raise."""
+    d = _differences_at(x, px, w, pw, table)
+    if not np.isfinite(d).all():
+        raise NonFiniteSample("a pointwise difference leaves binary64")
+    return d
 
 
 def _stencil(z: np.ndarray, n: int) -> np.ndarray:
@@ -635,7 +646,7 @@ def nabla_n_tempered_at(x: Signal, n: int, w: Weight, offset: int = 0) -> float:
     """
     n = _stage(None, n, x.grid, w, offset)
     px, pw = x.grid.position(offset), w.grid.position(offset)
-    return _differences_at(x.values, px, w.values, pw, _signed_binomials(n)[None])[0]
+    return _pointwise(x.values, px, w.values, pw, _signed_binomials(n)[None])[0]
 
 
 def _initial_value_terms(
@@ -648,7 +659,11 @@ def _initial_value_terms(
     d = _differences_at(x, px, w, pw, _difference_table(max(degrees, default=0)))
     ratio = _base_ratio(w, pw)
     for i in degrees:
-        yield basis(i) * ratio * d[..., i : i + 1]
+        b = basis(i)
+        # a term past binary64 is non-finite, without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = b * ratio * d[..., i : i + 1]
+        yield term
 
 
 def initial_value_terms(
@@ -659,13 +674,16 @@ def initial_value_terms(
     summed from 0.0, the initial-value series of the base-point forms."""
     wv = w.window(-w.grid.history, x.grid.horizon)
     checked = [_stage(None, i, x.grid, w, 0) for i in degrees]
-    yield from _initial_value_terms(x.values, x.grid.history, wv, w.grid.history, checked, basis)
+    for term in _initial_value_terms(x.values, x.grid.history, wv, w.grid.history, checked, basis):
+        yield _settled(term)
 
 
 def _base_ratio(w: np.ndarray, h: int = 0) -> np.ndarray:
     """``w(a)/w(k)`` on the window, from ``w``'s values at offsets
-    ``-h..N`` (one row, or a stack of rows)."""
-    return w[..., h : h + 1] / w[..., h + 1 :]
+    ``-h..N`` (one row, or a stack of rows); inf past binary64, without a
+    numpy warning."""
+    with np.errstate(over="ignore"):
+        return w[..., h : h + 1] / w[..., h + 1 :]
 
 
 def nabla_at(x: Signal, n: int, offset: int = 0) -> float:
@@ -674,7 +692,7 @@ def nabla_at(x: Signal, n: int, offset: int = 0) -> float:
     products ``(c_i·1)·x`` and closing division by 1."""
     n = _stage(None, n, x.grid, None, offset)
     px = x.grid.position(offset)
-    return _differences_at(x.values, px, None, 0, _signed_binomials(n)[None])[0]
+    return _pointwise(x.values, px, None, 0, _signed_binomials(n)[None])[0]
 
 
 def gl_tempered(x: Signal, alpha: float, w: Weight) -> Signal:

@@ -59,9 +59,8 @@ from .laplace import (
     check_convolution_commutation,
     check_convolution_with_ic,
     check_tempering_shift,
-    check_transform_rule_diff,
     fde_solve,
-    transform_rule_gl_reports,
+    transform_rule_reports,
 )
 from .operators import (
     OperatorKind,
@@ -473,13 +472,13 @@ def _run_laplace_rules(rng, ts):
     out = []
     grid = Grid(0.0, history=2, horizon=3000)
     x = preset_signal("sin10k", grid)
+    rules = [("gl", al, _S_POINTS[:2]) for al in (0.5, -1.0, 1.5)] + [
+        (kind, order, _S_POINTS[2:])
+        for kind, order in (("int", 1), ("int", 2), ("rl", 0.5), ("rl", 1.5), ("caputo", 0.5), ("caputo", 1.5))
+    ]
     for lam in (0.0, 2.0, -0.02):
-        for al in (0.5, -1.0, 1.5):
-            out += transform_rule_gl_reports(x, al, lam, _S_POINTS[:2], tol=1e-7 * ts)
-        for kind, order in (("int", 1), ("int", 2), ("rl", 0.5), ("rl", 1.5), ("caputo", 0.5), ("caputo", 1.5)):
-            out.append(
-                check_transform_rule_diff(x, kind, order, lam, _S_POINTS[2], tol=1e-7 * ts)
-            )
+        for kind, order, points in rules:
+            out += transform_rule_reports(x, kind, order, lam, points, tol=1e-7 * ts)
     g2 = Grid(0.0, history=1, horizon=900)
     geo = preset_signal("geom:0.8", g2)
     for lam in (0.3, -0.5, 2.0):

@@ -11,6 +11,7 @@ checkable against the direct evaluations pointwise.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,14 +24,14 @@ from .operators import (
     OperatorKind,
     OperatorSpec,
     _difference_table,
-    _differences_at,
+    _initial_value_terms,
     _output,
+    _pointwise,
     _signed_binomials,
     _stage,
     apply_operator,
     causal_dot,
     causal_sum,
-    check_order,
     initial_value_terms,
     nabla_n,
     nabla_n_tempered,
@@ -79,8 +80,8 @@ def taylor_initial(x: Signal, K: int) -> np.ndarray:
     if K < 0:
         raise DegreeTooLow(f"degree must be >= 0, got {K}")
     # K + 1 points of history, as the remainder of reconstruct_initial asks
-    _stage(None, K, x.grid, None, -1)
-    coeffs = _differences_at(x.values, x.grid.history, None, 0, _difference_table(K))
+    _degree_history(x, K, K)
+    coeffs = _pointwise(x.values, x.grid.history, None, 0, _difference_table(K))
     coeffs.setflags(write=False)
     return coeffs
 
@@ -115,11 +116,13 @@ def reconstruct_from_current(x: Signal, k_offset: int, j_offset: int) -> float:
     if k_offset - t < -x.grid.history:
         raise InsufficientLags("expansion reaches below the stored grid")
     # d[i] is nabla_at(x, i, k), for i = 0..t
-    d = _differences_at(x.values, x.grid.position(k_offset), None, 0, _difference_table(t))
+    d = _pointwise(x.values, x.grid.position(k_offset), None, 0, _difference_table(t))
     acc = 0.0
     # (j-k)^(i)/i! = (-1)^i C(t, i)
     for b, di in zip(_signed_binomials(t).tolist(), d.tolist()):
         acc += b * di
+    if not math.isfinite(acc):  # a term or partial sum past binary64
+        raise NonFiniteSample(f"reconstructing offset {j_offset} from offset {k_offset} leaves binary64")
     return acc
 
 
@@ -145,12 +148,19 @@ def _basis(spec: OperatorSpec, degrees: range, N: int) -> Callable[[int], np.nda
     return lambda i: rows()[i - degrees.start]
 
 
+def _degree_history(x: Signal, K: int, top: int) -> None:
+    """The order cap of a difference of order ``top``, then the K + 1 points
+    of history below the base point that a degree-K form reads, a short
+    history named by the degree."""
+    _stage(None, top, None, None)
+    if x.grid.history < K + 1:
+        raise InsufficientHistory(f"degree {K} needs history >= {K + 1}")
+
+
 def _closing_stage(x: Signal, K: int, w: Weight | None) -> None:
     """The checks of the (K+1)-th difference that closes a degree-K form, in
     :func:`_stage`'s order, with a short history named by the degree."""
-    check_order(OperatorKind.INTEGER_NABLA, K + 1)
-    if x.grid.history < K + 1:
-        raise InsufficientHistory(f"degree {K} needs history >= {K + 1}")
+    _degree_history(x, K, K + 1)
     _stage(OperatorKind.INTEGER_NABLA, K + 1, x.grid, w)
 
 
@@ -172,7 +182,10 @@ def tempered_op_taylor_initial(x: Signal, spec: OperatorSpec, K: int) -> Signal:
         with np.errstate(over="ignore", invalid="ignore"):
             degrees = range(lo, K + 1)
             basis = _basis(spec, degrees, N)
-            series = sum(initial_value_terms(x, w, degrees, basis), np.zeros(N))
+            # the terms unchecked: the output names the first bad offset of the sum
+            wv = w.window(-w.grid.history, N)
+            terms = _initial_value_terms(x.values, x.grid.history, wv, w.grid.history, degrees, basis)
+            series = sum(terms, np.zeros(N))
             # the remainder coefficient at lag k-j is the degree-K basis row
             u = nabla_n_tempered(x, K + 1, w)
             acc = causal_sum(basis(K), w.window(1, N) * u.body)
@@ -189,7 +202,7 @@ def taylor_series_initial(x: Signal, spec: OperatorSpec, K_max: int) -> SeriesSw
     if K_max < k_lo:
         raise DegreeTooLow(f"sweep needs K_max >= {k_lo}, got {K_max}")
     # the history of the base-point form at degree K_max
-    _stage(None, K_max, x.grid, None, -1)
+    _degree_history(x, K_max, K_max)
     N = x.grid.horizon
     direct = apply_operator(x, spec).body
     # one pass over the degrees: the series to degree K is the one to

@@ -12,12 +12,12 @@ from nablatc.laplace import (
     check_convolution_commutation,
     check_convolution_with_ic,
     check_tempering_shift,
-    check_transform_rule_diff,
     check_transform_rule_gl,
     convolve,
     fde_solve,
     ml_function,
     nlt,
+    transform_rule_reports,
 )
 from nablatc.operators import IntegerOrder
 from nablatc.presets import preset_signal, preset_weight
@@ -135,15 +135,15 @@ def test_transform_rule_region_enforced():
     with pytest.raises(RegionOfConvergence):
         check_transform_rule_gl(x, 0.5, 0.5, 0.2)  # |s-1| = 0.8 > |1-lam|
     with pytest.raises(RegionOfConvergence):
-        check_transform_rule_diff(x, "rl", 0.5, 0.0, 3.0)
+        transform_rule_reports(x, "rl", 0.5, 0.0, (3.0,))[0]
 
 
 def test_transform_rule_diff_constant_signal():
     g = Grid(0.0, 2, 400)
     ones = Signal(g, np.ones(g.npoints))
-    r = check_transform_rule_diff(ones, "int", 1, 0.0, 0.7)
+    r = transform_rule_reports(ones, "int", 1, 0.0, (0.7,))[0]
     assert r.max_abs_dev < 1e-13
-    r = check_transform_rule_diff(ones, "caputo", 0.5, 0.0, 0.7)
+    r = transform_rule_reports(ones, "caputo", 0.5, 0.0, (0.7,))[0]
     assert r.max_abs_dev < 1e-13
 
 
@@ -155,7 +155,7 @@ def test_transform_rule_diff_all_kinds():
     s = 0.95 + 0.2j
     for kind, order in (("int", 2), ("rl", 0.5), ("rl", 1.5), ("caputo", 0.5), ("caputo", 1.5)):
         for lam in (0.0, 0.25, 2.0):
-            r = check_transform_rule_diff(x if lam != 0.25 else x2, kind, order, lam, s)
+            r = transform_rule_reports(x if lam != 0.25 else x2, kind, order, lam, (s,))[0]
             assert r.passed, (kind, order, lam, r.max_abs_dev)
             assert r.max_abs_dev <= 1e-7
 
@@ -163,7 +163,7 @@ def test_transform_rule_diff_all_kinds():
 def test_transform_rule_diff_int_rejects_a_fractional_order():
     x = preset_signal("sin10k", Grid(0.0, 2, 40))
     with pytest.raises(IntegerOrder):
-        check_transform_rule_diff(x, "int", 1.5, 0.1, 1.1)
+        transform_rule_reports(x, "int", 1.5, 0.1, (1.1,))[0]
 
 
 def test_tempering_shift_rule():

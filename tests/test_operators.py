@@ -25,8 +25,8 @@ from nablatc.identities import (
 from nablatc.laplace import (
     check_convolution_commutation,
     check_convolution_with_ic,
-    check_transform_rule_diff,
     check_transform_rule_gl,
+    transform_rule_reports,
 )
 from nablatc.operators import (
     MAX_INTEGER_STAGE,
@@ -44,7 +44,7 @@ from nablatc.operators import (
     rl_tempered,
     set_fault_injection,
 )
-from nablatc.presets import preset_weight
+from nablatc.presets import preset_signal, preset_weight
 from nablatc.signals import (
     Grid,
     GridMismatch,
@@ -57,6 +57,7 @@ from nablatc.signals import (
 )
 from nablatc.special import rising_over_gamma
 from nablatc.taylor import (
+    reconstruct_from_current,
     taylor_initial,
     taylor_series_initial,
     tempered_op_taylor_current,
@@ -122,6 +123,42 @@ def test_pointwise_difference_rejects_bad_order(order):
         nabla_at(x, order, 3)
     with pytest.raises(IntegerOrder):
         nabla_n_tempered_at(x, order, ones_weight(x.grid), 3)
+
+
+_SIN10K_1030 = preset_signal("sin10k", Grid(0.0, 1030, 3))
+
+#: pointwise forms whose order-1029 differences of sin10k (or their sum)
+#: leave binary64
+_POINTWISE_OVERFLOW = {
+    "nabla_n_tempered_at": lambda x, w: nabla_n_tempered_at(x, 1029, w, 0),
+    "nabla_at": lambda x, w: nabla_at(x, 1029, 0),
+    "taylor_initial": lambda x, w: taylor_initial(x, 1029),
+    "reconstruct_from_current": lambda x, w: reconstruct_from_current(x, 3, -1026),
+    # finite differences to order 703, whose binomial sum overflows
+    "reconstruct_from_current/sum": lambda x, w: reconstruct_from_current(x, 3, -700),
+    "initial_value_terms": lambda x, w: list(initial_value_terms(x, w, [1029], lambda i: np.ones(3))),
+    "taylor_series_initial": lambda x, w: taylor_series_initial(
+        x, OperatorSpec(OperatorKind.GL, 0.5, w), 1029
+    ),
+    "nabla_n": lambda x, w: nabla_n(x, 1029),
+}
+
+
+@pytest.mark.parametrize("entry", list(_POINTWISE_OVERFLOW))
+def test_pointwise_difference_past_binary64_raises_nonfinite(entry):
+    """A difference that overflows raises NonFiniteSample, as the window
+    form nabla_n does, and no numpy warning (an error here) escapes."""
+    x = _SIN10K_1030
+    with pytest.raises(NonFiniteSample):
+        _POINTWISE_OVERFLOW[entry](x, ones_weight(x.grid))
+
+
+def test_initial_value_terms_past_binary64_raise_nonfinite():
+    # w(a)/w(1) = 1e300/1e-300 overflows the base ratio
+    g = Grid(0.0, 0, 3)
+    w = Weight(g, np.array([1e300, 1e-300, 1.0, 1.0]))
+    with pytest.raises(NonFiniteSample, match="lattice offset 1"):
+        list(initial_value_terms(Signal(g, np.ones(4)), w, [0], lambda i: np.ones(3)))
 
 
 def test_tempered_reduces_to_plain_for_unit_weight():
@@ -677,13 +714,13 @@ _ENTRY_POINTS = {
     # these three build their weight on the signal's grid; the exchange
     # identity admits integer orders
     "check_transform_rule_diff": (
-        lambda x, w, p: check_transform_rule_diff(x, "caputo", p, 0.0, 0.5),
+        lambda x, w, p: transform_rule_reports(x, "caputo", p, 0.0, (0.5,))[0],
         1.5, _CAP + 0.5, 2, None,
         {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory},
     ),
     "check_transform_rule_diff/int": (
-        lambda x, w, p: check_transform_rule_diff(x, "int", p, 0.0, 0.5),
+        lambda x, w, p: transform_rule_reports(x, "int", p, 0.0, (0.5,))[0],
         2, _CAP + 1, 2, None,
         {"nan": IntegerOrder, "over-cap": IntegerOrder, "history": InsufficientHistory},
     ),

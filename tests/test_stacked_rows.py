@@ -24,7 +24,7 @@ from nablatc.identities import (
     IdentityReport,
     run_rows,
 )
-from nablatc.laplace import check_transform_rule_gl, transform_rule_gl_reports
+from nablatc.laplace import transform_rule_reports
 from nablatc.operators import causal_sum
 from nablatc.presets import preset_signal, preset_weight
 from nablatc.signals import Grid, Signal
@@ -239,12 +239,16 @@ def test_suite_weights_match_presets(a, history, N, fam):
 
 
 def test_transform_rule_gl_points_share_one_output():
+    """A rule of any kind on several points reports what its one-point
+    calls do, the single-sum rule first."""
     x = preset_signal("sin10k", Grid(0.0, history=2, horizon=400))
     points = (1.0 + 0.45j, 0.8 - 0.2j, 1.1 + 0.05j)
-    for lam in (0.0, 2.0):
-        for alpha in (0.5, -1.0):
-            reps = transform_rule_gl_reports(x, alpha, lam, points, tol=1e-7)
-            assert [r.to_dict() for r in reps] == [
-                check_transform_rule_gl(x, alpha, lam, s, tol=1e-7).to_dict() for s in points
-            ]
-    assert math.isfinite(reps[0].max_abs_dev)
+    for kind, orders in (("gl", (0.5, -1.0)), ("int", (1, 2)), ("rl", (0.5, 1.5)), ("caputo", (0.5, 1.5))):
+        for lam in (0.0, 2.0):
+            for order in orders:
+                reps = transform_rule_reports(x, kind, order, lam, points, tol=1e-7)
+                assert [r.to_dict() for r in reps] == [
+                    transform_rule_reports(x, kind, order, lam, (s,), tol=1e-7)[0].to_dict()
+                    for s in points
+                ]
+                assert all(math.isfinite(r.max_abs_dev) for r in reps)

@@ -193,6 +193,22 @@ def test_op_taylor_current_integer_collapse():
     assert np.max(np.abs(rep.body[:n] - plain.body[:n])) > 1e-6
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda x, w: taylor_initial(x, 5),
+        lambda x, w: reconstruct_initial(x, 5),
+        lambda x, w: taylor_series_initial(x, OperatorSpec(OperatorKind.GL, 0.5, w), 5),
+    ],
+    ids=["taylor_initial", "reconstruct_initial", "taylor_series_initial"],
+)
+def test_base_point_forms_name_the_degree_of_a_short_history(form):
+    g = Grid(0.0, 2, 8)
+    with pytest.raises(InsufficientHistory) as exc:
+        form(preset_signal("sin10k", g), preset_weight("one", g))
+    assert str(exc.value) == "degree 5 needs history >= 6"
+
+
 def test_op_taylor_current_needs_history_for_caputo():
     g = Grid(0.0, 0, 8)
     x = preset_signal("sin10k", g)
