@@ -162,10 +162,11 @@ def _cabs(z: complex) -> float:
 
 def _check_region(s: complex, lam: float) -> None:
     # the signals the rules are checked on are bounded, so their transforms
-    # converge for |s-1| < 1
-    if _cabs(s - 1.0) >= min(1.0, abs(1.0 - lam)):
+    # converge for |s-1| < 1; a NaN |s-1| fails the test as written
+    d = _cabs(s - 1.0)
+    if not d < min(1.0, abs(1.0 - lam)):
         raise RegionOfConvergence(
-            f"|s-1| = {_cabs(s - 1.0):.4g} outside the disk of radius "
+            f"|s-1| = {d:.4g} outside the disk of radius "
             f"min(1.0, |1-lambda| = {abs(1.0 - lam):.4g})"
         )
 
@@ -248,7 +249,8 @@ def check_tempering_shift(
     """Multiplying a signal by the exponential weight shifts the transform
     argument: ``(1-lambda) X(s + lambda - lambda s)``."""
     d = _cabs(s - 1.0)
-    if d >= 1.0 or d * abs(1.0 - lam) >= 1.0:
+    # a NaN |s-1| fails the test as written
+    if not (d < 1.0 and d * abs(1.0 - lam) < 1.0):
         raise RegionOfConvergence("s outside the shifted convergence disk")
     w = make_weight(x.grid, rate=lam)
     weighted = Signal(x.grid, w.values * x.values)

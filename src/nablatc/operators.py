@@ -320,10 +320,11 @@ def causal_sum(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     From ``_SPLIT_FROM`` outputs on, the tiles are split into one range of
     whole tiles per CPU in ``os.sched_getaffinity(0)``, of about equal
     work.  The caller runs the first range and a thread per further CPU
-    the others, all joined before the call returns or raises (in a forked
-    ``nt verify`` pass each process splits alike, and its threads
-    time-share with the other processes).  Each tile is the same einsum call whichever thread
-    makes it, so the bits do not depend on the number of threads.
+    the others, all joined before the call returns or raises (no suite
+    pass takes a sum that long, so a forked ``nt verify`` pass starts no
+    thread beside its processes).  Each tile is the same einsum call
+    whichever thread makes it, so the bits do not depend on the number of
+    threads.
 
     A 2-D ``c`` holds one coefficient row per output row, and a 2-D ``z``
     one sequence per output row (a 1-D one is shared by every row):

@@ -268,6 +268,8 @@ def make_weight(
     if rate is not None:
         if rate == 1.0:
             raise BadRate("exponential weight rate 1 is excluded")
+        if not np.isfinite(rate):
+            raise BadRate(f"exponential weight rate must be finite, got {rate}")
         base = 1.0 - float(rate)
         vals = np.full(grid.npoints, base)
         pos0 = grid.position(0)

@@ -468,9 +468,17 @@ _S_POINTS = (
 )
 
 
+#: Horizon of the laplace-rules signal: at least 4x the longest series any
+#: of its transform rules reads (45 terms), and below
+#: ``operators._SPLIT_FROM``, so no suite pass starts a thread.  Every
+#: horizon from 64 to 3000 gives the same reports (``tests/test_suite.py``
+#: checks 3000 and the rule).
+_LAPLACE_RULES_HORIZON = 256
+
+
 def _run_laplace_rules(rng, ts):
     out = []
-    grid = Grid(0.0, history=2, horizon=3000)
+    grid = Grid(0.0, history=2, horizon=_LAPLACE_RULES_HORIZON)
     x = preset_signal("sin10k", grid)
     rules = [("gl", al, _S_POINTS[:2]) for al in (0.5, -1.0, 1.5)] + [
         (kind, order, _S_POINTS[2:])
@@ -664,8 +672,8 @@ def _run_forked(selected: list, seed: int, ts: float, processes: int) -> dict:
     """
     queue, feed = os.pipe()
     # one byte per position, handed out last first: the registry ends with
-    # its heaviest groups (laplace-rules, ml-solver), and the lighter ones
-    # it starts with then even out the processes' finishing times
+    # its heaviest group (ml-solver), and the lighter ones it starts with
+    # then even out the processes' finishing times
     os.write(feed, bytes(range(len(selected)))[::-1])
     os.close(feed)
     children: dict[int, int] = {}  # pid -> read end of its result pipe

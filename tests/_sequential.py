@@ -101,6 +101,8 @@ def gl_coefficients_seq(order: float, length: int) -> GLCoefficientSeq:
 def exp_weight_seq(grid: Grid, rate: float) -> Weight:
     if rate == 1.0:
         raise BadRate("exponential weight rate 1 is excluded")
+    if not math.isfinite(rate):
+        raise BadRate(f"exponential weight rate must be finite, got {rate}")
     base = 1.0 - float(rate)
     vals = np.empty(grid.npoints, dtype=np.float64)
     pos0 = grid.position(0)

@@ -155,7 +155,9 @@ def test_criterion_6_leibniz(suite_results):
 
 def test_criterion_7_laplace(suite_results):
     """Transform rules at sampled points inside half the printed region on a
-    3000-point horizon, and the convolution exchanges in the time domain."""
+    256-point horizon, over four times the longest series a rule's transform
+    reads (the reports of a 3000-point horizon), and the convolution
+    exchanges in the time domain."""
     by_group, _ = suite_results
     rules = by_group["laplace-rules"]
     convs = by_group["convolution"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nablatc import laplace
 from nablatc.laplace import (
     LaplaceEval,
     MLParams,
@@ -79,6 +80,25 @@ def test_nlt_modulus_past_binary64():
     for s in (complex(big, big), complex(-big, -big)):
         with pytest.raises(RegionOfConvergence, match="shifted convergence disk"):
             check_tempering_shift(x, 0.1, s)
+
+
+@pytest.mark.parametrize("s", [complex("nan"), complex(1.0, math.nan), complex(math.nan, 0.1)])
+def test_region_rejects_a_nan_point_before_any_work(s, monkeypatch):
+    # NaN compares False with everything, so a guard written as d >= r
+    # would let it through to the weight, the operator and the transform
+    x = preset_signal("sin10k", Grid(0.0, 2, 40))
+
+    def unreached(*args):
+        raise AssertionError("work done for a point outside the region")
+
+    monkeypatch.setattr(laplace, "make_weight", unreached)
+    monkeypatch.setattr(laplace, "nlt", unreached)
+    with pytest.raises(RegionOfConvergence, match=r"\|s-1\| = nan"):
+        transform_rule_reports(x, "gl", 0.5, 0.1, (s,))
+    with pytest.raises(RegionOfConvergence, match=r"\|s-1\| = nan"):
+        transform_rule_reports(x, "caputo", 1.5, 0.1, (0.9, s))
+    with pytest.raises(RegionOfConvergence, match="shifted convergence disk"):
+        check_tempering_shift(x, 0.1, s)
 
 
 def test_nlt_invariant():

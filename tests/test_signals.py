@@ -155,6 +155,13 @@ def test_exponential_rate_one_rejected():
         make_weight(Grid(0.0, 0, 2), rate=1.0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_exponential_non_finite_rate_rejected(rate):
+    # named as a bad rate, not as the non-finite sample it would make
+    with pytest.raises(BadRate, match=f"rate must be finite, got {rate}"):
+        make_weight(Grid(0.0, 1, 2), rate=rate)
+
+
 def test_rate_zero_is_classical_case():
     w = make_weight(Grid(0.0, 1, 4), rate=0.0)
     np.testing.assert_array_equal(w.values, np.ones(6))

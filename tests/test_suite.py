@@ -9,9 +9,10 @@ import warnings
 import pytest
 
 import nablatc
-from nablatc import operators, suite
+from nablatc import laplace, operators, suite
 from nablatc.errors import ConfigError
 from nablatc.identities import IdentityReport
+from nablatc.laplace import nlt
 from nablatc.suite import CORE_GROUPS, GROUPS, _tag, reports_to_json_dict, run_suite
 
 
@@ -119,6 +120,56 @@ def test_in_process_rerun_is_byte_identical(seed):
         for _ in range(2)
     )
     assert first == second
+
+
+def _laplace_rules_at(monkeypatch, horizon):
+    """laplace-rules' reports with its signal on ``horizon`` points, as
+    ``to_dict()`` JSON, and the transforms its ``nlt`` calls returned, each
+    with the horizon of the signal it read."""
+    seen = []
+
+    def recorded(x, s):
+        ev = nlt(x, s)
+        seen.append((ev, x.grid.horizon))
+        return ev
+
+    monkeypatch.setattr(suite, "_LAPLACE_RULES_HORIZON", horizon)
+    monkeypatch.setattr(laplace, "nlt", recorded)
+    entry = suite.select_groups(groups=("laplace-rules",))[0]
+    reports, _ = suite._run_group(0, entry, 1.0)
+    return json.dumps([r.to_dict() for r in reports]), seen
+
+
+def test_laplace_rules_horizon_changes_no_report(monkeypatch):
+    # the group's horizon is a cost, not an input: its reports are those of
+    # N = 3000, and every transform it takes stops by its own criterion
+    # within a quarter of the horizon it reads
+    horizon = suite._LAPLACE_RULES_HORIZON
+    assert horizon < operators._SPLIT_FROM
+    short, seen = _laplace_rules_at(monkeypatch, horizon)
+    long, _ = _laplace_rules_at(monkeypatch, 3000)
+    assert short == long
+    assert seen
+    for ev, n in seen:
+        assert ev.converged and 4 * ev.terms_used <= n, (ev, n)
+
+
+def test_no_suite_pass_reaches_the_thread_split(monkeypatch):
+    # in-process: a recorder in a forked child is invisible here.  The
+    # drawn horizons are capped (at 64), so one seed covers every seed
+    sizes = []
+    tile_ranges = operators._tile_ranges
+
+    def recorded(N):
+        sizes.append(N)
+        return tile_ranges(N)
+
+    monkeypatch.setattr(operators, "_tile_ranges", recorded)
+    for entry in suite.select_groups():
+        suite._run_group(0, entry, 1.0)
+    if not (operators._EINSUM_FUSES and operators._STACKED_EINSUM_FUSES):
+        assert sizes  # some tiled sum ran, so the recorder saw the pass
+    assert max(sizes, default=0) < operators._SPLIT_FROM
 
 
 # ---------------------------------------------------------------------------
