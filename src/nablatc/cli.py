@@ -29,6 +29,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -334,7 +335,13 @@ def finite(text: str) -> float:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad option as one stderr line with exit code 2, like
-    every other configuration error."""
+    every other configuration error, and reads a negative number with an
+    exponent (``--mu -1e-3``) as a value: argparse's own pattern takes it
+    for an option.  Subparsers are built as this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
     def error(self, message: str):
         self.exit(EXIT_CONFIG, f"nt: configuration error: {message}\n")

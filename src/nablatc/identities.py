@@ -11,7 +11,10 @@ through ``INTEGER_DEFECT``), run by :func:`run_rows` on a list of
 tol)[0]``, and each row of a longer list equals that one-row call bit for
 bit.  ``GL_RL_AGREE`` and ``SUM_COMPOSITION`` share one body, the order-q
 single sum against the difference-of-sum form, at q = alpha and q = -alpha.
-The other identities have a ``check_*`` function each.
+The other identities have a ``check_*`` function each; the decay of the
+gap between the two fractional differences is two statements, over the
+window (:func:`check_rl_caputo_asymptotics`) and as the base point moves
+earlier (:func:`check_rl_caputo_base_shift`).
 
 Tolerance convention: 1e-11 for exact finite identities (only rounding
 separates the two sides), 1e-5 for order-limit checks evaluated at
@@ -80,6 +83,7 @@ __all__ = [
     "check_uniform_convergence_exchange",
     "check_leibniz",
     "check_rl_caputo_asymptotics",
+    "check_rl_caputo_base_shift",
 ]
 
 #: Exact finite identities: both sides differ by rounding only.
@@ -691,71 +695,63 @@ def _leibniz_rhs(f: Signal, g: Signal, spec: OperatorSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_rl_caputo_asymptotics(
-    x: Signal,
-    alpha: float,
-    w: Weight,
-    mode: str = "large_k",
-    *,
-    x_fn: Callable[[float], float] | None = None,
-    w_fn: Callable[[float], float] | None = None,
-) -> IdentityReport:
-    """Decay of the gap between the two fractional differences.
+def check_rl_caputo_asymptotics(x: Signal, alpha: float, w: Weight) -> IdentityReport:
+    """Decay of the gap between the two fractional differences over the
+    window: the gap at the end must fall below its value at the midpoint
+    and below ten times the power-law envelope of its initial-value series
+    (an artifact-side bound; the decay rate itself is not quantified
+    analytically).  The window needs a horizon of at least 4.
 
-    ``large_k``: the gap at the end of the window must fall below its value
-    at the midpoint and below ten times the power-law envelope of its
-    initial-value series (an artifact-side bound; the decay rate itself is
-    not quantified analytically).  ``early_a``: moving the base point
-    earlier by 100 twice must shrink the gap at the fixed lattice point
-    a + 20; this mode needs the generating functions ``x_fn`` (of k) and
-    ``w_fn`` (of k - a) to resample on the extended grids.
-
-    The deviation reported is a dimensionless ratio margin: the largest of
-    the decay ratios, against tolerance 1.0.
+    The deviation reported is a dimensionless ratio margin: the larger of
+    the two decay ratios, against tolerance 1.0.
     """
     n = _stage(OperatorKind.RL, alpha, None, None)
-    if mode == "large_k":
-        N = x.grid.horizon
-        if N < 4:
-            raise ValueError("large_k mode needs a horizon of at least 4")
-        gap = np.abs(rl_tempered(x, alpha, w).body - caputo_tempered(x, alpha, w).body)
-        end = float(gap[N - 1])
-        mid = float(gap[N // 2 - 1])
-        # left to right from 0, as in _integer_defect_body
-        d_sum = 0.0
-        for i in range(n):
-            d_sum += abs(nabla_n_tempered_at(x, i, w, 0))
-        c_bound = abs(w.at(0) / w.at(N)) * d_sum
-        envelope = 10.0 * float(N) ** (n - 1 - alpha) * c_bound
-        floor = 1e-300
-        ratio = max(end / max(mid, floor), end / max(envelope, floor))
-        return IdentityReport(
-            "rl-caputo-decay-large-k",
-            ratio,
-            x.grid.a + N,
-            1.0,
-            {"alpha": alpha, "gap_end": end, "gap_mid": mid, "envelope": envelope},
-        )
-    if mode != "early_a":
-        raise ValueError(f"mode must be 'large_k' or 'early_a', got {mode!r}")
-    if x_fn is None or w_fn is None:
-        raise ValueError("early_a mode needs x_fn and w_fn to resample the grid")
+    N = x.grid.horizon
+    if N < 4:
+        raise ValueError("the window needs a horizon of at least 4")
+    gap = np.abs(rl_tempered(x, alpha, w).body - caputo_tempered(x, alpha, w).body)
+    end = float(gap[N - 1])
+    mid = float(gap[N // 2 - 1])
+    # left to right from 0, as in _integer_defect_body
+    d_sum = 0.0
+    for i in range(n):
+        d_sum += abs(nabla_n_tempered_at(x, i, w, 0))
+    c_bound = abs(w.at(0) / w.at(N)) * d_sum
+    envelope = 10.0 * float(N) ** (n - 1 - alpha) * c_bound
+    floor = 1e-300
+    ratio = max(end / max(mid, floor), end / max(envelope, floor))
+    return IdentityReport(
+        "rl-caputo-decay-large-k",
+        ratio,
+        x.grid.a + N,
+        1.0,
+        {"alpha": alpha, "gap_end": end, "gap_mid": mid, "envelope": envelope},
+    )
+
+
+def check_rl_caputo_base_shift(
+    x_fn: Callable[[float], float], w_fn: Callable[[float], float], alpha: float
+) -> IdentityReport:
+    """Decay of the gap between the two fractional differences as the base
+    point moves earlier: from a = 0 to -100 and -200, the gap at the fixed
+    lattice point 20 must shrink each time.  Each grid samples the signal
+    ``x_fn`` (of k) and the weight ``w_fn`` (of k - a).
+
+    The deviation reported is a dimensionless ratio margin: the larger of
+    the two decay ratios, against tolerance 1.0.
+    """
+    n = _stage(OperatorKind.RL, alpha, None, None)
     gaps = []
-    for shift in (0, 100, 200):
-        a_new = x.grid.a - shift
-        g = Grid(a=a_new, history=n, horizon=20 + shift)
+    for a in (0.0, -100.0, -200.0):
+        g = Grid(a=a, history=n, horizon=20 - int(a))
         xs = make_signal_from_fn(g, x_fn)
-        ws = make_weight(g, fn=lambda k: w_fn(k - a_new))
+        ws = make_weight(g, fn=lambda k: w_fn(k - a))
         gap = np.abs(
             rl_tempered(xs, alpha, ws).body - caputo_tempered(xs, alpha, ws).body
         )
-        gaps.append(float(gap[-1]))  # same lattice point x.grid.a + 20
+        gaps.append(float(gap[-1]))  # same lattice point 20
     floor = 1e-300
     ratio = max(gaps[1] / max(gaps[0], floor), gaps[2] / max(gaps[1], floor))
     return IdentityReport(
-        "rl-caputo-decay-early-a",
-        ratio,
-        x.grid.a + 20,
-        1.0,
-        {"alpha": alpha, "gaps": gaps},
+        "rl-caputo-decay-early-a", ratio, 20.0, 1.0, {"alpha": alpha, "gaps": gaps}
     )

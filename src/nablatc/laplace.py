@@ -35,7 +35,7 @@ from .operators import (
     nabla_n_tempered_at,
     rl_tempered,
 )
-from .signals import Grid, GridMismatch, NonFiniteSample, Signal, Weight, make_weight
+from .signals import Grid, GridMismatch, NonFiniteSample, Signal, Weight, _check_rate, make_weight
 from .special import (
     _SPLIT,
     _dd_add,
@@ -207,12 +207,13 @@ def transform_rule_reports(
     fourth kind.  The signal must be bounded, and every point strictly
     inside ``|s-1| < min(1, |1-lambda|)``.
 
-    The regions are checked first, then the order and history.  One weight,
-    operator output and set of initial values serve every point, each point
-    taking the output's transform before ``X(s)``.
+    The rate is checked first, then the regions, then the order and
+    history.  One weight, operator output and set of initial values serve
+    every point, each point taking the output's transform before ``X(s)``.
     """
     if kind not in ("gl", "int", "rl", "caputo"):
         raise ValueError(f"kind must be 'gl', 'int', 'rl' or 'caputo', got {kind!r}")
+    _check_rate(lam)
     for s in s_points:
         _check_region(s, lam)
     w = make_weight(x.grid, rate=lam)
@@ -247,7 +248,9 @@ def check_tempering_shift(
     x: Signal, lam: float, s: complex, tol: float = 1e-9
 ) -> IdentityReport:
     """Multiplying a signal by the exponential weight shifts the transform
-    argument: ``(1-lambda) X(s + lambda - lambda s)``."""
+    argument: ``(1-lambda) X(s + lambda - lambda s)``.  The rate is checked
+    before the disk."""
+    _check_rate(lam)
     d = _cabs(s - 1.0)
     # a NaN |s-1| fails the test as written
     if not (d < 1.0 and d * abs(1.0 - lam) < 1.0):
@@ -491,8 +494,8 @@ def _ml_term_block(
     be: float,
     mus: Sequence[float],
     horizon: int,
-    r0: int = 0,
-    chains: list[tuple[list[float], list[float]]] | None = None,
+    r0: int,
+    chains: list[tuple[list[float], list[float]]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``r0 .. r1 - 1`` of the double-width term block of block ``i0``:
     T[r - r0, m - 1] = mu^i * prod_{j=1}^{m-1} (i al + be - 1 + j)/j, i = i0 + r,
@@ -506,8 +509,6 @@ def _ml_term_block(
     them between calls).  So any split of a block into row ranges
     concatenates to the whole block, ``r0 = 0, r1 = 256``, bit for bit.
     """
-    if chains is None:
-        chains = [([1.0], [0.0]) for _ in mus]
     n = r1 - r0
     ph, pl = _ml_factors(i0, r0, r1, al, be, horizon)
     pows = [_ml_powers(i0, r0, r1, m, c) for m, c in zip(mus, chains)]

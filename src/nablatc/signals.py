@@ -250,6 +250,16 @@ def make_signal_from_fn(grid: Grid, f: Callable[[float], float]) -> Signal:
     return Signal._adopt(grid, vals)
 
 
+def _check_rate(rate: float) -> None:
+    """Reject the exponential rates no weight is built from: 1, and a
+    non-finite rate.  The transform checks call this before their region
+    tests, so a bad rate reads the same whatever the point."""
+    if rate == 1.0:
+        raise BadRate("exponential weight rate 1 is excluded")
+    if not np.isfinite(rate):
+        raise BadRate(f"exponential weight rate must be finite, got {rate}")
+
+
 def make_weight(
     grid: Grid,
     *,
@@ -266,10 +276,7 @@ def make_weight(
     if (rate is None) == (fn is None):
         raise ZeroWeight("make_weight needs exactly one of rate=, fn=")
     if rate is not None:
-        if rate == 1.0:
-            raise BadRate("exponential weight rate 1 is excluded")
-        if not np.isfinite(rate):
-            raise BadRate(f"exponential weight rate must be finite, got {rate}")
+        _check_rate(rate)
         base = 1.0 - float(rate)
         vals = np.full(grid.npoints, base)
         pos0 = grid.position(0)

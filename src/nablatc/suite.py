@@ -50,6 +50,7 @@ from .identities import (
     check_order_limit_diff,
     check_order_limit_sum,
     check_rl_caputo_asymptotics,
+    check_rl_caputo_base_shift,
     check_uniform_convergence_exchange,
     run_rows,
 )
@@ -443,20 +444,15 @@ def _run_decay(rng, ts):
     # growing weights the two-form gap sinks below rounding noise long
     # before the far end of the window and the ratio measures noise
     out = []
+    grid = Grid(0.0, history=2, horizon=400)
+    x = make_signal_from_fn(grid, bumped)
     for wname in ("one", "case3", "case4"):
-        grid = Grid(0.0, history=2, horizon=400)
         w = preset_weight(wname, grid)
-        x = make_signal_from_fn(grid, bumped)
         for al in (0.5, 1.5):
-            rep = check_rl_caputo_asymptotics(x, al, w, "large_k")
+            rep = check_rl_caputo_asymptotics(x, al, w)
             out.append(_tag(rep, weight=wname))
     for wname in ("one", "case4"):
-        grid = Grid(0.0, history=1, horizon=20)
-        w = preset_weight(wname, grid)
-        x = make_signal_from_fn(grid, bumped)
-        rep = check_rl_caputo_asymptotics(
-            x, 0.5, w, "early_a", x_fn=bumped, w_fn=weight_case_fn(wname, 0.0)
-        )
+        rep = check_rl_caputo_base_shift(bumped, weight_case_fn(wname, 0.0), 0.5)
         out.append(_tag(rep, weight=wname))
     return out
 

@@ -136,6 +136,32 @@ def test_argparse_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
+# each (option, value) pair is a negative value in exponent form, which
+# argparse's own pattern takes for an option
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--alpha", "0.7", ("--mu", "-4e-1"), "--weight", "case4", "--x0", "1.3",
+         "--N", "40"],
+        ["eval", "--kind", "gl", ("--order", "-5e-1"), "--signal", "sin10k", ("--a", "-2e0"),
+         "--weight", "case2", "--N", "40"],
+        ["laplace", "--signal", "sin10k", "--N", "400", "--s-re", "0.9", ("--s-im", "-1e-1"),
+         "--rule", "caputo", "--order", "1.5", ("--lambda", "-2E-2")],
+    ],
+    ids=["solve", "eval", "laplace"],
+)
+def test_negative_exponent_values(tmp_path, capsys, argv):
+    outputs = []
+    for form, join in (("spaced", list), ("joined", lambda pair: ["=".join(pair)])):
+        args = [a for arg in argv for a in (join(arg) if isinstance(arg, tuple) else [arg])]
+        out = tmp_path / f"{form}.csv"
+        if args[0] != "laplace":
+            args += ["--out", str(out)]
+        assert run(args) == 0
+        outputs.append(capsys.readouterr().out + (out.read_text() if out.exists() else ""))
+    assert outputs[0] == outputs[1]
+
+
 def test_taylor_subcommand_matches_eval(tmp_path):
     t_out = str(tmp_path / "taylor.csv")
     e_out = str(tmp_path / "eval.csv")

@@ -18,6 +18,7 @@ from nablatc.identities import (
     check_order_limit_diff,
     check_order_limit_sum,
     check_rl_caputo_asymptotics,
+    check_rl_caputo_base_shift,
     check_uniform_convergence_exchange,
     run_rows,
 )
@@ -342,21 +343,14 @@ def test_asymptotics_zero_initial_data():
 def test_asymptotics_large_k():
     g = Grid(0.0, 1, 400)
     x = make_signal_from_fn(g, lambda k: math.sin(10 * k) + 1.0)
-    r = check_rl_caputo_asymptotics(x, 0.5, preset_weight("one", g), "large_k")
+    r = check_rl_caputo_asymptotics(x, 0.5, preset_weight("one", g))
     assert r.passed
     assert r.params["gap_end"] < r.params["gap_mid"]
 
 
 def test_asymptotics_early_base():
-    g = Grid(0.0, 1, 20)
-    x = make_signal_from_fn(g, lambda k: math.sin(10 * k) + 1.0)
-    r = check_rl_caputo_asymptotics(
-        x,
-        0.5,
-        preset_weight("case4", g),
-        "early_a",
-        x_fn=lambda k: math.sin(10 * k) + 1.0,
-        w_fn=weight_case_fn("case4", 0.0),
+    r = check_rl_caputo_base_shift(
+        lambda k: math.sin(10 * k) + 1.0, weight_case_fn("case4", 0.0), 0.5
     )
     assert r.passed
     gaps = r.params["gaps"]

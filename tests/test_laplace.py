@@ -23,6 +23,7 @@ from nablatc.laplace import (
 from nablatc.operators import IntegerOrder
 from nablatc.presets import preset_signal, preset_weight
 from nablatc.signals import (
+    BadRate,
     Grid,
     GridMismatch,
     NonFiniteSample,
@@ -99,6 +100,22 @@ def test_region_rejects_a_nan_point_before_any_work(s, monkeypatch):
         transform_rule_reports(x, "caputo", 1.5, 0.1, (0.9, s))
     with pytest.raises(RegionOfConvergence, match="shifted convergence disk"):
         check_tempering_shift(x, 0.1, s)
+
+
+_RATE_ENTRY_POINTS = {
+    "shift": lambda x, lam: check_tempering_shift(x, lam, 0.9),
+    "rule": lambda x, lam: transform_rule_reports(x, "caputo", 1.5, lam, (0.9,)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_RATE_ENTRY_POINTS))
+@pytest.mark.parametrize("lam", [1.0, math.nan, math.inf, -math.inf])
+def test_bad_rate_before_any_region_test(entry, lam):
+    # every rate either check takes is tested before its disk, so a rate
+    # no weight is built from never reads as a point outside the region
+    x = preset_signal("geom:0.8", Grid(0.0, 2, 40))
+    with pytest.raises(BadRate):
+        _RATE_ENTRY_POINTS[entry](x, lam)
 
 
 def test_nlt_invariant():

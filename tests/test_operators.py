@@ -706,7 +706,7 @@ _ENTRY_POINTS = {
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},
     ),
     "check_rl_caputo_asymptotics": (
-        lambda x, w, p: check_rl_caputo_asymptotics(x, p, w, "large_k"), 1.5, _CAP + 0.5, 2, 1,
+        lambda x, w, p: check_rl_caputo_asymptotics(x, p, w), 1.5, _CAP + 0.5, 2, 1,
         {"nan": IntegerOrder, "integer": IntegerOrder, "over-cap": IntegerOrder,
          "history": InsufficientHistory, "weight-base": GridMismatch,
          "weight-horizon": GridMismatch, "weight-history": InsufficientHistory},

@@ -1,5 +1,5 @@
-"""Pinned report bits of the difference-of-sum checkers and of the
-checkers that share one body.
+"""Pinned report bits of the difference-of-sum checkers, of the checkers
+that share one body, and of the two decay checkers.
 
 The difference-of-sum (RL) form's initial values at the base point are
 empty sums under the zero-extension convention, so the checkers that pair
@@ -8,20 +8,30 @@ rules of every operator kind are one checker, and the single-sum agreement
 and the sum composition one body.  These tests pin ``max_abs_dev`` (as
 ``float.hex``) and ``argmax_k`` of such reports, so a change to how they
 are formed shows as a changed bit here rather than only in a full suite
-digest.
+digest.  The decay reports also pin each float param.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from nablatc.identities import GL_RL_AGREE, SUM_COMPOSITION, SUM_OF_DIFFERENCE, TOL_EXACT, run_rows
+from nablatc.identities import (
+    GL_RL_AGREE,
+    SUM_COMPOSITION,
+    SUM_OF_DIFFERENCE,
+    TOL_EXACT,
+    check_rl_caputo_asymptotics,
+    check_rl_caputo_base_shift,
+    run_rows,
+)
 from nablatc.laplace import (
     check_convolution_with_ic,
     check_transform_rule_gl,
     transform_rule_reports,
 )
-from nablatc.presets import preset_signal
-from nablatc.signals import Grid, Signal, make_weight
+from nablatc.presets import preset_signal, preset_weight, weight_case_fn
+from nablatc.signals import Grid, Signal, make_signal_from_fn, make_weight
 from nablatc.suite import _S_POINTS
 
 _ALPHAS = (0.5, 0.75, 1.5, 1.25)  # n = 1, 1, 2, 2
@@ -138,6 +148,34 @@ _CONVOLUTION_FRAC = {
     (-0.5, 1.5): ("0x1.0000000000000p-48", 30.0),
 }
 
+# the rl-caputo-decay group's inputs, bumped = sin(10k) + 1: (weight,
+# order) -> (hex, argmax_k, gap_end, gap_mid, envelope) on the window
+# N = 400, and weight -> (hex, argmax_k, gaps) for the base shift at 0.5
+_DECAY_WINDOW = {
+    ("one", 0.5): ("0x1.69b2d57eaca30p-1", 400.0, "0x1.ce9e333daa7c0p-6",
+                   "0x1.476d8a4ab55e0p-5", "0x1.0000000000000p-1"),
+    ("one", 1.5): ("0x1.68dca7c975eb3p-1", 400.0, "0x1.f8823f8182280p-7",
+                   "0x1.65e7a64bf7380p-6", "0x1.8b44f7af9a7a9p-1"),
+    ("case3", 0.5): ("0x1.69b2d57eab444p-1", 400.0, "0x1.ce9e333da9020p-6",
+                     "0x1.476d8a4ab5900p-5", "0x1.0000000000000p-1"),
+    ("case3", 1.5): ("0x1.69e0e4681a153p-1", 400.0, "0x1.26151566abb00p-4",
+                     "0x1.a01450b24e9a0p-4", "0x1.c5a27bd7cd3d4p+0"),
+    ("case4", 0.5): ("0x1.69b2d57eab1d1p-1", 400.0, "0x1.ce9e333da90e0p-6",
+                     "0x1.476d8a4ab5bc0p-5", "0x1.000000000007ap-1"),
+    ("case4", 1.5): ("0x1.69e0e4681a1b7p-1", 400.0, "0x1.26151566abbf0p-4",
+                     "0x1.a01450b24ea80p-4", "0x1.c5a27bd7cd4adp+0"),
+}
+_DECAY_BASE_SHIFT = {
+    "one": ("0x1.312f896a5fdf9p-2", 20.0,
+            ("0x1.0757bd96fffc8p-3", "0x1.2515c86258980p-7", "0x1.5d65600f66a00p-9")),
+    "case4": ("0x1.312f896a60ee9p-2", 20.0,
+              ("0x1.0757bd96fffe8p-3", "0x1.2515c8625a180p-7", "0x1.5d65600f69a00p-9")),
+}
+
+
+def _bumped(k):
+    return math.sin(10.0 * k) + 1.0
+
 
 def _bits(report):
     return report.max_abs_dev.hex(), report.argmax_k
@@ -197,3 +235,21 @@ def test_convolution_with_ic_fractional_bits():
     y = Signal(g, rng.standard_normal(g.npoints))
     got = {key: _bits(check_convolution_with_ic(x, y, key[1], key[0])) for key in _CONVOLUTION_FRAC}
     assert got == _CONVOLUTION_FRAC
+
+
+@pytest.mark.parametrize("wname, alpha", list(_DECAY_WINDOW))
+def test_decay_window_bits(wname, alpha):
+    g = Grid(0.0, 2, 400)
+    r = check_rl_caputo_asymptotics(make_signal_from_fn(g, _bumped), alpha, preset_weight(wname, g))
+    p = r.params
+    got = (*_bits(r), p["gap_end"].hex(), p["gap_mid"].hex(), p["envelope"].hex())
+    assert got == _DECAY_WINDOW[wname, alpha]
+    assert p["alpha"] == alpha
+
+
+@pytest.mark.parametrize("wname", list(_DECAY_BASE_SHIFT))
+def test_decay_base_shift_bits(wname):
+    r = check_rl_caputo_base_shift(_bumped, weight_case_fn(wname, 0.0), 0.5)
+    got = (*_bits(r), tuple(v.hex() for v in r.params["gaps"]))
+    assert got == _DECAY_BASE_SHIFT[wname]
+    assert r.params["alpha"] == 0.5

@@ -439,7 +439,7 @@ def test_ml_powers_match_per_step_dd_mul(mu):
 @example(0, 1.0, 1.0, 0.0, 1)
 def test_ml_term_block_matches_pinned_copy(i0, alpha, beta, mu, N):
     # the tabulated block against the frozen column-by-column construction
-    got = _ml_term_block(i0, _ML_BLOCK, alpha, beta, [mu], N)
+    got = _ml_term_block(i0, _ML_BLOCK, alpha, beta, [mu], N, 0, [([1.0], [0.0])])
     ref = ml_term_block_seq(i0, _ML_BLOCK, alpha, beta, mu, N)
     assert [a.shape for a in got] == [a.shape for a in ref]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
@@ -460,11 +460,11 @@ def test_ml_term_block_matches_pinned_copy(i0, alpha, beta, mu, N):
 def test_ml_term_block_row_ranges_concatenate(i0, cuts, shared, alpha, beta, mu, N):
     """Any split of a block into row ranges, built in ascending order with or
     without a shared mu^t chain, concatenates to the whole block."""
-    whole = _ml_term_block(i0, _ML_BLOCK, alpha, beta, [mu], N)
+    whole = _ml_term_block(i0, _ML_BLOCK, alpha, beta, [mu], N, 0, [([1.0], [0.0])])
     edges = [0, *sorted(set(cuts)), _ML_BLOCK]
-    chains = [([1.0], [0.0])] if shared else None
+    chains = [([1.0], [0.0])]
     parts = [
-        _ml_term_block(i0, r1, alpha, beta, [mu], N, r0, chains)
+        _ml_term_block(i0, r1, alpha, beta, [mu], N, r0, chains if shared else [([1.0], [0.0])])
         for r0, r1 in zip(edges, edges[1:])
     ]
     for k in (0, 1):
