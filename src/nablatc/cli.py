@@ -37,8 +37,6 @@ import numpy as np
 from .errors import ConfigError, NablaError
 from .laplace import fde_solve, nlt, transform_rule_reports
 from .operators import (
-    InsufficientHistory,
-    IntegerOrder,
     OperatorKind,
     OperatorSpec,
     _stage,
@@ -47,7 +45,7 @@ from .operators import (
     gl_tempered,
     rl_tempered,
 )
-from .presets import UnknownPreset, preset_signal, preset_weight
+from .presets import preset_signal, preset_weight
 from .signals import (
     Grid,
     Signal,
@@ -65,12 +63,7 @@ from .taylor import (
     tempered_op_taylor_initial,
 )
 
-KINDS = {
-    "gl": OperatorKind.GL,
-    "rl": OperatorKind.RL,
-    "caputo": OperatorKind.CAPUTO,
-    "nabla": OperatorKind.INTEGER_NABLA,
-}
+KINDS = {kind.value: kind for kind in OperatorKind}
 #: ``laplace --rule`` name -> the operator kind whose order rule applies
 RULE_KINDS = {**KINDS, "int": OperatorKind.INTEGER_NABLA}
 
@@ -336,12 +329,15 @@ def finite(text: str) -> float:
 class _Parser(argparse.ArgumentParser):
     """Reports a bad option as one stderr line with exit code 2, like
     every other configuration error, and reads a negative number with an
-    exponent (``--mu -1e-3``) as a value: argparse's own pattern takes it
-    for an option.  Subparsers are built as this class too."""
+    exponent (``--mu -1e-3``), or a spelled ``-inf``, ``-infinity`` or
+    ``-nan`` in any case, as a value: argparse's own pattern takes it for an
+    option.  Subparsers are built as this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+        )
 
     def error(self, message: str):
         self.exit(EXIT_CONFIG, f"nt: configuration error: {message}\n")
@@ -430,16 +426,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, UnknownPreset, IntegerOrder, InsufficientHistory, OSError) as exc:
-        # a bad order (checked before any work), a --history short of what
-        # the form reads (its default covers it), an unreadable input or an
-        # unwritable output path is configuration
-        print(f"nt: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:
-        # a grid too large to allocate
-        detail = str(exc) or "out of memory"
-        print(f"nt: configuration error: {detail}", file=sys.stderr)
+    except (ConfigError, OSError, MemoryError) as exc:
+        # an unreadable input, an unwritable output path or a grid too large
+        # to allocate (a bare MemoryError has no message) is configuration too
+        print(f"nt: configuration error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except NablaError as exc:
         print(f"nt: numeric error: {exc}", file=sys.stderr)

@@ -8,7 +8,9 @@ class NablaError(Exception):
 
 
 class ConfigError(NablaError):
-    """An option or environment setting is invalid (exit code 2 in ``nt``)."""
+    """An input outside the library's domain: an option, environment
+    setting, order, history, rate or preset name (exit code 2 in ``nt``,
+    where every other :class:`NablaError` exits 3)."""
 
 
 def batched(run: Callable[[Sequence], Sequence], items: Sequence) -> Sequence:

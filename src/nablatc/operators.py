@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NablaError
+from .errors import ConfigError, NablaError
 from .signals import Grid, GridMismatch, NonFiniteSample, Signal, Weight, _require_finite
 from .special import gl_coefficients
 
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-class InsufficientHistory(NablaError):
+class InsufficientHistory(ConfigError):
     """The signal (or weight) grid lacks the history the operator needs."""
 
 
@@ -66,7 +66,7 @@ class InsufficientLags(NablaError):
     """An expansion needs lags beyond the stored grid."""
 
 
-class IntegerOrder(NablaError):
+class IntegerOrder(ConfigError):
     """Order outside the set the operator kind is defined for."""
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import NablaError
+from .errors import ConfigError
 from .signals import Grid, Signal, Weight, make_signal_from_fn, make_weight
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-class UnknownPreset(NablaError):
+class UnknownPreset(ConfigError):
     """Name does not match any built-in signal or weight."""
 
 

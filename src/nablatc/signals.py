@@ -50,8 +50,8 @@ class ZeroWeight(NablaError):
     """A tempered weight value fell below the zero threshold."""
 
 
-class BadRate(NablaError):
-    """Exponential weight rate of 1 collapses the weight to zero."""
+class BadRate(ConfigError):
+    """Exponential weight rate of 1 (the weight is zero) or not finite."""
 
 
 class ZeroScale(NablaError):

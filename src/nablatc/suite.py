@@ -187,10 +187,11 @@ def _horizon_cap(alpha: float, above_one: int = 32) -> int:
 
 
 def _tag(r: IdentityReport, **extra) -> IdentityReport:
-    """A copy of ``r`` whose params also hold ``extra`` (a new key goes
-    last, an existing one keeps its place)."""
-    params = {**r.params, **extra}
-    return IdentityReport(r.identity_id, r.max_abs_dev, r.argmax_k, r.tolerance, params)
+    """``r``, its params updated in place with ``extra`` (a new key goes
+    last, an existing one keeps its place): every checker returns new
+    reports, each with a params dict of its own."""
+    r.params.update(extra)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +232,7 @@ def _core_group(rng, ts, check: RowCheck, draws: tuple) -> list[IdentityReport]:
     for draw in draws:
         rows = [draw(rng, i) for i in range(CORE_INSTANCES)]
         reports = run_rows(check, rows, TOL_EXACT * ts)
-        for i, r in enumerate(reports):
-            # every report is new from run_rows, with the params dict of its
-            # own prep call, so the key goes in last, in place (as in _run_group)
-            r.params["instance"] = i
-        out += reports
+        out += [_tag(r, instance=i) for i, r in enumerate(reports)]
     return out
 
 
@@ -590,8 +587,11 @@ def select_groups(
     :func:`run_suite` runs for ``only`` and ``groups``, in registry order.
 
     Raises:
-        ConfigError: if ``groups`` names a group that is not registered.
+        ConfigError: if ``groups`` is a string, holds a non-string, or names
+            a group that is not registered.
     """
+    if isinstance(groups, str) or not all(isinstance(g, str) for g in groups or ()):
+        raise ConfigError(f"suite groups must be a sequence of group names, got {groups!r}")
     unknown = [g for g in groups or () if g not in dict(GROUPS)]
     if unknown:
         raise ConfigError(f"unknown suite groups: {', '.join(unknown)}")
@@ -611,11 +611,7 @@ def _run_group(
     """The reports of one :func:`select_groups` entry, and its wall seconds."""
     index, name, runner = entry
     start = time.perf_counter()
-    reports = runner(np.random.default_rng([seed, index]), ts)
-    for r in reports:
-        # every report is new from this call's runner, with a params dict
-        # of its own, so the group key goes in last, in place
-        r.params.setdefault("group", name)
+    reports = [_tag(r, group=name) for r in runner(np.random.default_rng([seed, index]), ts)]
     return reports, time.perf_counter() - start
 
 

@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import nablatc
 from nablatc.cli import main
-from nablatc.errors import ConfigError
+from nablatc.errors import ConfigError, NablaError
 from nablatc.signals import read_signal_csv
 from nablatc.suite import GROUPS, reports_to_json_dict, run_suite
 
@@ -160,6 +162,81 @@ def test_negative_exponent_values(tmp_path, capsys, argv):
         assert run(args) == 0
         outputs.append(capsys.readouterr().out + (out.read_text() if out.exists() else ""))
     assert outputs[0] == outputs[1]
+
+
+# a spelled negative non-number is a value too, so both forms give the
+# option's own one-line error
+@pytest.mark.parametrize(
+    "argv, option, message",
+    [
+        (["solve", "--alpha", "0.5", "--x0", "1", "--N", "5"], ("--mu", "-inf"),
+         "argument --mu: must be a finite number, got '-inf'"),
+        (["solve", "--alpha", "0.5", "--x0", "1", "--N", "5"], ("--mu", "-NaN"),
+         "argument --mu: must be a finite number, got '-NaN'"),
+        (["solve", "--alpha", "0.5", "--mu", "-0.5", "--N", "5"], ("--x0", "-Infinity"),
+         "argument --x0: must be a finite number, got '-Infinity'"),
+        (["eval", "--kind", "gl", "--signal", "sin10k"], ("--order", "-inf"),
+         "order must be finite, got -inf"),
+        (["verify"], ("--seed", "-inf"),
+         "argument --seed: must be a non-negative integer, got '-inf'"),
+    ],
+    ids=["mu-inf", "mu-nan", "x0-infinity", "order-inf", "seed-inf"],
+)
+def test_spelled_negative_non_number_is_one_line_exit_2(tmp_path, capsys, argv, option, message):
+    out = tmp_path / "out"
+    if argv[0] != "verify":
+        argv = [*argv, "--out", str(out)]
+    for form in (list(option), ["=".join(option)]):
+        try:
+            code = run([*argv, *form])
+        except SystemExit as exc:  # argparse rejects the option value
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().err == f"nt: configuration error: {message}\n"
+    assert not out.exists()
+
+
+# lambda = 1 makes the weight zero, as a rule's --lambda or as an exp: weight
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laplace", "--signal", "sin10k", "--s-re", "0.9", "--rule", "gl", "--lambda", "1"],
+        ["laplace", "--signal", "sin10k", "--s-re", "0.9", "--rule", "caputo", "--order", "1.5",
+         "--lambda", "1e0"],
+        ["eval", "--kind", "gl", "--order", "0.5", "--signal", "sin10k", "--weight", "exp:1"],
+    ],
+    ids=["laplace-gl", "laplace-caputo", "weight-exp-1"],
+)
+def test_rate_one_is_config_error_in_both_spellings(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    if argv[0] == "eval":
+        argv = [*argv, "--out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nt: configuration error:") and captured.err.count("\n") == 1
+    assert "rate 1" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_config_errors_are_the_config_error_subclasses():
+    # nt exits 2 on a ConfigError and 3 on any other NablaError: this pins
+    # which of the library's errors are configuration
+    classes = {
+        obj
+        for info in pkgutil.iter_modules(nablatc.__path__)
+        for obj in vars(importlib.import_module(f"nablatc.{info.name}")).values()
+        if isinstance(obj, type) and issubclass(obj, NablaError)
+    }
+    config = sorted(c.__name__ for c in classes if issubclass(c, ConfigError))
+    numeric = sorted(c.__name__ for c in classes if not issubclass(c, ConfigError))
+    assert config == [
+        "BadRate", "CSVFormatError", "ConfigError", "DegreeTooLow", "InsufficientHistory",
+        "IntegerOrder", "UnknownPreset",
+    ]
+    assert numeric == [
+        "DomainError", "GridMismatch", "InsufficientLags", "NablaError", "NonFiniteSample",
+        "RegionOfConvergence", "SeriesDiverged", "SingularStep", "ZeroScale", "ZeroWeight",
+    ]
 
 
 def test_taylor_subcommand_matches_eval(tmp_path):

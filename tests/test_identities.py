@@ -24,7 +24,14 @@ from nablatc.identities import (
 )
 from nablatc.operators import OperatorKind, OperatorSpec
 from nablatc.presets import preset_signal, preset_weight, weight_case_fn
-from nablatc.signals import Grid, Signal, make_signal_from_fn, make_weight, scale_weight
+from nablatc.signals import (
+    Grid,
+    GridMismatch,
+    Signal,
+    make_signal_from_fn,
+    make_weight,
+    scale_weight,
+)
 
 RNG = np.random.default_rng(987)
 
@@ -386,3 +393,41 @@ def test_seeded_battery_on_reference_weight_families():
         assert one_row(GL_RL_AGREE, x, w, alpha).passed
         assert one_row(DIFFERENCE_OF_SUM, x, w, alpha).passed
         assert one_row(SUM_OF_DIFFERENCE, x, w, alpha, "caputo").passed
+
+
+def _other_grid(x):
+    """``x``'s values on a grid one step to the right."""
+    g = x.grid
+    return Signal(Grid(g.a + 1.0, g.history, g.horizon), x.values)
+
+
+# each checker's guard on its own arguments, ahead of any work
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda x, w: one_row(SUM_OF_DIFFERENCE, x, w, 0.5, "gl"), ValueError,
+         "kind must be 'rl' or 'caputo', got 'gl'"),
+        (lambda x, w: one_row(MIXED_COMPOSITION, x, w, 0.5, 2, "gl"), ValueError,
+         "outer must be 'rl' or 'caputo', got 'gl'"),
+        (lambda x, w: one_row(TAYLOR_REMAINDER, x, w, 0.5, 1), ValueError,
+         "shift m must satisfy 0 <= m < alpha, got 1"),
+        (lambda x, w: check_order_limit_diff(x, w, 1, "at_n_plus_1", "rl"), ValueError,
+         "side must be 'at_n' or 'at_n_minus_1', got 'at_n_plus_1'"),
+        (lambda x, w: check_order_limit_diff(x, w, 1, "at_n", "gl"), ValueError,
+         "kind must be 'rl' or 'caputo', got 'gl'"),
+        (lambda x, w: check_uniform_convergence_exchange([x], x, 0.0, w), ValueError,
+         "sum order must be positive, got 0.0"),
+        (lambda x, w: check_uniform_convergence_exchange([_other_grid(x)], x, 0.5, w),
+         GridMismatch, "sequence members must share the limit signal's grid"),
+        (lambda x, w: check_leibniz(x, _other_grid(x), OperatorSpec(OperatorKind.GL, 0.5, w)),
+         GridMismatch, "product factors must share a grid"),
+        (lambda x, w: check_rl_caputo_asymptotics(sin_signal(N=3), 0.5, w), ValueError,
+         "the window needs a horizon of at least 4"),
+    ],
+    ids=["sum-of-diff-kind", "mixed-outer", "taylor-shift", "limit-side", "limit-kind",
+         "uniform-order", "uniform-grid", "leibniz-grid", "decay-horizon"],
+)
+def test_checker_argument_guards(call, error, match):
+    x = sin_signal(N=8)
+    with pytest.raises(error, match=match):
+        call(x, preset_weight("one", x.grid))

@@ -446,3 +446,22 @@ def test_fde_solution_satisfies_equation():
     for m in range(1, 41):
         lhs = sum(c[i] * (z[m - i] - z[0]) for i in range(m))
         assert lhs == pytest.approx(mu * z[m], rel=1e-10, abs=1e-13)
+
+
+def test_transform_rule_names_its_kinds():
+    x = preset_signal("sin10k", Grid(0.0, 2, 64))
+    with pytest.raises(ValueError, match="kind must be 'gl', 'int', 'rl' or 'caputo', got 'nabla'"):
+        transform_rule_reports(x, "nabla", 1, 0.0, (0.9,))
+
+
+@pytest.mark.parametrize(
+    "check, order",
+    [(check_convolution_commutation, 0.5), (check_convolution_with_ic, 1)],
+    ids=["commutation", "with-ic"],
+)
+def test_convolution_checks_need_one_grid(check, order):
+    g = Grid(0.0, 2, 8)
+    x = Signal(g, RNG.standard_normal(g.npoints))
+    y = Signal(Grid(0.0, 2, 9), RNG.standard_normal(g.npoints + 1))
+    with pytest.raises(GridMismatch, match="both signals must share a grid"):
+        check(x, y, order, 0.0)

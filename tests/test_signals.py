@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nablatc.errors import ConfigError
-from nablatc.presets import preset_weight
+from nablatc.presets import UnknownPreset, preset_signal, preset_weight, weight_case_fn
 from nablatc.signals import (
     BadRate,
     CSVFormatError,
@@ -288,3 +288,22 @@ def test_csv_header_rejected(tmp_path):
         fh.write("time,value\n1.0,0.1\n2.0,0.2\n")
     with pytest.raises(CSVFormatError):
         read_signal_csv(path)
+
+
+def test_grid_history_must_be_nonnegative():
+    with pytest.raises(GridMismatch, match="grid history must be >= 0, got -1"):
+        Grid(0.0, -1, 3)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"rate": 0.5, "fn": lambda k: 1.0}], ids=["none", "both"])
+def test_make_weight_needs_exactly_one_source(kwargs):
+    with pytest.raises(ZeroWeight, match="make_weight needs exactly one of rate=, fn="):
+        make_weight(Grid(0.0, 0, 3), **kwargs)
+
+
+def test_preset_guards_name_the_spec():
+    with pytest.raises(UnknownPreset, match="polynomial spec 'poly:' has no coefficients"):
+        preset_signal("poly:", Grid(0.0, 0, 3))
+    # case3 is an exponential weight, so it has no pointwise function
+    with pytest.raises(UnknownPreset, match="unknown weight 'case3'; use one of"):
+        weight_case_fn("case3", 0.0)

@@ -42,6 +42,11 @@ def test_rising_over_gamma_vanishing_rule():
     assert rising_over_gamma(0, 0.5, 1.5) == 0.0
 
 
+def test_rising_over_gamma_one_pole_over_two_vanishes():
+    # Gamma(-1) / (Gamma(0) Gamma(0)): two denominator poles outweigh one
+    assert rising_over_gamma(0, -1.0, 0.0) == 0.0
+
+
 def test_rising_over_gamma_unresolvable_pole():
     with pytest.raises(DomainError):
         rising_over_gamma(2, -4.0, 0.5)

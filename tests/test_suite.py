@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import threading
 import time
 import warnings
@@ -41,6 +42,12 @@ def test_unknown_group_name_is_a_config_error():
     # a dropped name would run nothing, and report no failures
     with pytest.raises(ConfigError, match="unknown suite groups: diff-of-sun$"):
         run_suite(groups=("diff-of-sum", "diff-of-sun"))
+
+
+@pytest.mark.parametrize("groups", [(0,), "leibniz", ("leibniz", None)])
+def test_bad_groups_value_is_a_config_error(groups):
+    with pytest.raises(ConfigError, match=re.escape(f"sequence of group names, got {groups!r}")):
+        run_suite(groups=groups)
 
 
 @pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(nablatc.__path__)])
@@ -99,17 +106,32 @@ def test_perturbation_breaks_core_groups():
     assert all(r.passed for r in clean)
 
 
+def test_tolerance_scale_spares_the_self_bounded_groups(full_pass_seed5):
+    # uniform-convergence's envelope bound carries its own rounding
+    # allowance, and rl-caputo-decay compares ratios against 1
+    scaled = [r.to_dict() for r in run_suite(seed=5, tolerance_scale=1e-3)]
+    kept = []
+    for d, s in zip(full_pass_seed5, scaled, strict=True):
+        if s["tolerance"] == d["tolerance"] != 0.0:
+            kept.append(d["params"]["group"])
+        else:
+            assert s["tolerance"] == pytest.approx(1e-3 * d["tolerance"], rel=1e-15)
+    assert kept == ["uniform-convergence"] * 3 + ["rl-caputo-decay"] * 8
+
+
 def test_tolerance_scale_argument():
     strict = run_suite(seed=0, groups=("gl-rl-agree",), tolerance_scale=1e-12)
     assert any(not r.passed for r in strict)
 
 
-def test_tag_leaves_input_report_unchanged():
+def test_tag_labels_the_report_in_place():
     report = IdentityReport("x", 0.0, 1.0, 1.0, {"alpha": 0.5, "instance": 0})
-    tagged = _tag(report, instance=3, n=2)
-    assert report.params == {"alpha": 0.5, "instance": 0}
-    assert list(tagged.params.items()) == [("alpha", 0.5), ("instance", 3), ("n", 2)]
-    assert tagged.params is not report.params
+    assert _tag(report, instance=3, n=2) is report
+    # a new key goes last, an existing one keeps its place
+    assert list(report.params.items()) == [("alpha", 0.5), ("instance", 3), ("n", 2)]
+    # which is safe because a pass gives every report a params dict of its own
+    reports = run_suite(seed=0)
+    assert len({id(r.params) for r in reports}) == len(reports)
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -337,3 +337,14 @@ def test_insufficient_lags_is_one_class():
 
     assert taylor.InsufficientLags is identities.InsufficientLags
     assert taylor.InsufficientLags is operators.InsufficientLags
+
+
+def test_negative_degree_and_short_sweep_are_degree_errors():
+    g = Grid(0.0, 4, 8)
+    x = preset_signal("sin10k", g)
+    with pytest.raises(DegreeTooLow, match="degree must be >= 0, got -1"):
+        taylor_initial(x, -1)
+    # a caputo sweep starts one degree above its integer stage 2
+    spec = OperatorSpec(OperatorKind.CAPUTO, 1.5, preset_weight("one", g))
+    with pytest.raises(DegreeTooLow, match="sweep needs K_max >= 3, got 2"):
+        taylor_series_initial(x, spec, 2)
